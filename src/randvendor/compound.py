@@ -23,7 +23,6 @@ from .distributions import (
 )
 
 _PARAMETRIC = (Uniform, Exponential, LogNormal, TruncatedNormal)
-_MAX_UNCERTAIN_PARAMS = 3
 _MAX_COMPONENTS = 10_000
 _MAX_REJECTION_FRACTION = 0.5
 
@@ -67,9 +66,11 @@ def compound_of(
     uncertainties = tuple(uncertainties)
     if not uncertainties:
         return estimated
+    names = [unc.param for unc in uncertainties]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate uncertain parameter(s) {duplicates}; give each at most once")
     k = len(uncertainties)
-    if k > _MAX_UNCERTAIN_PARAMS:
-        raise ValueError(f"at most {_MAX_UNCERTAIN_PARAMS} uncertain parameters supported, got {k}")
     if nodes**k > _MAX_COMPONENTS:
         raise ValueError(f"nodes**k = {nodes**k} exceeds the {_MAX_COMPONENTS}-component cap")
 
@@ -85,7 +86,6 @@ def compound_of(
     node_values = [
         [unc.dist.quantile((i + 0.5) / nodes) for i in range(nodes)] for unc in uncertainties
     ]
-    names = [unc.param for unc in uncertainties]
 
     components = []
     rejected = 0

@@ -1,12 +1,14 @@
 """Univariate distribution kernels on the non-negative half-line.
 
-Every family exposes the integral functionals the inventory formulas are
-built from: the CDF, the quantile (generalized inverse), the mean, the
-lower and upper partial expectations ``int_0^q t f(t) dt`` and
-``int_q^inf t f(t) dt``, the integrated CDF ``int_0^q F(t) dt``, its
-first-moment weighting ``int_0^q t F(t) dt``, and the expected maximum of
-two independent draws. Closed forms are used wherever they exist; the rest
-falls back to adaptive quadrature on the (possibly truncated) support.
+Each family defines the CDF ``F`` and the partial moments
+``M1(q) = int_0^q t f(t) dt`` and ``M2(q) = int_0^q t^2 f(t) dt`` in closed
+form. ``Distribution`` derives the rest once, by parts: the integrated CDF
+``q F - M1``, its first-moment weighting ``int_0^q t F = (q^2 F - M2) / 2``
+and the upper partial expectation ``mean - M1``. Adaptive quadrature is
+used only for ``survival_integral`` and ``weighted_survival_integral``
+(independent forms the newsvendor profit and variance are cross-checked
+against) and for the expected maximum of two distributions that both have
+a density.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -21,11 +23,12 @@ import math
 import os
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._quad import TAIL_PROB, integrate
 
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _norm_pdf(z: float) -> float:
@@ -61,6 +64,14 @@ class Distribution:
     def _quantile(self, u: float) -> float:
         raise NotImplementedError
 
+    def _partial_expectation(self, q: float) -> float:
+        """M1(q) = int_0^q t f(t) dt, for q >= 0."""
+        raise NotImplementedError
+
+    def _second_partial_moment(self, q: float) -> float:
+        """M2(q) = int_0^q t^2 f(t) dt, for q >= 0."""
+        raise NotImplementedError
+
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0,1) draws to draws from this distribution."""
         raise NotImplementedError
@@ -90,25 +101,15 @@ class Distribution:
         q = self._check_cutoff(q)
         return self._partial_expectation(q)
 
-    def _partial_expectation(self, q: float) -> float:
-        lo, hi = self.support()
-        return integrate(lambda t: t * self.pdf(t), lo, min(q, hi), self.breakpoints())
-
     def integrated_cdf(self, q: float) -> float:
-        """int_0^q F(t) dt."""
+        """int_0^q F(t) dt = q F(q) - M1(q)."""
         q = self._check_cutoff(q)
-        return self._integrated_cdf(q)
-
-    def _integrated_cdf(self, q: float) -> float:
-        return integrate(self.cdf, 0.0, q, self.breakpoints())
+        return q * self.cdf(q) - self._partial_expectation(q)
 
     def weighted_integrated_cdf(self, q: float) -> float:
-        """int_0^q t F(t) dt."""
+        """int_0^q t F(t) dt = (q^2 F(q) - M2(q)) / 2."""
         q = self._check_cutoff(q)
-        return self._weighted_integrated_cdf(q)
-
-    def _weighted_integrated_cdf(self, q: float) -> float:
-        return integrate(lambda t: t * self.cdf(t), 0.0, q, self.breakpoints())
+        return 0.5 * (q * q * self.cdf(q) - self._second_partial_moment(q))
 
     def upper_partial_expectation(self, q: float) -> float:
         """int_q^inf t f(t) dt = mean - partial_expectation(q)."""
@@ -116,11 +117,20 @@ class Distribution:
         return max(0.0, self.mean() - self._partial_expectation(q))
 
     def survival_integral(self, q: float) -> float:
-        """int_0^q P(X > t) dt, integrated directly from the survival function."""
+        """int_0^q P(X > t) dt by quadrature of the survival function; kept
+        independent of the closed forms so that it can cross-check them."""
         q = self._check_cutoff(q)
         return self._survival_integral(q)
 
-    def _survival_integral(self, q: float) -> float:
+    def weighted_survival_integral(self, q: float) -> float:
+        """int_0^q t P(X > t) dt, by quadrature like survival_integral; it
+        complements weighted_integrated_cdf to q^2 / 2 and cross-checks M2."""
+        q = self._check_cutoff(q)
+        return self._survival_integral(q, weighted=True)
+
+    def _survival_integral(self, q: float, weighted: bool = False) -> float:
+        if weighted:
+            return integrate(lambda t: t * (1.0 - self.cdf(t)), 0.0, q, self.breakpoints())
         return integrate(lambda t: 1.0 - self.cdf(t), 0.0, q, self.breakpoints())
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -198,21 +208,12 @@ class Uniform(Distribution):
         q = min(q, self.hi)
         return (q * q - self.lo * self.lo) / (2.0 * self._width)
 
-    def _integrated_cdf(self, q):
+    def _second_partial_moment(self, q):
         if q <= self.lo:
             return 0.0
-        if q <= self.hi:
-            return (q - self.lo) ** 2 / (2.0 * self._width)
-        return 0.5 * self._width + (q - self.hi)
-
-    def _weighted_integrated_cdf(self, q):
-        if q <= self.lo:
-            return 0.0
-        top = min(q, self.hi)
-        inner = (top**3 / 3.0 - self.lo * top**2 / 2.0 + self.lo**3 / 6.0) / self._width
-        if q > self.hi:
-            inner += 0.5 * (q * q - self.hi * self.hi)
-        return inner
+        q, lo = min(q, self.hi), self.lo
+        # factored so that a narrow interval does not cancel
+        return (q - lo) * (q * q + q * lo + lo * lo) / (3.0 * self._width)
 
     def to_dict(self):
         return {"family": "uniform", "lo": self.lo, "hi": self.hi}
@@ -247,11 +248,9 @@ class Exponential(Distribution):
         lam = self.rate
         return -math.expm1(-lam * q) / lam - q * math.exp(-lam * q)
 
-    def _integrated_cdf(self, q):
-        return q + math.expm1(-self.rate * q) / self.rate
-
-    def _weighted_integrated_cdf(self, q):
-        return 0.5 * q * q - self._partial_expectation(q) / self.rate
+    def _second_partial_moment(self, q):
+        # by parts: M2 = 2 M1 / rate - q^2 exp(-rate q)
+        return 2.0 * self._partial_expectation(q) / self.rate - q * q * math.exp(-self.rate * q)
 
     def to_dict(self):
         return {"family": "exponential", "rate": self.rate}
@@ -293,6 +292,12 @@ class LogNormal(Distribution):
         z = (math.log(q) - self.log_mean - self.log_sd**2) / self.log_sd
         return self.mean() * float(ndtr(z))
 
+    def _second_partial_moment(self, q):
+        if q <= 0.0:
+            return 0.0
+        z = (math.log(q) - self.log_mean - 2.0 * self.log_sd**2) / self.log_sd
+        return math.exp(2.0 * (self.log_mean + self.log_sd**2)) * float(ndtr(z))
+
     def to_dict(self):
         return {"family": "lognormal", "log_mean": self.log_mean, "log_sd": self.log_sd}
 
@@ -305,19 +310,30 @@ class TruncatedNormal(Distribution):
         self.norm_sd = _finite("truncated_normal sd", sd)
         if self.norm_sd <= 0.0:
             raise ValueError(f"truncated_normal requires sd > 0, got {sd}")
-        self._f0 = float(ndtr(-self.norm_mean / self.norm_sd))
-        self._z = 1.0 - self._f0
+        self._alpha = -self.norm_mean / self.norm_sd
+        self._f0 = float(ndtr(self._alpha))
+        self._z = float(ndtr(-self._alpha))
         if self._z <= 0.0:
             raise ValueError("truncated_normal has no mass on [0, inf) at this mean/sd")
 
     def support(self):
         return (0.0, math.inf)
 
+    def _mass(self, beta: float) -> float:
+        """Phi(beta) - Phi(alpha), the parent mass on [0, mean + sd * beta].
+
+        Taken between upper tails when the mean is negative, so it keeps its
+        precision when almost no parent mass lies above zero.
+        """
+        if self._alpha > 0.0:
+            return self._z - float(ndtr(-beta))
+        return float(ndtr(beta)) - self._f0
+
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        base = float(ndtr((x - self.norm_mean) / self.norm_sd))
-        return min(1.0, max(0.0, (base - self._f0) / self._z))
+        mass = self._mass((x - self.norm_mean) / self.norm_sd)
+        return min(1.0, max(0.0, mass / self._z))
 
     def pdf(self, x):
         if x < 0.0:
@@ -326,27 +342,43 @@ class TruncatedNormal(Distribution):
         return _norm_pdf(z) / (self.norm_sd * self._z)
 
     def mean(self):
-        m, s = self.norm_mean, self.norm_sd
-        return m + s * _norm_pdf(m / s) / self._z
+        return _truncnorm_mean(self.norm_mean, self.norm_sd)
 
     def _quantile(self, u):
-        return self.norm_mean + self.norm_sd * float(ndtri(self._f0 + u * self._z))
+        return float(self.from_uniform(u))
 
     def from_uniform(self, u):
-        p = self._f0 + np.asarray(u, dtype=float) * self._z
-        return self.norm_mean + self.norm_sd * ndtri(p)
+        u = np.asarray(u, dtype=float)
+        if self._alpha > 0.0:
+            return self.norm_mean - self.norm_sd * ndtri((1.0 - u) * self._z)
+        return self.norm_mean + self.norm_sd * ndtri(self._f0 + u * self._z)
 
     def _partial_expectation(self, q):
         if q <= 0.0:
             return 0.0
         m, s = self.norm_mean, self.norm_sd
-        alpha = -m / s
         beta = (q - m) / s
-        mass = float(ndtr(beta)) - self._f0
-        return (m * mass + s * (_norm_pdf(alpha) - _norm_pdf(beta))) / self._z
+        mass = self._mass(beta)
+        return (m * mass + s * (_norm_pdf(self._alpha) - _norm_pdf(beta))) / self._z
+
+    def _second_partial_moment(self, q):
+        if q <= 0.0:
+            return 0.0
+        m, s = self.norm_mean, self.norm_sd
+        beta = (q - m) / s
+        mass = self._mass(beta)
+        tails = m * _norm_pdf(self._alpha) - (m + q) * _norm_pdf(beta)
+        return ((m * m + s * s) * mass + s * tails) / self._z
 
     def to_dict(self):
         return {"family": "truncated_normal", "mean": self.norm_mean, "sd": self.norm_sd}
+
+
+def _truncnorm_mean(location: float, sd: float) -> float:
+    """Mean of Normal(location, sd) conditioned on [0, inf)."""
+    z = location / sd
+    # inverse Mills ratio in log space; stable for any z
+    return location + sd * math.exp(-0.5 * z * z - _LOG_ROOT_2PI - float(log_ndtr(z)))
 
 
 class Empirical(Distribution):
@@ -396,24 +428,25 @@ class Empirical(Distribution):
     def _partial_expectation(self, q):
         return float(self.values[self.values <= q].sum()) / self._n
 
-    def _integrated_cdf(self, q):
-        return float(np.clip(q - self.values, 0.0, None).sum()) / self._n
+    def _second_partial_moment(self, q):
+        below = self.values[self.values <= q]
+        return float((below * below).sum()) / self._n
 
-    def _weighted_integrated_cdf(self, q):
-        return float(np.clip(q * q - self.values**2, 0.0, None).sum()) / (2.0 * self._n)
-
-    def _survival_integral(self, q):
+    def _survival_integral(self, q, weighted=False):
         # exact segment walk over the step function
+        def length(a, b):
+            return 0.5 * (b - a) * (b + a) if weighted else b - a
+
         total = 0.0
         prev = 0.0
         for i, v in enumerate(self.values):
             if v >= q:
                 break
-            total += (v - prev) * (1.0 - i / self._n)
+            total += length(prev, v) * (1.0 - i / self._n)
             prev = v
         else:
             i = self._n
-        total += (q - prev) * (1.0 - i / self._n)
+        total += length(prev, q) * (1.0 - i / self._n)
         return total
 
     def to_dict(self):
@@ -507,14 +540,11 @@ class Mixture(Distribution):
     def _partial_expectation(self, q):
         return math.fsum(w * d._partial_expectation(q) for w, d in self.components)
 
-    def _integrated_cdf(self, q):
-        return math.fsum(w * d._integrated_cdf(q) for w, d in self.components)
+    def _second_partial_moment(self, q):
+        return math.fsum(w * d._second_partial_moment(q) for w, d in self.components)
 
-    def _weighted_integrated_cdf(self, q):
-        return math.fsum(w * d._weighted_integrated_cdf(q) for w, d in self.components)
-
-    def _survival_integral(self, q):
-        return math.fsum(w * d._survival_integral(q) for w, d in self.components)
+    def _survival_integral(self, q, weighted=False):
+        return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
 
     def to_dict(self):
         return {
@@ -581,17 +611,8 @@ class UpperTruncated(Distribution):
     def _partial_expectation(self, q):
         return self.base._partial_expectation(min(q, self.upper)) / self._z
 
-    def _integrated_cdf(self, q):
-        inner = self.base._integrated_cdf(min(q, self.upper)) / self._z
-        if q > self.upper:
-            inner += q - self.upper
-        return inner
-
-    def _weighted_integrated_cdf(self, q):
-        inner = self.base._weighted_integrated_cdf(min(q, self.upper)) / self._z
-        if q > self.upper:
-            inner += 0.5 * (q * q - self.upper * self.upper)
-        return inner
+    def _second_partial_moment(self, q):
+        return self.base._second_partial_moment(min(q, self.upper)) / self._z
 
     def to_dict(self):
         record = dict(self.base.to_dict())

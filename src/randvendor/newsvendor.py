@@ -75,13 +75,16 @@ def optimal_quantity(params: MarketParams, demand: Distribution) -> float:
 def optimal_profit(params: MarketParams, demand: Distribution) -> float:
     """Expected profit at the optimal order size.
 
-    Three equivalent forms are computed and cross-checked whenever the CDF
-    actually attains the critical fractile at the optimal order (always true
-    for continuous demand): the integrated-CDF form, the partial-expectation
-    form ``p * int_0^Q t f(t) dt`` (returned), and the survival-integral form
-    ``p * int_0^Q P(D > t) dt - Q w``. On a flat CDF segment (atomic demand)
-    the fractile condition fails and the integrated-CDF form is the correct
-    expected profit, so it is returned without the cross-check.
+    Whenever the CDF actually attains the critical fractile at the optimal
+    order (always true for continuous demand), the partial-expectation form
+    ``p * int_0^Q t f(t) dt`` (returned) is cross-checked against the
+    integrated-CDF form and the survival-integral form
+    ``p * int_0^Q P(D > t) dt - Q w``. The integrated CDF is derived from the
+    partial expectation, so the first check only guards the fractile
+    condition; the survival integral is quadrature and checks the closed
+    forms independently. On a flat CDF segment (atomic demand) the fractile
+    condition fails and the integrated-CDF form is the correct expected
+    profit, so it is returned without the cross-check.
     """
     q_star = optimal_quantity(params, demand)
     form_cdf = expected_profit(params, demand, q_star)
@@ -99,22 +102,28 @@ def optimal_profit_variance(params: MarketParams, demand: Distribution) -> float
 
     Computed from the fractile form
     ``p^2 [ Q^2 (1 - (w/p)^2) - P^2 - 2 Q (w/p) P - 2 int_0^Q t F(t) dt ]``
-    with ``P = int_0^Q t f(t) dt``, and cross-checked against the general
-    variance formula at the same order. Falls back to the general formula
-    when the fractile condition does not hold (atomic demand).
+    with ``P = int_0^Q t f(t) dt``. The closed-form ``int_0^Q t F(t) dt`` is
+    cross-checked by evaluating the same form with
+    ``Q^2 / 2 - int_0^Q t P(D > t) dt`` from quadrature. Falls back to the
+    general formula when the fractile condition does not hold (atomic
+    demand).
     """
     q_star = optimal_quantity(params, demand)
-    var_general = profit_variance(params, demand, q_star)
     if abs(demand.cdf(q_star) - params.critical_fractile) > _FRACTILE_ATOL:
-        return var_general
+        return profit_variance(params, demand, q_star)
     ratio = params.w / params.p
     pe = demand.partial_expectation(q_star)
-    wic = demand.weighted_integrated_cdf(q_star)
-    var_fractile = params.p**2 * (
-        q_star**2 * (1.0 - ratio**2) - pe**2 - 2.0 * q_star * ratio * pe - 2.0 * wic
-    )
-    var_fractile = max(0.0, var_fractile)
-    _require_agreement("optimal profit variance", var_fractile, var_general)
+
+    def fractile_form(wic: float) -> float:
+        return max(
+            0.0,
+            params.p**2
+            * (q_star**2 * (1.0 - ratio**2) - pe**2 - 2.0 * q_star * ratio * pe - 2.0 * wic),
+        )
+
+    var_fractile = fractile_form(demand.weighted_integrated_cdf(q_star))
+    var_survival = fractile_form(0.5 * q_star**2 - demand.weighted_survival_integral(q_star))
+    _require_agreement("optimal profit variance", var_fractile, var_survival)
     return var_fractile
 
 

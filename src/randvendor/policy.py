@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import newsvendor
 from .compound import ScenarioTriple
@@ -27,13 +26,13 @@ from .distributions import (
     TruncatedNormal,
     Uniform,
     _generator,
+    _truncnorm_mean,
     expected_max,
 )
 from .newsvendor import MarketParams
 
 FEASIBILITY_TOL = 1e-10
 _POINT_WIDTH = 1e-9
-_LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -255,12 +254,6 @@ def build_order_dist(
         lo = max(0.0, q - 0.5 * _POINT_WIDTH)
         return Uniform(lo, lo + _POINT_WIDTH)
     raise ValueError(f"unsupported order family {family!r}")
-
-
-def _truncnorm_mean(location: float, sd: float) -> float:
-    z = location / sd
-    # inverse Mills ratio in log space; stable for any z
-    return location + sd * math.exp(-0.5 * z * z - _LOG_ROOT_2PI - log_ndtr(z))
 
 
 def _solve_truncnorm_location(target_mean: float, sd: float) -> float:

@@ -136,6 +136,12 @@ class TestSolveCommand:
         assert code == 3
         assert "market.w" in capsys.readouterr().err
 
+    def test_duplicate_uncertain_parameter_exit_code(self, tmp_path, capsys):
+        hi = {"param": "hi", "dist": {"family": "uniform", "lo": 0.9, "hi": 1.1}}
+        record = base_record(parameter_uncertainties=[hi, hi])
+        assert main(["solve", write_scenario(tmp_path, record)]) == 3
+        assert "duplicate uncertain parameter" in capsys.readouterr().err
+
     def test_dump_normalized_round_trip(self, tmp_path):
         dump = tmp_path / "normalized.json"
         path = write_scenario(tmp_path, mismatch_record())

@@ -102,7 +102,7 @@ class TestValidation:
 
     def test_too_many_parameters(self):
         uncs = [ParameterUncertainty(n, Uniform(0.1, 0.2)) for n in ("lo", "hi", "lo", "hi")]
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(ValueError, match="duplicate uncertain parameter"):
             compound_of(Uniform(0, 1), uncs, nodes=2)
 
     def test_component_cap(self):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+from scipy.stats import truncnorm
 
 from randvendor import (
     Empirical,
     Exponential,
     LogNormal,
     Mixture,
+    NumericalIntegrityError,
     TruncatedNormal,
     Uniform,
     UpperTruncated,
@@ -29,6 +31,9 @@ CONTINUOUS = [
     Mixture([(0.4, Uniform(0.0, 1.0)), (0.6, Uniform(0.8, 3.0))]),
     Mixture([(0.3, LogNormal(0.0, 0.5)), (0.7, Exponential(1.5))]),
     UpperTruncated(LogNormal(0.0, 1.0), 4.0),
+    # deep tails: most fixed cutoffs below lie far out in a tail of these
+    LogNormal(4.0, 0.9),
+    TruncatedNormal(-8.0, 1.0),
 ]
 
 ALL_FAMILIES = CONTINUOUS + [Empirical([0.2, 0.9, 1.4, 1.4, 2.7])]
@@ -187,27 +192,27 @@ class TestPartialMoments:
         assert e.survival_integral(2.5) == pytest.approx(2.5 - e.integrated_cdf(2.5), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "dist", [Uniform(0.2, 1.7), Exponential(0.8)], ids=["uniform", "exponential"]
+        "dist", [Uniform(0.2, 1.7), Exponential(0.8)] + ALL_FAMILIES, ids=repr
     )
     def test_closed_forms_match_quadrature(self, dist):
-        for q in [0.3, 0.9, 1.6, 2.5, 6.0]:
-            assert dist.partial_expectation(q) == pytest.approx(
-                si.quad(lambda t: t * dist.pdf(t), 0, q, points=[dist.support()[0]])[0],
-                abs=1e-8,
-            )
-            assert dist.integrated_cdf(q) == pytest.approx(
-                si.quad(dist.cdf, 0, q, points=[p for p in dist.breakpoints() if p < q])[0],
-                abs=1e-8,
-            )
-            assert dist.weighted_integrated_cdf(q) == pytest.approx(
-                si.quad(
-                    lambda t: t * dist.cdf(t),
-                    0,
-                    q,
-                    points=[p for p in dist.breakpoints() if p < q],
-                )[0],
-                abs=1e-8,
-            )
+        # the library derives IC and WIC from M1 and M2; quadrature of the
+        # defining integrals is the independent oracle
+        def quad(fn, q):
+            pts = [p for p in dist.breakpoints() if 0 < p < q]
+            return si.quad(fn, 0, q, points=pts or None, limit=200, epsabs=1e-14, epsrel=1e-12)[0]
+
+        close = dict(abs=1e-8)
+        cutoffs = [0.3, 0.9, 1.6, 2.5, 6.0] + [dist.quantile(u) for u in (0.05, 0.5, 0.95)]
+        for q in cutoffs:
+            if dist.has_density:
+                m1 = quad(lambda t: t * dist.pdf(t), q)
+                m2 = quad(lambda t: t * t * dist.pdf(t), q)
+                assert dist.partial_expectation(q) == pytest.approx(m1, **close)
+                assert dist._second_partial_moment(q) == pytest.approx(m2, **close)
+            ic = quad(dist.cdf, q)
+            wic = quad(lambda t: t * dist.cdf(t), q)
+            assert dist.integrated_cdf(q) == pytest.approx(ic, **close)
+            assert dist.weighted_integrated_cdf(q) == pytest.approx(wic, **close)
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     def test_survival_integral_complements_integrated_cdf(self, dist):
@@ -215,6 +220,55 @@ class TestPartialMoments:
             assert dist.survival_integral(q) == pytest.approx(
                 q - dist.integrated_cdf(q), abs=1e-8
             )
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_weighted_survival_integral_complements_weighted_integrated_cdf(self, dist):
+        for q in [0.4, 1.3, 2.2]:
+            assert dist.weighted_survival_integral(q) == pytest.approx(
+                0.5 * q * q - dist.weighted_integrated_cdf(q), abs=1e-8
+            )
+
+
+class TestTruncatedNormalTail:
+    """Against scipy.stats.truncnorm, including means far below zero."""
+
+    MEANS = [-10.0, -8.0, -6.0, 0.5, 5.0]
+
+    @staticmethod
+    def oracle(mean, sd):
+        return truncnorm(-mean / sd, np.inf, loc=mean, scale=sd)
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_mean(self, mean):
+        assert TruncatedNormal(mean, 1.0).mean() == pytest.approx(
+            self.oracle(mean, 1.0).mean(), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_cdf_and_quantile(self, mean):
+        dist, ref = TruncatedNormal(mean, 1.0), self.oracle(mean, 1.0)
+        for u in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+            x = float(ref.ppf(u))
+            assert dist.quantile(u) == pytest.approx(x, rel=1e-9)
+            assert dist.cdf(x) == pytest.approx(u, rel=1e-9)
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_partial_moments(self, mean):
+        dist, ref = TruncatedNormal(mean, 1.0), self.oracle(mean, 1.0)
+        for u in (0.5, 0.95):
+            q = float(ref.ppf(u))
+            assert dist.partial_expectation(q) == pytest.approx(
+                ref.expect(lambda t: t, lb=0.0, ub=q), rel=1e-9
+            )
+            assert dist._second_partial_moment(q) == pytest.approx(
+                ref.expect(lambda t: t * t, lb=0.0, ub=q), rel=1e-8
+            )
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_sample_mean(self, mean):
+        draws = TruncatedNormal(mean, 1.0).sample(100_000, seed=3)
+        se = float(np.std(draws)) / math.sqrt(draws.size)
+        assert abs(float(np.mean(draws)) - self.oracle(mean, 1.0).mean()) < 5 * se
 
 
 class TestExpectedMax:
@@ -307,6 +361,17 @@ class TestExpectedMax:
         # E[max(v, U)] = v^2/2 + v^2/2 ... directly: v F(v) + upe(v)
         expected = 0.5 * (0.25 * 0.25 + (0.5 - 0.03125)) + 0.5 * (0.75 * 0.75 + (0.5 - 0.28125))
         assert expected_max(e, Uniform(0, 1)) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unreliable_quadrature_raises(self):
+        # 60 kinked components against a narrow peak: quad cannot split at
+        # every kink and its error estimate is ~1e-3, so the value is refused
+        rng = np.random.default_rng(0)
+        lo = np.sort(rng.uniform(0.0, 5.0, size=60))
+        width = rng.uniform(0.05, 1.0, size=60)
+        mix = Mixture([(1.0 / 60, Uniform(a, a + w)) for a, w in zip(lo, width)])
+        with pytest.raises(NumericalIntegrityError, match="error estimate"):
+            expected_max(mix, LogNormal(0.0, 0.01))
 
     def test_two_atomics(self):
         a = Empirical([1.0, 3.0])

@@ -7,7 +7,9 @@ from helpers import random_continuous, random_market
 from randvendor import (
     Empirical,
     Exponential,
+    LogNormal,
     MarketParams,
+    NumericalIntegrityError,
     Uniform,
     expected_profit,
     optimal_profit,
@@ -160,6 +162,19 @@ class TestOptimalProfitVariance:
         var_opt = optimal_profit_variance(mp, demand)
         var_general = profit_variance(mp, demand, optimal_quantity(mp, demand))
         assert abs(var_opt - var_general) < 1e-7 * max(1.0, var_opt, var_general)
+
+    def test_wrong_second_moment_is_caught(self, monkeypatch):
+        # the variance's closed-form M2 is checked against quadrature of
+        # int t P(D > t), so a small error in it is refused, not returned
+        mp = MarketParams(p=3.0, w=1.0)
+        demand = LogNormal(2.0, 0.5)
+        exact = LogNormal._second_partial_moment
+        assert optimal_profit_variance(mp, demand) > 0.0
+        monkeypatch.setattr(
+            LogNormal, "_second_partial_moment", lambda self, q: (1.0 + 1e-6) * exact(self, q)
+        )
+        with pytest.raises(NumericalIntegrityError, match="variance"):
+            optimal_profit_variance(mp, demand)
 
 
 class TestAtomicDemand:
