@@ -4,11 +4,15 @@ Each family defines the CDF ``F`` and the partial moments
 ``M1(q) = int_0^q t f(t) dt`` and ``M2(q) = int_0^q t^2 f(t) dt`` in closed
 form. ``Distribution`` derives the rest once, by parts: the integrated CDF
 ``q F - M1``, its first-moment weighting ``int_0^q t F = (q^2 F - M2) / 2``
-and the upper partial expectation ``mean - M1``. Adaptive quadrature is
-used only for ``survival_integral`` and ``weighted_survival_integral``
-(independent forms the newsvendor profit and variance are cross-checked
-against) and for the expected maximum of two distributions that both have
-a density.
+and the upper partial expectation ``mean - M1``. The expected maximum of
+a uniform and any other distribution follows from the other side's F, M1
+and M2 in closed form, and is linear over a mixture of uniforms. Adaptive
+quadrature is used only for ``survival_integral`` and
+``weighted_survival_integral`` (independent forms the newsvendor profit and
+variance are cross-checked against) and for the expected maximum of the
+remaining pairs that both have a density, including those with a uniform too
+narrow for the closed form or a truncated normal, whose partial moments lose
+relative precision below its bulk.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -29,6 +33,9 @@ from ._quad import TAIL_PROB, integrate
 
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
+# A uniform narrower than this share of its upper end is left out of the
+# closed-form expected maximum, whose H(b) - H(a) cancels like eps * b / (b - a)
+_MIN_UNIFORM_WIDTH = 1e-3
 
 
 def _norm_pdf(z: float) -> float:
@@ -46,6 +53,9 @@ class Distribution:
     """A univariate distribution supported on a subset of [0, inf)."""
 
     has_density = True
+    # F, M1 and M2 keep their precision relative to their own size, so the
+    # closed-form expected maximum against a uniform may be built from them
+    _closed_form_max = True
 
     # -- family hooks -------------------------------------------------------
 
@@ -179,6 +189,7 @@ class Uniform(Distribution):
         self.lo = lo
         self.hi = hi
         self._width = hi - lo
+        self._closed_form_max = self._width >= _MIN_UNIFORM_WIDTH * hi
 
     def support(self):
         return (self.lo, self.hi)
@@ -304,6 +315,10 @@ class LogNormal(Distribution):
 
 class TruncatedNormal(Distribution):
     """Normal(mean, sd) conditioned on the non-negative half-line."""
+
+    # M1 and M2 are differences of terms of size ~ mean^2 + sd^2, so they lose
+    # relative precision at cutoffs well below the bulk
+    _closed_form_max = False
 
     def __init__(self, mean: float, sd: float):
         self.norm_mean = _finite("truncated_normal mean", mean)
@@ -469,6 +484,8 @@ class Mixture(Distribution):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total}")
         self.components = tuple(comps)
+        self._closed_form_max = all(d._closed_form_max for _, d in comps)
+        self._mean = None
 
     @property
     def has_density(self):
@@ -486,7 +503,9 @@ class Mixture(Distribution):
         return math.fsum(w * d.pdf(x) for w, d in self.components)
 
     def mean(self):
-        return math.fsum(w * d.mean() for w, d in self.components)
+        if self._mean is None:
+            self._mean = math.fsum(w * d.mean() for w, d in self.components)
+        return self._mean
 
     def _quantile(self, u):
         lo = min(d._quantile(u) for _, d in self.components)
@@ -567,6 +586,7 @@ class UpperTruncated(Distribution):
         self.base = base
         self.upper = upper
         self._z = z
+        self._closed_form_max = base._closed_form_max
 
     @property
     def has_density(self):
@@ -626,12 +646,24 @@ class UpperTruncated(Distribution):
 def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     """E[max(X, Y)] for independent X ~ dist_a, Y ~ dist_b.
 
-    Evaluated through the decomposition
-    ``int x g(x) F(x) dx + int y f(y) G(y) dy`` when both sides have a
-    density, and through exact atom conditioning otherwise. Arguments are
-    put in a canonical order first so the result is bit-identical under
-    swaps.
+    When one side is a uniform, or a mixture of uniforms, it is evaluated in
+    closed form from the other side's F, M1 and M2, unless either side is or
+    mixes in a uniform narrower than ``_MIN_UNIFORM_WIDTH`` of its upper end
+    or a truncated normal, whose partial moments are too coarse for it.
+    Otherwise it goes through exact atom conditioning, or through the
+    decomposition ``int x g(x) F(x) dx + int y f(y) G(y) dy`` when both
+    sides have a density. Arguments are put in a canonical order first so
+    the result is bit-identical under swaps.
     """
+    if dist_a._closed_form_max and dist_b._closed_form_max:
+        rank_a, rank_b = _uniform_rank(dist_a), _uniform_rank(dist_b)
+        if rank_b < rank_a:
+            dist_a, dist_b, rank_a, rank_b = dist_b, dist_a, rank_b, rank_a
+        if rank_a[0] == 0:
+            return _expected_max_uniform(dist_a, dist_b)
+        if rank_a < rank_b:
+            # a mixture of uniforms against anything but another one
+            return math.fsum(w * _expected_max_uniform(u, dist_b) for w, u in dist_a.components)
     key_a = json.dumps(dist_a.to_dict(), sort_keys=True)
     key_b = json.dumps(dist_b.to_dict(), sort_keys=True)
     if key_b < key_a:
@@ -659,6 +691,30 @@ def _expected_max(x: Distribution, y: Distribution) -> float:
     if isinstance(y, Mixture):
         return math.fsum(w * _expected_max(x, d) for w, d in y.components)
     raise ValueError("expected_max cannot decompose these distributions")
+
+
+def _uniform_rank(d: Distribution) -> tuple:
+    """Lowest for a uniform (ordered by its interval), then a mixture of
+    uniforms: the side the closed-form expected maximum integrates over."""
+    if isinstance(d, Uniform):
+        return (0, d.lo, d.hi)
+    if isinstance(d, Mixture) and all(isinstance(c, Uniform) for _, c in d.components):
+        return (1,)
+    return (2,)
+
+
+def _expected_max_uniform(u: Uniform, other: Distribution) -> float:
+    # E[max(Q, D)] = E[D] + E[(Q - D)+], and for Q ~ U(a, b) the second term
+    # is the mean of int_0^x F over [a, b]: (H(b) - H(a)) / (b - a) with
+    # H(x) = E[((x - D)+)^2] / 2 = (x^2 F - 2 x M1 + M2) / 2
+    def h(x):
+        return 0.5 * (
+            x * x * other.cdf(x)
+            - 2.0 * x * other._partial_expectation(x)
+            + other._second_partial_moment(x)
+        )
+
+    return other.mean() + (h(u.hi) - h(u.lo)) / u._width
 
 
 def _expected_max_over_atoms(atoms, other: Distribution) -> float:

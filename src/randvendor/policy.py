@@ -105,15 +105,18 @@ def expected_profit_stochastic(
     """E[profit] when the order follows the policy, independent of demand."""
     p, w = params.p, params.w
     if isinstance(policy, Deterministic):
-        q = policy.quantity
-        mean_q = q
-        # point mass at q: E[max(q, D)] = q F(q) + int_q^inf t f(t) dt
-        e_max = q * demand.cdf(q) + demand.upper_partial_expectation(q)
+        mean_q = policy.quantity
+        e_max = _expected_max_at(policy.quantity, demand)
     else:
         g = policy.order_dist
         mean_q = g.mean()
         e_max = expected_max(g, demand)
     return p * mean_q + p * demand.mean() - p * e_max - w * mean_q
+
+
+def _expected_max_at(q: float, demand: Distribution) -> float:
+    """E[max(q, D)] = q F(q) + int_q^inf t f(t) dt for a point order q."""
+    return q * demand.cdf(q) + demand.upper_partial_expectation(q)
 
 
 def baseline_profit(
@@ -140,14 +143,24 @@ def check_feasibility(
     rhs = baseline profit / p. The margin times p equals the expected-profit
     gain of the stochastic policy over the baseline.
     """
-    compound = scenario.compound_demand
     naive_q = naive_order_quantity(params, scenario.estimated_demand)
+    rhs = baseline_profit(params, scenario, mode) / params.p
+    return _feasibility(params, scenario.compound_demand, order_dist, naive_q, rhs, mode)
+
+
+def _feasibility(
+    params: MarketParams,
+    compound: Distribution,
+    order_dist: Distribution,
+    naive_q: float,
+    rhs: float,
+    mode: RhsMode,
+) -> FeasibilityReport:
     lhs = (
         order_dist.mean() * params.critical_fractile
         + compound.mean()
         - expected_max(order_dist, compound)
     )
-    rhs = baseline_profit(params, scenario, mode) / params.p
     margin = lhs - rhs
     return FeasibilityReport(
         lhs=lhs,
@@ -170,6 +183,17 @@ def check_mean_constrained_feasibility(
     """
     compound = scenario.compound_demand
     naive_q = naive_order_quantity(params, scenario.estimated_demand)
+    rhs = _expected_max_at(naive_q, compound)
+    return _mean_constrained_feasibility(params, compound, order_dist, naive_q, rhs)
+
+
+def _mean_constrained_feasibility(
+    params: MarketParams,
+    compound: Distribution,
+    order_dist: Distribution,
+    naive_q: float,
+    rhs: float,
+) -> FeasibilityReport:
     mean_q = order_dist.mean()
     if abs(mean_q - naive_q) > 1e-6 * max(1.0, naive_q):
         raise ValueError(
@@ -177,7 +201,6 @@ def check_mean_constrained_feasibility(
             f"(the naive order), got E[Q] = {mean_q!r}"
         )
     lhs = expected_max(order_dist, compound)
-    rhs = naive_q * compound.cdf(naive_q) + compound.upper_partial_expectation(naive_q)
     margin = rhs - lhs
     return FeasibilityReport(
         lhs=lhs,
@@ -373,6 +396,11 @@ def search_policy(
     base = baseline_profit(params, scenario, rhs_mode)
     fractile = params.critical_fractile
     compound_mean = compound.mean()
+    # the right-hand sides are the same for every candidate
+    if cfg.constrain_mean_to_qhat:
+        rhs = _expected_max_at(naive_q, compound)
+    else:
+        rhs = base / params.p
 
     trace: list[TraceEntry] = []
     best_params: tuple[float, ...] | None = None
@@ -386,10 +414,10 @@ def search_policy(
             trace.append(TraceEntry(cid, point, math.nan, math.nan, False))
             continue
         if cfg.constrain_mean_to_qhat:
-            report = check_mean_constrained_feasibility(params, scenario, g)
+            report = _mean_constrained_feasibility(params, compound, g, naive_q, rhs)
             profit = params.p * (g.mean() * fractile + compound_mean - report.lhs)
         else:
-            report = check_feasibility(params, scenario, g, rhs_mode)
+            report = _feasibility(params, compound, g, naive_q, rhs, rhs_mode)
             profit = params.p * report.lhs
         trace.append(TraceEntry(cid, point, profit, report.margin, report.feasible))
         if report.feasible:

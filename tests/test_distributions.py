@@ -18,6 +18,7 @@ from randvendor import (
     expected_max,
     expected_min,
 )
+from randvendor.distributions import _expected_max_densities
 
 CONTINUOUS = [
     Uniform(0.0, 1.0),
@@ -108,6 +109,18 @@ class TestMean:
     def test_matches_quadrature(self, dist):
         quad = si.quad(lambda t: t * dist.pdf(t), 0, dist.upper_cut(), limit=200)[0]
         assert dist.mean() == pytest.approx(quad, rel=1e-7, abs=1e-8)
+
+
+class TestMixtureMean:
+    def test_mean_is_computed_once(self, monkeypatch):
+        mix = Mixture([(0.4, LogNormal(0.0, 0.5)), (0.6, Exponential(1.5))])
+        first = mix.mean()
+
+        def refuse(self):
+            raise AssertionError("component mean recomputed")
+
+        monkeypatch.setattr(LogNormal, "mean", refuse)
+        assert mix.mean() == first
 
 
 class TestPartialMoments:
@@ -365,13 +378,15 @@ class TestExpectedMax:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unreliable_quadrature_raises(self):
         # 60 kinked components against a narrow peak: quad cannot split at
-        # every kink and its error estimate is ~1e-3, so the value is refused
+        # every kink and its error estimate is ~1e-3, so the value is refused.
+        # expected_max takes the closed form for this uniform mixture
+        # (test_expected_max.py); the quadrature path must still refuse it.
         rng = np.random.default_rng(0)
         lo = np.sort(rng.uniform(0.0, 5.0, size=60))
         width = rng.uniform(0.05, 1.0, size=60)
         mix = Mixture([(1.0 / 60, Uniform(a, a + w)) for a, w in zip(lo, width)])
         with pytest.raises(NumericalIntegrityError, match="error estimate"):
-            expected_max(mix, LogNormal(0.0, 0.01))
+            _expected_max_densities(mix, LogNormal(0.0, 0.01))
 
     def test_two_atomics(self):
         a = Empirical([1.0, 3.0])

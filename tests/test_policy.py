@@ -348,3 +348,27 @@ class TestSearch:
             if not math.isnan(entry.expected_profit):
                 g = build_order_dist("uniform", entry.params, 0.5, constrained=True)
                 assert g.mean() == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, bounds, constrained, mode",
+        [
+            ("uniform", MISMATCH_BOUNDS, False, RhsMode.EXPECTED_PROFIT),
+            ("uniform", MISMATCH_BOUNDS, False, RhsMode.PARTIAL_EXPECTATION),
+            ("uniform", {"width": (0.01, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
+            ("lognormal", {"log_sd": (0.05, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
+        ],
+    )
+    def test_trace_margins_match_public_checks(self, family, bounds, constrained, mode):
+        # the search computes each right-hand side once; every candidate's
+        # margin must still equal the public check's, bit for bit
+        cfg = SearchConfig(method="grid", budget=16, seed=0, constrain_mean_to_qhat=constrained)
+        result = search_policy(MP, TRIPLE_MISMATCH, family, bounds, cfg, rhs_mode=mode)
+        valid = [e for e in result.search_trace if not math.isnan(e.expected_profit)]
+        assert valid
+        for entry in valid:
+            g = build_order_dist(family, entry.params, 0.5, constrained)
+            if constrained:
+                report = check_mean_constrained_feasibility(MP, TRIPLE_MISMATCH, g)
+            else:
+                report = check_feasibility(MP, TRIPLE_MISMATCH, g, mode)
+            assert (entry.margin, entry.feasible) == (report.margin, report.feasible)
