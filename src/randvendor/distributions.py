@@ -14,6 +14,12 @@ remaining pairs that both have a density, including those with a uniform too
 narrow for the closed form or a truncated normal, whose partial moments lose
 relative precision below its bulk.
 
+A mixture whose components share one parametric family is evaluated and
+sampled as one stacked family (``_Stack``), one array call per kernel and
+per Monte-Carlo batch, with the same results bit for bit as the sum over its
+components; a mixture of different families, or of truncated normals with
+means on both sides of zero, keeps that sum.
+
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
 and never touches global state.
@@ -161,6 +167,15 @@ class Distribution:
             object.__setattr__(self, "_cut_cache", cached)
         return cached
 
+    def _order_key(self) -> str:
+        """The record as canonical JSON, cached; expected_max orders its
+        arguments by it."""
+        key = getattr(self, "_key_cache", None)
+        if key is None:
+            key = json.dumps(self.to_dict(), sort_keys=True)
+            object.__setattr__(self, "_key_cache", key)
+        return key
+
     @staticmethod
     def _check_cutoff(q) -> float:
         q = float(q)
@@ -211,7 +226,17 @@ class Uniform(Distribution):
         return self.lo + u * self._width
 
     def from_uniform(self, u):
-        return self.lo + np.asarray(u, dtype=float) * self._width
+        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+
+    @staticmethod
+    def _inverse_cdf(v, p):
+        """Overwrite the uniform draws ``v`` with draws of the family whose
+        parameters ``p`` holds, as floats or as arrays aligned with ``v``; an
+        instance and a stacked mixture (``_Gathered``) share this formula.
+        ``from_uniform`` passes a copy and turns a 0-d result into a scalar."""
+        v *= p._width
+        v += p.lo
+        return v
 
     def _partial_expectation(self, q):
         if q <= self.lo:
@@ -253,7 +278,15 @@ class Exponential(Distribution):
         return -math.log1p(-u) / self.rate
 
     def from_uniform(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+
+    @staticmethod
+    def _inverse_cdf(v, p):
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        np.negative(v, out=v)
+        v /= p.rate
+        return v
 
     def _partial_expectation(self, q):
         lam = self.rate
@@ -295,7 +328,14 @@ class LogNormal(Distribution):
         return math.exp(self.log_mean + self.log_sd * float(ndtri(u)))
 
     def from_uniform(self, u):
-        return np.exp(self.log_mean + self.log_sd * ndtri(np.asarray(u, dtype=float)))
+        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+
+    @staticmethod
+    def _inverse_cdf(v, p):
+        ndtri(v, out=v)
+        v *= p.log_sd
+        v += p.log_mean
+        return np.exp(v, out=v)
 
     def _partial_expectation(self, q):
         if q <= 0.0:
@@ -330,6 +370,8 @@ class TruncatedNormal(Distribution):
         self._z = float(ndtr(-self._alpha))
         if self._z <= 0.0:
             raise ValueError("truncated_normal has no mass on [0, inf) at this mean/sd")
+        # a negative mean: masses and quantiles are taken between upper tails
+        self._upper_tail = self._alpha > 0.0
 
     def support(self):
         return (0.0, math.inf)
@@ -340,7 +382,7 @@ class TruncatedNormal(Distribution):
         Taken between upper tails when the mean is negative, so it keeps its
         precision when almost no parent mass lies above zero.
         """
-        if self._alpha > 0.0:
+        if self._upper_tail:
             return self._z - float(ndtr(-beta))
         return float(ndtr(beta)) - self._f0
 
@@ -360,13 +402,30 @@ class TruncatedNormal(Distribution):
         return _truncnorm_mean(self.norm_mean, self.norm_sd)
 
     def _quantile(self, u):
-        return float(self.from_uniform(u))
+        # _inverse_cdf for one draw, without the cost of numpy on a scalar
+        if self._upper_tail:
+            return self.norm_mean - self.norm_sd * float(ndtri((1.0 - u) * self._z))
+        return self.norm_mean + self.norm_sd * float(ndtri(self._f0 + u * self._z))
 
     def from_uniform(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._alpha > 0.0:
-            return self.norm_mean - self.norm_sd * ndtri((1.0 - u) * self._z)
-        return self.norm_mean + self.norm_sd * ndtri(self._f0 + u * self._z)
+        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+
+    @staticmethod
+    def _inverse_cdf(v, p):
+        if p._upper_tail:
+            # mean - sd * ndtri((1 - u) Z): for a negative mean, where Phi(alpha) ~ 1
+            np.subtract(1.0, v, out=v)
+            v *= p._z
+            ndtri(v, out=v)
+            v *= p.norm_sd
+            return np.subtract(p.norm_mean, v, out=v)
+        # mean + sd * ndtri(Phi(alpha) + u Z)
+        v *= p._z
+        v += p._f0
+        ndtri(v, out=v)
+        v *= p.norm_sd
+        v += p.norm_mean
+        return v
 
     def _partial_expectation(self, q):
         if q <= 0.0:
@@ -469,7 +528,13 @@ class Empirical(Distribution):
 
 
 class Mixture(Distribution):
-    """Finite mixture; weights must be positive and sum to 1 within 1e-12."""
+    """Finite mixture; weights must be positive and sum to 1 within 1e-12.
+
+    When every component comes from the same parametric family, the mixture
+    evaluates and samples as one stacked family (``_Stack``): each kernel is
+    one array call over the components. Mixed families, and truncated normals
+    with means on both sides of zero, keep the sum over their components.
+    """
 
     def __init__(self, components):
         comps = [(float(w), d) for w, d in components]
@@ -486,6 +551,9 @@ class Mixture(Distribution):
         self.components = tuple(comps)
         self._closed_form_max = all(d._closed_form_max for _, d in comps)
         self._mean = None
+        # built on first use, so that constructing a compound stays cheap
+        self._stack = None
+        self._strata = None
 
     @property
     def has_density(self):
@@ -496,10 +564,30 @@ class Mixture(Distribution):
         hi = max(d.support()[1] for _, d in self.components)
         return (lo, hi)
 
+    def _stacked(self):
+        """The components as one ``_Stack`` when they share a parametric
+        family, else None."""
+        if self._stack is None:
+            dists = [d for _, d in self.components]
+            family = type(dists[0])
+            stack = _STACKS.get(family)
+            shared = stack is not None and all(type(d) is family for d in dists)
+            if shared and stack.accepts(dists):
+                self._stack = stack(dists, self._sampling_tables()[0])
+            else:
+                self._stack = False
+        return self._stack or None
+
     def cdf(self, x):
+        stack = self._stacked()
+        if stack is not None:
+            return stack.combine(stack.cdf(x))
         return math.fsum(w * d.cdf(x) for w, d in self.components)
 
     def pdf(self, x):
+        stack = self._stacked()
+        if stack is not None:
+            return stack.combine(stack.pdf(x))
         return math.fsum(w * d.pdf(x) for w, d in self.components)
 
     def mean(self):
@@ -508,8 +596,12 @@ class Mixture(Distribution):
         return self._mean
 
     def _quantile(self, u):
-        lo = min(d._quantile(u) for _, d in self.components)
-        hi = max(d._quantile(u) for _, d in self.components)
+        stack = self._stacked()
+        if stack is not None:
+            lo, hi = stack.quantile_range(u)
+        else:
+            lo = min(d._quantile(u) for _, d in self.components)
+            hi = max(d._quantile(u) for _, d in self.components)
         if hi <= lo:
             return lo
         # generalized inverse by bisection; handles flat segments and jumps
@@ -527,18 +619,55 @@ class Mixture(Distribution):
         # stratified composition: the uniform draw picks the component and the
         # position within it, so the map stays deterministic and vectorized
         u = np.asarray(u, dtype=float)
-        weights = np.array([w for w, _ in self.components])
-        edges = np.concatenate(([0.0], np.cumsum(weights)))
-        edges[-1] = 1.0
-        idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(weights) - 1)
+        weights, edges, _, _ = self._sampling_tables()
+        idx = self._component_index(u)
+        v = np.asarray(u - edges[idx])
+        v /= weights[idx]
+        np.clip(v, 0.0, np.nextafter(1.0, 0.0), out=v)
+        stack = self._stacked()
+        if stack is not None:
+            return stack.family._inverse_cdf(v, _Gathered(stack, idx))
         out = np.empty_like(u)
-        top = np.nextafter(1.0, 0.0)
-        for j, (w, d) in enumerate(self.components):
+        for j, (_, d) in enumerate(self.components):
             mask = idx == j
             if mask.any():
-                v = np.clip((u[mask] - edges[j]) / w, 0.0, top)
-                out[mask] = d.from_uniform(v)
+                out[mask] = d.from_uniform(v[mask])
         return out
+
+    def _sampling_tables(self):
+        """(weights, edges, upper edges, guide table) of the composition.
+
+        ``edges`` are the cumulative weights from 0 to 1 and component i owns
+        [edges[i], edges[i + 1]). The guide table has a power-of-two size g,
+        so that c = floor(u g) and c / g are exact, and holds the component
+        that owns c / g; every u in cell c belongs to that one or a later one.
+        """
+        if self._strata is None:
+            weights = np.array([w for w, _ in self.components])
+            edges = np.concatenate(([0.0], np.cumsum(weights)))
+            edges[-1] = 1.0
+            # the last component also takes u >= 1, as a clip would
+            upper = np.append(edges[1:-1], np.inf)
+            k = weights.size
+            g = 1 << (k - 1).bit_length()
+            cells = np.arange(g) / g
+            guide = np.clip(np.searchsorted(edges, cells, side="right") - 1, 0, k - 1)
+            self._strata = (weights, edges, upper, guide.astype(np.int32))
+        return self._strata
+
+    def _component_index(self, u: np.ndarray) -> np.ndarray:
+        """Component of each draw: searchsorted(edges, u, "right") - 1, clipped
+        to the components, found by a guide-table lookup and steps to the right."""
+        _, _, upper, guide = self._sampling_tables()
+        cell = np.array(u * guide.size, dtype=np.int32)
+        np.clip(cell, 0, guide.size - 1, out=cell)
+        idx = guide[cell]
+        del cell
+        while True:
+            step = upper[idx] <= u
+            if not step.any():
+                return idx
+            idx += step
 
     def atoms(self):
         parts = [d.atoms() for _, d in self.components]
@@ -557,12 +686,19 @@ class Mixture(Distribution):
         return tuple(sorted(pts))
 
     def _partial_expectation(self, q):
+        stack = self._stacked()
+        if stack is not None:
+            return stack.combine(stack._partial_expectation(q))
         return math.fsum(w * d._partial_expectation(q) for w, d in self.components)
 
     def _second_partial_moment(self, q):
+        stack = self._stacked()
+        if stack is not None:
+            return stack.combine(stack._second_partial_moment(q))
         return math.fsum(w * d._second_partial_moment(q) for w, d in self.components)
 
     def _survival_integral(self, q, weighted=False):
+        # per component on purpose: an independent check of the stacked M1, M2
         return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
 
     def to_dict(self):
@@ -570,6 +706,213 @@ class Mixture(Distribution):
             "family": "mixture",
             "components": [{"weight": w, "dist": d.to_dict()} for w, d in self.components],
         }
+
+
+# -- stacked single-family mixtures --------------------------------------------
+
+
+class _Stack:
+    """A mixture of one parametric family as arrays over its components.
+
+    Parameter arrays carry the family's own attribute names, so the family's
+    ``_inverse_cdf`` samples from them through ``_Gathered``. The kernels take
+    a scalar argument and return one value per component (or 0.0 where all
+    vanish), computed by the same IEEE operations and functions as the scalar
+    kernels, so that every weighted sum equals the per-component one bit for
+    bit.
+    """
+
+    family: type
+    fields: tuple[str, ...]
+
+    def __init__(self, dists, weights: np.ndarray):
+        self.weights = weights
+        for name in self.fields:
+            setattr(self, name, np.array([getattr(d, name) for d in dists]))
+        self._derive(dists)
+
+    @staticmethod
+    def accepts(dists) -> bool:
+        """Whether these components of the family can share one stack."""
+        return True
+
+    def _derive(self, dists) -> None:
+        """Per-component constants, computed by the scalar expressions."""
+
+    def combine(self, values) -> float:
+        """sum_i w_i values_i, accurately rounded, as the per-component sum:
+        the products are the same IEEE operations."""
+        return math.fsum((self.weights * values).tolist())
+
+    def quantile_range(self, u: float) -> tuple[float, float]:
+        """Smallest and largest component quantile at u, bit for bit. The
+        sampling formula matches the scalar quantile of the uniform and the
+        truncated normal; families whose quantile calls ``math`` override."""
+        q = self.family._inverse_cdf(np.full(self.weights.size, float(u)), self)
+        return float(q.min()), float(q.max())
+
+
+class _Gathered:
+    """A stack's parameter arrays gathered per draw on access, so that one
+    gathered array at a time is alive while a sampling formula runs; other
+    attributes are the stack's own."""
+
+    __slots__ = ("_stack", "_idx")
+
+    def __init__(self, stack: _Stack, idx: np.ndarray):
+        self._stack = stack
+        self._idx = idx
+
+    def __getattr__(self, name):
+        value = getattr(self._stack, name)
+        return value[self._idx] if name in self._stack.fields else value
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    # element-wise through math: numpy's vectorized exp and expm1 round some
+    # inputs differently, and M1, M2 can magnify that by cancellation
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _norm_pdf_array(z: np.ndarray) -> np.ndarray:
+    return _math_map(math.exp, -0.5 * z * z) / _ROOT_2PI
+
+
+class _UniformStack(_Stack):
+    family = Uniform
+    fields = ("lo", "hi", "_width")
+
+    def cdf(self, x):
+        return np.clip((x - self.lo) / self._width, 0.0, 1.0)
+
+    def pdf(self, x):
+        return np.where((self.lo <= x) & (x <= self.hi), 1.0 / self._width, 0.0)
+
+    def _partial_expectation(self, q):
+        top = np.minimum(q, self.hi)
+        return np.where(q <= self.lo, 0.0, (top * top - self.lo * self.lo) / (2.0 * self._width))
+
+    def _second_partial_moment(self, q):
+        top, lo = np.minimum(q, self.hi), self.lo
+        moment = (top - lo) * (top * top + top * lo + lo * lo) / (3.0 * self._width)
+        return np.where(q <= lo, 0.0, moment)
+
+
+class _ExponentialStack(_Stack):
+    family = Exponential
+    fields = ("rate",)
+
+    def cdf(self, x):
+        return -_math_map(math.expm1, -self.rate * x) if x > 0.0 else 0.0
+
+    def pdf(self, x):
+        return self.rate * _math_map(math.exp, -self.rate * x) if x >= 0.0 else 0.0
+
+    def _partial_expectation(self, q):
+        lam = self.rate
+        return -_math_map(math.expm1, -lam * q) / lam - q * _math_map(math.exp, -lam * q)
+
+    def _second_partial_moment(self, q):
+        decay = _math_map(math.exp, -self.rate * q)
+        return 2.0 * self._partial_expectation(q) / self.rate - q * q * decay
+
+    def quantile_range(self, u):
+        # log1p of the one argument through math, as in the scalar quantile
+        q = -math.log1p(-u) / self.rate
+        return float(q.min()), float(q.max())
+
+
+class _LogNormalStack(_Stack):
+    family = LogNormal
+    fields = ("log_mean", "log_sd")
+
+    def _derive(self, dists):
+        self.log_var = np.array([d.log_sd**2 for d in dists])
+        self.mean = np.array([d.mean() for d in dists])
+        self.m2_scale = np.array([math.exp(2.0 * (d.log_mean + d.log_sd**2)) for d in dists])
+
+    def cdf(self, x):
+        if x <= 0.0:
+            return 0.0
+        return ndtr((math.log(x) - self.log_mean) / self.log_sd)
+
+    def pdf(self, x):
+        if x <= 0.0:
+            return 0.0
+        z = (math.log(x) - self.log_mean) / self.log_sd
+        return _norm_pdf_array(z) / (x * self.log_sd)
+
+    def _partial_expectation(self, q):
+        if q <= 0.0:
+            return 0.0
+        return self.mean * ndtr((math.log(q) - self.log_mean - self.log_var) / self.log_sd)
+
+    def _second_partial_moment(self, q):
+        if q <= 0.0:
+            return 0.0
+        z = (math.log(q) - self.log_mean - 2.0 * self.log_var) / self.log_sd
+        return self.m2_scale * ndtr(z)
+
+    def quantile_range(self, u):
+        # exp is monotone, so the extremes are taken before it, by math.exp
+        # as in the scalar quantile
+        x = self.log_mean + self.log_sd * float(ndtri(u))
+        return math.exp(x.min()), math.exp(x.max())
+
+
+class _TruncatedNormalStack(_Stack):
+    family = TruncatedNormal
+    fields = ("norm_mean", "norm_sd", "_f0", "_z")
+
+    @staticmethod
+    def accepts(dists):
+        # one tail form for all: compound means are never negative, so a
+        # mixture of both signs is only ever written by hand
+        return len({d._upper_tail for d in dists}) == 1
+
+    def _derive(self, dists):
+        self._upper_tail = dists[0]._upper_tail
+        self._pdf_alpha = np.array([_norm_pdf(d._alpha) for d in dists])
+
+    def _mass(self, beta):
+        if self._upper_tail:
+            return self._z - ndtr(-beta)
+        return ndtr(beta) - self._f0
+
+    def cdf(self, x):
+        if x <= 0.0:
+            return 0.0
+        mass = self._mass((x - self.norm_mean) / self.norm_sd)
+        return np.clip(mass / self._z, 0.0, 1.0)
+
+    def pdf(self, x):
+        if x < 0.0:
+            return 0.0
+        z = (x - self.norm_mean) / self.norm_sd
+        return _norm_pdf_array(z) / (self.norm_sd * self._z)
+
+    def _partial_expectation(self, q):
+        if q <= 0.0:
+            return 0.0
+        m, s = self.norm_mean, self.norm_sd
+        beta = (q - m) / s
+        mass = self._mass(beta)
+        return (m * mass + s * (self._pdf_alpha - _norm_pdf_array(beta))) / self._z
+
+    def _second_partial_moment(self, q):
+        if q <= 0.0:
+            return 0.0
+        m, s = self.norm_mean, self.norm_sd
+        beta = (q - m) / s
+        mass = self._mass(beta)
+        tails = m * self._pdf_alpha - (m + q) * _norm_pdf_array(beta)
+        return ((m * m + s * s) * mass + s * tails) / self._z
+
+
+_STACKS = {
+    stack.family: stack
+    for stack in (_UniformStack, _ExponentialStack, _LogNormalStack, _TruncatedNormalStack)
+}
 
 
 class UpperTruncated(Distribution):
@@ -664,9 +1007,7 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
         if rank_a < rank_b:
             # a mixture of uniforms against anything but another one
             return math.fsum(w * _expected_max_uniform(u, dist_b) for w, u in dist_a.components)
-    key_a = json.dumps(dist_a.to_dict(), sort_keys=True)
-    key_b = json.dumps(dist_b.to_dict(), sort_keys=True)
-    if key_b < key_a:
+    if dist_b._order_key() < dist_a._order_key():
         dist_a, dist_b = dist_b, dist_a
     return _expected_max(dist_a, dist_b)
 

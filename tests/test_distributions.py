@@ -11,9 +11,11 @@ from randvendor import (
     LogNormal,
     Mixture,
     NumericalIntegrityError,
+    ParameterUncertainty,
     TruncatedNormal,
     Uniform,
     UpperTruncated,
+    compound_of,
     distribution_from_dict,
     expected_max,
     expected_min,
@@ -121,6 +123,157 @@ class TestMixtureMean:
 
         monkeypatch.setattr(LogNormal, "mean", refuse)
         assert mix.mean() == first
+
+
+def _stacked_cases():
+    """Single-family mixtures of each parametric family, as compound_of builds them."""
+    log_mean = ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1))
+    log_sd = ParameterUncertainty("log_sd", Uniform(0.4, 0.7))
+    with pytest.warns(UserWarning, match="dropped 1/4"):
+        rejected = compound_of(
+            Uniform(1.0, 2.0), [ParameterUncertainty("hi", Uniform(0.9, 1.7))], nodes=4
+        )
+    return {
+        "lognormal": compound_of(LogNormal(0.0, 0.5), [log_mean, log_sd], nodes=16),
+        "uniform": compound_of(
+            Uniform(0.5, 2.0),
+            [
+                ParameterUncertainty("lo", Uniform(0.1, 0.9)),
+                ParameterUncertainty("hi", Uniform(1.5, 3.0)),
+            ],
+            nodes=8,
+        ),
+        # three components left, weights 1/3 each
+        "uniform_rejected": rejected,
+        "exponential": compound_of(
+            Exponential(1.0), [ParameterUncertainty("rate", LogNormal(0.0, 0.5))], nodes=40
+        ),
+        # negative means take the upper-tail form, the compound below the other
+        "truncated_normal": Mixture(
+            [(1.0 / 6, TruncatedNormal(m, s)) for m in (-3.0, -1.5, -0.2) for s in (0.5, 1.4)]
+        ),
+        "truncated_normal_compound": compound_of(
+            TruncatedNormal(1.0, 1.0),
+            [
+                ParameterUncertainty("mean", Uniform(0.2, 3.0)),
+                ParameterUncertainty("sd", Uniform(0.5, 1.5)),
+            ],
+            nodes=12,
+        ),
+    }
+
+
+STACKED = _stacked_cases()
+
+
+def _edges(mix):
+    edges = np.concatenate(([0.0], np.cumsum([w for w, _ in mix.components])))
+    edges[-1] = 1.0
+    return edges
+
+
+def _masked_loop_draws(mix, u):
+    """The per-component sampler: searchsorted over the edges, then one
+    masked call per component."""
+    edges = _edges(mix)
+    idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(mix.components) - 1)
+    out = np.empty_like(u)
+    top = np.nextafter(1.0, 0.0)
+    for j, (w, d) in enumerate(mix.components):
+        mask = idx == j
+        if mask.any():
+            out[mask] = d.from_uniform(np.clip((u[mask] - edges[j]) / w, 0.0, top))
+    return out
+
+
+def _boundary_draws(mix, n=20_000):
+    edges = _edges(mix)
+    u = np.random.default_rng(11).random(n)
+    # on, just below and just above every edge, and the top of [0, 1]
+    near = [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)]
+    u = np.concatenate([u, *near, [np.nextafter(1.0, 0.0), 1.0]])
+    return u[(u >= 0.0) & (u <= 1.0)]
+
+
+class TestStackedMixture:
+    """A single-family mixture samples and evaluates as one stacked family;
+    it must agree bit for bit with the sum over its components."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_draws_match_per_component_sampler(self, name):
+        mix = STACKED[name]
+        u = _boundary_draws(mix)
+        assert np.array_equal(mix.from_uniform(u), _masked_loop_draws(mix, u))
+        # a strided column, as the Monte-Carlo harness passes it
+        rows = np.random.default_rng(5).random((4096, 2))
+        assert np.array_equal(mix.from_uniform(rows[:, 1]), _masked_loop_draws(mix, rows[:, 1]))
+
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_kernels_match_per_component_path(self, name, monkeypatch):
+        mix = STACKED[name]
+        us = (1e-9, 1e-4, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-12)
+        points = [0.0, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.5, 2.5, 6.0]
+        some = [d for _, d in mix.components[:: max(1, len(mix.components) // 8)]]
+        points += [d._quantile(u) for d in some for u in (0.01, 0.5, 0.99)]
+        kernels = ("cdf", "pdf", "_partial_expectation", "_second_partial_moment")
+
+        def evaluate(m):
+            values = [getattr(m, k)(x) for k in kernels for x in points]
+            return values + [m._quantile(u) for u in us]
+
+        stack, dists = mix._stacked(), [d for _, d in mix.components]
+        for k in kernels:
+            for x in points:
+                # per component, not only in the sum, where fsum can hide a last bit
+                expected = [getattr(d, k)(x) for d in dists]
+                assert np.array_equal(np.broadcast_to(getattr(stack, k)(x), len(dists)), expected)
+        stacked = evaluate(mix)
+        monkeypatch.setattr(Mixture, "_stacked", lambda self: None)
+        per_component = evaluate(Mixture(mix.components))
+        assert stacked == per_component
+
+    @pytest.mark.parametrize("kind", ["families", "truncated_normal_signs"])
+    def test_heterogeneous_mixture_keeps_per_component_path(self, kind):
+        if kind == "families":
+            mix = Mixture(
+                [
+                    (0.3, LogNormal(0.0, 0.5)),
+                    (0.2, Exponential(1.3)),
+                    (0.25, Empirical([0.5, 1.0, 2.0])),
+                    (0.25, UpperTruncated(LogNormal(0.2, 0.7), 2.5)),
+                ]
+            )
+        else:
+            # both tail forms in one mixture
+            mix = Mixture([(0.25, TruncatedNormal(m, 1.0)) for m in (-1.5, -0.2, 0.0, 2.0)])
+        assert mix._stacked() is None
+        u = _boundary_draws(mix)
+        assert np.array_equal(mix.from_uniform(u), _masked_loop_draws(mix, u))
+
+    def test_guide_table_matches_searchsorted(self):
+        rng = np.random.default_rng(2)
+        weights = rng.dirichlet(np.full(60, 0.2))
+        assert np.all(weights > 0.0)
+        cases = [
+            Mixture([(float(w), Uniform(0.0, 1.0 + i)) for i, w in enumerate(weights)]),
+            Mixture([(1.0 / 10_000, Uniform(0.0, 1.0))] * 10_000),
+        ]
+        for mix in cases:
+            u = _boundary_draws(mix, 200_000)
+            u = np.concatenate([u, [0.0, -0.0]])
+            edges = _edges(mix)
+            expected = np.searchsorted(edges, u, side="right") - 1
+            expected = np.clip(expected, 0, len(mix.components) - 1)
+            assert np.array_equal(mix._component_index(u), expected)
+
+    def test_quantile_is_generalized_inverse_on_10k_components(self):
+        log_mean = ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1))
+        log_sd = ParameterUncertainty("log_sd", Uniform(0.4, 0.7))
+        mix = compound_of(LogNormal(0.0, 0.5), [log_mean, log_sd], nodes=100)
+        assert len(mix.components) == 10_000
+        for u in (1e-6, 0.01, 0.3, 0.6, 0.95, 1.0 - 1e-9):
+            q = mix.quantile(u)
+            assert mix.cdf(q) >= u > mix.cdf(q - 1e-12 * q)
 
 
 class TestPartialMoments:
@@ -387,6 +540,18 @@ class TestExpectedMax:
         mix = Mixture([(1.0 / 60, Uniform(a, a + w)) for a, w in zip(lo, width)])
         with pytest.raises(NumericalIntegrityError, match="error estimate"):
             _expected_max_densities(mix, LogNormal(0.0, 0.01))
+
+    def test_ordering_key_is_computed_once(self, monkeypatch):
+        # the atom path orders its arguments by their canonical record
+        atoms, other = Empirical([0.4, 1.1, 2.0]), LogNormal(0.0, 0.5)
+        first = expected_max(atoms, other)
+
+        def refuse(self):
+            raise AssertionError("record serialized again")
+
+        monkeypatch.setattr(Empirical, "to_dict", refuse)
+        monkeypatch.setattr(LogNormal, "to_dict", refuse)
+        assert expected_max(other, atoms) == first
 
     def test_two_atomics(self):
         a = Empirical([1.0, 3.0])
