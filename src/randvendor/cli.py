@@ -17,13 +17,10 @@ import math
 import sys
 
 from . import newsvendor, policy
+from .distributions import expected_max
 from .errors import NumericalIntegrityError, ScenarioError
 from .scenario import Scenario, load_scenario, normalized_dict
-from .simulate import (
-    simulate_expected_max,
-    simulate_profit,
-    simulate_profit_squared_deviation,
-)
+from .simulate import simulate_validation
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 2
@@ -226,53 +223,37 @@ def _cmd_validate(args) -> int:
     midpoint = _midpoint_candidate(scenario, naive_q)
     profit_at_naive = newsvendor.expected_profit(market, compound, naive_q)
 
-    rows = []
+    # analytic values first, in row order, so that the first one to fail
+    # raises before any Monte-Carlo work
+    analytic = {
+        "expected_profit_at_naive_order": profit_at_naive,
+        "optimal_profit": newsvendor.optimal_profit(market, compound),
+        "profit_variance_at_naive_order": newsvendor.profit_variance(market, compound, naive_q),
+        "expected_profit_stochastic_midpoint": policy.expected_profit_stochastic(
+            market, compound, policy.Stochastic(midpoint)
+        ),
+        "expected_max_midpoint": expected_max(midpoint, compound),
+    }
+    reports = simulate_validation(
+        market, compound, naive_q, q_star, profit_at_naive, midpoint, cfg
+    )
 
-    def row(name, analytic, report):
-        analytic = analytic + bias
+    rows = []
+    for (name, value), report in zip(analytic.items(), reports):
+        value = value + bias
         if report.std_error > 0.0:
-            z = (report.mean - analytic) / report.std_error
+            z = (report.mean - value) / report.std_error
         else:
-            z = 0.0 if abs(report.mean - analytic) <= 1e-12 else math.inf
+            z = 0.0 if abs(report.mean - value) <= 1e-12 else math.inf
         rows.append(
             {
                 "check": name,
-                "analytic": float(analytic),
+                "analytic": float(value),
                 "mc_mean": float(report.mean),
                 "mc_std_error": float(report.std_error),
                 "z": float(z),
             }
         )
-
-    row(
-        "expected_profit_at_naive_order",
-        profit_at_naive,
-        simulate_profit(market, compound, policy.Deterministic(naive_q), cfg),
-    )
-    row(
-        "optimal_profit",
-        newsvendor.optimal_profit(market, compound),
-        simulate_profit(market, compound, policy.Deterministic(q_star), cfg),
-    )
-    row(
-        "profit_variance_at_naive_order",
-        newsvendor.profit_variance(market, compound, naive_q),
-        simulate_profit_squared_deviation(
-            market, compound, policy.Deterministic(naive_q), profit_at_naive, cfg
-        ),
-    )
-    row(
-        "expected_profit_stochastic_midpoint",
-        policy.expected_profit_stochastic(market, compound, policy.Stochastic(midpoint)),
-        simulate_profit(market, compound, policy.Stochastic(midpoint), cfg),
-    )
-    from .distributions import expected_max  # local import to keep CLI deps thin
-
-    row(
-        "expected_max_midpoint",
-        expected_max(midpoint, compound),
-        simulate_expected_max(midpoint, compound, cfg),
-    )
 
     print(f"{'check':<38} {'analytic':>14} {'mc_mean':>14} {'mc_se':>12} {'z':>9}")
     for r in rows:

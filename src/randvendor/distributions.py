@@ -255,6 +255,26 @@ class Uniform(Distribution):
         return {"family": "uniform", "lo": self.lo, "hi": self.hi}
 
 
+# Below this rate * cutoff x the closed-form exponential M1 and M2 cancel:
+# they subtract terms of size x and x^2 for results of size x^2 and x^3. The
+# lower incomplete gamma series, M1 = q x e^-x sum_n x^n / (n + 2)! and
+# M2 = q^2 x e^-x sum_n 2 x^n / (n + 3)!, has positive terms; 18 of them are
+# exact to rounding for x < 1, where the closed form is within 1.1e-15.
+_EXP_SERIES_MAX = 1.0
+# coefficients from the highest power down, for Horner's rule
+_EXP_M1_SERIES = tuple(1.0 / math.factorial(n + 2) for n in reversed(range(18)))
+_EXP_M2_SERIES = tuple(2.0 / math.factorial(n + 3) for n in reversed(range(18)))
+
+
+def _horner(coeffs, x):
+    """sum_n coeffs[-1 - n] x^n, by the same IEEE operations for a float x
+    and element-wise for an array."""
+    total = 0.0
+    for c in coeffs:
+        total = total * x + c
+    return total
+
+
 class Exponential(Distribution):
     def __init__(self, rate: float):
         rate = _finite("exponential rate", rate)
@@ -290,11 +310,17 @@ class Exponential(Distribution):
 
     def _partial_expectation(self, q):
         lam = self.rate
-        return -math.expm1(-lam * q) / lam - q * math.exp(-lam * q)
+        x = lam * q
+        if x < _EXP_SERIES_MAX:
+            return q * x * math.exp(-x) * _horner(_EXP_M1_SERIES, x)
+        return -math.expm1(-x) / lam - q * math.exp(-x)
 
     def _second_partial_moment(self, q):
+        x = self.rate * q
+        if x < _EXP_SERIES_MAX:
+            return q * q * x * math.exp(-x) * _horner(_EXP_M2_SERIES, x)
         # by parts: M2 = 2 M1 / rate - q^2 exp(-rate q)
-        return 2.0 * self._partial_expectation(q) / self.rate - q * q * math.exp(-self.rate * q)
+        return 2.0 * self._partial_expectation(q) / self.rate - q * q * math.exp(-x)
 
     def to_dict(self):
         return {"family": "exponential", "rate": self.rate}
@@ -550,19 +576,27 @@ class Mixture(Distribution):
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total}")
         self.components = tuple(comps)
         self._closed_form_max = all(d._closed_form_max for _, d in comps)
-        self._mean = None
         # built on first use, so that constructing a compound stays cheap
+        self._mean = None
+        self._has_density = None
+        self._support = None
+        self._breakpoints = None
+        self._atoms = None
         self._stack = None
         self._strata = None
 
     @property
     def has_density(self):
-        return all(d.has_density for _, d in self.components)
+        if self._has_density is None:
+            self._has_density = all(d.has_density for _, d in self.components)
+        return self._has_density
 
     def support(self):
-        lo = min(d.support()[0] for _, d in self.components)
-        hi = max(d.support()[1] for _, d in self.components)
-        return (lo, hi)
+        if self._support is None:
+            lo = min(d.support()[0] for _, d in self.components)
+            hi = max(d.support()[1] for _, d in self.components)
+            self._support = (lo, hi)
+        return self._support
 
     def _stacked(self):
         """The components as one ``_Stack`` when they share a parametric
@@ -670,20 +704,28 @@ class Mixture(Distribution):
             idx += step
 
     def atoms(self):
-        parts = [d.atoms() for _, d in self.components]
-        if any(p is None for p in parts):
-            return None
-        values = np.concatenate([vals for vals, _ in parts])
-        weights = np.concatenate(
-            [w * wts for (_, wts), (w, _) in zip(parts, self.components)]
-        )
-        return values, weights
+        # cached read-only, since every caller shares the arrays; False when
+        # a component is not atomic
+        if self._atoms is None:
+            parts = [d.atoms() for _, d in self.components]
+            self._atoms = False
+            if all(p is not None for p in parts):
+                values = np.concatenate([vals for vals, _ in parts])
+                weights = np.concatenate(
+                    [w * wts for (_, wts), (w, _) in zip(parts, self.components)]
+                )
+                values.setflags(write=False)
+                weights.setflags(write=False)
+                self._atoms = (values, weights)
+        return self._atoms or None
 
     def breakpoints(self):
-        pts = set()
-        for _, d in self.components:
-            pts.update(d.breakpoints())
-        return tuple(sorted(pts))
+        if self._breakpoints is None:
+            pts = set()
+            for _, d in self.components:
+                pts.update(d.breakpoints())
+            self._breakpoints = tuple(sorted(pts))
+        return self._breakpoints
 
     def _partial_expectation(self, q):
         stack = self._stacked()
@@ -810,11 +852,24 @@ class _ExponentialStack(_Stack):
 
     def _partial_expectation(self, q):
         lam = self.rate
-        return -_math_map(math.expm1, -lam * q) / lam - q * _math_map(math.exp, -lam * q)
+        closed = -_math_map(math.expm1, -lam * q) / lam - q * _math_map(math.exp, -lam * q)
+        return self._series(q, closed, _EXP_M1_SERIES, q)
 
     def _second_partial_moment(self, q):
         decay = _math_map(math.exp, -self.rate * q)
-        return 2.0 * self._partial_expectation(q) / self.rate - q * q * decay
+        closed = 2.0 * self._partial_expectation(q) / self.rate - q * q * decay
+        return self._series(q, closed, _EXP_M2_SERIES, q * q)
+
+    def _series(self, q, closed, coeffs, scale):
+        """The scalar kernels' small-x series where rate * q is below
+        ``_EXP_SERIES_MAX``, else ``closed``."""
+        x = self.rate * q
+        small = x < _EXP_SERIES_MAX
+        if not small.any():
+            return closed
+        x = np.where(small, x, 0.0)
+        series = scale * x * _math_map(math.exp, -x) * _horner(coeffs, x)
+        return np.where(small, series, closed)
 
     def quantile_range(self, u):
         # log1p of the one argument through math, as in the scalar quantile

@@ -4,6 +4,15 @@ Draws are partitioned into batches, each driven by a counter-based generator
 keyed on (seed, batch_index), so results are reproducible and independent of
 how batches would be scheduled. A streaming one-pass accumulator merges the
 per-batch moments.
+
+``validate`` reads one stream per batch for all five of its rows
+(``simulate_validation``): a batch of m observations draws 2m doubles once
+and samples the demand once for the three rows that need only a demand
+draw. A fresh generator's (m, 1) draws are the first m doubles of its 2m
+draws and its (m, 2) draws are those 2m in row order, so the demand-only
+rows read the first m and the two-draw rows read m pairs: the same columns
+as the standalone oracles, which therefore give the same reports bit for
+bit while the shared pass generates and samples a fraction of the draws.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from .distributions import Distribution, _generator
 from .newsvendor import MarketParams
-from .policy import Deterministic, OrderPolicy
+from .policy import Deterministic, OrderPolicy, Stochastic
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,41 @@ class _Accumulator:
         )
 
 
+def _run(cfg: SimConfig, width: int, n_rows: int, rows) -> list[SimReport]:
+    """The batch loop: estimate ``n_rows`` means from one stream per batch.
+
+    For each batch of m observations, ``rows(u, add)`` receives ``width * m``
+    doubles of the batch's (seed, batch_index) stream and passes row k's m
+    observations to ``add(k, values)`` as soon as it has them, so that no
+    row's array outlives its own accumulation.
+    """
+    accs = [_Accumulator() for _ in range(n_rows)]
+
+    def add(k, values):
+        accs[k].add_batch(np.asarray(values, dtype=float))
+
+    observations = cfg.n_draws // 2 if cfg.antithetic else cfg.n_draws
+    per_batch = max(1, cfg.batch_size // 2) if cfg.antithetic else cfg.batch_size
+    done = 0
+    batch_index = 0
+    while done < observations:
+        m = min(per_batch, observations - done)
+        rows(_generator(cfg.seed, batch_index).random(width * m), add)
+        done += m
+        batch_index += 1
+    return [acc.report() for acc in accs]
+
+
+def _halves(u: np.ndarray, antithetic: bool) -> tuple:
+    """The draws one observation is made of: u, and 1 - u when paired."""
+    return (u, 1.0 - u) if antithetic else (u,)
+
+
+def _pair(values: list):
+    """One value per observation: the value at u, or the mean over u and 1 - u."""
+    return 0.5 * (values[0] + values[1]) if len(values) == 2 else values[0]
+
+
 def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
     """Estimate E[transform(U)] where U is a row of independent uniforms.
 
@@ -94,32 +138,25 @@ def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
     transform at u and at 1 - u; the integrand must be monotone in each
     coordinate for the pairing to reduce variance.
     """
-    acc = _Accumulator()
-    observations = cfg.n_draws // 2 if cfg.antithetic else cfg.n_draws
-    per_batch = max(1, cfg.batch_size // 2) if cfg.antithetic else cfg.batch_size
-    done = 0
-    batch_index = 0
-    while done < observations:
-        m = min(per_batch, observations - done)
-        u = _generator(cfg.seed, batch_index).random((m, n_uniforms))
-        if cfg.antithetic:
-            values = 0.5 * (transform(u) + transform(1.0 - u))
-        else:
-            values = transform(u)
-        acc.add_batch(np.asarray(values, dtype=float))
-        done += m
-        batch_index += 1
-    return acc.report()
+
+    def rows(u, add):
+        draws = _halves(u.reshape(-1, n_uniforms), cfg.antithetic)
+        add(0, _pair([transform(h) for h in draws]))
+
+    return _run(cfg, n_uniforms, 1, rows)[0]
+
+
+def _profit(params: MarketParams, q, d):
+    """Realized profit of ordering q when demand is d."""
+    return params.p * np.minimum(q, d) - params.w * q
 
 
 def _profit_transform(params: MarketParams, demand: Distribution, policy: OrderPolicy):
-    p, w = params.p, params.w
     if isinstance(policy, Deterministic):
         q = policy.quantity
 
         def transform(u):
-            d = demand.from_uniform(u[:, 0])
-            return p * np.minimum(q, d) - w * q
+            return _profit(params, q, demand.from_uniform(u[:, 0]))
 
         return transform, 1
 
@@ -127,10 +164,16 @@ def _profit_transform(params: MarketParams, demand: Distribution, policy: OrderP
 
     def transform(u):
         d = demand.from_uniform(u[:, 0])
-        q = order_dist.from_uniform(u[:, 1])
-        return p * np.minimum(q, d) - w * q
+        return _profit(params, order_dist.from_uniform(u[:, 1]), d)
 
     return transform, 2
+
+
+def _max_transform(dist_a: Distribution, dist_b: Distribution):
+    def transform(u):
+        return np.maximum(dist_a.from_uniform(u[:, 0]), dist_b.from_uniform(u[:, 1]))
+
+    return transform
 
 
 def simulate_profit(
@@ -165,8 +208,45 @@ def simulate_expected_max(
     dist_a: Distribution, dist_b: Distribution, cfg: SimConfig
 ) -> SimReport:
     """E[max(X, Y)] for independent draws; the oracle for the quadrature path."""
+    return simulate_values(_max_transform(dist_a, dist_b), 2, cfg)
 
-    def transform(u):
-        return np.maximum(dist_a.from_uniform(u[:, 0]), dist_b.from_uniform(u[:, 1]))
 
-    return simulate_values(transform, 2, cfg)
+def simulate_validation(
+    params: MarketParams,
+    demand: Distribution,
+    naive_q: float,
+    q_star: float,
+    center: float,
+    order_dist: Distribution,
+    cfg: SimConfig,
+) -> list[SimReport]:
+    """The five Monte-Carlo rows of ``validate``, in one pass, in row order:
+
+    1. ``simulate_profit`` ordering ``naive_q``;
+    2. ``simulate_profit`` ordering ``q_star``;
+    3. ``simulate_profit_squared_deviation`` ordering ``naive_q`` about ``center``;
+    4. ``simulate_profit`` with the order drawn from ``order_dist``;
+    5. ``simulate_expected_max(order_dist, demand)``.
+
+    Each report equals that standalone call's bit for bit. A batch draws
+    2m doubles once: rows 1-3 read the first m, the (m, 1) stream of a fresh
+    generator, through one demand sample, and rows 4 and 5 read all 2m as
+    the (m, 2) stream, in the same columns as their oracles.
+    """
+    order_row = _profit_transform(params, demand, Stochastic(order_dist))[0]
+    max_row = _max_transform(order_dist, demand)
+
+    def rows(u, add):
+        m = u.size // 2
+        demand_draws = [demand.from_uniform(h) for h in _halves(u[:m], cfg.antithetic)]
+        naive = [_profit(params, naive_q, d) for d in demand_draws]
+        add(0, _pair(naive))
+        add(2, _pair([(x - center) ** 2 for x in naive]))
+        del naive
+        add(1, _pair([_profit(params, q_star, d) for d in demand_draws]))
+        del demand_draws
+        pairs = _halves(u.reshape(m, 2), cfg.antithetic)
+        add(3, _pair([order_row(h) for h in pairs]))
+        add(4, _pair([max_row(h) for h in pairs]))
+
+    return _run(cfg, 2, 5, rows)

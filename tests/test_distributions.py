@@ -124,6 +124,38 @@ class TestMixtureMean:
         monkeypatch.setattr(LogNormal, "mean", refuse)
         assert mix.mean() == first
 
+    @pytest.mark.parametrize("atomic", [False, True])
+    def test_component_walks_are_computed_once(self, atomic, monkeypatch):
+        if atomic:
+            parts = [Empirical([0.5, 1.0, 2.0]), Empirical([0.7, 3.0])]
+        else:
+            parts = [LogNormal(0.0, 0.5), Uniform(0.2, 1.4)]
+        mix = Mixture([(0.4, parts[0]), (0.6, parts[1])])
+        walks = ("support", "breakpoints", "atoms")
+        first = {name: getattr(mix, name)() for name in walks}
+        density = mix.has_density
+
+        def refuse(self):
+            raise AssertionError("component walked again")
+
+        for cls in {type(d) for d in parts}:
+            for name in walks:
+                monkeypatch.setattr(cls, name, refuse)
+            monkeypatch.setattr(cls, "has_density", property(refuse))
+        assert mix.has_density is density is not atomic
+        assert mix.support() == first["support"]
+        assert mix.breakpoints() == first["breakpoints"]
+        if atomic:
+            values, weights = mix.atoms()
+            assert values is first["atoms"][0] and weights is first["atoms"][1]
+            # shared by every caller, so nobody may write to them
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+        else:
+            assert mix.atoms() is None
+
 
 def _stacked_cases():
     """Single-family mixtures of each parametric family, as compound_of builds them."""
@@ -435,6 +467,24 @@ class TestTruncatedNormalTail:
         draws = TruncatedNormal(mean, 1.0).sample(100_000, seed=3)
         se = float(np.std(draws)) / math.sqrt(draws.size)
         assert abs(float(np.mean(draws)) - self.oracle(mean, 1.0).mean()) < 5 * se
+
+
+class TestExponentialSmallCutoff:
+    """M1 and M2 against 40-digit mpmath, where the closed forms cancel
+    (rate * q << 1) and on both sides of the switch to them."""
+
+    @pytest.mark.parametrize(
+        "rate,q",
+        [(1.0, 1e-2), (1.0, 1e-4), (1.0, 1e-6), (2.0, 1e-7), (0.4, 2.4), (1.0, 1.0), (1.0, 1.5), (3.0, 2.0)],
+    )
+    def test_partial_moments_match_mpmath(self, rate, q):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        dist, x = Exponential(rate), mp.mpf(rate) * mp.mpf(q)
+        m1 = mp.gammainc(2, 0, x) / rate
+        m2 = mp.gammainc(3, 0, x) / mp.mpf(rate) ** 2
+        assert abs(dist.partial_expectation(q) / m1 - 1) <= 1e-14
+        assert abs(dist._second_partial_moment(q) / m2 - 1) <= 1e-14
 
 
 class TestExpectedMax:

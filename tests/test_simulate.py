@@ -6,11 +6,18 @@ import pytest
 from helpers import random_continuous, random_market
 from randvendor import (
     Deterministic,
+    Empirical,
     Exponential,
+    LogNormal,
     MarketParams,
+    Mixture,
+    ParameterUncertainty,
     SimConfig,
     Stochastic,
+    TruncatedNormal,
     Uniform,
+    build_order_dist,
+    compound_of,
     expected_max,
     expected_profit,
     expected_profit_stochastic,
@@ -19,7 +26,8 @@ from randvendor import (
     simulate_profit,
     simulate_profit_squared_deviation,
 )
-from randvendor.simulate import simulate_values
+from randvendor.distributions import _generator
+from randvendor.simulate import simulate_validation, simulate_values
 
 MP = MarketParams(p=2.0, w=1.0)
 U01 = Uniform(0.0, 1.0)
@@ -207,3 +215,76 @@ class TestKernelCrossChecks:
             mp, demand, Deterministic(q), expected_profit(mp, demand, q), cfg
         )
         assert z_score(dev, profit_variance(mp, demand, q)) < 4.0
+
+
+class TestPhiloxPrefix:
+    """The shared validation pass reads the (m, 1) and (m, 2) streams of a
+    batch out of one draw of 2m doubles; a numpy that breaks this must fail."""
+
+    @pytest.mark.parametrize("m", [1, 5, 237_856, 262_144])
+    def test_narrow_streams_are_views_of_the_wide_draw(self, m):
+        wide = _generator(17, 3).random(2 * m)
+        assert np.array_equal(_generator(17, 3).random((m, 1)).ravel(), wide[:m])
+        assert np.array_equal(_generator(17, 3).random((m, 2)), wide.reshape(m, 2))
+
+
+def _validation_demands():
+    log_mean = ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1))
+    log_sd = ParameterUncertainty("log_sd", Uniform(0.4, 0.7))
+    return {
+        "uniform": Uniform(0.5, 2.5),
+        "exponential": Exponential(0.8),
+        "lognormal": LogNormal(0.2, 0.6),
+        "truncated_normal": TruncatedNormal(1.2, 0.7),
+        "stacked_compound": compound_of(LogNormal(0.0, 0.5), [log_mean, log_sd], nodes=6),
+        "mixed_mixture": Mixture(
+            [
+                (0.3, LogNormal(0.0, 0.5)),
+                (0.2, Exponential(1.3)),
+                (0.25, Empirical([0.5, 1.0, 2.0])),
+                (0.25, TruncatedNormal(1.0, 0.4)),
+            ]
+        ),
+    }
+
+
+VALIDATION_DEMANDS = _validation_demands()
+VALIDATION_ORDERS = {
+    "uniform": Uniform(0.6, 1.8),
+    "lognormal": LogNormal(0.1, 0.4),
+    "truncated_normal": TruncatedNormal(1.1, 0.5),
+    "point": build_order_dist("point", (), 1.3, True),
+}
+VALIDATION_CONFIGS = {
+    "plain": SimConfig(n_draws=6_000, seed=21),
+    "antithetic": SimConfig(n_draws=6_000, seed=22, antithetic=True),
+    # seven batches of 1,000 draws and one of 333; paired, seven of 500 pairs and one of 167
+    "partial_batch": SimConfig(n_draws=7_333, seed=23, batch_size=1_000),
+    "antithetic_partial_batch": SimConfig(n_draws=7_334, seed=24, batch_size=1_001, antithetic=True),
+    "one_draw": SimConfig(n_draws=1, seed=25),
+    "one_pair": SimConfig(n_draws=2, seed=26, antithetic=True),
+}
+
+
+class TestSharedValidationPass:
+    """``simulate_validation`` must give the five standalone oracles' reports
+    bit for bit: same columns of the same stream, same pairing."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(VALIDATION_CONFIGS))
+    @pytest.mark.parametrize("order_name", sorted(VALIDATION_ORDERS))
+    @pytest.mark.parametrize("demand_name", sorted(VALIDATION_DEMANDS))
+    def test_matches_standalone_oracles(self, demand_name, order_name, cfg_name):
+        demand = VALIDATION_DEMANDS[demand_name]
+        order = VALIDATION_ORDERS[order_name]
+        cfg = VALIDATION_CONFIGS[cfg_name]
+        naive_q, q_star = demand.quantile(0.4), demand.quantile(0.7)
+        center = expected_profit(MP, demand, naive_q)
+        expected = [
+            simulate_profit(MP, demand, Deterministic(naive_q), cfg),
+            simulate_profit(MP, demand, Deterministic(q_star), cfg),
+            simulate_profit_squared_deviation(MP, demand, Deterministic(naive_q), center, cfg),
+            simulate_profit(MP, demand, Stochastic(order), cfg),
+            simulate_expected_max(order, demand, cfg),
+        ]
+        got = simulate_validation(MP, demand, naive_q, q_star, center, order, cfg)
+        assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in expected]
