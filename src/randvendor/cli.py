@@ -5,7 +5,8 @@ Commands:
   search    scan candidate order distributions and report the best feasible one
   validate  analytic-vs-Monte-Carlo cross-check table
 
-Exit codes: 0 ok, 2 missing file, 3 schema/config error, 4 numerical
+Exit codes: 0 ok, 2 missing file or command-line usage error (reported by
+argparse, e.g. an unknown flag), 3 schema/config error, 4 numerical
 integrity failure, 5 validation failure.
 """
 
@@ -60,12 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search", help="search for a feasible order distribution")
     _common_args(search)
+    search.add_argument(
+        "--rhs-mode",
+        choices=[m.value for m in policy.RhsMode],
+        help="override the scenario's baseline reading",
+    )
     search.add_argument("--trace", metavar="PATH", help="write the candidate trace CSV here")
     search.set_defaults(handler=_cmd_search)
 
     validate = sub.add_parser("validate", help="analytic vs Monte-Carlo cross-checks")
     _common_args(validate)
-    validate.add_argument("--inject-bias", type=float, default=0.0, help=argparse.SUPPRESS)
     validate.set_defaults(handler=_cmd_validate)
     return parser
 
@@ -74,11 +79,6 @@ def _common_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("scenario", help="path to the scenario JSON file")
     cmd.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     cmd.add_argument(
-        "--rhs-mode",
-        choices=[m.value for m in policy.RhsMode],
-        help="override the scenario's baseline reading",
-    )
-    cmd.add_argument(
         "--dump-normalized", metavar="PATH", help="write the normalized scenario here"
     )
     cmd.add_argument(
@@ -86,12 +86,11 @@ def _common_args(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _prepare(args) -> tuple[Scenario, policy.RhsMode]:
+def _prepare(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.dump_normalized:
         _write_json(args.dump_normalized, normalized_dict(scenario))
-    mode = policy.RhsMode(args.rhs_mode) if args.rhs_mode else scenario.rhs_mode
-    return scenario, mode
+    return scenario
 
 
 def _realize_triple(scenario: Scenario, args):
@@ -105,7 +104,7 @@ def _realize_triple(scenario: Scenario, args):
 
 
 def _cmd_solve(args) -> int:
-    scenario, _mode = _prepare(args)
+    scenario = _prepare(args)
     triple = _realize_triple(scenario, args)
     market = scenario.market
 
@@ -158,9 +157,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    scenario, mode = _prepare(args)
+    scenario = _prepare(args)
     if scenario.order_family is None or scenario.search is None:
         raise ScenarioError("search", "search command needs 'order_family' and 'search'")
+    mode = policy.RhsMode(args.rhs_mode) if args.rhs_mode else scenario.rhs_mode
     triple = _realize_triple(scenario, args)
     try:
         result = policy.search_policy(
@@ -209,14 +209,13 @@ def _write_trace(path: str, result: policy.SearchResult) -> None:
 
 
 def _cmd_validate(args) -> int:
-    scenario, _mode = _prepare(args)
+    scenario = _prepare(args)
     if scenario.order_family is None:
         raise ScenarioError("order_family", "validate command needs 'order_family'")
     triple = _realize_triple(scenario, args)
     market = scenario.market
     compound = triple.compound_demand
     cfg = scenario.sim
-    bias = args.inject_bias
 
     naive_q = policy.naive_order_quantity(market, triple.estimated_demand)
     q_star = newsvendor.optimal_quantity(market, compound)
@@ -240,7 +239,6 @@ def _cmd_validate(args) -> int:
 
     rows = []
     for (name, value), report in zip(analytic.items(), reports):
-        value = value + bias
         if report.std_error > 0.0:
             z = (report.mean - value) / report.std_error
         else:

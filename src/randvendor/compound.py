@@ -23,6 +23,7 @@ from .distributions import (
 )
 
 _PARAMETRIC = (Uniform, Exponential, LogNormal, TruncatedNormal)
+DEFAULT_NODES = 64
 _MAX_COMPONENTS = 10_000
 _MAX_REJECTION_FRACTION = 0.5
 
@@ -58,14 +59,14 @@ def compound_of(
     """
     if nodes < 1:
         raise ValueError(f"compound_of requires nodes >= 1, got {nodes}")
+    uncertainties = tuple(uncertainties)
+    if not uncertainties:
+        return estimated
     if not isinstance(estimated, _PARAMETRIC):
         raise ValueError(
             "compound_of requires a parametric estimated family "
             "(uniform, exponential, lognormal, or truncated_normal)"
         )
-    uncertainties = tuple(uncertainties)
-    if not uncertainties:
-        return estimated
     names = [unc.param for unc in uncertainties]
     duplicates = sorted({name for name in names if names.count(name) > 1})
     if duplicates:
@@ -121,7 +122,7 @@ def compound_of(
 def build_scenario(
     estimated: Distribution,
     uncertainties=(),
-    nodes: int = 64,
+    nodes: int = DEFAULT_NODES,
     true_demand: Distribution | None = None,
 ) -> ScenarioTriple:
     """Assemble the (true, estimated, compound) demand triple."""

@@ -20,26 +20,18 @@ _FRACTILE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Unit prices. Salvage (s), stockout cost (r), and manufacturing cost (c)
-    are carried for forward compatibility; s and r must be zero and c never
-    enters the retailer objective."""
+    """Unit retail price p and wholesale price w, with 0 < w < p. The model has
+    no salvage value, stockout cost or manufacturing cost."""
 
     p: float
     w: float
-    s: float = 0.0
-    r: float = 0.0
-    c: float = 0.0
 
     def __post_init__(self):
-        for name in ("p", "w", "s", "r", "c"):
+        for name in ("p", "w"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"market.{name} must be finite")
         if not 0.0 < self.w < self.p:
             raise ValueError(f"market requires 0 < w < p, got w={self.w}, p={self.p}")
-        if self.s != 0.0:
-            raise ValueError("nonzero salvage value s is not yet supported")
-        if self.r != 0.0:
-            raise ValueError("nonzero stockout cost r is not yet supported")
 
     @property
     def critical_fractile(self) -> float:

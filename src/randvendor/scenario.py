@@ -9,20 +9,21 @@ path of the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 from dataclasses import dataclass
 
-from .compound import ParameterUncertainty, ScenarioTriple, build_scenario
+from .compound import DEFAULT_NODES, ParameterUncertainty, ScenarioTriple, build_scenario
 from .distributions import Distribution, distribution_from_dict
 from .errors import ScenarioError
 from .newsvendor import MarketParams
 from .policy import RhsMode, SearchConfig, order_family_param_names
 from .simulate import SimConfig
 
-_DEFAULT_NODES = 64
-_DEFAULT_SIM = {"n_draws": 1_000_000, "seed": 0, "batch_size": 262_144, "antithetic": False}
+_DEFAULT_N_DRAWS = 1_000_000  # SimConfig's other fields carry their own defaults
+_SIM_FIELDS = {field.name for field in dataclasses.fields(SimConfig)}
 _TOP_LEVEL_FIELDS = {
     "market",
     "estimated_demand",
@@ -103,7 +104,7 @@ def parse_scenario(record: dict, base_dir: str = ".") -> Scenario:
             ParameterUncertainty(param, _parse_dist(entry["dist"], f"{path}.dist", base_dir))
         )
 
-    nodes = _int_field(record, "compound_nodes", default=_DEFAULT_NODES, minimum=1)
+    nodes = _int_field(record, "compound_nodes", default=DEFAULT_NODES, minimum=1)
     rhs_mode = _parse_rhs_mode(record.get("rhs_mode", RhsMode.EXPECTED_PROFIT.value))
 
     order_family = None
@@ -115,7 +116,9 @@ def parse_scenario(record: dict, base_dir: str = ".") -> Scenario:
         search = _parse_search(record["search"])
         if order_family is None:
             raise ScenarioError("order_family", "is required when search is configured")
-        _check_search_bounds(order_family, search)
+    if order_family is not None:
+        constrained = search.constrain_mean_to_qhat if search else False
+        _check_order_bounds(order_family, constrained)
 
     sim = _parse_sim(record.get("sim", {}))
 
@@ -133,15 +136,12 @@ def parse_scenario(record: dict, base_dir: str = ".") -> Scenario:
 
 
 def normalized_dict(scenario: Scenario) -> dict:
-    """Canonical record with defaults materialized; re-parsing it is a fixpoint."""
+    """Canonical record with defaults materialized; re-parsing it is a fixpoint.
+
+    ``market`` holds only ``p`` and ``w``.
+    """
     out = {
-        "market": {
-            "p": scenario.market.p,
-            "w": scenario.market.w,
-            "s": scenario.market.s,
-            "r": scenario.market.r,
-            "c": scenario.market.c,
-        },
+        "market": {"p": scenario.market.p, "w": scenario.market.w},
         "estimated_demand": scenario.estimated_demand.to_dict(),
     }
     if scenario.true_demand is not None:
@@ -202,20 +202,18 @@ def _int_field(record: dict, key: str, default: int, minimum: int) -> int:
 def _parse_market(raw) -> MarketParams:
     if not isinstance(raw, dict):
         raise ScenarioError("market", "must be an object")
+    unknown = sorted(set(raw) - {"p", "w"})
+    if unknown:
+        # name every key, so a dump that still carries s, r and c names all three
+        paths = ", ".join(f"market.{key}" for key in unknown)
+        raise ScenarioError(paths, "unknown field" if len(unknown) == 1 else "unknown fields")
     p = _number(_require_in(raw, "p", "market.p"), "market.p")
     w = _number(_require_in(raw, "w", "market.w"), "market.w")
-    s = _number(raw.get("s", 0.0), "market.s")
-    r = _number(raw.get("r", 0.0), "market.r")
-    c = _number(raw.get("c", 0.0), "market.c")
     if p <= 0:
         raise ScenarioError("market.p", f"must be > 0, got {p}")
     if not 0.0 < w < p:
         raise ScenarioError("market.w", f"must satisfy 0 < w < p, got w={w}, p={p}")
-    if s != 0.0:
-        raise ScenarioError("market.s", "nonzero salvage value is not yet supported")
-    if r != 0.0:
-        raise ScenarioError("market.r", "nonzero stockout cost is not yet supported")
-    return MarketParams(p=p, w=w, s=s, r=r, c=c)
+    return MarketParams(p=p, w=w)
 
 
 def _require_in(raw: dict, key: str, path: str):
@@ -287,9 +285,9 @@ def _parse_search(raw) -> SearchConfig:
     )
 
 
-def _check_search_bounds(order_family: OrderFamilySpec, search: SearchConfig) -> None:
+def _check_order_bounds(order_family: OrderFamilySpec, constrained: bool) -> None:
     try:
-        names = order_family_param_names(order_family.family, search.constrain_mean_to_qhat)
+        names = order_family_param_names(order_family.family, constrained)
     except ValueError as exc:
         raise ScenarioError("order_family.family", str(exc)) from None
     if set(order_family.bounds) != set(names):
@@ -302,14 +300,14 @@ def _check_search_bounds(order_family: OrderFamilySpec, search: SearchConfig) ->
 def _parse_sim(raw) -> SimConfig:
     if not isinstance(raw, dict):
         raise ScenarioError("sim", "must be an object")
-    unknown = set(raw) - set(_DEFAULT_SIM)
+    unknown = set(raw) - _SIM_FIELDS
     if unknown:
         raise ScenarioError(f"sim.{sorted(unknown)[0]}", "unknown field")
-    merged = {**_DEFAULT_SIM, **raw}
+    merged = {"n_draws": _DEFAULT_N_DRAWS, **raw}
     for key in ("n_draws", "seed", "batch_size"):
-        if isinstance(merged[key], bool) or not isinstance(merged[key], int):
+        if key in merged and (isinstance(merged[key], bool) or not isinstance(merged[key], int)):
             raise ScenarioError(f"sim.{key}", f"must be an integer, got {merged[key]!r}")
-    if not isinstance(merged["antithetic"], bool):
+    if not isinstance(merged.get("antithetic", False), bool):
         raise ScenarioError("sim.antithetic", "must be a boolean")
     try:
         return SimConfig(**merged)

@@ -42,10 +42,19 @@ class TestScenarioParsing:
         assert scenario.true_demand is None
         assert scenario.sim.n_draws == 100_000
         assert scenario.sim.batch_size == 262_144
+        record = base_record()
+        del record["sim"]
+        assert normalized_dict(parse_scenario(record))["sim"] == {
+            "n_draws": 1_000_000,
+            "seed": 0,
+            "batch_size": 262_144,
+            "antithetic": False,
+        }
 
     def test_normalized_round_trip_is_a_fixpoint(self):
         scenario = parse_scenario(mismatch_record())
         normal = normalized_dict(scenario)
+        assert normal["market"] == {"p": 2.0, "w": 1.0}
         assert normalized_dict(parse_scenario(normal)) == normal
 
     @pytest.mark.parametrize(
@@ -53,6 +62,8 @@ class TestScenarioParsing:
         [
             (lambda r: r["market"].update(w=3.0), "market.w"),
             (lambda r: r["market"].update(s=0.5), "market.s"),
+            (lambda r: r["market"].update(c=0.4), "market.c"),
+            (lambda r: r["market"].update(price=2.0), "market.price"),
             (lambda r: r["market"].pop("p"), "market.p"),
             (lambda r: r.pop("estimated_demand"), "estimated_demand"),
             (lambda r: r.update(estimated_demand={"family": "uniform", "lo": 2, "hi": 1}), "estimated_demand"),
@@ -149,6 +160,20 @@ class TestSolveCommand:
         reparsed = parse_scenario(json.loads(dump.read_text()))
         assert normalized_dict(reparsed) == json.loads(dump.read_text())
 
+    def test_dump_with_removed_market_fields_is_refused(self, tmp_path, capsys):
+        # the normalized form that older versions wrote, with zero s, r and c
+        record = mismatch_record()
+        record["market"] = {"c": 0.0, "p": 2.0, "r": 0.0, "s": 0.0, "w": 1.0}
+        record.update(compound_nodes=64, rhs_mode="exact")
+        assert main(["solve", write_scenario(tmp_path, record)]) == 3
+        err = capsys.readouterr().err
+        assert all(f"market.{key}" in err for key in ("s", "r", "c"))
+
+    def test_truncated_estimate_without_uncertainty(self, tmp_path):
+        estimated = {"family": "lognormal", "log_mean": 0.0, "log_sd": 0.5, "upper": 3.0}
+        record = base_record(estimated_demand=estimated)
+        assert main(["solve", write_scenario(tmp_path, record)]) == 0
+
     def test_dump_compound_writes_the_mixture(self, tmp_path):
         record = base_record(
             parameter_uncertainties=[
@@ -171,6 +196,28 @@ class TestSolveCommand:
 
         monkeypatch.setattr(cli_module.newsvendor, "optimal_profit", explode)
         assert main(["solve", write_scenario(tmp_path, base_record())]) == 4
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "scenario.json", "--rhs-mode", "theorem"],
+            ["validate", "scenario.json", "--rhs-mode", "exact"],
+            ["validate", "scenario.json", "--inject-bias", "0.1"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rhs_mode_is_a_search_flag_only(self, capsys):
+        for command, listed in (("solve", False), ("search", True), ("validate", False)):
+            with pytest.raises(SystemExit):
+                main([command, "-h"])
+            assert ("--rhs-mode" in capsys.readouterr().out) is listed
 
 
 class TestSearchCommand:
@@ -226,9 +273,13 @@ class TestValidateCommand:
         assert all(abs(row["z"]) <= 4 for row in report["rows"])
         assert "PASS" in capsys.readouterr().out
 
-    def test_injected_bias_is_caught(self, tmp_path, capsys):
+    def test_injected_bias_is_caught(self, tmp_path, capsys, monkeypatch):
+        from randvendor import cli as cli_module
+
+        exact = cli_module.expected_max
+        monkeypatch.setattr(cli_module, "expected_max", lambda a, b: exact(a, b) + 0.1)
         path = write_scenario(tmp_path, mismatch_record())
-        assert main(["validate", path, "--inject-bias", "0.1"]) == 5
+        assert main(["validate", path]) == 5
         assert "FAIL" in capsys.readouterr().out
 
     def test_small_sample_still_passes(self, tmp_path):
@@ -238,6 +289,18 @@ class TestValidateCommand:
 
     def test_requires_order_family(self, tmp_path):
         assert main(["validate", write_scenario(tmp_path, base_record())]) == 3
+
+    @pytest.mark.parametrize(
+        "order_family,path",
+        [
+            ({"family": "uniform", "bounds": {}}, "order_family.bounds"),
+            ({"family": "gamma", "bounds": {"shape": [1.0, 2.0]}}, "order_family.family"),
+        ],
+    )
+    def test_order_family_checked_without_search(self, tmp_path, capsys, order_family, path):
+        record = base_record(order_family=order_family)
+        assert main(["validate", write_scenario(tmp_path, record)]) == 3
+        assert path in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -3,9 +3,11 @@ import pytest
 
 from randvendor import (
     Empirical,
+    LogNormal,
     Mixture,
     ParameterUncertainty,
     Uniform,
+    UpperTruncated,
     build_scenario,
     compound_of,
 )
@@ -20,6 +22,15 @@ class TestCompoundOf:
     def test_no_uncertainty_passthrough(self):
         est = Uniform(0, 1)
         assert compound_of(est, [], nodes=16) is est
+
+    def test_no_uncertainty_passthrough_for_any_family(self):
+        # nothing to mix, so the estimate need not be parametric
+        for est in (
+            Empirical([1.0, 2.0]),
+            Mixture([(0.5, Uniform(0, 1)), (0.5, Uniform(1, 2))]),
+            UpperTruncated(LogNormal(0.0, 0.5), 3.0),
+        ):
+            assert compound_of(est, [], 4) is est
 
     def test_two_node_stratification(self):
         # nodes sit at the 0.25 and 0.75 quantiles of the uncertainty

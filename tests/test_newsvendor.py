@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,16 +32,10 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             MarketParams(p=1.0, w=2.0)
 
-    def test_salvage_and_stockout_unsupported(self):
-        with pytest.raises(ValueError, match="not yet supported"):
+    def test_only_prices(self):
+        assert [f.name for f in dataclasses.fields(MarketParams)] == ["p", "w"]
+        with pytest.raises(TypeError):
             MarketParams(p=2.0, w=1.0, s=0.1)
-        with pytest.raises(ValueError, match="not yet supported"):
-            MarketParams(p=2.0, w=1.0, r=0.2)
-
-    def test_manufacturing_cost_carried(self):
-        mp = MarketParams(p=2.0, w=1.0, c=0.4)
-        assert mp.c == 0.4
-        assert mp.critical_fractile == 0.5
 
 
 class TestExpectedProfit:
