@@ -1,5 +1,6 @@
 """Adaptive quadrature wrapper shared by the distribution kernels."""
 
+import numpy as np
 from scipy import integrate as _integrate
 
 from .errors import NumericalIntegrityError
@@ -11,6 +12,9 @@ _MAX_POINTS = 40
 
 # quad's error estimate may not exceed this, relative to max(1, |value|)
 _MAX_ERROR = 1e-8
+
+# quad_vec's Gauss-Kronrod rule evaluates the integrand this often per panel
+_VECTOR_EVALS_PER_PANEL = 21
 
 # Infinite supports are cut at quantile(1 - TAIL_PROB); callers add an exact
 # tail term where one is available.
@@ -37,3 +41,50 @@ def integrate(fn, lo: float, hi: float, points=()) -> float:
             f"quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} on value {value!r}"
         )
     return value
+
+
+def integrate_vector(fn, lo: float, hi: float, size: int, points=()) -> np.ndarray:
+    """Integrate the ``size`` components of ``fn`` over [lo, hi] at once.
+
+    One adaptive pass of ``quad_vec`` serves every component; it splits at
+    every interior point, without thinning, and stops when the largest
+    component's error is small. Its error estimate bounds each component's
+    error, and so any convex combination of them: it must pass the same test
+    as in ``integrate``, with the largest component as the value.
+    """
+    if hi <= lo:
+        return np.zeros(size)
+    pts = sorted({float(p) for p in points if lo < p < hi})
+    value, err = _integrate.quad_vec(
+        lambda t: np.broadcast_to(fn(t), (size,)),
+        lo,
+        hi,
+        epsabs=_EPSABS,
+        epsrel=_EPSREL,
+        norm="max",
+        limit=_LIMIT,
+        points=pts or None,
+    )
+    scale = float(np.max(np.abs(value)))
+    if not err <= _MAX_ERROR * max(1.0, scale):
+        raise NumericalIntegrityError(
+            f"vector quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} "
+            f"on values up to {scale!r}"
+        )
+    return value
+
+
+def vector_pays(size: int, lo: float, hi: float, points) -> bool:
+    """Whether one ``integrate_vector`` of ``size`` components over [lo, hi]
+    is cheaper than ``size`` calls of ``integrate``, one per component.
+
+    The vector pass evaluates every component at 21 nodes of every panel
+    between points, and each of those evaluations costs about as much as one
+    scalar quad of a single component: 40-55 us each for 64 to 4,096 uniform
+    components on a 2-core VM, where the two paths then break even at about
+    size / 21 panels. Components that each add a kink of their own therefore
+    keep one quad each; without kinks the vector pass wins from a few dozen
+    components on, and below that both take about a millisecond.
+    """
+    panels = 1 + sum(1 for p in points if lo < p < hi)
+    return _VECTOR_EVALS_PER_PANEL * panels < size

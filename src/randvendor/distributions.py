@@ -18,7 +18,10 @@ A mixture whose components share one parametric family is evaluated and
 sampled as one stacked family (``_Stack``), one array call per kernel and
 per Monte-Carlo batch, with the same results bit for bit as the sum over its
 components; a mixture of different families, or of truncated normals with
-means on both sides of zero, keeps that sum.
+means on both sides of zero, keeps that sum. A quadrature over a stacked
+mixture is one vector quadrature over the stack, one value per component,
+summed with the weights; only a survival integral across more kinks than
+that repays (``vector_pays``) keeps one quadrature per component.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -35,7 +38,7 @@ import os
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from ._quad import TAIL_PROB, integrate
+from ._quad import TAIL_PROB, integrate, integrate_vector, vector_pays
 
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -578,6 +581,8 @@ class Mixture(Distribution):
         self._closed_form_max = all(d._closed_form_max for _, d in comps)
         # built on first use, so that constructing a compound stays cheap
         self._mean = None
+        # (u, quantile(u)) of the last call: a command asks for q* repeatedly
+        self._last_quantile = None
         self._has_density = None
         self._support = None
         self._breakpoints = None
@@ -630,6 +635,14 @@ class Mixture(Distribution):
         return self._mean
 
     def _quantile(self, u):
+        last = self._last_quantile
+        if last is not None and last[0] == u:
+            return last[1]
+        q = self._bisect_quantile(u)
+        self._last_quantile = (u, q)
+        return q
+
+    def _bisect_quantile(self, u):
         stack = self._stacked()
         if stack is not None:
             lo, hi = stack.quantile_range(u)
@@ -721,10 +734,14 @@ class Mixture(Distribution):
 
     def breakpoints(self):
         if self._breakpoints is None:
-            pts = set()
-            for _, d in self.components:
-                pts.update(d.breakpoints())
-            self._breakpoints = tuple(sorted(pts))
+            stack = self._stacked()
+            if stack is not None:
+                self._breakpoints = stack.breakpoints()
+            else:
+                pts = set()
+                for _, d in self.components:
+                    pts.update(d.breakpoints())
+                self._breakpoints = tuple(sorted(pts))
         return self._breakpoints
 
     def _partial_expectation(self, q):
@@ -740,8 +757,16 @@ class Mixture(Distribution):
         return math.fsum(w * d._second_partial_moment(q) for w, d in self.components)
 
     def _survival_integral(self, q, weighted=False):
-        # per component on purpose: an independent check of the stacked M1, M2
-        return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
+        # quadrature of F on either path, so it checks the stacked M1 and M2
+        # independently
+        stack, pts = self._stacked(), self.breakpoints()
+        if stack is None or not vector_pays(stack.size, 0.0, q, pts):
+            return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
+        if weighted:
+            survival = lambda t: t * (1.0 - stack.cdf(t))  # noqa: E731
+        else:
+            survival = lambda t: 1.0 - stack.cdf(t)  # noqa: E731
+        return stack.combine(integrate_vector(survival, 0.0, q, stack.size, pts))
 
     def to_dict(self):
         return {
@@ -761,7 +786,7 @@ class _Stack:
     a scalar argument and return one value per component (or 0.0 where all
     vanish), computed by the same IEEE operations and functions as the scalar
     kernels, so that every weighted sum equals the per-component one bit for
-    bit.
+    bit; ``pdf(x, fast=True)``, for quadrature, may differ in the last bit.
     """
 
     family: type
@@ -769,6 +794,7 @@ class _Stack:
 
     def __init__(self, dists, weights: np.ndarray):
         self.weights = weights
+        self.size = weights.size
         for name in self.fields:
             setattr(self, name, np.array([getattr(d, name) for d in dists]))
         self._derive(dists)
@@ -786,11 +812,16 @@ class _Stack:
         the products are the same IEEE operations."""
         return math.fsum((self.weights * values).tolist())
 
+    def breakpoints(self) -> tuple[float, ...]:
+        """``Mixture.breakpoints`` of the components: the three families
+        other than the uniform are supported on [0, inf)."""
+        return (0.0,)
+
     def quantile_range(self, u: float) -> tuple[float, float]:
         """Smallest and largest component quantile at u, bit for bit. The
         sampling formula matches the scalar quantile of the uniform and the
         truncated normal; families whose quantile calls ``math`` override."""
-        q = self.family._inverse_cdf(np.full(self.weights.size, float(u)), self)
+        q = self.family._inverse_cdf(np.full(self.size, float(u)), self)
         return float(q.min()), float(q.max())
 
 
@@ -816,8 +847,15 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _norm_pdf_array(z: np.ndarray) -> np.ndarray:
-    return _math_map(math.exp, -0.5 * z * z) / _ROOT_2PI
+def _exp_array(x: np.ndarray, fast: bool) -> np.ndarray:
+    # fast: numpy's exp, for quadrature integrands; the last bit of a density
+    # does not matter there, and one math.exp call per component would cost
+    # most of the time of each evaluation
+    return np.exp(x) if fast else _math_map(math.exp, x)
+
+
+def _norm_pdf_array(z: np.ndarray, fast: bool = False) -> np.ndarray:
+    return _exp_array(-0.5 * z * z, fast) / _ROOT_2PI
 
 
 class _UniformStack(_Stack):
@@ -827,8 +865,11 @@ class _UniformStack(_Stack):
     def cdf(self, x):
         return np.clip((x - self.lo) / self._width, 0.0, 1.0)
 
-    def pdf(self, x):
+    def pdf(self, x, fast=False):
         return np.where((self.lo <= x) & (x <= self.hi), 1.0 / self._width, 0.0)
+
+    def breakpoints(self):
+        return tuple(np.unique(np.concatenate((self.lo, self.hi))).tolist())
 
     def _partial_expectation(self, q):
         top = np.minimum(q, self.hi)
@@ -847,8 +888,8 @@ class _ExponentialStack(_Stack):
     def cdf(self, x):
         return -_math_map(math.expm1, -self.rate * x) if x > 0.0 else 0.0
 
-    def pdf(self, x):
-        return self.rate * _math_map(math.exp, -self.rate * x) if x >= 0.0 else 0.0
+    def pdf(self, x, fast=False):
+        return self.rate * _exp_array(-self.rate * x, fast) if x >= 0.0 else 0.0
 
     def _partial_expectation(self, q):
         lam = self.rate
@@ -891,11 +932,11 @@ class _LogNormalStack(_Stack):
             return 0.0
         return ndtr((math.log(x) - self.log_mean) / self.log_sd)
 
-    def pdf(self, x):
+    def pdf(self, x, fast=False):
         if x <= 0.0:
             return 0.0
         z = (math.log(x) - self.log_mean) / self.log_sd
-        return _norm_pdf_array(z) / (x * self.log_sd)
+        return _norm_pdf_array(z, fast) / (x * self.log_sd)
 
     def _partial_expectation(self, q):
         if q <= 0.0:
@@ -940,11 +981,11 @@ class _TruncatedNormalStack(_Stack):
         mass = self._mass((x - self.norm_mean) / self.norm_sd)
         return np.clip(mass / self._z, 0.0, 1.0)
 
-    def pdf(self, x):
+    def pdf(self, x, fast=False):
         if x < 0.0:
             return 0.0
         z = (x - self.norm_mean) / self.norm_sd
-        return _norm_pdf_array(z) / (self.norm_sd * self._z)
+        return _norm_pdf_array(z, fast) / (self.norm_sd * self._z)
 
     def _partial_expectation(self, q):
         if q <= 0.0:
@@ -1134,8 +1175,29 @@ def _half_max(x: Distribution, y: Distribution, cut: float, pts) -> float:
     hi = min(x.support()[1], cut)
     value = 0.0
     if hi > lo:
-        value = integrate(lambda t: t * x.pdf(t) * y.cdf(t), lo, hi, pts)
+        value = _density_cdf_integral(x, y, lo, hi, pts)
     return value + x.upper_partial_expectation(max(hi, lo))
+
+
+def _density_cdf_integral(x: Distribution, y: Distribution, lo: float, hi: float, pts) -> float:
+    """int_lo^hi t f_x(t) F_y(t) dt; when a side is a stacked mixture, one
+    vector quadrature over its components, summed with its weights."""
+    stack = _stack_of(y)
+    if stack is not None:
+        parts = integrate_vector(lambda t: t * x.pdf(t) * stack.cdf(t), lo, hi, stack.size, pts)
+        return stack.combine(parts)
+    stack = _stack_of(x)
+    if stack is not None:
+        parts = integrate_vector(
+            lambda t: t * stack.pdf(t, fast=True) * y.cdf(t), lo, hi, stack.size, pts
+        )
+        return stack.combine(parts)
+    return integrate(lambda t: t * x.pdf(t) * y.cdf(t), lo, hi, pts)
+
+
+def _stack_of(d: Distribution):
+    """The stack of a single-family mixture, else None."""
+    return d._stacked() if isinstance(d, Mixture) else None
 
 
 # -- serialization ------------------------------------------------------------

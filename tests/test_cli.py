@@ -244,6 +244,24 @@ class TestSearchCommand:
         printed = capsys.readouterr().out
         assert "deterministic optimum retained" in printed
 
+    def test_truncated_normal_order_against_compound_uniform(self, tmp_path):
+        # 4,096 uniform components with 128 kinks; quadrature of this pair
+        # used to be refused (exit 4)
+        record = base_record(
+            market={"p": 3.0, "w": 1.2},
+            estimated_demand={"family": "uniform", "lo": 0.5, "hi": 2.0},
+            parameter_uncertainties=[
+                {"param": "lo", "dist": {"family": "uniform", "lo": 0.2, "hi": 0.8}},
+                {"param": "hi", "dist": {"family": "uniform", "lo": 1.5, "hi": 2.5}},
+            ],
+            compound_nodes=64,
+            order_family={"family": "truncated_normal", "bounds": {"sd": [0.05, 0.5]}},
+            search={"method": "grid", "budget": 3, "seed": 11, "constrain_mean_to_qhat": True},
+        )
+        out = tmp_path / "report.json"
+        assert main(["search", write_scenario(tmp_path, record), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["evaluations"] == 3
+
     def test_missing_search_config(self, tmp_path):
         assert main(["search", write_scenario(tmp_path, base_record())]) == 3
 

@@ -580,14 +580,17 @@ class TestExpectedMax:
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unreliable_quadrature_raises(self):
-        # 60 kinked components against a narrow peak: quad cannot split at
-        # every kink and its error estimate is ~1e-3, so the value is refused.
-        # expected_max takes the closed form for this uniform mixture
-        # (test_expected_max.py); the quadrature path must still refuse it.
+        # 60 kinked components and an exponential against a narrow peak: a
+        # mixture of two families is integrated by one scalar quad, which
+        # cannot split at every kink; its error estimate is ~4e-3, so the
+        # value is refused. The 60 uniforms alone are one stacked family,
+        # which vector quadrature gets right (test_expected_max.py).
         rng = np.random.default_rng(0)
         lo = np.sort(rng.uniform(0.0, 5.0, size=60))
         width = rng.uniform(0.05, 1.0, size=60)
-        mix = Mixture([(1.0 / 60, Uniform(a, a + w)) for a, w in zip(lo, width)])
+        parts = [Uniform(a, a + w) for a, w in zip(lo, width)] + [Exponential(1.0)]
+        mix = Mixture([(1.0 / 61, d) for d in parts])
+        assert mix._stacked() is None
         with pytest.raises(NumericalIntegrityError, match="error estimate"):
             _expected_max_densities(mix, LogNormal(0.0, 0.01))
 

@@ -170,14 +170,23 @@ def _sixty_uniforms():
 
 
 def test_uniform_mixture_matches_monte_carlo():
-    # quadrature of this pair is refused (test_distributions.py,
-    # test_unreliable_quadrature_raises); the closed form gives 2.91040 and
+    # the closed form gives 2.91040, as does vector quadrature over the
+    # stacked uniforms (test_kinked_uniform_mixture_quadrature_matches_closed_form);
     # 4e6 draws (seed 9) gave 2.91138 +/- 0.00069
     mix, order = _sixty_uniforms(), LogNormal(0.0, 0.01)
     value = expected_max(mix, order)
     assert value == expected_max(order, mix)
     report = simulate_expected_max(mix, order, SimConfig(n_draws=2_000_000, seed=3))
     assert abs(report.mean - value) < 4.0 * report.std_error
+
+
+def test_kinked_uniform_mixture_quadrature_matches_closed_form():
+    # 120 kinks against a narrow peak: the vector quadrature splits at every
+    # one of them
+    mix, order = _sixty_uniforms(), LogNormal(0.0, 0.01)
+    assert _expected_max_densities(mix, order) == pytest.approx(
+        expected_max(mix, order), rel=1e-10
+    )
 
 
 def test_uniform_mixture_is_linear_in_components():
