@@ -20,8 +20,8 @@ per Monte-Carlo batch, with the same results bit for bit as the sum over its
 components; a mixture of different families, or of truncated normals with
 means on both sides of zero, keeps that sum. A quadrature over a stacked
 mixture is one vector quadrature over the stack, one value per component,
-summed with the weights; only a survival integral across more kinks than
-that repays (``vector_pays``) keeps one quadrature per component.
+summed with the weights; across more kinks than that repays
+(``vector_pays``), each component takes a scalar quadrature of its own.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -49,6 +49,39 @@ _MIN_UNIFORM_WIDTH = 1e-3
 
 def _norm_pdf(z: float) -> float:
     return math.exp(-0.5 * z * z) / _ROOT_2PI
+
+
+def _sample_in_place(dist, u, out):
+    """``from_uniform`` of a family with an in-place ``_inverse_cdf``: it runs
+    on ``out`` holding a copy of ``u`` (in ``u`` itself when ``out is u``), or
+    on a fresh copy whose 0-d result is returned as a scalar."""
+    if out is None:
+        return dist._inverse_cdf(np.array(u, dtype=float), dist)[()]
+    if out is not u:
+        np.copyto(out, u)
+    return dist._inverse_cdf(out, dist)
+
+
+# Samplers that gather per draw (an index, gathered parameters) take at most
+# this many draws at a time, so that their temporaries stay small however
+# many draws one call maps
+_SAMPLE_BLOCK = 65_536
+
+
+def _blocked(sample_into, u, out):
+    """``from_uniform`` by ``sample_into(u_block, out_block)`` over blocks of
+    at most ``_SAMPLE_BLOCK`` draws; every sampler is element-wise, so the
+    draws do not depend on the blocks. ``out_block`` is ``u_block`` itself
+    when ``out is u``, so ``sample_into`` reads each draw before it writes
+    the draw's own position and no other."""
+    u = np.asarray(u, dtype=float)
+    if out is None:
+        out = np.empty(u.shape)
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_u.size, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        sample_into(flat_u[block], flat_out[block])
+    return out
 
 
 def _finite(name: str, value) -> float:
@@ -91,8 +124,13 @@ class Distribution:
         """M2(q) = int_0^q t^2 f(t) dt, for q >= 0."""
         raise NotImplementedError
 
-    def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniform(0,1) draws to draws from this distribution."""
+    def from_uniform(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map uniform(0,1) draws to draws from this distribution.
+
+        With ``out``, a 1-d float array shaped like ``u``, the draws are
+        written there and ``out`` is returned; ``out`` may be ``u`` itself,
+        which is then overwritten, but must not otherwise overlap it.
+        """
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -228,15 +266,15 @@ class Uniform(Distribution):
     def _quantile(self, u):
         return self.lo + u * self._width
 
-    def from_uniform(self, u):
-        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+    def from_uniform(self, u, out=None):
+        return _sample_in_place(self, u, out)
 
     @staticmethod
     def _inverse_cdf(v, p):
         """Overwrite the uniform draws ``v`` with draws of the family whose
         parameters ``p`` holds, as floats or as arrays aligned with ``v``; an
         instance and a stacked mixture (``_Gathered``) share this formula.
-        ``from_uniform`` passes a copy and turns a 0-d result into a scalar."""
+        ``from_uniform`` passes draws it may overwrite (``_sample_in_place``)."""
         v *= p._width
         v += p.lo
         return v
@@ -300,8 +338,8 @@ class Exponential(Distribution):
     def _quantile(self, u):
         return -math.log1p(-u) / self.rate
 
-    def from_uniform(self, u):
-        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+    def from_uniform(self, u, out=None):
+        return _sample_in_place(self, u, out)
 
     @staticmethod
     def _inverse_cdf(v, p):
@@ -356,8 +394,8 @@ class LogNormal(Distribution):
     def _quantile(self, u):
         return math.exp(self.log_mean + self.log_sd * float(ndtri(u)))
 
-    def from_uniform(self, u):
-        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+    def from_uniform(self, u, out=None):
+        return _sample_in_place(self, u, out)
 
     @staticmethod
     def _inverse_cdf(v, p):
@@ -436,8 +474,8 @@ class TruncatedNormal(Distribution):
             return self.norm_mean - self.norm_sd * float(ndtri((1.0 - u) * self._z))
         return self.norm_mean + self.norm_sd * float(ndtri(self._f0 + u * self._z))
 
-    def from_uniform(self, u):
-        return self._inverse_cdf(np.array(u, dtype=float), self)[()]
+    def from_uniform(self, u, out=None):
+        return _sample_in_place(self, u, out)
 
     @staticmethod
     def _inverse_cdf(v, p):
@@ -518,9 +556,12 @@ class Empirical(Distribution):
         idx = int(math.ceil(self._n * u - 1e-9)) - 1
         return float(self.values[min(max(idx, 0), self._n - 1)])
 
-    def from_uniform(self, u):
-        idx = np.ceil(np.asarray(u, dtype=float) * self._n - 1e-9).astype(int) - 1
-        return self.values[np.clip(idx, 0, self._n - 1)]
+    def from_uniform(self, u, out=None):
+        return _blocked(self._sample_into, u, out)
+
+    def _sample_into(self, u, out):
+        idx = np.ceil(u * self._n - 1e-9).astype(int) - 1
+        np.take(self.values, idx, out=out, mode="clip")
 
     def atoms(self):
         return self.values, np.full(self._n, 1.0 / self._n)
@@ -662,24 +703,26 @@ class Mixture(Distribution):
                 break
         return hi
 
-    def from_uniform(self, u):
+    def from_uniform(self, u, out=None):
+        return _blocked(self._sample_into, u, out)
+
+    def _sample_into(self, u, out):
         # stratified composition: the uniform draw picks the component and the
         # position within it, so the map stays deterministic and vectorized
-        u = np.asarray(u, dtype=float)
         weights, edges, _, _ = self._sampling_tables()
         idx = self._component_index(u)
-        v = np.asarray(u - edges[idx])
+        v = np.subtract(u, edges[idx], out=out)
         v /= weights[idx]
         np.clip(v, 0.0, np.nextafter(1.0, 0.0), out=v)
         stack = self._stacked()
         if stack is not None:
-            return stack.family._inverse_cdf(v, _Gathered(stack, idx))
-        out = np.empty_like(u)
+            stack.family._inverse_cdf(v, _Gathered(stack, idx))
+            return
         for j, (_, d) in enumerate(self.components):
             mask = idx == j
             if mask.any():
-                out[mask] = d.from_uniform(v[mask])
-        return out
+                part = v[mask]
+                v[mask] = d.from_uniform(part, out=part)
 
     def _sampling_tables(self):
         """(weights, edges, upper edges, guide table) of the composition.
@@ -763,9 +806,9 @@ class Mixture(Distribution):
         if stack is None or not vector_pays(stack.size, 0.0, q, pts):
             return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
         if weighted:
-            survival = lambda t: t * (1.0 - stack.cdf(t))  # noqa: E731
+            survival = lambda t: t * (1.0 - stack.cdf(t, fast=True))  # noqa: E731
         else:
-            survival = lambda t: 1.0 - stack.cdf(t)  # noqa: E731
+            survival = lambda t: 1.0 - stack.cdf(t, fast=True)  # noqa: E731
         return stack.combine(integrate_vector(survival, 0.0, q, stack.size, pts))
 
     def to_dict(self):
@@ -786,7 +829,8 @@ class _Stack:
     a scalar argument and return one value per component (or 0.0 where all
     vanish), computed by the same IEEE operations and functions as the scalar
     kernels, so that every weighted sum equals the per-component one bit for
-    bit; ``pdf(x, fast=True)``, for quadrature, may differ in the last bit.
+    bit; ``cdf(x, fast=True)`` and ``pdf(x, fast=True)``, for quadrature
+    integrands, may differ in the last bit.
     """
 
     family: type
@@ -854,6 +898,11 @@ def _exp_array(x: np.ndarray, fast: bool) -> np.ndarray:
     return np.exp(x) if fast else _math_map(math.exp, x)
 
 
+def _expm1_array(x: np.ndarray, fast: bool) -> np.ndarray:
+    # as _exp_array, for the exponential CDF
+    return np.expm1(x) if fast else _math_map(math.expm1, x)
+
+
 def _norm_pdf_array(z: np.ndarray, fast: bool = False) -> np.ndarray:
     return _exp_array(-0.5 * z * z, fast) / _ROOT_2PI
 
@@ -862,7 +911,7 @@ class _UniformStack(_Stack):
     family = Uniform
     fields = ("lo", "hi", "_width")
 
-    def cdf(self, x):
+    def cdf(self, x, fast=False):
         return np.clip((x - self.lo) / self._width, 0.0, 1.0)
 
     def pdf(self, x, fast=False):
@@ -885,8 +934,8 @@ class _ExponentialStack(_Stack):
     family = Exponential
     fields = ("rate",)
 
-    def cdf(self, x):
-        return -_math_map(math.expm1, -self.rate * x) if x > 0.0 else 0.0
+    def cdf(self, x, fast=False):
+        return -_expm1_array(-self.rate * x, fast) if x > 0.0 else 0.0
 
     def pdf(self, x, fast=False):
         return self.rate * _exp_array(-self.rate * x, fast) if x >= 0.0 else 0.0
@@ -927,7 +976,7 @@ class _LogNormalStack(_Stack):
         self.mean = np.array([d.mean() for d in dists])
         self.m2_scale = np.array([math.exp(2.0 * (d.log_mean + d.log_sd**2)) for d in dists])
 
-    def cdf(self, x):
+    def cdf(self, x, fast=False):
         if x <= 0.0:
             return 0.0
         return ndtr((math.log(x) - self.log_mean) / self.log_sd)
@@ -975,7 +1024,7 @@ class _TruncatedNormalStack(_Stack):
             return self._z - ndtr(-beta)
         return ndtr(beta) - self._f0
 
-    def cdf(self, x):
+    def cdf(self, x, fast=False):
         if x <= 0.0:
             return 0.0
         mass = self._mass((x - self.norm_mean) / self.norm_sd)
@@ -1051,8 +1100,13 @@ class UpperTruncated(Distribution):
     def _quantile(self, u):
         return min(self.base._quantile(u * self._z), self.upper)
 
-    def from_uniform(self, u):
-        return np.minimum(self.base.from_uniform(np.asarray(u, float) * self._z), self.upper)
+    def from_uniform(self, u, out=None):
+        return _blocked(self._sample_into, u, out)
+
+    def _sample_into(self, u, out):
+        np.multiply(u, self._z, out=out)
+        self.base.from_uniform(out, out=out)
+        np.minimum(out, self.upper, out=out)
 
     def atoms(self):
         base_atoms = self.base.atoms()
@@ -1181,18 +1235,36 @@ def _half_max(x: Distribution, y: Distribution, cut: float, pts) -> float:
 
 def _density_cdf_integral(x: Distribution, y: Distribution, lo: float, hi: float, pts) -> float:
     """int_lo^hi t f_x(t) F_y(t) dt; when a side is a stacked mixture, one
-    vector quadrature over its components, summed with its weights."""
+    vector quadrature over its components, summed with its weights. Across
+    more kinks than that repays (``vector_pays``), each component takes a
+    quadrature of its own instead (``_per_component``)."""
     stack = _stack_of(y)
     if stack is not None:
-        parts = integrate_vector(lambda t: t * x.pdf(t) * stack.cdf(t), lo, hi, stack.size, pts)
-        return stack.combine(parts)
+        if not vector_pays(stack.size, lo, hi, pts):
+            return _per_component(y, lambda d, kinks: _density_cdf_integral(x, d, lo, hi, kinks), x)
+        fn = lambda t: t * x.pdf(t) * stack.cdf(t, fast=True)  # noqa: E731
+        return stack.combine(integrate_vector(fn, lo, hi, stack.size, pts))
     stack = _stack_of(x)
     if stack is not None:
-        parts = integrate_vector(
-            lambda t: t * stack.pdf(t, fast=True) * y.cdf(t), lo, hi, stack.size, pts
-        )
-        return stack.combine(parts)
+        if not vector_pays(stack.size, lo, hi, pts):
+            return _per_component(x, lambda d, kinks: _density_cdf_integral(d, y, lo, hi, kinks), y)
+        fn = lambda t: t * stack.pdf(t, fast=True) * y.cdf(t)  # noqa: E731
+        return stack.combine(integrate_vector(fn, lo, hi, stack.size, pts))
     return integrate(lambda t: t * x.pdf(t) * y.cdf(t), lo, hi, pts)
+
+
+# Quantiles of the other side that split every per-component quadrature, so
+# that none can step over a narrow peak of that side's density: without
+# them, sixty uniforms against LogNormal(0, 0.01) lost 0.067 of 2.91
+_MASS_POINTS = (1e-3, 0.5, 1.0 - 1e-3)
+
+
+def _per_component(mixture: Mixture, integral, other: Distribution) -> float:
+    """sum_i w_i integral(component_i, kinks), where the kinks are the
+    component's own, the other side's and the other side's _MASS_POINTS."""
+    shared = set(other.breakpoints()) | {other._quantile(p) for p in _MASS_POINTS}
+    parts = [integral(d, shared.union(d.breakpoints())) for _, d in mixture.components]
+    return mixture._stacked().combine(parts)
 
 
 def _stack_of(d: Distribution):

@@ -2,17 +2,23 @@
 
 Draws are partitioned into batches, each driven by a counter-based generator
 keyed on (seed, batch_index), so results are reproducible and independent of
-how batches would be scheduled. A streaming one-pass accumulator merges the
-per-batch moments.
+how batches would be scheduled. Each batch is drawn into one buffer that the
+batch loop reuses. A streaming one-pass accumulator merges the per-batch
+moments.
 
 ``validate`` reads one stream per batch for all five of its rows
-(``simulate_validation``): a batch of m observations draws 2m doubles once
-and samples the demand once for the three rows that need only a demand
-draw. A fresh generator's (m, 1) draws are the first m doubles of its 2m
-draws and its (m, 2) draws are those 2m in row order, so the demand-only
-rows read the first m and the two-draw rows read m pairs: the same columns
-as the standalone oracles, which therefore give the same reports bit for
-bit while the shared pass generates and samples a fraction of the draws.
+(``simulate_validation``). A batch of m observations draws 2m doubles, and
+each distribution samples them once: the demand into a buffer of its own,
+the order over the doubles themselves, which nothing reads afterwards. A
+fresh generator's (m, 1) draws are the first m doubles of its 2m draws and
+its (m, 2) draws are those 2m in row order, and every sampler is
+element-wise. So the demand-only rows read the first m demand draws and the
+two-draw rows read the demand and order draws as m pairs, in the same
+columns as the standalone oracles, which therefore give the same reports
+bit for bit. The buffers belong to one call of the pass; every row is
+written into one reused row buffer and its deviations are squared there.
+Samplers that gather per draw (empirical, mixture, upper-truncated) work
+through blocks of at most 65,536 draws, so their temporaries stay small.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .distributions import Distribution, _generator
 from .newsvendor import MarketParams
-from .policy import Deterministic, OrderPolicy, Stochastic
+from .policy import Deterministic, OrderPolicy
 
 
 @dataclass(frozen=True)
@@ -71,12 +77,17 @@ class _Accumulator:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add_batch(self, values: np.ndarray) -> None:
+    def add_batch(self, values: np.ndarray, owned: bool = False) -> None:
+        """Merge one batch; ``owned`` values are overwritten by their squared
+        deviations, others cost one temporary. Either way the deviations are
+        squared by the same operations as ``(values - bmean) ** 2``."""
         bn = values.size
         if bn == 0:
             return
         bmean = float(values.mean())
-        bm2 = float(((values - bmean) ** 2).sum())
+        dev = np.subtract(values, bmean, out=values if owned else None)
+        dev *= dev
+        bm2 = float(dev.sum())
         delta = bmean - self.mean
         total = self.n + bn
         self.mean += delta * bn / total
@@ -95,29 +106,25 @@ class _Accumulator:
         )
 
 
-def _run(cfg: SimConfig, width: int, n_rows: int, rows) -> list[SimReport]:
-    """The batch loop: estimate ``n_rows`` means from one stream per batch.
+def _batch_plan(cfg: SimConfig) -> tuple[int, int]:
+    """(observations, observations per batch); an antithetic pair is one."""
+    if cfg.antithetic:
+        return cfg.n_draws // 2, max(1, cfg.batch_size // 2)
+    return cfg.n_draws, cfg.batch_size
 
-    For each batch of m observations, ``rows(u, add)`` receives ``width * m``
-    doubles of the batch's (seed, batch_index) stream and passes row k's m
-    observations to ``add(k, values)`` as soon as it has them, so that no
-    row's array outlives its own accumulation.
+
+def _batches(cfg: SimConfig, width: int):
+    """Each batch's ``width * m`` doubles of its (seed, batch_index) stream.
+
+    Every batch is drawn into one buffer, so a batch is only valid until the
+    next one is drawn; the first batch is the largest.
     """
-    accs = [_Accumulator() for _ in range(n_rows)]
-
-    def add(k, values):
-        accs[k].add_batch(np.asarray(values, dtype=float))
-
-    observations = cfg.n_draws // 2 if cfg.antithetic else cfg.n_draws
-    per_batch = max(1, cfg.batch_size // 2) if cfg.antithetic else cfg.batch_size
-    done = 0
-    batch_index = 0
-    while done < observations:
-        m = min(per_batch, observations - done)
-        rows(_generator(cfg.seed, batch_index).random(width * m), add)
-        done += m
-        batch_index += 1
-    return [acc.report() for acc in accs]
+    observations, per_batch = _batch_plan(cfg)
+    u = np.empty(width * min(per_batch, observations))
+    for index, done in enumerate(range(0, observations, per_batch)):
+        batch = u[: width * min(per_batch, observations - done)]
+        _generator(cfg.seed, index).random(out=batch)
+        yield batch
 
 
 def _halves(u: np.ndarray, antithetic: bool) -> tuple:
@@ -138,17 +145,25 @@ def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
     transform at u and at 1 - u; the integrand must be monotone in each
     coordinate for the pairing to reduce variance.
     """
-
-    def rows(u, add):
+    acc = _Accumulator()
+    for u in _batches(cfg, n_uniforms):
         draws = _halves(u.reshape(-1, n_uniforms), cfg.antithetic)
-        add(0, _pair([transform(h) for h in draws]))
+        acc.add_batch(np.asarray(_pair([transform(h) for h in draws]), dtype=float))
+    return acc.report()
 
-    return _run(cfg, n_uniforms, 1, rows)[0]
 
-
-def _profit(params: MarketParams, q, d):
-    """Realized profit of ordering q when demand is d."""
-    return params.p * np.minimum(q, d) - params.w * q
+def _profit(params: MarketParams, q, d, out=None):
+    """Realized profit of ordering q when demand is d, p * min(q, d) - w * q,
+    written to ``out`` when given. An array of orders q is scaled by w in
+    place: every caller owns its order draws and reads them no further."""
+    r = np.minimum(q, d, out=out)
+    r *= params.p
+    if isinstance(q, np.ndarray):
+        q *= params.w
+        r -= q
+    else:
+        r -= params.w * q
+    return r
 
 
 def _profit_transform(params: MarketParams, demand: Distribution, policy: OrderPolicy):
@@ -229,24 +244,51 @@ def simulate_validation(
     5. ``simulate_expected_max(order_dist, demand)``.
 
     Each report equals that standalone call's bit for bit. A batch draws
-    2m doubles once: rows 1-3 read the first m, the (m, 1) stream of a fresh
-    generator, through one demand sample, and rows 4 and 5 read all 2m as
-    the (m, 2) stream, in the same columns as their oracles.
+    2m doubles once, and the demand and the order sample all of them once
+    each. Rows 1-3 read the first m demand draws, those of the (m, 1) stream
+    of a fresh generator. Rows 4 and 5 read the (m, 2) stream in their
+    oracles' columns: row 4 the demand of column 0 and the order of column
+    1, row 5 the order of column 0 and the demand of column 1.
     """
-    order_row = _profit_transform(params, demand, Stochastic(order_dist))[0]
-    max_row = _max_transform(order_dist, demand)
+    accs = [_Accumulator() for _ in range(5)]
+    m_max = min(_batch_plan(cfg))
+    n_halves = 2 if cfg.antithetic else 1
+    # owned by this call: 1 - u when paired, each half's demand draws and
+    # each half's row values; batches use leading views of them
+    flipped = np.empty(2 * m_max) if cfg.antithetic else None
+    demand_bufs = [np.empty(2 * m_max) for _ in range(n_halves)]
+    row_bufs = [np.empty(m_max) for _ in range(n_halves)]
 
-    def rows(u, add):
+    for u in _batches(cfg, 2):
         m = u.size // 2
-        demand_draws = [demand.from_uniform(h) for h in _halves(u[:m], cfg.antithetic)]
-        naive = [_profit(params, naive_q, d) for d in demand_draws]
-        add(0, _pair(naive))
-        add(2, _pair([(x - center) ** 2 for x in naive]))
-        del naive
-        add(1, _pair([_profit(params, q_star, d) for d in demand_draws]))
-        del demand_draws
-        pairs = _halves(u.reshape(m, 2), cfg.antithetic)
-        add(3, _pair([order_row(h) for h in pairs]))
-        add(4, _pair([max_row(h) for h in pairs]))
+        halves = [u]
+        if cfg.antithetic:
+            halves.append(np.subtract(1.0, u, out=flipped[: 2 * m]))
+        demand_draws = [
+            demand.from_uniform(h, out=buf[: 2 * m]) for h, buf in zip(halves, demand_bufs)
+        ]
+        # the uniforms are not read again: the order draws overwrite them
+        order_draws = [order_dist.from_uniform(h, out=h) for h in halves]
+        rows = [buf[:m] for buf in row_bufs]
 
-    return _run(cfg, 2, 5, rows)
+        def add(k, fill):
+            for r, d, o in zip(rows, demand_draws, order_draws):
+                fill(r, d, o)
+            values = rows[0]
+            if cfg.antithetic:
+                values += rows[1]
+                values *= 0.5
+            accs[k].add_batch(values, owned=True)
+
+        def squared_deviation(r, d, o):
+            _profit(params, naive_q, d[:m], out=r)
+            r -= center
+            r *= r
+
+        add(0, lambda r, d, o: _profit(params, naive_q, d[:m], out=r))
+        add(1, lambda r, d, o: _profit(params, q_star, d[:m], out=r))
+        add(2, squared_deviation)
+        add(3, lambda r, d, o: _profit(params, o[1::2], d[0::2], out=r))
+        add(4, lambda r, d, o: np.maximum(o[0::2], d[1::2], out=r))
+
+    return [acc.report() for acc in accs]

@@ -645,6 +645,34 @@ class TestSampling:
         assert abs(float(np.mean(draws)) - dist.mean()) < 5 * se
 
 
+SAMPLERS = {repr(d): d for d in ALL_FAMILIES}
+SAMPLERS["stacked_compound"] = STACKED["lognormal"]
+
+
+class TestFromUniformInto:
+    """``from_uniform(u, out=)`` writes exactly the draws of ``from_uniform(u)``:
+    into a separate ``out``, leaving ``u`` as it was, or over ``u`` itself."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_matches_fresh_draws(self, name):
+        dist = SAMPLERS[name]
+        rng = np.random.default_rng(31)
+        # longer than one 65,536-draw sampling block
+        contiguous = rng.random(70_001)
+        rows = rng.random((5_000, 2))
+        other_column = rows[:, 0].copy()
+        for u in (contiguous, rows[:, 1]):
+            expected = dist.from_uniform(u)
+            kept = u.copy()
+            out = np.empty(u.size)
+            assert dist.from_uniform(u, out=out) is out
+            assert np.array_equal(out, expected)
+            assert np.array_equal(u, kept)
+            assert dist.from_uniform(u, out=u) is u
+            assert np.array_equal(u, expected)
+        assert np.array_equal(rows[:, 0], other_column)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "ctor",

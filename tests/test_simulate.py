@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from randvendor import (
     Stochastic,
     TruncatedNormal,
     Uniform,
+    UpperTruncated,
     build_order_dist,
     compound_of,
     expected_max,
@@ -236,6 +238,8 @@ def _validation_demands():
         "exponential": Exponential(0.8),
         "lognormal": LogNormal(0.2, 0.6),
         "truncated_normal": TruncatedNormal(1.2, 0.7),
+        "empirical": Empirical([0.3, 0.8, 1.1, 1.9, 2.4, 3.0]),
+        "upper_truncated": UpperTruncated(LogNormal(0.2, 0.6), 2.5),
         "stacked_compound": compound_of(LogNormal(0.0, 0.5), [log_mean, log_sd], nodes=6),
         "mixed_mixture": Mixture(
             [
@@ -263,6 +267,8 @@ VALIDATION_CONFIGS = {
     "antithetic_partial_batch": SimConfig(n_draws=7_334, seed=24, batch_size=1_001, antithetic=True),
     "one_draw": SimConfig(n_draws=1, seed=25),
     "one_pair": SimConfig(n_draws=2, seed=26, antithetic=True),
+    # one batch longer than a 65,536-draw sampling block, sampled in blocks
+    "blocked_batch": SimConfig(n_draws=80_000, seed=27, batch_size=80_000),
 }
 
 
@@ -288,3 +294,31 @@ class TestSharedValidationPass:
         ]
         got = simulate_validation(MP, demand, naive_q, q_star, center, order, cfg)
         assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in expected]
+
+
+class TestValidationPassMemory:
+    """The shared pass owns a few batch-sized buffers and no per-row
+    temporaries: its traced peak over two default batches stays within three
+    arrays of one batch's 2m doubles (12 MiB), the plain pass's peak when
+    every row had temporaries of its own."""
+
+    LIMIT = 3 * (2 * SimConfig(n_draws=1).batch_size) * 8
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("demand_name", ["lognormal", "empirical", "stacked_compound"])
+    def test_traced_peak(self, demand_name, antithetic):
+        demand = VALIDATION_DEMANDS[demand_name]
+        order = VALIDATION_ORDERS["lognormal"]
+        args = (MP, demand, demand.quantile(0.4), demand.quantile(0.7), 1.0, order)
+        # the distributions' lazy caches are built before tracing
+        simulate_validation(*args, SimConfig(n_draws=1_000, seed=1))
+        cfg = SimConfig(n_draws=524_288, seed=28, antithetic=antithetic)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate_validation(*args, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.LIMIT

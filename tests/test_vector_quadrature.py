@@ -208,6 +208,29 @@ def test_truncated_normal_order_against_compound_uniform():
     assert abs(report.mean - value) <= 4.0 * report.std_error
 
 
+def test_components_with_own_kinks_take_one_quadrature_each(monkeypatch):
+    # only hi uncertain: every component brings a kink of its own, so one
+    # vector quadrature would cost components x kinks
+    hi = ParameterUncertainty("hi", Uniform(1.5, 2.5))
+    mix = compound_of(Uniform(0.5, 2.0), [hi], nodes=300)
+    order = build_order_dist("truncated_normal", (0.3,), 1.1, True)
+    vector_calls = []
+
+    def counted(*args, **kwargs):
+        vector_calls.append(args[1:3])
+        return _quad.integrate_vector(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "integrate_vector", counted)
+    value = expected_max(order, mix)
+    assert vector_calls == []
+    monkeypatch.setattr(distributions, "vector_pays", lambda *args: True)
+    vector = expected_max(order, mix)
+    assert len(vector_calls) == 2
+    assert value == pytest.approx(vector, rel=1e-10, abs=0.0)
+    report = simulate_expected_max(mix, order, SimConfig(n_draws=2_000_000, seed=5))
+    assert abs(report.mean - value) <= 4.0 * report.std_error
+
+
 @pytest.mark.parametrize("q", [0.3, 1.1, 1.4, 2.2])
 def test_point_order_against_compound_uniform(q):
     mix = COMPOUND_UNIFORM
