@@ -4,13 +4,19 @@ Each uncertain parameter is discretized into equal-probability stratified
 nodes (quantiles at (i - 0.5)/nodes), and the resulting re-parameterized
 family members form a finite mixture. Downstream integrals then reuse the
 exact mixture kernels, keeping analytic and simulated paths consistent.
+
+The grid of nodes is built as one array per parameter, invalid members are
+found by one array test of the family, and the mixture evaluates and samples
+from the arrays; component objects are created only for the paths that walk
+them (``Mixture.components``), such as ``to_dict``.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import (
     Distribution,
@@ -19,7 +25,7 @@ from .distributions import (
     Mixture,
     TruncatedNormal,
     Uniform,
-    distribution_from_dict,
+    valid_parameters,
 )
 
 _PARAMETRIC = (Uniform, Exponential, LogNormal, TruncatedNormal)
@@ -88,17 +94,16 @@ def compound_of(
         [unc.dist.quantile((i + 0.5) / nodes) for i in range(nodes)] for unc in uncertainties
     ]
 
-    components = []
-    rejected = 0
-    for combo in itertools.product(*node_values):
-        record = dict(base)
-        record.update(zip(names, combo))
-        try:
-            components.append(distribution_from_dict(record))
-        except ValueError:
-            rejected += 1
-    total = rejected + len(components)
-    if not components:
+    # the grid in itertools.product order: the last parameter varies fastest
+    total = nodes**k
+    params = {name: np.full(total, value) for name, value in base.items() if name != "family"}
+    axes = np.meshgrid(*node_values, indexing="ij")
+    params.update((name, axis.ravel()) for name, axis in zip(names, axes))
+    family = type(estimated)
+    valid = valid_parameters(family, params)
+    kept = int(np.count_nonzero(valid))
+    rejected = total - kept
+    if not kept:
         raise ValueError("every parameter draw produced an invalid distribution")
     fraction = rejected / total
     if fraction >= _MAX_REJECTION_FRACTION:
@@ -111,12 +116,11 @@ def compound_of(
             f"dropped {rejected}/{total} invalid parameter draws; weights renormalized",
             stacklevel=2,
         )
+        params = {name: values[valid] for name, values in params.items()}
 
-    first = components[0].to_dict()
-    if all(c.to_dict() == first for c in components[1:]):
-        return components[0]
-    weight = 1.0 / len(components)
-    return Mixture([(weight, c) for c in components])
+    if all((values == values[0]).all() for values in params.values()):
+        return family(**{name: float(values[0]) for name, values in params.items()})
+    return Mixture._of_grid(family, params)
 
 
 def build_scenario(

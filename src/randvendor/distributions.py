@@ -22,6 +22,8 @@ means on both sides of zero, keeps that sum. A quadrature over a stacked
 mixture is one vector quadrature over the stack, one value per component,
 summed with the weights; across more kinks than that repays
 (``vector_pays``), each component takes a scalar quadrature of its own.
+A stack is built from parameter arrays, so a compound built from its grid
+of parameters creates component objects only for the paths that walk them.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -31,6 +33,7 @@ and never touches global state.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -604,6 +607,10 @@ class Mixture(Distribution):
     evaluates and samples as one stacked family (``_Stack``): each kernel is
     one array call over the components. Mixed families, and truncated normals
     with means on both sides of zero, keep the sum over their components.
+
+    A compound is built from its parameter grid (``_of_grid``) and holds no
+    component objects: ``components`` creates them on first use, for the
+    paths that walk them.
     """
 
     def __init__(self, components):
@@ -618,9 +625,24 @@ class Mixture(Distribution):
         total = math.fsum(w for w, _ in comps)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total}")
-        self.components = tuple(comps)
-        self._closed_form_max = all(d._closed_form_max for _, d in comps)
+        self._init(np.array([w for w, _ in comps]), tuple(comps), None)
+
+    @classmethod
+    def _of_grid(cls, family: type, params: dict[str, np.ndarray]) -> Mixture:
+        """The equal-weight mixture of ``family`` over parameter arrays keyed
+        as in its record, every entry of which is valid (``valid_parameters``)."""
+        size = next(iter(params.values())).size
+        mix = cls.__new__(cls)
+        mix._init(np.full(size, 1.0 / size), None, (family, params))
+        return mix
+
+    def _init(self, weights, components, grid):
+        self._weights = weights
+        self._components = components
+        # (family, parameter arrays) of a mixture built from its grid
+        self._grid = grid
         # built on first use, so that constructing a compound stays cheap
+        self._closed_form = None
         self._mean = None
         # (u, quantile(u)) of the last call: a command asks for q* repeatedly
         self._last_quantile = None
@@ -632,30 +654,70 @@ class Mixture(Distribution):
         self._strata = None
 
     @property
+    def components(self) -> tuple:
+        """(weight, distribution) pairs; a mixture built from its grid creates
+        them on first use."""
+        if self._components is None:
+            family, params = self._grid
+            columns = [params[name].tolist() for name in _STACKS[family].params]
+            weights = self._weights.tolist()
+            self._components = tuple(
+                (w, family(*args)) for w, args in zip(weights, zip(*columns))
+            )
+        return self._components
+
+    @property
+    def _closed_form_max(self):
+        if self._closed_form is None:
+            stack = self._stacked()
+            if stack is not None:
+                self._closed_form = stack.closed_form_max()
+            else:
+                self._closed_form = all(d._closed_form_max for _, d in self.components)
+        return self._closed_form
+
+    @property
     def has_density(self):
         if self._has_density is None:
-            self._has_density = all(d.has_density for _, d in self.components)
+            self._has_density = self._stacked() is not None or all(
+                d.has_density for _, d in self.components
+            )
         return self._has_density
 
     def support(self):
         if self._support is None:
-            lo = min(d.support()[0] for _, d in self.components)
-            hi = max(d.support()[1] for _, d in self.components)
-            self._support = (lo, hi)
+            stack = self._stacked()
+            if stack is not None:
+                self._support = stack.support()
+            else:
+                lo = min(d.support()[0] for _, d in self.components)
+                hi = max(d.support()[1] for _, d in self.components)
+                self._support = (lo, hi)
         return self._support
+
+    def _family(self):
+        """The one class of every component, else None."""
+        if self._grid is not None:
+            return self._grid[0]
+        family = type(self._components[0][1])
+        return family if all(type(d) is family for _, d in self._components) else None
 
     def _stacked(self):
         """The components as one ``_Stack`` when they share a parametric
         family, else None."""
         if self._stack is None:
-            dists = [d for _, d in self.components]
-            family = type(dists[0])
+            self._stack = False
+            family = self._family()
             stack = _STACKS.get(family)
-            shared = stack is not None and all(type(d) is family for d in dists)
-            if shared and stack.accepts(dists):
-                self._stack = stack(dists, self._sampling_tables()[0])
-            else:
-                self._stack = False
+            if stack is not None:
+                if self._grid is not None:
+                    params = self._grid[1]
+                else:
+                    # a hand-built mixture: its components' records, once
+                    records = [d.to_dict() for _, d in self._components]
+                    params = {name: np.array([r[name] for r in records]) for name in stack.params}
+                if stack.accepts(params):
+                    self._stack = stack(params, self._weights)
         return self._stack or None
 
     def cdf(self, x):
@@ -672,7 +734,11 @@ class Mixture(Distribution):
 
     def mean(self):
         if self._mean is None:
-            self._mean = math.fsum(w * d.mean() for w, d in self.components)
+            stack = self._stacked()
+            if stack is not None:
+                self._mean = stack.combine(stack.means())
+            else:
+                self._mean = math.fsum(w * d.mean() for w, d in self.components)
         return self._mean
 
     def _quantile(self, u):
@@ -733,7 +799,7 @@ class Mixture(Distribution):
         that owns c / g; every u in cell c belongs to that one or a later one.
         """
         if self._strata is None:
-            weights = np.array([w for w, _ in self.components])
+            weights = self._weights
             edges = np.concatenate(([0.0], np.cumsum(weights)))
             edges[-1] = 1.0
             # the last component also takes u >= 1, as a clip would
@@ -761,10 +827,10 @@ class Mixture(Distribution):
 
     def atoms(self):
         # cached read-only, since every caller shares the arrays; False when
-        # a component is not atomic
+        # a component is not atomic, as no member of a stack's family is
         if self._atoms is None:
-            parts = [d.atoms() for _, d in self.components]
             self._atoms = False
+            parts = [None] if self._stacked() else [d.atoms() for _, d in self.components]
             if all(p is not None for p in parts):
                 values = np.concatenate([vals for vals, _ in parts])
                 weights = np.concatenate(
@@ -824,32 +890,52 @@ class Mixture(Distribution):
 class _Stack:
     """A mixture of one parametric family as arrays over its components.
 
-    Parameter arrays carry the family's own attribute names, so the family's
-    ``_inverse_cdf`` samples from them through ``_Gathered``. The kernels take
-    a scalar argument and return one value per component (or 0.0 where all
-    vanish), computed by the same IEEE operations and functions as the scalar
-    kernels, so that every weighted sum equals the per-component one bit for
-    bit; ``cdf(x, fast=True)`` and ``pdf(x, fast=True)``, for quadrature
+    It is built from the family's parameters, one array each, keyed as in the
+    family's record and in the order of its constructor (``params``); every
+    entry must pass ``valid``. ``_derive`` computes the constants of the
+    scalar constructor by the same expressions, under the family's own
+    attribute names (``fields`` are those its ``_inverse_cdf`` reads), so the
+    family samples from them through ``_Gathered``. The kernels take a scalar
+    argument and return one value per component (or 0.0 where all vanish),
+    computed by the same IEEE operations and functions as the scalar kernels,
+    so that every weighted sum equals the per-component one bit for bit;
+    ``cdf(x, fast=True)`` and ``pdf(x, fast=True)``, for quadrature
     integrands, may differ in the last bit.
     """
 
     family: type
+    params: tuple[str, ...]
     fields: tuple[str, ...]
 
-    def __init__(self, dists, weights: np.ndarray):
+    def __init__(self, params: dict[str, np.ndarray], weights: np.ndarray):
         self.weights = weights
         self.size = weights.size
-        for name in self.fields:
-            setattr(self, name, np.array([getattr(d, name) for d in dists]))
-        self._derive(dists)
+        self._derive(**params)
 
     @staticmethod
-    def accepts(dists) -> bool:
-        """Whether these components of the family can share one stack."""
+    def valid(**params) -> np.ndarray:
+        """Per entry, whether the family's constructor accepts the parameters."""
+        raise NotImplementedError
+
+    @staticmethod
+    def accepts(params) -> bool:
+        """Whether these members of the family can share one stack."""
         return True
 
-    def _derive(self, dists) -> None:
-        """Per-component constants, computed by the scalar expressions."""
+    def _derive(self, **params) -> None:
+        raise NotImplementedError
+
+    def means(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def closed_form_max(self) -> bool:
+        """``Mixture._closed_form_max`` of the components."""
+        return self.family._closed_form_max
+
+    def support(self) -> tuple[float, float]:
+        """``Mixture.support`` of the components: the three families other
+        than the uniform are supported on [0, inf)."""
+        return (0.0, math.inf)
 
     def combine(self, values) -> float:
         """sum_i w_i values_i, accurately rounded, as the per-component sum:
@@ -909,7 +995,27 @@ def _norm_pdf_array(z: np.ndarray, fast: bool = False) -> np.ndarray:
 
 class _UniformStack(_Stack):
     family = Uniform
+    params = ("lo", "hi")
     fields = ("lo", "hi", "_width")
+
+    @staticmethod
+    def valid(lo, hi):
+        return np.isfinite(lo) & np.isfinite(hi) & (0.0 <= lo) & (lo < hi)
+
+    def _derive(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        self._width = hi - lo
+
+    def means(self):
+        return 0.5 * (self.lo + self.hi)
+
+    def closed_form_max(self):
+        return bool(np.all(self._width >= _MIN_UNIFORM_WIDTH * self.hi))
+
+    def support(self):
+        # by Python's min and max, which order 0.0 and -0.0 as the
+        # per-component walk does
+        return (min(self.lo.tolist()), max(self.hi.tolist()))
 
     def cdf(self, x, fast=False):
         return np.clip((x - self.lo) / self._width, 0.0, 1.0)
@@ -932,7 +1038,17 @@ class _UniformStack(_Stack):
 
 class _ExponentialStack(_Stack):
     family = Exponential
-    fields = ("rate",)
+    params = fields = ("rate",)
+
+    @staticmethod
+    def valid(rate):
+        return np.isfinite(rate) & (rate > 0.0)
+
+    def _derive(self, rate):
+        self.rate = rate
+
+    def means(self):
+        return 1.0 / self.rate
 
     def cdf(self, x, fast=False):
         return -_expm1_array(-self.rate * x, fast) if x > 0.0 else 0.0
@@ -969,12 +1085,23 @@ class _ExponentialStack(_Stack):
 
 class _LogNormalStack(_Stack):
     family = LogNormal
-    fields = ("log_mean", "log_sd")
+    params = fields = ("log_mean", "log_sd")
 
-    def _derive(self, dists):
-        self.log_var = np.array([d.log_sd**2 for d in dists])
-        self.mean = np.array([d.mean() for d in dists])
-        self.m2_scale = np.array([math.exp(2.0 * (d.log_mean + d.log_sd**2)) for d in dists])
+    @staticmethod
+    def valid(log_mean, log_sd):
+        return np.isfinite(log_mean) & np.isfinite(log_sd) & (log_sd > 0.0)
+
+    def _derive(self, log_mean, log_sd):
+        self.log_mean, self.log_sd = log_mean, log_sd
+        # squared by pow, as the scalar kernels square log_sd: in about one
+        # case in a thousand it rounds differently from log_sd * log_sd
+        squares = map(math.pow, log_sd.tolist(), itertools.repeat(2.0))
+        self.log_var = np.fromiter(squares, float, log_sd.size)
+        self._means = _math_map(math.exp, log_mean + 0.5 * self.log_var)
+        self.m2_scale = _math_map(math.exp, 2.0 * (log_mean + self.log_var))
+
+    def means(self):
+        return self._means
 
     def cdf(self, x, fast=False):
         if x <= 0.0:
@@ -990,7 +1117,7 @@ class _LogNormalStack(_Stack):
     def _partial_expectation(self, q):
         if q <= 0.0:
             return 0.0
-        return self.mean * ndtr((math.log(q) - self.log_mean - self.log_var) / self.log_sd)
+        return self._means * ndtr((math.log(q) - self.log_mean - self.log_var) / self.log_sd)
 
     def _second_partial_moment(self, q):
         if q <= 0.0:
@@ -1007,17 +1134,36 @@ class _LogNormalStack(_Stack):
 
 class _TruncatedNormalStack(_Stack):
     family = TruncatedNormal
+    params = ("mean", "sd")
     fields = ("norm_mean", "norm_sd", "_f0", "_z")
 
     @staticmethod
-    def accepts(dists):
-        # one tail form for all: compound means are never negative, so a
-        # mixture of both signs is only ever written by hand
-        return len({d._upper_tail for d in dists}) == 1
+    def valid(mean, sd):
+        # no mass on [0, inf) where Z = Phi(-alpha), alpha = -mean / sd, underflows
+        alpha = -mean / sd
+        return np.isfinite(mean) & np.isfinite(sd) & (sd > 0.0) & (ndtr(-alpha) > 0.0)
 
-    def _derive(self, dists):
-        self._upper_tail = dists[0]._upper_tail
-        self._pdf_alpha = np.array([_norm_pdf(d._alpha) for d in dists])
+    @staticmethod
+    def accepts(params):
+        # one tail form for all: a compound's uncertain means are quantiles
+        # of a distribution on [0, inf), so a grid of both signs is only
+        # ever written by hand
+        upper = -params["mean"] / params["sd"] > 0.0
+        return bool(upper.all() or not upper.any())
+
+    def _derive(self, mean, sd):
+        self.norm_mean, self.norm_sd = mean, sd
+        alpha = -mean / sd
+        self._f0 = ndtr(alpha)
+        self._z = ndtr(-alpha)
+        self._upper_tail = bool(alpha[0] > 0.0)
+        self._pdf_alpha = _norm_pdf_array(alpha)
+
+    def means(self):
+        # _truncnorm_mean, element-wise
+        m, s = self.norm_mean, self.norm_sd
+        z = m / s
+        return m + s * _math_map(math.exp, -0.5 * z * z - _LOG_ROOT_2PI - log_ndtr(z))
 
     def _mass(self, beta):
         if self._upper_tail:
@@ -1058,6 +1204,18 @@ _STACKS = {
     stack.family: stack
     for stack in (_UniformStack, _ExponentialStack, _LogNormalStack, _TruncatedNormalStack)
 }
+
+
+def valid_parameters(family: type, params: dict[str, np.ndarray]) -> np.ndarray:
+    """Which entries of the parameter arrays, keyed as in the record of the
+    parametric ``family``, make a member of it: exactly those for which its
+    constructor does not raise, by one array test."""
+    stack = _STACKS.get(family)
+    if stack is None:
+        raise ValueError(f"{family.__name__} is not a parametric family")
+    # non-finite and zero entries fail the test; they need not warn
+    with np.errstate(all="ignore"):
+        return stack.valid(**params)
 
 
 class UpperTruncated(Distribution):
@@ -1189,7 +1347,7 @@ def _uniform_rank(d: Distribution) -> tuple:
     uniforms: the side the closed-form expected maximum integrates over."""
     if isinstance(d, Uniform):
         return (0, d.lo, d.hi)
-    if isinstance(d, Mixture) and all(isinstance(c, Uniform) for _, c in d.components):
+    if isinstance(d, Mixture) and d._family() is Uniform:
         return (1,)
     return (2,)
 

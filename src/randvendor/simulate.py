@@ -17,8 +17,10 @@ two-draw rows read the demand and order draws as m pairs, in the same
 columns as the standalone oracles, which therefore give the same reports
 bit for bit. The buffers belong to one call of the pass; every row is
 written into one reused row buffer and its deviations are squared there.
-Samplers that gather per draw (empirical, mixture, upper-truncated) work
-through blocks of at most 65,536 draws, so their temporaries stay small.
+The standalone ``simulate_expected_max`` likewise samples its two columns
+into buffers of its own and takes the maximum in place. Samplers that
+gather per draw (empirical, mixture, upper-truncated) work through blocks
+of at most 65,536 draws, so their temporaries stay small.
 """
 
 from __future__ import annotations
@@ -184,13 +186,6 @@ def _profit_transform(params: MarketParams, demand: Distribution, policy: OrderP
     return transform, 2
 
 
-def _max_transform(dist_a: Distribution, dist_b: Distribution):
-    def transform(u):
-        return np.maximum(dist_a.from_uniform(u[:, 0]), dist_b.from_uniform(u[:, 1]))
-
-    return transform
-
-
 def simulate_profit(
     params: MarketParams, demand: Distribution, policy: OrderPolicy, cfg: SimConfig
 ) -> SimReport:
@@ -222,8 +217,34 @@ def simulate_profit_squared_deviation(
 def simulate_expected_max(
     dist_a: Distribution, dist_b: Distribution, cfg: SimConfig
 ) -> SimReport:
-    """E[max(X, Y)] for independent draws; the oracle for the quadrature path."""
-    return simulate_values(_max_transform(dist_a, dist_b), 2, cfg)
+    """E[max(X, Y)] for independent draws; the oracle for the quadrature path.
+
+    X samples column 0 and Y column 1 of each batch's (m, 2) draws, each into
+    a buffer this call owns, and the maximum is taken in X's buffer.
+    """
+    acc = _Accumulator()
+    m_max = min(_batch_plan(cfg))
+    n_halves = 2 if cfg.antithetic else 1
+    flipped = np.empty(2 * m_max) if cfg.antithetic else None
+    a_bufs = [np.empty(m_max) for _ in range(n_halves)]
+    b_bufs = [np.empty(m_max) for _ in range(n_halves)]
+
+    for u in _batches(cfg, 2):
+        m = u.size // 2
+        halves = [u]
+        if cfg.antithetic:
+            halves.append(np.subtract(1.0, u, out=flipped[: 2 * m]))
+        rows = []
+        for h, a_buf, b_buf in zip(halves, a_bufs, b_bufs):
+            row = dist_a.from_uniform(h[0::2], out=a_buf[:m])
+            np.maximum(row, dist_b.from_uniform(h[1::2], out=b_buf[:m]), out=row)
+            rows.append(row)
+        values = rows[0]
+        if cfg.antithetic:
+            values += rows[1]
+            values *= 0.5
+        acc.add_batch(values, owned=True)
+    return acc.report()
 
 
 def simulate_validation(

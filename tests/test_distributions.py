@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from randvendor import (
@@ -20,7 +22,7 @@ from randvendor import (
     expected_max,
     expected_min,
 )
-from randvendor.distributions import _expected_max_densities
+from randvendor.distributions import _expected_max_densities, valid_parameters
 
 CONTINUOUS = [
     Uniform(0.0, 1.0),
@@ -701,6 +703,88 @@ class TestValidation:
     def test_empirical_has_no_density(self):
         with pytest.raises(ValueError):
             Empirical([1.0]).pdf(1.0)
+
+
+# constructor arguments of each parametric family, as keyed in its record
+PARAMETRIC = {
+    Uniform: ("lo", "hi"),
+    Exponential: ("rate",),
+    LogNormal: ("log_mean", "log_sd"),
+    TruncatedNormal: ("mean", "sd"),
+}
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1.0, 1.0, math.inf, -math.inf, math.nan]
+# any float, including non-finite, zero and negative ones
+_ANY_PARAMETER = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES))
+
+
+@st.composite
+def _parameter_rows(draw, family):
+    width = len(PARAMETRIC[family])
+    row = st.tuples(*[_ANY_PARAMETER] * width)
+    if family is TruncatedNormal:
+        # mean / sd around -38, where Z = Phi(mean / sd) underflows to zero
+        sd = st.floats(1e-3, 1e3)
+        ratio = st.floats(30.0, 45.0)
+        row = st.one_of(row, st.builds(lambda s, r: (-r * s, s), sd, ratio))
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+def _constructs(family, args) -> bool:
+    try:
+        family(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidParameters:
+    """valid_parameters, one array test per family, accepts exactly the
+    parameters the family's constructor accepts."""
+
+    @pytest.mark.parametrize("family", list(PARAMETRIC), ids=lambda f: f.__name__)
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_constructor(self, family, data):
+        rows = data.draw(_parameter_rows(family))
+        params = {name: np.array([r[i] for r in rows]) for i, name in enumerate(PARAMETRIC[family])}
+        expected = [_constructs(family, r) for r in rows]
+        assert valid_parameters(family, params).tolist() == expected
+
+    def test_truncated_normal_underflow(self):
+        params = {"mean": np.array([-40.0, -20.0]), "sd": np.array([1.0, 1.0])}
+        assert valid_parameters(TruncatedNormal, params).tolist() == [False, True]
+        with pytest.raises(ValueError, match="no mass"):
+            TruncatedNormal(-40.0, 1.0)
+
+    def test_rejects_non_parametric_family(self):
+        with pytest.raises(ValueError, match="parametric"):
+            valid_parameters(Empirical, {"values": np.array([1.0])})
+
+
+@st.composite
+def _parametric_members(draw, family):
+    if family is Uniform:
+        lo = draw(st.floats(0.0, 10.0))
+        return Uniform(lo, lo + draw(st.floats(0.01, 10.0)))
+    if family is Exponential:
+        return Exponential(draw(st.floats(0.01, 100.0)))
+    if family is LogNormal:
+        return LogNormal(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 2.0)))
+    sd = draw(st.floats(0.1, 5.0))
+    return TruncatedNormal(draw(st.floats(-8.0, 8.0)) * sd, sd)
+
+
+@pytest.mark.parametrize("family", list(PARAMETRIC), ids=lambda f: f.__name__)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), u=st.floats(0.01, 0.99))
+def test_integrated_cdf_derivative_is_cdf(family, data, u):
+    """d/dq int_0^q F = F(q), by a central difference at a quantile q; the
+    step is a small share of the interquartile range and at most q / 2."""
+    dist = data.draw(_parametric_members(family))
+    q = dist.quantile(u)
+    h = min(1e-4 * (dist.quantile(0.75) - dist.quantile(0.25)), 0.5 * q)
+    slope = (dist.integrated_cdf(q + h) - dist.integrated_cdf(q - h)) / (2.0 * h)
+    assert slope == pytest.approx(dist.cdf(q), abs=1e-6)
 
 
 class TestUpperTruncation:
