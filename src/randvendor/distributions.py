@@ -18,10 +18,13 @@ A mixture whose components share one parametric family is evaluated and
 sampled as one stacked family (``_Stack``), one array call per kernel and
 per Monte-Carlo batch, with the same results bit for bit as the sum over its
 components; a mixture of different families, or of truncated normals with
-means on both sides of zero, keeps that sum. A quadrature over a stacked
-mixture is one vector quadrature over the stack, one value per component,
-summed with the weights; across more kinks than that repays
-(``vector_pays``), each component takes a scalar quadrature of its own.
+means on both sides of zero, keeps that sum. A survival integral of a stacked
+mixture is one scalar quadrature of its own survival function, and each half
+of an expected maximum one vector quadrature over the stack, one value per
+component, summed with the weights; across more kinks than either repays
+(``vector_pays``), each component takes a scalar quadrature of its own. Its
+quantile is bisected on a numpy sum whose rounding is bounded, falling back
+to the accurately rounded sum only where the bound leaves the step open.
 A stack is built from parameter arrays, so a compound built from its grid
 of parameters creates component objects only for the paths that walk them.
 
@@ -43,6 +46,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._quad import TAIL_PROB, integrate, integrate_vector, vector_pays
 
+_EPS = math.ulp(1.0)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 # A uniform narrower than this share of its upper end is left out of the
@@ -213,7 +217,7 @@ class Distribution:
 
     def _order_key(self) -> str:
         """The record as canonical JSON, cached; expected_max orders its
-        arguments by it."""
+        arguments by it (``_sorts_before``)."""
         key = getattr(self, "_key_cache", None)
         if key is None:
             key = json.dumps(self.to_dict(), sort_keys=True)
@@ -753,15 +757,17 @@ class Mixture(Distribution):
         stack = self._stacked()
         if stack is not None:
             lo, hi = stack.quantile_range(u)
+            reaches = stack.cdf_reaches
         else:
             lo = min(d._quantile(u) for _, d in self.components)
             hi = max(d._quantile(u) for _, d in self.components)
+            reaches = lambda x, u: self.cdf(x) >= u  # noqa: E731
         if hi <= lo:
             return lo
         # generalized inverse by bisection; handles flat segments and jumps
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= u:
+            if reaches(mid, u):
                 hi = mid
             else:
                 lo = mid
@@ -867,15 +873,19 @@ class Mixture(Distribution):
 
     def _survival_integral(self, q, weighted=False):
         # quadrature of F on either path, so it checks the stacked M1 and M2
-        # independently
+        # independently: a stack takes one scalar quadrature of its own
+        # survival function, split at every kink, unless its components'
+        # kinks make one quadrature each cheaper (vector_pays)
         stack, pts = self._stacked(), self.breakpoints()
         if stack is None or not vector_pays(stack.size, 0.0, q, pts):
             return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
-        if weighted:
-            survival = lambda t: t * (1.0 - stack.cdf(t, fast=True))  # noqa: E731
-        else:
-            survival = lambda t: 1.0 - stack.cdf(t, fast=True)  # noqa: E731
-        return stack.combine(integrate_vector(survival, 0.0, q, stack.size, pts))
+        weights = stack.weights
+
+        def survival(t):
+            tail = 1.0 - float(np.sum(weights * stack.cdf(t, fast=True)))
+            return t * tail if weighted else tail
+
+        return integrate(survival, 0.0, q, pts, every_point=True)
 
     def to_dict(self):
         return {
@@ -941,6 +951,23 @@ class _Stack:
         """sum_i w_i values_i, accurately rounded, as the per-component sum:
         the products are the same IEEE operations."""
         return math.fsum((self.weights * values).tolist())
+
+    def cdf_reaches(self, x: float, u: float) -> bool:
+        """Whether ``combine(cdf(x)) >= u``, bit for bit, mostly without the
+        exact sum. In whatever order numpy adds the products, its sum s is
+        within size * eps * sum|products| of their exact sum, and the products
+        of positive weights and CDF values are not negative, so that bound is
+        size * eps * s. The exact sum therefore exceeds u when s - bound > u,
+        and rounds below u when s + bound is below u's float predecessor; only
+        the steps in between, next to the quantile, take ``combine``."""
+        values = self.cdf(x)
+        total = float(np.sum(self.weights * values))
+        bound = self.size * _EPS * total
+        if total - bound > u:
+            return True
+        if total + bound < math.nextafter(u, -math.inf):
+            return False
+        return self.combine(values) >= u
 
     def breakpoints(self) -> tuple[float, ...]:
         """``Mixture.breakpoints`` of the components: the three families
@@ -1315,9 +1342,27 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
         if rank_a < rank_b:
             # a mixture of uniforms against anything but another one
             return math.fsum(w * _expected_max_uniform(u, dist_b) for w, u in dist_a.components)
-    if dist_b._order_key() < dist_a._order_key():
+    if _sorts_before(dist_b, dist_a):
         dist_a, dist_b = dist_b, dist_a
     return _expected_max(dist_a, dist_b)
+
+
+def _sorts_before(a: Distribution, b: Distribution) -> bool:
+    """Whether a's record sorts before b's as canonical JSON (``_order_key``).
+    A mixture's record begins '{"components"' and every other one
+    '{"family"', an upper truncation keeping its base's first key; so only
+    two mixtures need their full records, which create every component."""
+    mixture_a, mixture_b = _mixture_record(a), _mixture_record(b)
+    if mixture_a != mixture_b:
+        return mixture_a
+    return a._order_key() < b._order_key()
+
+
+def _mixture_record(d: Distribution) -> bool:
+    """Whether d's record is a mixture's, or an upper truncation of one."""
+    if isinstance(d, UpperTruncated):
+        d = d.base
+    return isinstance(d, Mixture)
 
 
 def expected_min(dist_a: Distribution, dist_b: Distribution) -> float:

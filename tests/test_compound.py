@@ -18,9 +18,11 @@ from randvendor import (
     build_scenario,
     compound_of,
     distribution_from_dict,
+    expected_max,
 )
 from randvendor.cli import main
 from randvendor.distributions import _generator
+from randvendor.policy import build_order_dist
 
 
 def hi_uncertainty(lo, hi):
@@ -386,3 +388,31 @@ def test_10k_compound_commands_build_no_component_objects(tmp_path, monkeypatch)
         assert main([command, str(path), "--json", str(tmp_path / f"{command}.json")]) == 0
         # the estimated and the true demand of the scenario file
         assert built == [(0.0, 0.5), (0.1, 0.6)], command
+
+
+@pytest.mark.parametrize("order_family", ["lognormal", "truncated_normal"])
+def test_ordering_an_order_against_a_10k_compound_builds_no_component(order_family, monkeypatch):
+    """expected_max puts its arguments in the order of their records'
+    canonical JSON; against a grid-built compound, only the order itself is
+    built, and swapping the arguments keeps every bit."""
+    mix = compound_of(
+        LogNormal(0.0, 0.5),
+        [
+            ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
+            ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
+        ],
+        nodes=100,
+    )
+    q = mix.quantile(0.6)
+    built = []
+    init = LogNormal.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LogNormal, "__init__", counting_init)
+    order = build_order_dist(order_family, (0.3,), q, True)
+    value = expected_max(order, mix)
+    assert expected_max(mix, order).hex() == value.hex()
+    assert built == ([(order.log_mean, order.log_sd)] if order_family == "lognormal" else [])

@@ -1,6 +1,7 @@
 """The closed-form expected maximum against a uniform, checked against
 40-digit mpmath, the quadrature path, Monte Carlo and property identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +19,12 @@ from randvendor import (  # noqa: E402
     LogNormal,
     Mixture,
     NumericalIntegrityError,
+    ParameterUncertainty,
     SimConfig,
     TruncatedNormal,
     Uniform,
     UpperTruncated,
+    compound_of,
     expected_max,
     simulate_expected_max,
 )
@@ -29,6 +32,7 @@ from randvendor.distributions import (  # noqa: E402
     _expected_max_densities,
     _MIN_UNIFORM_WIDTH,
     _expected_max_over_atoms,
+    _sorts_before,
 )
 from randvendor.policy import build_order_dist  # noqa: E402
 
@@ -202,6 +206,26 @@ def test_uniform_mixture_with_a_narrow_component_keeps_quadrature():
     mix = Mixture([(0.5, Uniform(1.0, 3.0)), (0.5, Uniform(2.0, 2.0 + 1e-9))])
     order = LogNormal(0.5, 0.3)
     assert expected_max(mix, order) == _expected_max_densities(mix, order)
+
+
+def test_argument_order_is_that_of_the_canonical_records():
+    # a mixture's record, or an upper truncation's of one, sorts first
+    # without being built; two of them compare their full records
+    mixture = Mixture([(0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.4))])
+    dists = [
+        Uniform(0.2, 1.0),
+        Exponential(1.3),
+        LogNormal(0.1, 0.4),
+        TruncatedNormal(1.0, 0.5),
+        Empirical([0.5, 1.5]),
+        UpperTruncated(LogNormal(0.0, 0.5), 2.0),
+        mixture,
+        UpperTruncated(mixture, 1.5),
+        Mixture([(0.5, mixture), (0.5, LogNormal(0.0, 1.0))]),
+        compound_of(LogNormal(0.0, 0.5), [ParameterUncertainty("log_sd", Uniform(0.4, 0.7))], 4),
+    ]
+    for a, b in itertools.product(dists, repeat=2):
+        assert _sorts_before(a, b) == (a._order_key() < b._order_key())
 
 
 # -- property tests -------------------------------------------------------------

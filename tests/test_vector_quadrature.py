@@ -1,5 +1,11 @@
-"""Quadrature over a stacked mixture: one vector integral over its components
-for the survival integrals and for each half of the expected maximum."""
+"""Quadrature over a stacked mixture: one scalar quadrature of the mixture's
+own survival function for each survival integral, split at every kink, and
+one vector integral over its components for each half of the expected
+maximum; across more kinks than that repays, one quadrature per component.
+Also the bisection of a stacked mixture's quantile, whose steps are decided
+by a bounded numpy sum."""
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +27,8 @@ from randvendor import (  # noqa: E402
     compound_of,
     expected_max,
     optimal_profit,
+    optimal_profit_variance,
+    optimal_quantity,
     simulate_expected_max,
 )
 from randvendor import _quad, distributions  # noqa: E402
@@ -153,6 +161,186 @@ def test_breakpoints_from_parameter_arrays(name):
     points = mix.breakpoints()
     assert points == walk
     assert all(type(p) is float for p in points)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_survival_integral_of_a_stack_is_one_scalar_quadrature(name, monkeypatch):
+    mix = _fresh(name)
+    q = mix.quantile(0.7)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return _quad.integrate(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vector quadrature")
+
+    monkeypatch.setattr(distributions, "integrate", counted)
+    monkeypatch.setattr(distributions, "integrate_vector", refuse)
+    for method in (mix.survival_integral, mix.weighted_survival_integral):
+        calls.clear()
+        assert method(q) > 0.0
+        assert calls == [(0.0, q)]
+
+
+def test_more_kinks_than_the_subinterval_limit():
+    # 7,040 uniforms over 160 distinct lo and 160 distinct hi: 320 interior
+    # kinks, more than quad's own subinterval limit, each of which splits
+    lows = (0.2 + 0.6 * np.arange(160) / 160).tolist()
+    highs = (1.5 + np.arange(160) / 160).tolist()
+    pairs = [(lo, highs[(i + k) % 160]) for i, lo in enumerate(lows) for k in range(44)]
+    mix = Mixture([(1.0 / len(pairs), Uniform(lo, hi)) for lo, hi in pairs])
+    assert mix._stacked() is not None
+    pts = mix.breakpoints()
+    assert sum(1 for p in pts if 0.0 < p < 2.6) == 320 > _quad._LIMIT
+    for q in (mix.quantile(0.5), 2.6):
+        assert _quad.vector_pays(len(pairs), 0.0, q, pts)
+        tol = 1e-10 * max(1.0, q * q)
+        assert abs(mix.survival_integral(q) + mix.integrated_cdf(q) - q) <= tol
+        weighted = mix.weighted_survival_integral(q) + mix.weighted_integrated_cdf(q)
+        assert abs(weighted - 0.5 * q * q) <= tol
+
+
+def test_integrate_splits_at_every_point_only_when_asked(monkeypatch):
+    seen = []
+
+    def quad(fn, lo, hi, points=None, limit=None, **kwargs):
+        seen.append((len(points), limit))
+        return 1.0, 0.0
+
+    monkeypatch.setattr(_quad._integrate, "quad", quad)
+    pts = np.linspace(0.001, 0.999, 400)
+    _quad.integrate(lambda t: 1.0, 0.0, 1.0, pts)
+    _quad.integrate(lambda t: 1.0, 0.0, 1.0, pts, every_point=True)
+    assert seen == [(_quad._MAX_POINTS, _quad._LIMIT), (400, 400 + _quad._LIMIT)]
+
+
+# -- profit forms over random compounds ----------------------------------------------
+
+
+def _ranges(draw, unit, lo, hi):
+    """A uniform uncertainty, ``unit`` times a range that starts at a random
+    point of [lo, hi] and is 0.05 to 1 wide."""
+    start = draw(st.floats(lo, hi))
+    return Uniform(start * unit, (start + draw(st.floats(0.05, 1.0))) * unit)
+
+
+@st.composite
+def random_compounds(draw, family):
+    """A compound of ``family`` over random parameter ranges, large enough
+    that its survival integrals take one scalar quadrature; truncated normals
+    stay out of their deep tails."""
+    if family == "uniform":
+        low = _ranges(draw, 1.0, 0.0, 5.0)
+        high = _ranges(draw, 1.0, low.hi + 0.05, low.hi + 3.0)
+        return compound_of(
+            Uniform(low.mean(), high.mean()),
+            [ParameterUncertainty("lo", low), ParameterUncertainty("hi", high)],
+            nodes=48,
+        )
+    if family == "exponential":
+        rate = _ranges(draw, 1.0, 0.05, 5.0)
+        return compound_of(Exponential(rate.mean()), [ParameterUncertainty("rate", rate)], 60)
+    if family == "lognormal":
+        log_mean = _ranges(draw, 1.0, 0.0, 3.0)
+        log_sd = _ranges(draw, 0.5, 0.1, 1.5)
+        uncertain = [
+            ParameterUncertainty("log_mean", log_mean),
+            ParameterUncertainty("log_sd", log_sd),
+        ]
+        return compound_of(LogNormal(log_mean.mean(), log_sd.mean()), uncertain, 12)
+    scale = draw(st.floats(1.0, 20.0))
+    mean = _ranges(draw, scale, 0.5, 2.0)
+    sd = _ranges(draw, scale, 0.1, 1.0)
+    uncertain = [ParameterUncertainty("mean", mean), ParameterUncertainty("sd", sd)]
+    return compound_of(TruncatedNormal(mean.mean(), sd.mean()), uncertain, 12)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), p=st.floats(1.5, 10.0), share=st.floats(0.05, 0.95))
+def test_profit_forms_agree_on_random_compounds(name, data, p, share):
+    mix = data.draw(random_compounds(name))
+    market = MarketParams(p=p, w=share * p)
+    q = optimal_quantity(market, mix)
+    assert _quad.vector_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
+    # each cross-checks a closed form against the scalar survival quadrature
+    optimal_profit(market, mix)
+    optimal_profit_variance(market, mix)
+    assert abs(mix.survival_integral(q) + mix.integrated_cdf(q) - q) <= 1e-10 * max(1.0, q * q)
+
+
+# -- the quantile of a stack by bounded-sum bisection -----------------------------------
+
+
+def _exact_bisection(mix, u):
+    """The bisection of ``Mixture._bisect_quantile`` with every step decided
+    by the accurately rounded sum, ``mix.cdf``."""
+    lo, hi = mix._stacked().quantile_range(u)
+    if hi <= lo:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mix.cdf(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    return hi
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    u=st.one_of(
+        st.sampled_from([1e-12, 1.0 - _quad.TAIL_PROB]), st.floats(1e-12, 1.0 - _quad.TAIL_PROB)
+    )
+)
+def test_bounded_sum_bisection_is_exact(name, u):
+    mix = STACKED[name]
+    q = mix._bisect_quantile(u)
+    assert q.hex() == _exact_bisection(mix, u).hex()
+    # every decision next to the quantile, where the numpy sum alone could err
+    stack, x = mix._stacked(), q
+    for _ in range(16):
+        x = math.nextafter(x, -math.inf)
+    for _ in range(32):
+        assert stack.cdf_reaches(x, u) == (mix.cdf(x) >= u)
+        x = math.nextafter(x, math.inf)
+
+
+def test_quantile_of_10k_compound_takes_the_exact_sum_on_few_steps(monkeypatch):
+    def compound():
+        uncertain = [
+            ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
+            ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
+        ]
+        return compound_of(LogNormal(0.0, 0.5), uncertain, nodes=100)
+
+    u = MarketParams(p=3.0, w=1.2).critical_fractile
+    exact = _exact_bisection(compound(), u)
+    mix = compound()
+    stack = mix._stacked()
+    assert stack.size == 10_000
+    steps, exact_sums = [], []
+    decide = type(stack).cdf_reaches
+    combine = distributions._Stack.combine
+
+    def counted_step(self, x, u):
+        steps.append(x)
+        return decide(self, x, u)
+
+    def counted_sum(self, values):
+        exact_sums.append(1)
+        return combine(self, values)
+
+    monkeypatch.setattr(type(stack), "cdf_reaches", counted_step)
+    monkeypatch.setattr(distributions._Stack, "combine", counted_sum)
+    assert mix.quantile(u).hex() == exact.hex()
+    # 13 of its 49 steps take the exact sum
+    assert 0 < len(exact_sums) < len(steps) / 2
 
 
 def test_quantile_is_bisected_once_per_fractile(monkeypatch):
