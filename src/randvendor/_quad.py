@@ -1,7 +1,22 @@
-"""Adaptive quadrature wrapper shared by the distribution kernels."""
+"""Adaptive Gauss-Kronrod quadrature shared by the distribution kernels.
+
+``integrate`` is QUADPACK's ``dqagse``, or ``dqagpe`` when it is given
+interior points (Piessens et al., 1983): the 21-point Gauss-Kronrod rule
+``dqk21`` on every panel, its error formula, and bisection of the panel with
+the largest error estimate first until the estimates sum to no more than
+the tolerance. The epsilon-algorithm extrapolation of those routines is left
+out; it speeds up integrands with end-point singularities, and the kernels
+integrate none. ``integrate_vector`` is the same rule over a block of
+components at once, with the panel choice and stopping rule of
+``scipy.integrate.quad_vec`` under the max norm.
+"""
+
+import bisect
+import heapq
+import math
+import sys
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import NumericalIntegrityError
 
@@ -10,26 +25,255 @@ _EPSREL = 1e-10
 _LIMIT = 300
 _MAX_POINTS = 40
 
-# quad's error estimate may not exceed this, relative to max(1, |value|)
+# the rule's error estimate may not exceed this, relative to max(1, |value|)
 _MAX_ERROR = 1e-8
 
-# quad's and quad_vec's Gauss-Kronrod rule evaluates the integrand this often
-# per panel
-_VECTOR_EVALS_PER_PANEL = 21
+# the Gauss-Kronrod rule evaluates the integrand this often per panel
+_EVALS_PER_PANEL = 21
 
 # Infinite supports are cut at quantile(1 - TAIL_PROB); callers add an exact
 # tail term where one is available.
 TAIL_PROB = 1e-10
+
+# dqk21's abscissae in (0, 1], outermost first: the odd ones (in QUADPACK's
+# 1-based count) are Kronrod's, the even ones those of the 10-point Gauss
+# rule; the centre is the 21st node
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+# Kronrod weights of those abscissae, then of the centre
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+# Gauss weights of the even abscissae
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+# below this integral of |f| the rounding floor of dqk21's error is not applied
+_TINY_RESABS = _UFLOW / (50.0 * _EPMACH)
+
+
+def _gk21(f, a, b):
+    """QUADPACK's dqk21 over [a, b]: the Kronrod value, its error estimate,
+    the integral of |f| and that of |f - mean|. The 21 nodes and every sum
+    are unrolled, in dqk21's order, so a panel costs little beyond its 21
+    calls of ``f``."""
+    x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK
+    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = _WGK
+    g1, g2, g3, g4, g5 = _WG
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    # the Gauss nodes first, then Kronrod's, as dqk21 calls them
+    d = hlgth * x2
+    l2, r2 = f(centr - d), f(centr + d)
+    d = hlgth * x4
+    l4, r4 = f(centr - d), f(centr + d)
+    d = hlgth * x6
+    l6, r6 = f(centr - d), f(centr + d)
+    d = hlgth * x8
+    l8, r8 = f(centr - d), f(centr + d)
+    d = hlgth * x10
+    l10, r10 = f(centr - d), f(centr + d)
+    d = hlgth * x1
+    l1, r1 = f(centr - d), f(centr + d)
+    d = hlgth * x3
+    l3, r3 = f(centr - d), f(centr + d)
+    d = hlgth * x5
+    l5, r5 = f(centr - d), f(centr + d)
+    d = hlgth * x7
+    l7, r7 = f(centr - d), f(centr + d)
+    d = hlgth * x9
+    l9, r9 = f(centr - d), f(centr + d)
+    s1, s2, s3, s4, s5 = l1 + r1, l2 + r2, l3 + r3, l4 + r4, l5 + r5
+    s6, s7, s8, s9, s10 = l6 + r6, l7 + r7, l8 + r8, l9 + r9, l10 + r10
+    resg = g1 * s2 + g2 * s4 + g3 * s6 + g4 * s8 + g5 * s10
+    resk = (
+        k11 * fc + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8 + k10 * s10
+        + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9
+    )
+    # with no negative value, |f|'s sum is f's, term for term (a chain of
+    # comparisons costs less than min() of the 21)
+    if (
+        fc >= 0.0 and l1 >= 0.0 and r1 >= 0.0 and l2 >= 0.0 and r2 >= 0.0 and l3 >= 0.0
+        and r3 >= 0.0 and l4 >= 0.0 and r4 >= 0.0 and l5 >= 0.0 and r5 >= 0.0 and l6 >= 0.0
+        and r6 >= 0.0 and l7 >= 0.0 and r7 >= 0.0 and l8 >= 0.0 and r8 >= 0.0 and l9 >= 0.0
+        and r9 >= 0.0 and l10 >= 0.0 and r10 >= 0.0
+    ):
+        resabs = resk
+    else:
+        resabs = (
+            abs(k11 * fc)
+            + k2 * (abs(l2) + abs(r2)) + k4 * (abs(l4) + abs(r4)) + k6 * (abs(l6) + abs(r6))
+            + k8 * (abs(l8) + abs(r8)) + k10 * (abs(l10) + abs(r10))
+            + k1 * (abs(l1) + abs(r1)) + k3 * (abs(l3) + abs(r3)) + k5 * (abs(l5) + abs(r5))
+            + k7 * (abs(l7) + abs(r7)) + k9 * (abs(l9) + abs(r9))
+        )
+    h = resk * 0.5
+    resasc = (
+        k11 * abs(fc - h)
+        + k1 * (abs(l1 - h) + abs(r1 - h)) + k2 * (abs(l2 - h) + abs(r2 - h))
+        + k3 * (abs(l3 - h) + abs(r3 - h)) + k4 * (abs(l4 - h) + abs(r4 - h))
+        + k5 * (abs(l5 - h) + abs(r5 - h)) + k6 * (abs(l6 - h) + abs(r6 - h))
+        + k7 * (abs(l7 - h) + abs(r7 - h)) + k8 * (abs(l8 - h) + abs(r8 - h))
+        + k9 * (abs(l9 - h) + abs(r9 - h)) + k10 * (abs(l10 - h) + abs(r10 - h))
+    )
+    dhlgth = abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        # resasc * min(1, ratio ** 1.5), with a comparison for min()
+        ratio = 200.0 * abserr / resasc
+        abserr = resasc if ratio >= 1.0 else resasc * ratio**1.5
+    if resabs > _TINY_RESABS:
+        # max(50 eps resabs, abserr), likewise
+        floor = _EPMACH * 50.0 * resabs
+        if abserr < floor:
+            abserr = floor
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def _adaptive(fn, lo: float, hi: float, points, limit: int):
+    """``dqagse`` over [lo, hi] when ``points`` is empty, else ``dqagpe``
+    over the panels between the sorted interior ``points``, both without
+    extrapolation: (value, error estimate) after at most ``limit`` panels,
+    which must exceed the number of points."""
+    alist = [lo, *points]
+    blist = [*points, hi]
+    rlist, elist = [], []
+    if not points:
+        # dqagse accepts its first panel only if the error estimate is not
+        # dqk21's cap, |f - mean|: a rule whose 21 nodes all miss a narrow
+        # peak sees a nearly flat integrand and a small, wrong, estimate
+        result, abserr, resabs, resasc = _gk21(fn, lo, hi)
+        rlist.append(result)
+        elist.append(abserr)
+        errbnd = max(_EPSABS, _EPSREL * abs(result))
+        if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
+            return result, abserr
+        if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+            return result, abserr
+        errsum = abserr
+    else:
+        # dqagpe: a panel whose estimate is dqk21's cap carries the whole
+        # estimate, so that it is bisected first
+        result = abserr = resabs = 0.0
+        capped = []
+        for a, b in zip(alist, blist):
+            area, error, defabs, resasc = _gk21(fn, a, b)
+            abserr += error
+            result += area
+            resabs += defabs
+            rlist.append(area)
+            elist.append(error)
+            capped.append(error == resasc and error != 0.0)
+        errsum = 0.0
+        for i, cap in enumerate(capped):
+            if cap:
+                elist[i] = abserr
+            errsum += elist[i]
+        errbnd = max(_EPSABS, _EPSREL * abs(result))
+        if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
+            return result, abserr
+        if abserr <= errbnd:
+            return result, abserr
+
+    # the panels in descending order of error estimate, as dqpsrt keeps them:
+    # a new estimate goes before any equal one
+    order = sorted(range(len(elist)), key=elist.__getitem__, reverse=True)
+    keys = [-elist[i] for i in order]
+    area = result
+    iroff1 = iroff3 = 0
+    for last in range(len(rlist) + 1, limit + 1):
+        maxerr = order.pop(0)
+        del keys[0]
+        errmax = elist[maxerr]
+        a1, b2 = alist[maxerr], blist[maxerr]
+        b1 = a2 = 0.5 * (a1 + b2)
+        area1, error1, _, resasc1 = _gk21(fn, a1, b1)
+        area2, error2, _, resasc2 = _gk21(fn, a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if resasc1 != error1 and resasc2 != error2:
+            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        errbnd = max(_EPSABS, _EPSREL * abs(area))
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist.append(a1)
+            blist.append(b1)
+            rlist[maxerr] = area2
+            rlist.append(area1)
+            elist[maxerr] = error2
+            elist.append(error1)
+        else:
+            blist[maxerr] = b1
+            alist.append(a2)
+            blist.append(b2)
+            rlist[maxerr] = area1
+            rlist.append(area2)
+            elist[maxerr] = error1
+            elist.append(error2)
+        if errsum <= errbnd:
+            break
+        # roundoff, the subinterval limit, or a panel too narrow to bisect
+        if (
+            iroff1 >= 10
+            or iroff3 >= 20
+            or last == limit
+            or max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)
+        ):
+            break
+        at = bisect.bisect_left(keys, -elist[maxerr])
+        order.insert(at, maxerr)
+        keys.insert(at, -elist[maxerr])
+        at = bisect.bisect_left(keys, -elist[-1], at + 1)
+        order.insert(at, len(elist) - 1)
+        keys.insert(at, -elist[-1])
+    result = 0.0
+    for part in rlist:
+        result += part
+    return result, errsum
 
 
 def integrate(fn, lo: float, hi: float, points=(), every_point: bool = False) -> float:
     """Integrate ``fn`` over [lo, hi], splitting panels at interior points.
 
     More than ``_MAX_POINTS`` points are thinned to that many, unless
-    ``every_point``: then quad splits at each of them and may subdivide
-    ``_LIMIT`` times beyond them (it refuses points that reach its limit).
-    Raises NumericalIntegrityError when quad's own error estimate is too
-    large to trust the value.
+    ``every_point``: then the rule splits at each of them and may subdivide
+    ``_LIMIT`` times beyond them. Raises NumericalIntegrityError when the
+    rule's own error estimate is too large to trust the value.
     """
     if hi <= lo:
         return 0.0
@@ -40,9 +284,7 @@ def integrate(fn, lo: float, hi: float, points=(), every_point: bool = False) ->
     elif len(pts) > _MAX_POINTS:
         step = len(pts) / _MAX_POINTS
         pts = [pts[int(i * step)] for i in range(_MAX_POINTS)]
-    value, err = _integrate.quad(
-        fn, lo, hi, points=pts or None, limit=limit, epsabs=_EPSABS, epsrel=_EPSREL
-    )
+    value, err = _adaptive(fn, float(lo), float(hi), pts, limit)
     if not err <= _MAX_ERROR * max(1.0, abs(value)):
         raise NumericalIntegrityError(
             f"quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} on value {value!r}"
@@ -50,29 +292,57 @@ def integrate(fn, lo: float, hi: float, points=(), every_point: bool = False) ->
     return value
 
 
+# the 21 nodes of dqk21 on [-1, 1], from the right end, with their Kronrod
+# weights and Gauss weights (zero at Kronrod's own nodes), as block rows
+_NODES = np.array([*_XGK, 0.0, *(-x for x in reversed(_XGK))])
+_KRONROD = np.array([*_WGK, *reversed(_WGK[:-1])])
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11:20:2] = _WG[::-1]
+_KRONROD_GAUSS = np.stack([_KRONROD, _GAUSS])
+
+
+def _gk21_vector(fn, a: float, b: float, size: int):
+    """The 21-point rule over [a, b] for the ``size`` components of ``fn``,
+    with ``quad_vec``'s error formula under the max norm: the Kronrod values,
+    the error estimate and its rounding part. The integrand's values form a
+    (21, size) block, and each weighted sum is one product with it."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    block = np.empty((_EVALS_PER_PANEL, size))
+    for row, t in zip(block, (c + h * _NODES).tolist()):
+        row[...] = fn(t)
+    kronrod, gauss = _KRONROD_GAUSS @ block
+    rough = _KRONROD @ np.abs(block)
+    spread = _KRONROD @ np.abs(block - kronrod / 2.0)
+    err = float(np.abs((kronrod - gauss) * h).max())
+    dabs = float(np.abs(spread * h).max())
+    if dabs != 0.0 and err != 0.0:
+        err = dabs * min(1.0, (200.0 * err / dabs) ** 1.5)
+    round_err = float(np.abs(50.0 * _EPMACH * h * rough).max())
+    if round_err > _UFLOW:
+        err = max(err, round_err)
+    return h * kronrod, err, round_err
+
+
 def integrate_vector(fn, lo: float, hi: float, size: int, points=()) -> np.ndarray:
     """Integrate the ``size`` components of ``fn`` over [lo, hi] at once.
 
-    One adaptive pass of ``quad_vec`` serves every component; it splits at
-    every interior point, without thinning, and stops when the largest
-    component's error is small. Its error estimate bounds each component's
-    error, and so any convex combination of them: it must pass the same test
-    as in ``integrate``, with the largest component as the value.
+    One adaptive pass serves every component; it splits at every interior
+    point, without thinning, and stops when the largest component's error is
+    small, as ``quad_vec`` does: it bisects the panels with the largest
+    estimates until what is left exceeds the total by less than an eighth of
+    the tolerance, and stops with at least two panels once the total is
+    below that eighth or below the rule's rounding error. The estimate, plus
+    that rounding error, bounds each component's error, and so any convex
+    combination of them: it must pass the same test as in ``integrate``, with
+    the largest component as the value.
     """
     if hi <= lo:
         return np.zeros(size)
     pts = sorted({float(p) for p in points if lo < p < hi})
-    value, err = _integrate.quad_vec(
-        lambda t: np.broadcast_to(fn(t), (size,)),
-        lo,
-        hi,
-        epsabs=_EPSABS,
-        epsrel=_EPSREL,
-        norm="max",
-        limit=_LIMIT,
-        points=pts or None,
-    )
-    scale = float(np.max(np.abs(value)))
+    value, err = _adaptive_vector(fn, float(lo), float(hi), size, pts)
+    scale = float(np.abs(value).max())
     if not err <= _MAX_ERROR * max(1.0, scale):
         raise NumericalIntegrityError(
             f"vector quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} "
@@ -81,24 +351,84 @@ def integrate_vector(fn, lo: float, hi: float, size: int, points=()) -> np.ndarr
     return value
 
 
-def vector_pays(size: int, lo: float, hi: float, points) -> bool:
-    """Whether one quadrature that evaluates all ``size`` components of a
-    stacked mixture at every node beats ``size`` calls of ``integrate``, one
-    per component, over [lo, hi]. It routes the survival integrals between
-    one scalar ``integrate`` of the whole mixture and one per component, and
-    the expected maximum's ``int t f F`` between one ``integrate_vector`` and
-    one per component.
+# quad_vec bisects at most this many panels in one round
+_SPLIT_AT_ONCE = 128
 
-    Either whole-mixture pass evaluates every component at 21 nodes of every
-    panel between points, and each of those evaluations costs about as much
-    as one scalar quad of a single component: 40-55 us each for 64 to 4,096
-    uniform components on a 2-core VM, where the two paths then break even at
-    about size / 21 panels. Components that each add a kink of their own
-    therefore keep one quad each; without kinks the whole-mixture pass wins
+
+def _adaptive_vector(fn, lo: float, hi: float, size: int, points):
+    """quad_vec's adaptive loop over the panels between the sorted interior
+    ``points``: (values, error estimate plus rounding error)."""
+    edges = [lo, *points, hi]
+    total = None
+    heap = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        part, err, rnd = _gk21_vector(fn, a, b, size)
+        if total is None:
+            total, error, rounding = part.copy(), err, rnd
+        else:
+            total += part
+            error += err
+            rounding += rnd
+        heap.append((-err, a, b, part))
+    heapq.heapify(heap)
+    while len(heap) < _LIMIT:
+        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
+        split, popped = [], 0.0
+        while heap and (not split or popped <= error - tol / 8) and len(split) < _SPLIT_AT_ONCE:
+            panel = heapq.heappop(heap)
+            split.append(panel)
+            popped -= panel[0]
+        for neg_err, a, b, part in split:
+            c = 0.5 * (a + b)
+            left, err1, rnd1 = _gk21_vector(fn, a, c, size)
+            right, err2, rnd2 = _gk21_vector(fn, c, b, size)
+            total += left + right - part
+            error += err1 + err2 + neg_err
+            rounding += rnd1 + rnd2
+            heapq.heappush(heap, (-err1, a, c, left))
+            heapq.heappush(heap, (-err2, c, b, right))
+        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
+        if error < tol / 8 or error < rounding:
+            break
+        if not (math.isfinite(error) and math.isfinite(rounding)):
+            break
+    return total, error + rounding
+
+
+# a panel of the scalar pass over a whole stack (one integrand value of
+# 1 - sum w F is a few array calls) costs about as much as this many scalar
+# quadratures of a single component: its 21 nodes took 8-10 us each on
+# two-bound uniform stacks of 256 to 1,024 components, and one component's
+# quadrature 18-21 us, on a 2-core VM
+_SCALAR_PANEL_COST = 10
+
+
+def _panels(lo: float, hi: float, points) -> int:
+    return 1 + sum(1 for p in points if lo < p < hi)
+
+
+def vector_pays(size: int, lo: float, hi: float, points) -> bool:
+    """Whether one ``integrate_vector`` that evaluates all ``size``
+    components of a stacked mixture at every node beats ``size`` calls of
+    ``integrate``, one per component, over [lo, hi]: it routes the expected
+    maximum's ``int t f F``.
+
+    The vector pass evaluates every component at 21 nodes of every panel
+    between points, and each of those evaluations costs about as much as one
+    scalar quadrature of a single component: 40-55 us each for 64 to 4,096
+    uniform components on a 2-core VM, where the two paths then break even
+    at about size / 21 panels. Components that each add a kink of their own
+    therefore keep one quadrature each; without kinks the vector pass wins
     from a few dozen components on, and below that both take about a
-    millisecond. These costs were measured on the vector pass; the scalar
-    pass evaluates more cheaply, so for the survival integrals the rule errs
-    towards one quad per component.
+    millisecond.
     """
-    panels = 1 + sum(1 for p in points if lo < p < hi)
-    return _VECTOR_EVALS_PER_PANEL * panels < size
+    return _EVALS_PER_PANEL * _panels(lo, hi, points) < size
+
+
+def scalar_pays(size: int, lo: float, hi: float, points) -> bool:
+    """Whether one scalar ``integrate`` of a stacked mixture's own survival
+    function beats ``size`` calls, one per component, over [lo, hi]: it
+    routes the survival integrals. Its panels are cheaper than the vector
+    pass's (``_SCALAR_PANEL_COST``), so it pays from fewer components per
+    kink."""
+    return _SCALAR_PANEL_COST * _panels(lo, hi, points) < size

@@ -7,12 +7,13 @@ form. ``Distribution`` derives the rest once, by parts: the integrated CDF
 and the upper partial expectation ``mean - M1``. The expected maximum of
 a uniform and any other distribution follows from the other side's F, M1
 and M2 in closed form, and is linear over a mixture of uniforms. Adaptive
-quadrature is used only for ``survival_integral`` and
-``weighted_survival_integral`` (independent forms the newsvendor profit and
-variance are cross-checked against) and for the expected maximum of the
-remaining pairs that both have a density, including those with a uniform too
-narrow for the closed form or a truncated normal, whose partial moments lose
-relative precision below its bulk.
+quadrature (the package's own Gauss-Kronrod rule, ``_quad``) is used only
+for ``survival_integral`` and ``weighted_survival_integral`` (independent
+forms the newsvendor profit and variance are cross-checked against) and
+for the expected maximum of the remaining pairs that both have a density,
+including those with a uniform too narrow for the closed form or a
+truncated normal, whose partial moments lose relative precision below its
+bulk.
 
 A mixture whose components share one parametric family is evaluated and
 sampled as one stacked family (``_Stack``), one array call per kernel and
@@ -22,11 +23,12 @@ means on both sides of zero, keeps that sum. A survival integral of a stacked
 mixture is one scalar quadrature of its own survival function, and each half
 of an expected maximum one vector quadrature over the stack, one value per
 component, summed with the weights; across more kinks than either repays
-(``vector_pays``), each component takes a scalar quadrature of its own. Its
-quantile is bisected on a numpy sum whose rounding is bounded, falling back
-to the accurately rounded sum only where the bound leaves the step open.
-A stack is built from parameter arrays, so a compound built from its grid
-of parameters creates component objects only for the paths that walk them.
+(``scalar_pays``, ``vector_pays``), each component takes a scalar quadrature
+of its own. Its quantile is bisected on a numpy sum whose rounding is
+bounded, falling back to the accurately rounded sum only where the bound
+leaves the step open. A stack is built from parameter arrays, so a compound
+built from its grid of parameters creates component objects only for the
+paths that walk them.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -44,7 +46,7 @@ import os
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from ._quad import TAIL_PROB, integrate, integrate_vector, vector_pays
+from ._quad import TAIL_PROB, integrate, integrate_vector, scalar_pays, vector_pays
 
 _EPS = math.ulp(1.0)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -193,9 +195,10 @@ class Distribution:
         return self._survival_integral(q, weighted=True)
 
     def _survival_integral(self, q: float, weighted: bool = False) -> float:
+        cdf = self.cdf
         if weighted:
-            return integrate(lambda t: t * (1.0 - self.cdf(t)), 0.0, q, self.breakpoints())
-        return integrate(lambda t: 1.0 - self.cdf(t), 0.0, q, self.breakpoints())
+            return integrate(lambda t: t * (1.0 - cdf(t)), 0.0, q, self.breakpoints())
+        return integrate(lambda t: 1.0 - cdf(t), 0.0, q, self.breakpoints())
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n deterministic draws for the given seed (counter-based generator)."""
@@ -393,7 +396,8 @@ class LogNormal(Distribution):
         if x <= 0.0:
             return 0.0
         z = (math.log(x) - self.log_mean) / self.log_sd
-        return _norm_pdf(z) / (x * self.log_sd)
+        # _norm_pdf(z), inlined: quadrature calls this per node
+        return math.exp(-0.5 * z * z) / _ROOT_2PI / (x * self.log_sd)
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd**2)
@@ -470,7 +474,8 @@ class TruncatedNormal(Distribution):
         if x < 0.0:
             return 0.0
         z = (x - self.norm_mean) / self.norm_sd
-        return _norm_pdf(z) / (self.norm_sd * self._z)
+        # _norm_pdf(z), inlined: quadrature calls this per node
+        return math.exp(-0.5 * z * z) / _ROOT_2PI / (self.norm_sd * self._z)
 
     def mean(self):
         return _truncnorm_mean(self.norm_mean, self.norm_sd)
@@ -875,14 +880,14 @@ class Mixture(Distribution):
         # quadrature of F on either path, so it checks the stacked M1 and M2
         # independently: a stack takes one scalar quadrature of its own
         # survival function, split at every kink, unless its components'
-        # kinks make one quadrature each cheaper (vector_pays)
+        # kinks make one quadrature each cheaper (scalar_pays)
         stack, pts = self._stacked(), self.breakpoints()
-        if stack is None or not vector_pays(stack.size, 0.0, q, pts):
+        if stack is None or not scalar_pays(stack.size, 0.0, q, pts):
             return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
-        weights = stack.weights
+        weights, cdf = stack.weights, stack.cdf
 
         def survival(t):
-            tail = 1.0 - float(np.sum(weights * stack.cdf(t, fast=True)))
+            tail = 1.0 - float((weights * cdf(t, fast=True)).sum())
             return t * tail if weighted else tail
 
         return integrate(survival, 0.0, q, pts, every_point=True)
@@ -961,7 +966,7 @@ class _Stack:
         and rounds below u when s + bound is below u's float predecessor; only
         the steps in between, next to the quantile, take ``combine``."""
         values = self.cdf(x)
-        total = float(np.sum(self.weights * values))
+        total = float((self.weights * values).sum())
         bound = self.size * _EPS * total
         if total - bound > u:
             return True
@@ -1453,7 +1458,8 @@ def _density_cdf_integral(x: Distribution, y: Distribution, lo: float, hi: float
             return _per_component(x, lambda d, kinks: _density_cdf_integral(d, y, lo, hi, kinks), y)
         fn = lambda t: t * stack.pdf(t, fast=True) * y.cdf(t)  # noqa: E731
         return stack.combine(integrate_vector(fn, lo, hi, stack.size, pts))
-    return integrate(lambda t: t * x.pdf(t) * y.cdf(t), lo, hi, pts)
+    pdf, cdf = x.pdf, y.cdf
+    return integrate(lambda t: t * pdf(t) * cdf(t), lo, hi, pts)
 
 
 # Quantiles of the other side that split every per-component quadrature, so

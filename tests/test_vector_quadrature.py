@@ -138,10 +138,10 @@ def test_survival_check_catches_a_corrupted_first_moment(name, monkeypatch):
 
 
 def test_refuses_a_large_error_estimate(monkeypatch):
-    def sloppy(fn, lo, hi, **kwargs):
+    def sloppy(fn, lo, hi, size, points):
         return np.ones(3), 1e-6
 
-    monkeypatch.setattr(_quad._integrate, "quad_vec", sloppy)
+    monkeypatch.setattr(_quad, "_adaptive_vector", sloppy)
     with pytest.raises(NumericalIntegrityError, match="error estimate"):
         _quad.integrate_vector(lambda t: np.ones(3), 0.0, 1.0, 3)
 
@@ -186,7 +186,7 @@ def test_survival_integral_of_a_stack_is_one_scalar_quadrature(name, monkeypatch
 
 def test_more_kinks_than_the_subinterval_limit():
     # 7,040 uniforms over 160 distinct lo and 160 distinct hi: 320 interior
-    # kinks, more than quad's own subinterval limit, each of which splits
+    # kinks, more than the rule's own subinterval limit, each of which splits
     lows = (0.2 + 0.6 * np.arange(160) / 160).tolist()
     highs = (1.5 + np.arange(160) / 160).tolist()
     pairs = [(lo, highs[(i + k) % 160]) for i, lo in enumerate(lows) for k in range(44)]
@@ -195,21 +195,47 @@ def test_more_kinks_than_the_subinterval_limit():
     pts = mix.breakpoints()
     assert sum(1 for p in pts if 0.0 < p < 2.6) == 320 > _quad._LIMIT
     for q in (mix.quantile(0.5), 2.6):
-        assert _quad.vector_pays(len(pairs), 0.0, q, pts)
+        assert _quad.scalar_pays(len(pairs), 0.0, q, pts)
         tol = 1e-10 * max(1.0, q * q)
         assert abs(mix.survival_integral(q) + mix.integrated_cdf(q) - q) <= tol
         weighted = mix.weighted_survival_integral(q) + mix.weighted_integrated_cdf(q)
         assert abs(weighted - 0.5 * q * q) <= tol
 
 
+def test_survival_integrals_route_by_their_own_crossover(monkeypatch):
+    # two uncertain uniform bounds over 32 nodes: 1,024 components and 64
+    # kinks, too many for the vector pass to repay but not the cheaper
+    # scalar pass over the whole mixture
+    mix = compound_of(
+        Uniform(0.5, 2.0),
+        [
+            ParameterUncertainty("lo", Uniform(0.2, 0.8)),
+            ParameterUncertainty("hi", Uniform(1.5, 2.5)),
+        ],
+        nodes=32,
+    )
+    q, pts = mix.quantile(0.95), mix.breakpoints()
+    assert not _quad.vector_pays(mix._stacked().size, 0.0, q, pts)
+    assert _quad.scalar_pays(mix._stacked().size, 0.0, q, pts)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return _quad.integrate(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "integrate", counted)
+    assert mix.survival_integral(q) == pytest.approx(q - mix.integrated_cdf(q), rel=1e-10)
+    assert calls == [(0.0, q)]
+
+
 def test_integrate_splits_at_every_point_only_when_asked(monkeypatch):
     seen = []
 
-    def quad(fn, lo, hi, points=None, limit=None, **kwargs):
+    def adaptive(fn, lo, hi, points, limit):
         seen.append((len(points), limit))
         return 1.0, 0.0
 
-    monkeypatch.setattr(_quad._integrate, "quad", quad)
+    monkeypatch.setattr(_quad, "_adaptive", adaptive)
     pts = np.linspace(0.001, 0.999, 400)
     _quad.integrate(lambda t: 1.0, 0.0, 1.0, pts)
     _quad.integrate(lambda t: 1.0, 0.0, 1.0, pts, every_point=True)
@@ -264,7 +290,7 @@ def test_profit_forms_agree_on_random_compounds(name, data, p, share):
     mix = data.draw(random_compounds(name))
     market = MarketParams(p=p, w=share * p)
     q = optimal_quantity(market, mix)
-    assert _quad.vector_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
+    assert _quad.scalar_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
     # each cross-checks a closed form against the scalar survival quadrature
     optimal_profit(market, mix)
     optimal_profit_variance(market, mix)
