@@ -6,13 +6,19 @@ interior points (Piessens et al., 1983): the 21-point Gauss-Kronrod rule
 the largest error estimate first until the estimates sum to no more than
 the tolerance. The epsilon-algorithm extrapolation of those routines is left
 out; it speeds up integrands with end-point singularities, and the kernels
-integrate none. ``integrate_vector`` is the same rule over a block of
-components at once, with the panel choice and stopping rule of
-``scipy.integrate.quad_vec`` under the max norm.
+integrate none. The adaptive loop (``_dqagse``) is a generator that asks
+for panels and receives their rule results: ``integrate`` drives one with
+the scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
+each round evaluating every panel they ask for as one (panels, 21) block
+and summing each row in the scalar rule's order (``_gk21_rows``), so that
+each keeps its own path and value bit for bit. ``integrate_vector`` is the
+same rule over a block of components at once, with the panel choice and
+stopping rule of ``scipy.integrate.quad_vec`` under the max norm.
 """
 
 import bisect
 import heapq
+import itertools
 import math
 import sys
 
@@ -160,11 +166,15 @@ def _gk21(f, a, b):
     return resk * hlgth, abserr, resabs, resasc
 
 
-def _adaptive(fn, lo: float, hi: float, points, limit: int):
+def _dqagse(lo: float, hi: float, points, limit: int):
     """``dqagse`` over [lo, hi] when ``points`` is empty, else ``dqagpe``
     over the panels between the sorted interior ``points``, both without
-    extrapolation: (value, error estimate) after at most ``limit`` panels,
-    which must exceed the number of points."""
+    extrapolation, as a generator that never sees the integrand: it yields
+    the list of panels (a, b) it needs next, receives their ``dqk21``
+    results (value, error estimate, integral of |f|, of |f - mean|) in that
+    order, and returns (value, error estimate) after at most ``limit``
+    panels, which must exceed the number of points. ``_adaptive`` drives one
+    with ``_gk21``; ``integrate_many`` drives many in lockstep."""
     alist = [lo, *points]
     blist = [*points, hi]
     rlist, elist = [], []
@@ -172,7 +182,7 @@ def _adaptive(fn, lo: float, hi: float, points, limit: int):
         # dqagse accepts its first panel only if the error estimate is not
         # dqk21's cap, |f - mean|: a rule whose 21 nodes all miss a narrow
         # peak sees a nearly flat integrand and a small, wrong, estimate
-        result, abserr, resabs, resasc = _gk21(fn, lo, hi)
+        ((result, abserr, resabs, resasc),) = yield [(lo, hi)]
         rlist.append(result)
         elist.append(abserr)
         errbnd = max(_EPSABS, _EPSREL * abs(result))
@@ -186,8 +196,7 @@ def _adaptive(fn, lo: float, hi: float, points, limit: int):
         # estimate, so that it is bisected first
         result = abserr = resabs = 0.0
         capped = []
-        for a, b in zip(alist, blist):
-            area, error, defabs, resasc = _gk21(fn, a, b)
+        for area, error, defabs, resasc in (yield list(zip(alist, blist))):
             abserr += error
             result += area
             resabs += defabs
@@ -217,8 +226,7 @@ def _adaptive(fn, lo: float, hi: float, points, limit: int):
         errmax = elist[maxerr]
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (a1 + b2)
-        area1, error1, _, resasc1 = _gk21(fn, a1, b1)
-        area2, error2, _, resasc2 = _gk21(fn, a2, b2)
+        (area1, error1, _, resasc1), (area2, error2, _, resasc2) = yield [(a1, b1), (a2, b2)]
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -267,6 +275,37 @@ def _adaptive(fn, lo: float, hi: float, points, limit: int):
     return result, errsum
 
 
+def _adaptive(fn, lo: float, hi: float, points, limit: int):
+    """``_dqagse`` with ``_gk21`` on ``fn``: (value, error estimate)."""
+    steps = _dqagse(lo, hi, points, limit)
+    panels = next(steps)
+    try:
+        while True:
+            panels = steps.send([_gk21(fn, a, b) for a, b in panels])
+    except StopIteration as done:
+        return done.value
+
+
+def _split_points(lo, hi, points, every_point: bool):
+    """The sorted interior points ``integrate`` splits at, and its panel limit."""
+    pts = sorted({float(p) for p in points if lo < p < hi})
+    limit = _LIMIT
+    if every_point:
+        limit += len(pts)
+    elif len(pts) > _MAX_POINTS:
+        step = len(pts) / _MAX_POINTS
+        pts = [pts[int(i * step)] for i in range(_MAX_POINTS)]
+    return pts, limit
+
+
+def _checked(value: float, err: float, lo, hi) -> float:
+    if not err <= _MAX_ERROR * max(1.0, abs(value)):
+        raise NumericalIntegrityError(
+            f"quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} on value {value!r}"
+        )
+    return value
+
+
 def integrate(fn, lo: float, hi: float, points=(), every_point: bool = False) -> float:
     """Integrate ``fn`` over [lo, hi], splitting panels at interior points.
 
@@ -277,19 +316,111 @@ def integrate(fn, lo: float, hi: float, points=(), every_point: bool = False) ->
     """
     if hi <= lo:
         return 0.0
-    pts = sorted({float(p) for p in points if lo < p < hi})
-    limit = _LIMIT
-    if every_point:
-        limit += len(pts)
-    elif len(pts) > _MAX_POINTS:
-        step = len(pts) / _MAX_POINTS
-        pts = [pts[int(i * step)] for i in range(_MAX_POINTS)]
+    pts, limit = _split_points(lo, hi, points, every_point)
     value, err = _adaptive(fn, float(lo), float(hi), pts, limit)
-    if not err <= _MAX_ERROR * max(1.0, abs(value)):
-        raise NumericalIntegrityError(
-            f"quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} on value {value!r}"
-        )
-    return value
+    return _checked(value, err, lo, hi)
+
+
+# the abscissae of dqk21 as a row, outermost first: a panel's nodes are its
+# centre minus and plus each, then the centre (``_panel_nodes``)
+_XGK_ROW = np.array(_XGK)
+# the terms of dqk21's sums in the order _gk21 adds them, after the centre's:
+# abscissa k (1-based, as in _gk21) is row k - 1 of the pair sums l_k + r_k;
+# with their weights, the centre's first
+_GAUSS_ROWS = [1, 3, 5, 7, 9]
+_GAUSS_WEIGHTS = np.array(_WG)[:, None]
+_KRONROD_ROWS = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_KRONROD_WEIGHTS = np.array([_WGK[10], *(_WGK[k] for k in _KRONROD_ROWS)])[:, None]
+_SPREAD_WEIGHTS = np.array([_WGK[10], *_WGK[:10]])[:, None]
+
+
+def _panel_nodes(a: np.ndarray, b: np.ndarray):
+    """The 21 nodes of each panel [a, b] as a (panels, 21) block, by the same
+    operations as ``_gk21``: columns 0-9 the centre minus hlgth times each
+    abscissa, 10-19 plus it, 20 the centre; and each panel's half-length."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    d = hlgth[:, None] * _XGK_ROW
+    c = centr[:, None]
+    return np.concatenate((c - d, c + d, c), axis=1), hlgth
+
+
+def _in_order(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * terms[i], added left to right as _gk21 adds:
+    ``accumulate``, unlike ``sum``, adds each term to the running total."""
+    return np.add.accumulate(weights * terms, axis=0)[-1]
+
+
+def _gk21_rows(values: np.ndarray, hlgth: np.ndarray):
+    """``_gk21`` of every panel of a block at once, bit for bit: ``values``
+    are the integrand at ``_panel_nodes``, one row per panel, and every sum
+    takes its terms in _gk21's order. Returns its four results as arrays."""
+    cols = values.T
+    left, right, fc = cols[:10], cols[10:20], cols[20]
+    sums = left + right
+    resg = _in_order(_GAUSS_WEIGHTS, sums[_GAUSS_ROWS])
+    resk = _in_order(_KRONROD_WEIGHTS, np.vstack((fc, sums[_KRONROD_ROWS])))
+    # _gk21 takes the Kronrod value for the integral of |f| when no value is
+    # negative; the two differ at most in the sign of a zero
+    magnitudes = np.vstack((np.abs(fc), (np.abs(left) + np.abs(right))[_KRONROD_ROWS]))
+    resabs = np.where((values >= 0.0).all(axis=1), resk, _in_order(_KRONROD_WEIGHTS, magnitudes))
+    h = resk * 0.5
+    spreads = np.abs(cols - h)
+    resasc = _in_order(_SPREAD_WEIGHTS, np.vstack((spreads[20], spreads[:10] + spreads[10:20])))
+    dhlgth = np.abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = 200.0 * abserr / resasc
+    capped = scaled & (ratio >= 1.0)
+    scaled &= ~capped
+    abserr = np.where(capped, resasc, abserr)
+    # ratio ** 1.5 by C's pow, as Python's ** takes it
+    rows = np.flatnonzero(scaled)
+    powers = map(math.pow, ratio[rows].tolist(), itertools.repeat(1.5))
+    abserr[rows] = resasc[rows] * np.fromiter(powers, float, rows.size)
+    floor = _EPMACH * 50.0 * resabs
+    abserr = np.where((resabs > _TINY_RESABS) & (abserr < floor), floor, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def integrate_many(fn, spans) -> list[float]:
+    """``integrate(f_i, lo_i, hi_i, points_i)`` for every span
+    (lo_i, hi_i, points_i) at once, bit for bit.
+
+    Each span keeps its own ``_dqagse`` path; they advance in lockstep, and
+    each round evaluates every panel they ask for as one block:
+    ``fn(owner, t)`` gets a (panels, 21) block ``t`` of nodes with the span
+    index of each row in ``owner``, and returns the integrands' values there.
+    Raises the NumericalIntegrityError of the first span that ``integrate``
+    would refuse.
+    """
+    values = [0.0] * len(spans)
+    pending = []
+    for i, (lo, hi, points) in enumerate(spans):
+        if hi > lo:
+            pts, limit = _split_points(lo, hi, points, False)
+            steps = _dqagse(float(lo), float(hi), pts, limit)
+            pending.append((i, steps, next(steps)))
+    done = {}
+    while pending:
+        owner = np.array([i for i, _, panels in pending for _ in panels])
+        edges = np.array([edge for _, _, panels in pending for edge in panels])
+        t, hlgth = _panel_nodes(edges[:, 0], edges[:, 1])
+        rules = zip(*(part.tolist() for part in _gk21_rows(fn(owner, t), hlgth)))
+        running = []
+        for i, steps, panels in pending:
+            try:
+                running.append((i, steps, steps.send(list(itertools.islice(rules, len(panels))))))
+            except StopIteration as stop:
+                done[i] = stop.value
+        pending = running
+    for i in sorted(done):
+        lo, hi, _ = spans[i]
+        values[i] = _checked(*done[i], lo, hi)
+    return values
 
 
 # the 21 nodes of dqk21 on [-1, 1], from the right end, with their Kronrod

@@ -30,6 +30,14 @@ leaves the step open. A stack is built from parameter arrays, so a compound
 built from its grid of parameters creates component objects only for the
 paths that walk them.
 
+``expected_maxima`` evaluates the expected maxima of many orders against one
+demand, the candidates of a search, with the same values bit for bit as
+``expected_max`` of each pair: closed-form uniforms over arrays, and
+density pairs of non-mixtures in one lockstep quadrature
+(``integrate_many``), whose integrands are the families' kernels over a
+block of points (``_cdf_block``, ``_pdf_block``), computed by the scalar
+kernels' own operations.
+
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
 and never touches global state.
@@ -38,6 +46,7 @@ and never touches global state.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -46,7 +55,14 @@ import os
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from ._quad import TAIL_PROB, integrate, integrate_vector, scalar_pays, vector_pays
+from ._quad import (
+    TAIL_PROB,
+    integrate,
+    integrate_many,
+    integrate_vector,
+    scalar_pays,
+    vector_pays,
+)
 
 _EPS = math.ulp(1.0)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -302,6 +318,27 @@ class Uniform(Distribution):
         # factored so that a narrow interval does not cancel
         return (q - lo) * (q * q + q * lo + lo * lo) / (3.0 * self._width)
 
+    # the kernels over blocks (see _math_map); a uniform stack shares them
+
+    @staticmethod
+    def _cdf_block(x, p):
+        return np.where(x <= p.lo, 0.0, np.where(x >= p.hi, 1.0, (x - p.lo) / p._width))
+
+    @staticmethod
+    def _pdf_block(x, p):
+        return np.where((p.lo <= x) & (x <= p.hi), 1.0 / p._width, 0.0)
+
+    @staticmethod
+    def _m1_block(q, p):
+        top = np.minimum(q, p.hi)
+        return np.where(q <= p.lo, 0.0, (top * top - p.lo * p.lo) / (2.0 * p._width))
+
+    @staticmethod
+    def _m2_block(q, p):
+        top, lo = np.minimum(q, p.hi), p.lo
+        moment = (top - lo) * (top * top + top * lo + lo * lo) / (3.0 * p._width)
+        return np.where(q <= lo, 0.0, moment)
+
     def to_dict(self):
         return {"family": "uniform", "lo": self.lo, "hi": self.hi}
 
@@ -373,6 +410,43 @@ class Exponential(Distribution):
         # by parts: M2 = 2 M1 / rate - q^2 exp(-rate q)
         return 2.0 * self._partial_expectation(q) / self.rate - q * q * math.exp(-x)
 
+    # the kernels over blocks (see _math_map); an exponential stack shares
+    # the partial moments
+
+    @staticmethod
+    def _cdf_block(x, p):
+        inside = x > 0.0
+        return np.where(inside, -_math_map(math.expm1, -p.rate * np.where(inside, x, 0.0)), 0.0)
+
+    @staticmethod
+    def _pdf_block(x, p):
+        inside = x >= 0.0
+        decay = _math_map(math.exp, -p.rate * np.where(inside, x, 0.0))
+        return np.where(inside, p.rate * decay, 0.0)
+
+    @staticmethod
+    def _m1_block(q, p):
+        x = p.rate * q
+        closed = -_math_map(math.expm1, -x) / p.rate - q * _math_map(math.exp, -x)
+        return Exponential._series_block(x, closed, _EXP_M1_SERIES, q)
+
+    @staticmethod
+    def _m2_block(q, p):
+        x = p.rate * q
+        closed = 2.0 * Exponential._m1_block(q, p) / p.rate - q * q * _math_map(math.exp, -x)
+        return Exponential._series_block(x, closed, _EXP_M2_SERIES, q * q)
+
+    @staticmethod
+    def _series_block(x, closed, coeffs, scale):
+        """The small-x series of the scalar kernels where x = rate * q is
+        below ``_EXP_SERIES_MAX``, else ``closed``."""
+        small = x < _EXP_SERIES_MAX
+        if not small.any():
+            return closed
+        x = np.where(small, x, 0.0)
+        series = scale * x * _math_map(math.exp, -x) * _horner(coeffs, x)
+        return np.where(small, series, closed)
+
     def to_dict(self):
         return {"family": "exponential", "rate": self.rate}
 
@@ -426,6 +500,37 @@ class LogNormal(Distribution):
             return 0.0
         z = (math.log(q) - self.log_mean - 2.0 * self.log_sd**2) / self.log_sd
         return math.exp(2.0 * (self.log_mean + self.log_sd**2)) * float(ndtr(z))
+
+    # the kernels over blocks (see _math_map); the partial moments take an
+    # instance
+
+    @staticmethod
+    def _cdf_block(x, p):
+        inside = x > 0.0
+        logs = _math_map(math.log, np.where(inside, x, 1.0))
+        return np.where(inside, ndtr((logs - p.log_mean) / p.log_sd), 0.0)
+
+    @staticmethod
+    def _pdf_block(x, p):
+        inside = x > 0.0
+        x = np.where(inside, x, 1.0)
+        z = (_math_map(math.log, x) - p.log_mean) / p.log_sd
+        density = _math_map(math.exp, -0.5 * z * z) / _ROOT_2PI / (x * p.log_sd)
+        return np.where(inside, density, 0.0)
+
+    @staticmethod
+    def _m1_block(q, p):
+        inside = q > 0.0
+        logs = _math_map(math.log, np.where(inside, q, 1.0))
+        z = (logs - p.log_mean - p.log_sd**2) / p.log_sd
+        return np.where(inside, p.mean() * ndtr(z), 0.0)
+
+    @staticmethod
+    def _m2_block(q, p):
+        inside = q > 0.0
+        logs = _math_map(math.log, np.where(inside, q, 1.0))
+        z = (logs - p.log_mean - 2.0 * p.log_sd**2) / p.log_sd
+        return np.where(inside, math.exp(2.0 * (p.log_mean + p.log_sd**2)) * ndtr(z), 0.0)
 
     def to_dict(self):
         return {"family": "lognormal", "log_mean": self.log_mean, "log_sd": self.log_sd}
@@ -523,6 +628,28 @@ class TruncatedNormal(Distribution):
         tails = m * _norm_pdf(self._alpha) - (m + q) * _norm_pdf(beta)
         return ((m * m + s * s) * mass + s * tails) / self._z
 
+    # the kernels over blocks (see _math_map); a truncated-normal stack
+    # shares the mass
+
+    @staticmethod
+    def _mass_block(beta, p):
+        if p._upper_tail:
+            return p._z - ndtr(-beta)
+        return ndtr(beta) - p._f0
+
+    @staticmethod
+    def _cdf_block(x, p):
+        ratio = TruncatedNormal._mass_block((x - p.norm_mean) / p.norm_sd, p) / p._z
+        # min(1.0, max(0.0, ratio)), as Python takes them
+        ratio = np.where(ratio < 1.0, np.where(ratio > 0.0, ratio, 0.0), 1.0)
+        return np.where(x <= 0.0, 0.0, ratio)
+
+    @staticmethod
+    def _pdf_block(x, p):
+        z = (x - p.norm_mean) / p.norm_sd
+        density = _math_map(math.exp, -0.5 * z * z) / _ROOT_2PI / (p.norm_sd * p._z)
+        return np.where(x < 0.0, 0.0, density)
+
     def to_dict(self):
         return {"family": "truncated_normal", "mean": self.norm_mean, "sd": self.norm_sd}
 
@@ -532,6 +659,12 @@ def _truncnorm_mean(location: float, sd: float) -> float:
     z = location / sd
     # inverse Mills ratio in log space; stable for any z
     return location + sd * math.exp(-0.5 * z * z - _LOG_ROOT_2PI - float(log_ndtr(z)))
+
+
+def _truncnorm_means(locations: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """``_truncnorm_mean`` element-wise, bit for bit."""
+    z = locations / sds
+    return locations + sds * _math_map(math.exp, -0.5 * z * z - _LOG_ROOT_2PI - log_ndtr(z))
 
 
 class Empirical(Distribution):
@@ -723,8 +856,7 @@ class Mixture(Distribution):
                     params = self._grid[1]
                 else:
                     # a hand-built mixture: its components' records, once
-                    records = [d.to_dict() for _, d in self._components]
-                    params = {name: np.array([r[name] for r in records]) for name in stack.params}
+                    params = _member_params(family, [d for _, d in self._components])
                 if stack.accepts(params):
                     self._stack = stack(params, self._weights)
         return self._stack or None
@@ -1006,7 +1138,18 @@ class _Gathered:
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
     # element-wise through math: numpy's vectorized exp and expm1 round some
     # inputs differently, and M1, M2 can magnify that by cancellation
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+# The kernels over blocks: ``_cdf_block(x, p)`` and ``_pdf_block(x, p)`` of
+# every parametric family and of an upper truncation of one, and the partial
+# moments ``_m1_block`` and ``_m2_block`` of the families with the closed-form
+# maximum, evaluate the scalar kernel element-wise over an array of points
+# ``x``, by the same IEEE operations, ``math`` functions through _math_map and
+# scipy's ufuncs as they are, so that each value equals the scalar kernel's
+# bit for bit. ``p`` is an instance of the family, or holds its parameters as
+# arrays that broadcast against ``x``: a stack, or a stack's parameters
+# gathered per row of a block (``_Gathered`` with a column of indices).
 
 
 def _exp_array(x: np.ndarray, fast: bool) -> np.ndarray:
@@ -1050,22 +1193,19 @@ class _UniformStack(_Stack):
         return (min(self.lo.tolist()), max(self.hi.tolist()))
 
     def cdf(self, x, fast=False):
-        return np.clip((x - self.lo) / self._width, 0.0, 1.0)
+        return Uniform._cdf_block(x, self)
 
     def pdf(self, x, fast=False):
-        return np.where((self.lo <= x) & (x <= self.hi), 1.0 / self._width, 0.0)
+        return Uniform._pdf_block(x, self)
 
     def breakpoints(self):
         return tuple(np.unique(np.concatenate((self.lo, self.hi))).tolist())
 
     def _partial_expectation(self, q):
-        top = np.minimum(q, self.hi)
-        return np.where(q <= self.lo, 0.0, (top * top - self.lo * self.lo) / (2.0 * self._width))
+        return Uniform._m1_block(q, self)
 
     def _second_partial_moment(self, q):
-        top, lo = np.minimum(q, self.hi), self.lo
-        moment = (top - lo) * (top * top + top * lo + lo * lo) / (3.0 * self._width)
-        return np.where(q <= lo, 0.0, moment)
+        return Uniform._m2_block(q, self)
 
 
 class _ExponentialStack(_Stack):
@@ -1089,25 +1229,10 @@ class _ExponentialStack(_Stack):
         return self.rate * _exp_array(-self.rate * x, fast) if x >= 0.0 else 0.0
 
     def _partial_expectation(self, q):
-        lam = self.rate
-        closed = -_math_map(math.expm1, -lam * q) / lam - q * _math_map(math.exp, -lam * q)
-        return self._series(q, closed, _EXP_M1_SERIES, q)
+        return Exponential._m1_block(q, self)
 
     def _second_partial_moment(self, q):
-        decay = _math_map(math.exp, -self.rate * q)
-        closed = 2.0 * self._partial_expectation(q) / self.rate - q * q * decay
-        return self._series(q, closed, _EXP_M2_SERIES, q * q)
-
-    def _series(self, q, closed, coeffs, scale):
-        """The scalar kernels' small-x series where rate * q is below
-        ``_EXP_SERIES_MAX``, else ``closed``."""
-        x = self.rate * q
-        small = x < _EXP_SERIES_MAX
-        if not small.any():
-            return closed
-        x = np.where(small, x, 0.0)
-        series = scale * x * _math_map(math.exp, -x) * _horner(coeffs, x)
-        return np.where(small, series, closed)
+        return Exponential._m2_block(q, self)
 
     def quantile_range(self, u):
         # log1p of the one argument through math, as in the scalar quantile
@@ -1192,15 +1317,10 @@ class _TruncatedNormalStack(_Stack):
         self._pdf_alpha = _norm_pdf_array(alpha)
 
     def means(self):
-        # _truncnorm_mean, element-wise
-        m, s = self.norm_mean, self.norm_sd
-        z = m / s
-        return m + s * _math_map(math.exp, -0.5 * z * z - _LOG_ROOT_2PI - log_ndtr(z))
+        return _truncnorm_means(self.norm_mean, self.norm_sd)
 
     def _mass(self, beta):
-        if self._upper_tail:
-            return self._z - ndtr(-beta)
-        return ndtr(beta) - self._f0
+        return TruncatedNormal._mass_block(beta, self)
 
     def cdf(self, x, fast=False):
         if x <= 0.0:
@@ -1317,6 +1437,17 @@ class UpperTruncated(Distribution):
     def _second_partial_moment(self, q):
         return self.base._second_partial_moment(min(q, self.upper)) / self._z
 
+    # the kernels over blocks (see _math_map), of an instance whose base is
+    # a parametric family
+
+    @staticmethod
+    def _cdf_block(x, p):
+        return np.where(x >= p.upper, 1.0, type(p.base)._cdf_block(x, p.base) / p._z)
+
+    @staticmethod
+    def _pdf_block(x, p):
+        return np.where(x > p.upper, 0.0, type(p.base)._pdf_block(x, p.base) / p._z)
+
     def to_dict(self):
         record = dict(self.base.to_dict())
         record["upper"] = self.upper
@@ -1338,18 +1469,44 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     sides have a density. Arguments are put in a canonical order first so
     the result is bit-identical under swaps.
     """
-    if dist_a._closed_form_max and dist_b._closed_form_max:
-        rank_a, rank_b = _uniform_rank(dist_a), _uniform_rank(dist_b)
-        if rank_b < rank_a:
-            dist_a, dist_b, rank_a, rank_b = dist_b, dist_a, rank_b, rank_a
-        if rank_a[0] == 0:
-            return _expected_max_uniform(dist_a, dist_b)
-        if rank_a < rank_b:
-            # a mixture of uniforms against anything but another one
-            return math.fsum(w * _expected_max_uniform(u, dist_b) for w, u in dist_a.components)
+    pair = _closed_form_pair(dist_a, dist_b)
+    if pair is not None:
+        u, other = pair
+        if isinstance(u, Uniform):
+            return _expected_max_uniform(u, other)
+        # a mixture of uniforms against anything but another one
+        return math.fsum(w * _expected_max_uniform(c, other) for w, c in u.components)
     if _sorts_before(dist_b, dist_a):
         dist_a, dist_b = dist_b, dist_a
     return _expected_max(dist_a, dist_b)
+
+
+def expected_maxima(orders, demand: Distribution) -> list[float]:
+    """``[expected_max(g, demand) for g in orders]``, bit for bit, for the
+    candidates of a search, evaluated together where that pays.
+
+    Uniforms that take the closed form against a uniform, exponential or
+    lognormal demand are evaluated over arrays (``_uniform_maxima``). Orders
+    of a parametric family that take the density-pair quadrature against a
+    demand of one, or an upper truncation of one, share one lockstep
+    quadrature (``_density_maxima``). The rest, such as any order against a
+    mixture, take ``expected_max`` one by one.
+    """
+    values = [0.0] * len(orders)
+    closed, dense, alone = [], [], []
+    for k, g in enumerate(orders):
+        if _closed_form_pair(g, demand) is not None:
+            batch = closed if type(g) is Uniform and type(demand) in _CLOSED_FORM_BLOCKS else alone
+        else:
+            batch = dense if type(g) in _STACKS and _has_blocks(demand) else alone
+        batch.append(k)
+    for k in alone:
+        values[k] = expected_max(orders[k], demand)
+    for batch, maxima in ((closed, _uniform_maxima), (dense, _density_maxima)):
+        if batch:
+            for k, value in zip(batch, maxima([orders[k] for k in batch], demand)):
+                values[k] = value
+    return values
 
 
 def _sorts_before(a: Distribution, b: Distribution) -> bool:
@@ -1402,18 +1559,82 @@ def _uniform_rank(d: Distribution) -> tuple:
     return (2,)
 
 
+def _closed_form_pair(a: Distribution, b: Distribution):
+    """(the uniform side, the other) when ``expected_max`` of a and b takes
+    the closed form, the side ``_uniform_rank`` ranks lower integrating;
+    else None."""
+    if not (a._closed_form_max and b._closed_form_max):
+        return None
+    rank_a, rank_b = _uniform_rank(a), _uniform_rank(b)
+    if rank_b < rank_a:
+        a, b, rank_a, rank_b = b, a, rank_b, rank_a
+    if rank_a[0] == 0 or rank_a < rank_b:
+        return a, b
+    return None
+
+
 def _expected_max_uniform(u: Uniform, other: Distribution) -> float:
+    return _uniform_closed_form(
+        other.mean(),
+        u.lo,
+        u.hi,
+        u._width,
+        other.cdf,
+        other._partial_expectation,
+        other._second_partial_moment,
+    )
+
+
+def _uniform_closed_form(mean, lo, hi, width, cdf, m1, m2):
+    """E[max(Q, D)] for Q ~ U(lo, hi), from D's mean, F, M1 and M2, for
+    floats or element-wise over arrays alike."""
+
     # E[max(Q, D)] = E[D] + E[(Q - D)+], and for Q ~ U(a, b) the second term
     # is the mean of int_0^x F over [a, b]: (H(b) - H(a)) / (b - a) with
     # H(x) = E[((x - D)+)^2] / 2 = (x^2 F - 2 x M1 + M2) / 2
     def h(x):
-        return 0.5 * (
-            x * x * other.cdf(x)
-            - 2.0 * x * other._partial_expectation(x)
-            + other._second_partial_moment(x)
-        )
+        return 0.5 * (x * x * cdf(x) - 2.0 * x * m1(x) + m2(x))
 
-    return other.mean() + (h(u.hi) - h(u.lo)) / u._width
+    return mean + (h(hi) - h(lo)) / width
+
+
+# the demands whose uniform closed form expected_maxima takes over arrays:
+# the families with the closed-form maximum and partial moments over blocks
+_CLOSED_FORM_BLOCKS = (Uniform, Exponential, LogNormal)
+
+
+def _has_blocks(d: Distribution) -> bool:
+    """Whether d's CDF and density are defined over blocks (see _math_map):
+    a parametric family, or an upper truncation of one."""
+    if isinstance(d, UpperTruncated):
+        d = d.base
+    return type(d) in _STACKS
+
+
+def _blocks(d, *kernels):
+    """d's kernels over blocks, named without the ``_block`` suffix, as
+    functions of the points."""
+    family = type(d) if isinstance(d, Distribution) else d.family
+    return [functools.partial(getattr(family, f"_{name}_block"), p=d) for name in kernels]
+
+
+def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
+    """``_expected_max_uniform`` of closed-form uniforms against a demand in
+    ``_CLOSED_FORM_BLOCKS``, over arrays: a uniform demand integrates
+    instead of the order where its (lo, hi) sorts first (``_uniform_rank``)."""
+    stack = _stack_of_members(orders)
+    lo, hi = stack.lo, stack.hi
+    kernels = _blocks(demand, "cdf", "m1", "m2")
+    values = _uniform_closed_form(demand.mean(), lo, hi, stack._width, *kernels)
+    if type(demand) is Uniform:
+        swap = (demand.lo < lo) | ((demand.lo == lo) & (demand.hi < hi))
+        if swap.any():
+            kernels = _blocks(stack, "cdf", "m1", "m2")
+            swapped = _uniform_closed_form(
+                stack.means(), demand.lo, demand.hi, demand._width, *kernels
+            )
+            values = np.where(swap, swapped, values)
+    return values.tolist()
 
 
 def _expected_max_over_atoms(atoms, other: Distribution) -> float:
@@ -1430,15 +1651,69 @@ def _expected_max_densities(x: Distribution, y: Distribution) -> float:
     return _half_max(x, y, cut, pts) + _half_max(y, x, cut, pts)
 
 
+def _half_range(x: Distribution, y: Distribution, cut: float) -> tuple[float, float]:
+    """Where ``_half_max`` integrates: both supports, below the cut."""
+    return max(x.support()[0], y.support()[0]), min(x.support()[1], cut)
+
+
 def _half_max(x: Distribution, y: Distribution, cut: float, pts) -> float:
     # int t f_x(t) F_y(t) dt; beyond the cut F_y is within TAIL_PROB of 1, so
     # the remainder is the exact tail moment of x
-    lo = max(x.support()[0], y.support()[0])
-    hi = min(x.support()[1], cut)
+    lo, hi = _half_range(x, y, cut)
     value = 0.0
     if hi > lo:
         value = _density_cdf_integral(x, y, lo, hi, pts)
     return value + x.upper_partial_expectation(max(hi, lo))
+
+
+def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[float]:
+    """``_expected_max_densities`` of each order against the demand, bit for
+    bit, with every half's quadrature in one ``integrate_many``, listed in
+    the order ``expected_max`` takes them, so that a failure raises the
+    error of the first half it would refuse. The orders' kernels over a
+    block come from one stack per family and tail form, gathered per row."""
+    groups: dict[tuple, list[int]] = {}
+    for k, g in enumerate(orders):
+        groups.setdefault((type(g), getattr(g, "_upper_tail", None)), []).append(k)
+    stacks, member = [], [None] * len(orders)
+    for members in groups.values():
+        for row, k in enumerate(members):
+            member[k] = (len(stacks), row)
+        stacks.append(_stack_of_members([orders[k] for k in members]))
+
+    spans, tails, owners = [], [], []
+    for k, g in enumerate(orders):
+        cut = max(g.upper_cut(), demand.upper_cut())
+        pts = set(g.breakpoints()) | set(demand.breakpoints())
+        order_first = not _sorts_before(demand, g)
+        for order_x in (order_first, not order_first):
+            x, y = (g, demand) if order_x else (demand, g)
+            lo, hi = _half_range(x, y, cut)
+            spans.append((lo, hi, pts))
+            tails.append(x.upper_partial_expectation(max(hi, lo)))
+            owners.append((*member[k], order_x))
+    span_stack, span_row, span_side = (np.array(column) for column in zip(*owners))
+    demand_pdf, demand_cdf = _blocks(demand, "pdf", "cdf")
+
+    def integrand(owner, t):
+        # t f_x(t) F_y(t), one group of rows at a time: a stack, and whether
+        # the order is x
+        out = np.empty(t.shape)
+        stack_of, side_of = span_stack[owner], span_side[owner]
+        for i, stack in enumerate(stacks):
+            for side in (True, False):
+                rows = np.flatnonzero((stack_of == i) & (side_of == side))
+                if rows.size:
+                    block = t[rows]
+                    pdf, cdf = _blocks(_Gathered(stack, span_row[owner[rows], None]), "pdf", "cdf")
+                    if side:
+                        out[rows] = block * pdf(block) * demand_cdf(block)
+                    else:
+                        out[rows] = block * demand_pdf(block) * cdf(block)
+        return out
+
+    halves = [value + tail for value, tail in zip(integrate_many(integrand, spans), tails)]
+    return [first + second for first, second in zip(halves[::2], halves[1::2])]
 
 
 def _density_cdf_integral(x: Distribution, y: Distribution, lo: float, hi: float, pts) -> float:
@@ -1479,6 +1754,20 @@ def _per_component(mixture: Mixture, integral, other: Distribution) -> float:
 def _stack_of(d: Distribution):
     """The stack of a single-family mixture, else None."""
     return d._stacked() if isinstance(d, Mixture) else None
+
+
+def _member_params(family: type, dists) -> dict[str, np.ndarray]:
+    """The parameter arrays of members of a parametric family, keyed as in
+    its record, as its stack takes them."""
+    records = [d.to_dict() for d in dists]
+    return {name: np.array([r[name] for r in records]) for name in _STACKS[family].params}
+
+
+def _stack_of_members(dists) -> _Stack:
+    """Members of one parametric family, with one tail form for truncated
+    normals, as an equal-weight stack."""
+    family = type(dists[0])
+    return _STACKS[family](_member_params(family, dists), np.full(len(dists), 1.0 / len(dists)))
 
 
 # -- serialization ------------------------------------------------------------

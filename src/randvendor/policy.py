@@ -7,7 +7,10 @@ distribution exactly when a feasibility inequality on (G, compound demand)
 holds; this module evaluates that inequality in both of its baseline
 readings, the equivalent moment-constrained form for candidates whose mean
 is pinned to the point order, and runs a derivative-free search for the
-best feasible order distribution.
+best feasible order distribution. The search builds every candidate first
+and evaluates them as one batch (``expected_maxima``, then the feasibility
+arithmetic over arrays), with the margins and profits of the public checks
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .distributions import (
     _generator,
     _truncnorm_mean,
     expected_max,
+    expected_maxima,
+    valid_parameters,
 )
 from .newsvendor import MarketParams
 
@@ -156,12 +161,9 @@ def _feasibility(
     rhs: float,
     mode: RhsMode,
 ) -> FeasibilityReport:
-    lhs = (
-        order_dist.mean() * params.critical_fractile
-        + compound.mean()
-        - expected_max(order_dist, compound)
-    )
-    margin = lhs - rhs
+    e_max = expected_max(order_dist, compound)
+    mean_q = order_dist.mean()
+    lhs, margin, _ = _lhs_margin_profit(params, compound.mean(), mean_q, e_max, rhs, False)
     return FeasibilityReport(
         lhs=lhs,
         rhs=rhs,
@@ -195,13 +197,9 @@ def _mean_constrained_feasibility(
     rhs: float,
 ) -> FeasibilityReport:
     mean_q = order_dist.mean()
-    if abs(mean_q - naive_q) > 1e-6 * max(1.0, naive_q):
-        raise ValueError(
-            f"moment-constrained check requires E[Q] = {naive_q!r} "
-            f"(the naive order), got E[Q] = {mean_q!r}"
-        )
-    lhs = expected_max(order_dist, compound)
-    margin = rhs - lhs
+    _check_pinned_mean(mean_q, naive_q)
+    e_max = expected_max(order_dist, compound)
+    lhs, margin, _ = _lhs_margin_profit(params, compound.mean(), mean_q, e_max, rhs, True)
     return FeasibilityReport(
         lhs=lhs,
         rhs=rhs,
@@ -213,8 +211,33 @@ def _mean_constrained_feasibility(
     )
 
 
+def _check_pinned_mean(mean_q: float, naive_q: float) -> None:
+    if abs(mean_q - naive_q) > 1e-6 * max(1.0, naive_q):
+        raise ValueError(
+            f"moment-constrained check requires E[Q] = {naive_q!r} "
+            f"(the naive order), got E[Q] = {mean_q!r}"
+        )
+
+
+def _lhs_margin_profit(
+    params: MarketParams, compound_mean, mean_q, e_max, rhs: float, pinned: bool
+):
+    """(lhs, margin, expected profit) of orders with mean ``mean_q`` and
+    E[max(Q, D)] ``e_max``, as floats or element-wise over arrays: the
+    moment-constrained form when ``pinned``, else the feasibility
+    inequality."""
+    if pinned:
+        profit = params.p * (mean_q * params.critical_fractile + compound_mean - e_max)
+        return e_max, rhs - e_max, profit
+    lhs = mean_q * params.critical_fractile + compound_mean - e_max
+    return lhs, lhs - rhs, params.p * lhs
+
+
 # -- candidate order-distribution families ------------------------------------
 
+# the families whose free candidates are their own parameters, keyed as in
+# their records
+_FAMILIES = {"uniform": Uniform, "lognormal": LogNormal, "truncated_normal": TruncatedNormal}
 _FAMILY_PARAMS = {
     ("uniform", False): ("lo", "hi"),
     ("uniform", True): ("width",),
@@ -245,33 +268,26 @@ def build_order_dist(
     names = order_family_param_names(family, constrained)
     if len(values) != len(names):
         raise ValueError(f"family {family!r} expects parameters {names}, got {values}")
+    if not constrained and family in _FAMILIES:
+        return _FAMILIES[family](*values)
     if constrained and naive_q <= 0.0 and family != "uniform":
         raise ValueError(f"cannot pin the order mean to {naive_q}")
     if family == "uniform":
-        if constrained:
-            (width,) = values
-            if width <= 0.0:
-                raise ValueError(f"width must be > 0, got {width}")
-            return Uniform(naive_q - 0.5 * width, naive_q + 0.5 * width)
-        lo, hi = values
-        return Uniform(lo, hi)
+        (width,) = values
+        if width <= 0.0:
+            raise ValueError(f"width must be > 0, got {width}")
+        return Uniform(naive_q - 0.5 * width, naive_q + 0.5 * width)
     if family == "lognormal":
-        if constrained:
-            (log_sd,) = values
-            if log_sd <= 0.0:
-                raise ValueError(f"log_sd must be > 0, got {log_sd}")
-            # location solved exactly from exp(mu + sd^2/2) = target mean
-            return LogNormal(math.log(naive_q) - 0.5 * log_sd**2, log_sd)
-        log_mean, log_sd = values
-        return LogNormal(log_mean, log_sd)
+        (log_sd,) = values
+        if log_sd <= 0.0:
+            raise ValueError(f"log_sd must be > 0, got {log_sd}")
+        # location solved exactly from exp(mu + sd^2/2) = target mean
+        return LogNormal(math.log(naive_q) - 0.5 * log_sd**2, log_sd)
     if family == "truncated_normal":
-        if constrained:
-            (sd,) = values
-            if sd <= 0.0:
-                raise ValueError(f"sd must be > 0, got {sd}")
-            return TruncatedNormal(_solve_truncnorm_location(naive_q, sd), sd)
-        mean, sd = values
-        return TruncatedNormal(mean, sd)
+        (sd,) = values
+        if sd <= 0.0:
+            raise ValueError(f"sd must be > 0, got {sd}")
+        return TruncatedNormal(_solve_truncnorm_location(naive_q, sd), sd)
     if family == "point":
         q = naive_q if constrained else values[0]
         lo = max(0.0, q - 0.5 * _POINT_WIDTH)
@@ -304,6 +320,27 @@ def _solve_truncnorm_location(target_mean: float, sd: float) -> float:
         if hi - lo <= 1e-13 * max(1.0, abs(target_mean)):
             break
     return 0.5 * (lo + hi)
+
+
+def _candidate_orders(
+    family: str, points: list[tuple[float, ...]], naive_q: float, constrained: bool
+) -> list[Distribution | None]:
+    """Each candidate's order distribution (``build_order_dist``), None where
+    it is not a valid member of the family. Free candidates of a parametric
+    family are its own parameters, tested in one array call."""
+    if family in _FAMILIES and not constrained:
+        cls = _FAMILIES[family]
+        columns = np.array(points, dtype=float).reshape(len(points), -1).T
+        valid = valid_parameters(cls, dict(zip(_FAMILY_PARAMS[(family, False)], columns)))
+        return [cls(*point) if ok else None for point, ok in zip(points, valid.tolist())]
+    return [_valid(build_order_dist, family, point, naive_q, constrained) for point in points]
+
+
+def _valid(build, *args) -> Distribution | None:
+    try:
+        return build(*args)
+    except ValueError:
+        return None
 
 
 # -- search --------------------------------------------------------------------
@@ -386,6 +423,10 @@ def search_policy(
     moment-constrained check, the rest by the feasibility inequality in the
     configured baseline reading. When nothing feasible turns up, the naive
     deterministic order is retained with zero improvement.
+
+    Every candidate is built first and evaluated as one batch
+    (``expected_maxima``), with the same margins and profits bit for bit as
+    the public checks of each alone.
     """
     names = order_family_param_names(family, cfg.constrain_mean_to_qhat)
     _check_bounds(names, bounds)
@@ -394,7 +435,6 @@ def search_policy(
     compound = scenario.compound_demand
     naive_q = naive_order_quantity(params, scenario.estimated_demand)
     base = baseline_profit(params, scenario, rhs_mode)
-    fractile = params.critical_fractile
     compound_mean = compound.mean()
     # the right-hand sides are the same for every candidate
     if cfg.constrain_mean_to_qhat:
@@ -402,25 +442,37 @@ def search_policy(
     else:
         rhs = base / params.p
 
+    pinned = cfg.constrain_mean_to_qhat
+    orders = _candidate_orders(family, candidates, naive_q, pinned)
+    valid = [g for g in orders if g is not None]
+    means = [g.mean() for g in valid]
+    if pinned:
+        for k, mean_q in enumerate(means):
+            try:
+                _check_pinned_mean(mean_q, naive_q)
+            except ValueError:
+                # checked one at a time, the candidates before it come first
+                expected_maxima(valid[:k], compound)
+                raise
+    e_max = np.array(expected_maxima(valid, compound))
+    _, margins, profits = _lhs_margin_profit(
+        params, compound_mean, np.array(means), e_max, rhs, pinned
+    )
+    feasibles = margins >= -FEASIBILITY_TOL
+    evaluated = iter(zip(profits.tolist(), margins.tolist(), feasibles.tolist()))
+
     trace: list[TraceEntry] = []
     best_params: tuple[float, ...] | None = None
     best_dist: Distribution | None = None
     best_profit = -math.inf
     feasible_count = 0
-    for cid, point in enumerate(candidates):
-        try:
-            g = build_order_dist(family, point, naive_q, cfg.constrain_mean_to_qhat)
-        except ValueError:
+    for cid, (point, g) in enumerate(zip(candidates, orders)):
+        if g is None:
             trace.append(TraceEntry(cid, point, math.nan, math.nan, False))
             continue
-        if cfg.constrain_mean_to_qhat:
-            report = _mean_constrained_feasibility(params, compound, g, naive_q, rhs)
-            profit = params.p * (g.mean() * fractile + compound_mean - report.lhs)
-        else:
-            report = _feasibility(params, compound, g, naive_q, rhs, rhs_mode)
-            profit = params.p * report.lhs
-        trace.append(TraceEntry(cid, point, profit, report.margin, report.feasible))
-        if report.feasible:
+        profit, margin, feasible = next(evaluated)
+        trace.append(TraceEntry(cid, point, profit, margin, feasible))
+        if feasible:
             feasible_count += 1
             if profit > best_profit:
                 best_profit = profit
@@ -487,4 +539,4 @@ def _candidate_points(
     axes = [np.linspace(lo, hi, per_dim) for lo, hi in spans]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [tuple(float(v) for v in row) for row in flat]
+    return [tuple(row) for row in flat.tolist()]

@@ -1,0 +1,287 @@
+"""Search evaluates its candidates as one batch: the row-wise Gauss-Kronrod
+rule, the lockstep quadrature (``integrate_many``), the expected maxima of
+many orders against one demand, and the candidates built at once, each
+against the scalar path it stands in for, bit for bit."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from randvendor import (
+    Exponential,
+    LogNormal,
+    MarketParams,
+    NumericalIntegrityError,
+    ParameterUncertainty,
+    SearchConfig,
+    TruncatedNormal,
+    Uniform,
+    UpperTruncated,
+    build_scenario,
+    distributions,
+    expected_max,
+    search_policy,
+)
+from randvendor import _quad
+from randvendor.distributions import (
+    _density_maxima,
+    _expected_max_densities,
+    _uniform_maxima,
+    expected_maxima,
+)
+from randvendor.policy import (
+    _candidate_orders,
+    build_order_dist,
+)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# -- the rule over a block of panels -----------------------------------------------
+
+
+def test_rows_match_gk21():
+    rng = np.random.default_rng(12)
+    n = 300
+    a = rng.uniform(-5.0, 5.0, n)
+    b = a + rng.uniform(1e-6, 10.0, n)
+    nodes, hlgth = _quad._panel_nodes(a, b)
+    scale = rng.choice([1e-300, 1e-5, 1.0, 1e10], size=(n, 1))
+    values = rng.normal(size=(n, 21)) * scale
+    values[::5] = np.abs(values[::5])  # no negative value: the shortcut for |f|
+    values[::7, ::3] = 0.0
+    values[3] = 0.0
+    values[4] = -0.0
+    values[6] = 2.5  # a constant: no error at all
+    rows = _quad._gk21_rows(values, hlgth)
+    capped = 0
+    for i in range(n):
+        at = dict(zip(nodes[i].tolist(), values[i].tolist()))
+        assert len(at) == 21
+        ref = _quad._gk21(at.__getitem__, float(a[i]), float(b[i]))
+        assert _bits(ref) == _bits(part[i] for part in rows)
+        capped += ref[1] == ref[3] != 0.0
+    # random values oscillate: most panels' estimates hit dqk21's cap
+    assert capped > n // 2
+
+
+def _table(fns):
+    """A block integrand that evaluates the scalar ``fns[owner]`` per node."""
+
+    def fn(owner, t):
+        return np.array([[fns[o](x) for x in row] for o, row in zip(owner.tolist(), t.tolist())])
+
+    return fn
+
+
+SPANS = [
+    (lambda t: t * math.exp(-t), 0.0, 30.0, ()),
+    (lambda t: math.exp(-0.5 * ((t - 3.0) / 0.01) ** 2), 0.0, 10.0, (3.0,)),
+    (lambda t: abs(math.sin(5.0 * t)), 0.0, 4.0, (1.0, 2.0, 2.5)),
+    (lambda t: 1.0, 2.0, 2.0, ()),
+    (lambda t: t - 1.0, 0.0, 2.0, ()),
+    (lambda t: math.log1p(t), 0.5, 100.0, tuple(np.linspace(0.0, 101.0, 60).tolist())),
+]
+
+
+def test_integrate_many_matches_integrate():
+    fns = [f for f, *_ in SPANS]
+    spans = [span for _, *span in SPANS]
+    expected = [_quad.integrate(f, lo, hi, pts) for f, lo, hi, pts in SPANS]
+    assert _bits(_quad.integrate_many(_table(fns), spans)) == _bits(expected)
+
+
+def _refuse_only_the_worst(monkeypatch, ratios):
+    """Set the tolerance between the largest error ratio and the next."""
+    worst = max(range(len(ratios)), key=ratios.__getitem__)
+    runner_up = sorted(ratios)[-2]
+    assert 0 < worst and runner_up < ratios[worst]
+    monkeypatch.setattr(_quad, "_MAX_ERROR", 0.5 * (runner_up + ratios[worst]))
+
+
+def _recorded_ratios(monkeypatch, run):
+    """Each quadrature's error / max(1, |value|), in the order ``run``
+    checks them."""
+    ratios = []
+    checked = _quad._checked
+
+    def record(value, err, lo, hi):
+        ratios.append(err / max(1.0, abs(value)))
+        return checked(value, err, lo, hi)
+
+    monkeypatch.setattr(_quad, "_checked", record)
+    run()
+    monkeypatch.setattr(_quad, "_checked", checked)
+    return ratios
+
+
+def test_integrate_many_raises_as_the_first_refused_span(monkeypatch):
+    def scalar():
+        for f, lo, hi, pts in SPANS:
+            _quad.integrate(f, lo, hi, pts)
+
+    _refuse_only_the_worst(monkeypatch, _recorded_ratios(monkeypatch, scalar))
+    with pytest.raises(NumericalIntegrityError) as expected:
+        scalar()
+    with pytest.raises(NumericalIntegrityError) as batched:
+        _quad.integrate_many(_table([f for f, *_ in SPANS]), [span for _, *span in SPANS])
+    assert str(batched.value) == str(expected.value)
+
+
+# -- expected maxima of many orders against one demand ----------------------------
+
+
+def _orders():
+    """Lognormal, truncated normal with each tail form, wide uniform and point
+    orders, several of each, so that every kind fills a lockstep batch."""
+    out = []
+    for i in range(6):
+        out.append(LogNormal(0.4 + 0.3 * i, 0.1 + 0.15 * i))
+        out.append(TruncatedNormal(1.0 + 2.0 * i, 0.4 + 0.5 * i))  # lower tail
+        out.append(TruncatedNormal(-0.5 - i, 1.0 + 0.8 * i))  # upper tail
+        out.append(Uniform(0.5 * i, 2.0 + 3.0 * i))
+        q = 0.7 + 1.9 * i
+        out.append(Uniform(q - 0.5e-9, q + 0.5e-9))
+    return out
+
+
+DEMANDS = [
+    Exponential(0.25),
+    LogNormal(1.2, 0.6),
+    TruncatedNormal(4.0, 2.5),
+    Uniform(1.0, 9.0),
+    UpperTruncated(LogNormal(1.0, 0.8), 7.5),
+]
+
+
+@pytest.mark.parametrize("demand", DEMANDS, ids=repr)
+def test_expected_maxima_match_expected_max(demand):
+    orders = _orders()
+    assert [o._upper_tail for o in orders if isinstance(o, TruncatedNormal)].count(True) == 6
+    expected = [expected_max(g, demand) for g in orders]
+    assert _bits(expected_maxima(orders, demand)) == _bits(expected)
+
+
+@pytest.mark.parametrize("demand", DEMANDS, ids=repr)
+def test_every_density_pair_through_the_lockstep_quadrature(demand):
+    # each kind of order alone in a batch, against the scalar density-pair
+    # quadrature, which expected_max takes for the wide uniforms only against
+    # a truncated normal
+    for kind in range(5):
+        orders = _orders()[kind::5]
+        expected = [_expected_max_densities(g, demand) for g in orders]
+        assert _bits(_density_maxima(orders, demand)) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "demand", [Exponential(0.25), LogNormal(1.2, 0.6), Uniform(1.0, 9.0)], ids=repr
+)
+def test_uniform_closed_form_over_arrays(demand):
+    # a uniform demand integrates instead of the order where its (lo, hi)
+    # sorts first: every order below, at and above it
+    edges = [0.0, 0.5, 1.0, 3.0, 9.0, 12.0]
+    orders = [Uniform(lo, hi) for lo, hi in itertools.combinations(edges, 2)]
+    assert all(g._closed_form_max for g in orders)
+    expected = [expected_max(g, demand) for g in orders]
+    assert _bits(_uniform_maxima(orders, demand)) == _bits(expected)
+
+
+def test_a_candidate_alone_and_in_a_batch_of_25():
+    demand = LogNormal(1.5, 0.4)
+    sds = np.linspace(0.05, 1.0, 25).tolist()
+    batch = [LogNormal(math.log(4.0) - 0.5 * s * s, s) for s in sds]
+    together = _density_maxima(batch, demand)
+    for i in (0, 11, 24):
+        alone = _density_maxima([batch[i]], demand)
+        assert _bits(alone) == _bits([together[i]]) == _bits([expected_max(batch[i], demand)])
+
+
+def test_a_failing_batch_raises_as_the_loop(monkeypatch):
+    # the demand's record sorts first, so expected_max takes its half first
+    demand = Exponential(2.0)
+    orders = [LogNormal(0.5 + 0.2 * i, 0.2 + 0.1 * i) for i in range(8)]
+    assert all(distributions._sorts_before(demand, g) for g in orders)
+    # refuse both halves of one candidate, which share its cut, and no other
+    cuts = [max(g.upper_cut(), demand.upper_cut()) for g in orders]
+    refused = cuts[3]
+    assert cuts.count(refused) == 1
+    checked = _quad._checked
+
+    def refuse(value, err, lo, hi):
+        return checked(value, math.inf if hi == refused else err, lo, hi)
+
+    monkeypatch.setattr(_quad, "_checked", refuse)
+    with pytest.raises(NumericalIntegrityError) as expected:
+        for g in orders:
+            expected_max(g, demand)
+    with pytest.raises(NumericalIntegrityError) as batched:
+        _density_maxima(orders, demand)
+    assert str(batched.value) == str(expected.value)
+
+
+# -- which searches take the batch --------------------------------------------------
+
+MARKET = MarketParams(p=3.0, w=1.2)
+
+
+def test_pinned_lognormal_search_makes_no_scalar_quadrature(monkeypatch):
+    triple = build_scenario(LogNormal(0.0, 0.5), true_demand=LogNormal(0.1, 0.6))
+    cfg = SearchConfig(method="grid", budget=25, seed=0, constrain_mean_to_qhat=True)
+    expected = search_policy(MARKET, triple, "lognormal", {"log_sd": (0.05, 1.0)}, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar quadrature")
+
+    monkeypatch.setattr(distributions, "integrate", refuse)
+    result = search_policy(MARKET, triple, "lognormal", {"log_sd": (0.05, 1.0)}, cfg)
+    assert result.search_trace == expected.search_trace
+
+
+def test_search_against_a_stacked_compound_stays_per_candidate(monkeypatch):
+    uncertainties = [ParameterUncertainty("log_sd", Uniform(0.4, 0.6))]
+    triple = build_scenario(LogNormal(0.0, 0.5), uncertainties, nodes=3)
+    assert triple.compound_demand._stacked() is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lockstep quadrature")
+
+    monkeypatch.setattr(distributions, "integrate_many", refuse)
+    cfg = SearchConfig(method="grid", budget=8, seed=0, constrain_mean_to_qhat=True)
+    result = search_policy(MARKET, triple, "lognormal", {"log_sd": (0.05, 1.0)}, cfg)
+    assert len(result.search_trace) == 8
+
+
+def _one_by_one(family, points, naive_q, constrained):
+    out = []
+    for point in points:
+        try:
+            out.append(build_order_dist(family, point, naive_q, constrained))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, constrained, points",
+    [
+        ("uniform", False, [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (-0.5, 1.0), (0.25, 0.75)]),
+        ("lognormal", False, [(0.0, 0.5), (-3.0, 0.0), (1.0, -0.2), (2.0, 1e-9)]),
+        ("truncated_normal", False, [(1.0, 0.5), (-40.0, 1.0), (0.0, 0.0), (-3.0, 2.0)]),
+        ("truncated_normal", True, [(0.5,), (0.0,), (-1.0,), (1e-12,), (40.0,), (1e300,)]),
+        ("lognormal", True, [(0.05,), (0.0,), (1.0,)]),
+        ("point", False, [(0.0,), (0.3,), (1e-12,)]),
+    ],
+)
+def test_candidates_are_built_as_one_by_one(family, constrained, points):
+    # every candidate as build_order_dist makes it, None where it refuses
+    built = _candidate_orders(family, points, 0.8, constrained)
+    expected = _one_by_one(family, points, 0.8, constrained)
+    assert [g is None for g in built] == [g is None for g in expected]
+    assert any(g is None for g in expected) or family == "point"
+    for g, e in zip(built, expected):
+        if e is not None:
+            assert type(g) is type(e) and g.to_dict() == e.to_dict()

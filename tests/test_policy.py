@@ -6,11 +6,13 @@ import pytest
 from helpers import random_continuous, random_market
 from randvendor import (
     Deterministic,
+    LogNormal,
     MarketParams,
     RhsMode,
     ScenarioTriple,
     SearchConfig,
     Stochastic,
+    TruncatedNormal,
     Uniform,
     baseline_profit,
     build_order_dist,
@@ -32,6 +34,16 @@ TRIPLE_MISMATCH = ScenarioTriple(
     true_demand=Uniform(0, 1.2), estimated_demand=U01, compound_demand=Uniform(0, 1.2)
 )
 MISMATCH_BOUNDS = {"lo": (0.0, 1.2), "hi": (0.0, 1.2)}
+TRIPLE_LOGNORMAL = ScenarioTriple(
+    true_demand=LogNormal(0.2, 0.6),
+    estimated_demand=LogNormal(0.0, 0.5),
+    compound_demand=LogNormal(0.2, 0.6),
+)
+TRIPLE_TRUNCNORM = ScenarioTriple(
+    true_demand=TruncatedNormal(1.2, 0.6),
+    estimated_demand=TruncatedNormal(1.0, 0.5),
+    compound_demand=TruncatedNormal(1.2, 0.6),
+)
 
 
 class TestNaiveOrder:
@@ -350,25 +362,39 @@ class TestSearch:
                 assert g.mean() == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "family, bounds, constrained, mode",
+        "triple, family, bounds, constrained, mode",
         [
-            ("uniform", MISMATCH_BOUNDS, False, RhsMode.EXPECTED_PROFIT),
-            ("uniform", MISMATCH_BOUNDS, False, RhsMode.PARTIAL_EXPECTATION),
-            ("uniform", {"width": (0.01, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
-            ("lognormal", {"log_sd": (0.05, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
+            (TRIPLE_MISMATCH, "uniform", MISMATCH_BOUNDS, False, RhsMode.EXPECTED_PROFIT),
+            (TRIPLE_MISMATCH, "uniform", MISMATCH_BOUNDS, False, RhsMode.PARTIAL_EXPECTATION),
+            (TRIPLE_MISMATCH, "uniform", {"width": (0.01, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
+            (TRIPLE_MISMATCH, "lognormal", {"log_sd": (0.05, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
+            # density demands: every candidate takes the lockstep quadrature
+            *(
+                (triple, family, bounds, constrained, mode)
+                for triple in (TRIPLE_LOGNORMAL, TRIPLE_TRUNCNORM)
+                for family, bounds, constrained, mode in [
+                    ("lognormal", {"log_sd": (0.05, 1.0)}, True, RhsMode.EXPECTED_PROFIT),
+                    ("truncated_normal", {"sd": (0.05, 1.5)}, True, RhsMode.EXPECTED_PROFIT),
+                    ("point", {"q": (0.5, 1.5)}, False, RhsMode.EXPECTED_PROFIT),
+                    ("point", {"q": (0.5, 1.5)}, False, RhsMode.PARTIAL_EXPECTATION),
+                ]
+            ),
         ],
+        ids=repr,
     )
-    def test_trace_margins_match_public_checks(self, family, bounds, constrained, mode):
-        # the search computes each right-hand side once; every candidate's
-        # margin must still equal the public check's, bit for bit
+    def test_trace_margins_match_public_checks(self, triple, family, bounds, constrained, mode):
+        # the search computes each right-hand side once and evaluates its
+        # candidates as one batch; every candidate's margin must still equal
+        # the public check's, bit for bit
         cfg = SearchConfig(method="grid", budget=16, seed=0, constrain_mean_to_qhat=constrained)
-        result = search_policy(MP, TRIPLE_MISMATCH, family, bounds, cfg, rhs_mode=mode)
+        result = search_policy(MP, triple, family, bounds, cfg, rhs_mode=mode)
+        naive_q = naive_order_quantity(MP, triple.estimated_demand)
         valid = [e for e in result.search_trace if not math.isnan(e.expected_profit)]
         assert valid
         for entry in valid:
-            g = build_order_dist(family, entry.params, 0.5, constrained)
+            g = build_order_dist(family, entry.params, naive_q, constrained)
             if constrained:
-                report = check_mean_constrained_feasibility(MP, TRIPLE_MISMATCH, g)
+                report = check_mean_constrained_feasibility(MP, triple, g)
             else:
-                report = check_feasibility(MP, TRIPLE_MISMATCH, g, mode)
+                report = check_feasibility(MP, triple, g, mode)
             assert (entry.margin, entry.feasible) == (report.margin, report.feasible)
