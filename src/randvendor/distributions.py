@@ -30,13 +30,17 @@ leaves the step open. A stack is built from parameter arrays, so a compound
 built from its grid of parameters creates component objects only for the
 paths that walk them.
 
+Kernels come in two layers: each family's methods at one point, by
+``math``, and each parametric family's ``_*_block`` kernels, the only array
+definition of each formula, which stacks, gathered rows and the lockstep
+quadrature share; the two agree bit for bit.
+
 ``expected_maxima`` evaluates the expected maxima of many orders against one
 demand, the candidates of a search, with the same values bit for bit as
 ``expected_max`` of each pair: closed-form uniforms over arrays, and
 density pairs of non-mixtures in one lockstep quadrature
-(``integrate_many``), whose integrands are the families' kernels over a
-block of points (``_cdf_block``, ``_pdf_block``), computed by the scalar
-kernels' own operations.
+(``integrate_many``), whose integrands are the families' array kernels over
+a block of points.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -72,8 +76,56 @@ _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 _MIN_UNIFORM_WIDTH = 1e-3
 
 
-def _norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / _ROOT_2PI
+# The array layer: ``_cdf_block(x, p, fast)``, ``_pdf_block(x, p, fast)``,
+# ``_m1_block(q, p)`` and ``_m2_block(q, p)`` of each parametric family. ``p``
+# is an instance, or holds the parameters and derived constants as arrays
+# under the instance's attribute names (a stack, or its gathered rows); the
+# point is a float or an array that broadcasts against them. Each runs its
+# scalar kernel's own IEEE operations: ``math`` on a float and element by
+# element over an array (``_exp``, ``_expm1``, ``_log``), scipy's ufuncs as
+# they are, and guards by ``_where``; so each value equals the scalar
+# kernel's bit for bit. ``fast``, which only quadrature integrands pass, takes
+# numpy's transcendentals over arrays, which may differ in the last bit. The
+# scalar kernels stay plain ``math``, as quadrature calls them at every node:
+# on a float, the lognormal F and f here took about 0.9 and 1.0 us, against
+# 0.4-0.6 and 0.35 us (2-core VM).
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    # element-wise through math: numpy's vectorized exp and expm1 round some
+    # inputs differently, and M1, M2 can magnify that by cancellation
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _elementwise(fn, ufunc):
+    """``fn`` of ``math`` on a float, and over an array element by element
+    (``_math_map``) or, when ``fast``, by numpy's ``ufunc``."""
+
+    def apply(x, fast=False):
+        if isinstance(x, np.ndarray):
+            # fast: one math call per component would cost most of a
+            # quadrature integrand's time, and its last bit does not matter
+            return ufunc(x) if fast else _math_map(fn, x)
+        return fn(x)
+
+    return apply
+
+
+_exp = _elementwise(math.exp, np.exp)
+_expm1 = _elementwise(math.expm1, np.expm1)
+_log = _elementwise(math.log, np.log)
+
+
+def _where(cond, a, b):
+    """``np.where(cond, a, b)``, or ``a if cond else b`` for one truth value:
+    a guard at a float point costs no array call."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _norm_pdf(z, fast=False):
+    return _exp(-0.5 * z * z, fast) / _ROOT_2PI
 
 
 def _sample_in_place(dist, u, out):
@@ -318,26 +370,26 @@ class Uniform(Distribution):
         # factored so that a narrow interval does not cancel
         return (q - lo) * (q * q + q * lo + lo * lo) / (3.0 * self._width)
 
-    # the kernels over blocks (see _math_map); a uniform stack shares them
+    # the array layer (see _math_map)
 
     @staticmethod
-    def _cdf_block(x, p):
-        return np.where(x <= p.lo, 0.0, np.where(x >= p.hi, 1.0, (x - p.lo) / p._width))
+    def _cdf_block(x, p, fast=False):
+        return _where(x <= p.lo, 0.0, _where(x >= p.hi, 1.0, (x - p.lo) / p._width))
 
     @staticmethod
-    def _pdf_block(x, p):
-        return np.where((p.lo <= x) & (x <= p.hi), 1.0 / p._width, 0.0)
+    def _pdf_block(x, p, fast=False):
+        return _where((p.lo <= x) & (x <= p.hi), 1.0 / p._width, 0.0)
 
     @staticmethod
     def _m1_block(q, p):
         top = np.minimum(q, p.hi)
-        return np.where(q <= p.lo, 0.0, (top * top - p.lo * p.lo) / (2.0 * p._width))
+        return _where(q <= p.lo, 0.0, (top * top - p.lo * p.lo) / (2.0 * p._width))
 
     @staticmethod
     def _m2_block(q, p):
         top, lo = np.minimum(q, p.hi), p.lo
         moment = (top - lo) * (top * top + top * lo + lo * lo) / (3.0 * p._width)
-        return np.where(q <= lo, 0.0, moment)
+        return _where(q <= lo, 0.0, moment)
 
     def to_dict(self):
         return {"family": "uniform", "lo": self.lo, "hi": self.hi}
@@ -410,30 +462,28 @@ class Exponential(Distribution):
         # by parts: M2 = 2 M1 / rate - q^2 exp(-rate q)
         return 2.0 * self._partial_expectation(q) / self.rate - q * q * math.exp(-x)
 
-    # the kernels over blocks (see _math_map); an exponential stack shares
-    # the partial moments
+    # the array layer (see _math_map)
 
     @staticmethod
-    def _cdf_block(x, p):
+    def _cdf_block(x, p, fast=False):
         inside = x > 0.0
-        return np.where(inside, -_math_map(math.expm1, -p.rate * np.where(inside, x, 0.0)), 0.0)
+        return _where(inside, -_expm1(-p.rate * _where(inside, x, 0.0), fast), 0.0)
 
     @staticmethod
-    def _pdf_block(x, p):
+    def _pdf_block(x, p, fast=False):
         inside = x >= 0.0
-        decay = _math_map(math.exp, -p.rate * np.where(inside, x, 0.0))
-        return np.where(inside, p.rate * decay, 0.0)
+        return _where(inside, p.rate * _exp(-p.rate * _where(inside, x, 0.0), fast), 0.0)
 
     @staticmethod
     def _m1_block(q, p):
         x = p.rate * q
-        closed = -_math_map(math.expm1, -x) / p.rate - q * _math_map(math.exp, -x)
+        closed = -_expm1(-x) / p.rate - q * _exp(-x)
         return Exponential._series_block(x, closed, _EXP_M1_SERIES, q)
 
     @staticmethod
     def _m2_block(q, p):
         x = p.rate * q
-        closed = 2.0 * Exponential._m1_block(q, p) / p.rate - q * q * _math_map(math.exp, -x)
+        closed = 2.0 * Exponential._m1_block(q, p) / p.rate - q * q * _exp(-x)
         return Exponential._series_block(x, closed, _EXP_M2_SERIES, q * q)
 
     @staticmethod
@@ -441,11 +491,11 @@ class Exponential(Distribution):
         """The small-x series of the scalar kernels where x = rate * q is
         below ``_EXP_SERIES_MAX``, else ``closed``."""
         small = x < _EXP_SERIES_MAX
-        if not small.any():
+        if not np.any(small):
             return closed
-        x = np.where(small, x, 0.0)
-        series = scale * x * _math_map(math.exp, -x) * _horner(coeffs, x)
-        return np.where(small, series, closed)
+        x = _where(small, x, 0.0)
+        series = scale * x * _exp(-x) * _horner(coeffs, x)
+        return _where(small, series, closed)
 
     def to_dict(self):
         return {"family": "exponential", "rate": self.rate}
@@ -474,7 +524,24 @@ class LogNormal(Distribution):
         return math.exp(-0.5 * z * z) / _ROOT_2PI / (x * self.log_sd)
 
     def mean(self):
-        return math.exp(self.log_mean + 0.5 * self.log_sd**2)
+        return self._mean
+
+    # constants shared with a stack, under its names; taken on first use, so
+    # that a member whose moments overflow is still built
+
+    @functools.cached_property
+    def log_var(self):
+        # by pow, which rounds differently from log_sd * log_sd about once in
+        # a thousand
+        return self.log_sd**2
+
+    @functools.cached_property
+    def _mean(self):
+        return math.exp(self.log_mean + 0.5 * self.log_var)
+
+    @functools.cached_property
+    def m2_scale(self):
+        return math.exp(2.0 * (self.log_mean + self.log_var))
 
     def _quantile(self, u):
         return math.exp(self.log_mean + self.log_sd * float(ndtri(u)))
@@ -492,45 +559,42 @@ class LogNormal(Distribution):
     def _partial_expectation(self, q):
         if q <= 0.0:
             return 0.0
-        z = (math.log(q) - self.log_mean - self.log_sd**2) / self.log_sd
-        return self.mean() * float(ndtr(z))
+        z = (math.log(q) - self.log_mean - self.log_var) / self.log_sd
+        return self._mean * float(ndtr(z))
 
     def _second_partial_moment(self, q):
         if q <= 0.0:
             return 0.0
-        z = (math.log(q) - self.log_mean - 2.0 * self.log_sd**2) / self.log_sd
-        return math.exp(2.0 * (self.log_mean + self.log_sd**2)) * float(ndtr(z))
+        z = (math.log(q) - self.log_mean - 2.0 * self.log_var) / self.log_sd
+        return self.m2_scale * float(ndtr(z))
 
-    # the kernels over blocks (see _math_map); the partial moments take an
-    # instance
-
-    @staticmethod
-    def _cdf_block(x, p):
-        inside = x > 0.0
-        logs = _math_map(math.log, np.where(inside, x, 1.0))
-        return np.where(inside, ndtr((logs - p.log_mean) / p.log_sd), 0.0)
+    # the array layer (see _math_map)
 
     @staticmethod
-    def _pdf_block(x, p):
+    def _cdf_block(x, p, fast=False):
         inside = x > 0.0
-        x = np.where(inside, x, 1.0)
-        z = (_math_map(math.log, x) - p.log_mean) / p.log_sd
-        density = _math_map(math.exp, -0.5 * z * z) / _ROOT_2PI / (x * p.log_sd)
-        return np.where(inside, density, 0.0)
+        logs = _log(_where(inside, x, 1.0), fast)
+        return _where(inside, ndtr((logs - p.log_mean) / p.log_sd), 0.0)
+
+    @staticmethod
+    def _pdf_block(x, p, fast=False):
+        inside = x > 0.0
+        x = _where(inside, x, 1.0)
+        z = (_log(x, fast) - p.log_mean) / p.log_sd
+        return _where(inside, _norm_pdf(z, fast) / (x * p.log_sd), 0.0)
 
     @staticmethod
     def _m1_block(q, p):
         inside = q > 0.0
-        logs = _math_map(math.log, np.where(inside, q, 1.0))
-        z = (logs - p.log_mean - p.log_sd**2) / p.log_sd
-        return np.where(inside, p.mean() * ndtr(z), 0.0)
+        logs = _log(_where(inside, q, 1.0))
+        return _where(inside, p._mean * ndtr((logs - p.log_mean - p.log_var) / p.log_sd), 0.0)
 
     @staticmethod
     def _m2_block(q, p):
         inside = q > 0.0
-        logs = _math_map(math.log, np.where(inside, q, 1.0))
-        z = (logs - p.log_mean - 2.0 * p.log_sd**2) / p.log_sd
-        return np.where(inside, math.exp(2.0 * (p.log_mean + p.log_sd**2)) * ndtr(z), 0.0)
+        logs = _log(_where(inside, q, 1.0))
+        z = (logs - p.log_mean - 2.0 * p.log_var) / p.log_sd
+        return _where(inside, p.m2_scale * ndtr(z), 0.0)
 
     def to_dict(self):
         return {"family": "lognormal", "log_mean": self.log_mean, "log_sd": self.log_sd}
@@ -555,6 +619,8 @@ class TruncatedNormal(Distribution):
             raise ValueError("truncated_normal has no mass on [0, inf) at this mean/sd")
         # a negative mean: masses and quantiles are taken between upper tails
         self._upper_tail = self._alpha > 0.0
+        # a stack derives it under the same name
+        self._pdf_alpha = _norm_pdf(self._alpha)
 
     def support(self):
         return (0.0, math.inf)
@@ -617,7 +683,7 @@ class TruncatedNormal(Distribution):
         m, s = self.norm_mean, self.norm_sd
         beta = (q - m) / s
         mass = self._mass(beta)
-        return (m * mass + s * (_norm_pdf(self._alpha) - _norm_pdf(beta))) / self._z
+        return (m * mass + s * (self._pdf_alpha - _norm_pdf(beta))) / self._z
 
     def _second_partial_moment(self, q):
         if q <= 0.0:
@@ -625,11 +691,10 @@ class TruncatedNormal(Distribution):
         m, s = self.norm_mean, self.norm_sd
         beta = (q - m) / s
         mass = self._mass(beta)
-        tails = m * _norm_pdf(self._alpha) - (m + q) * _norm_pdf(beta)
+        tails = m * self._pdf_alpha - (m + q) * _norm_pdf(beta)
         return ((m * m + s * s) * mass + s * tails) / self._z
 
-    # the kernels over blocks (see _math_map); a truncated-normal stack
-    # shares the mass
+    # the array layer (see _math_map)
 
     @staticmethod
     def _mass_block(beta, p):
@@ -638,33 +703,47 @@ class TruncatedNormal(Distribution):
         return ndtr(beta) - p._f0
 
     @staticmethod
-    def _cdf_block(x, p):
+    def _cdf_block(x, p, fast=False):
         ratio = TruncatedNormal._mass_block((x - p.norm_mean) / p.norm_sd, p) / p._z
-        # min(1.0, max(0.0, ratio)), as Python takes them
-        ratio = np.where(ratio < 1.0, np.where(ratio > 0.0, ratio, 0.0), 1.0)
-        return np.where(x <= 0.0, 0.0, ratio)
+        # min(1.0, max(0.0, ratio)), as Python takes them: np.maximum(a, b) is
+        # np.where(a >= b, a, b) where neither is nan
+        return _where(x <= 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, ratio)))
 
     @staticmethod
-    def _pdf_block(x, p):
+    def _pdf_block(x, p, fast=False):
         z = (x - p.norm_mean) / p.norm_sd
-        density = _math_map(math.exp, -0.5 * z * z) / _ROOT_2PI / (p.norm_sd * p._z)
-        return np.where(x < 0.0, 0.0, density)
+        return _where(x < 0.0, 0.0, _norm_pdf(z, fast) / (p.norm_sd * p._z))
+
+    @staticmethod
+    def _m1_block(q, p):
+        m, s = p.norm_mean, p.norm_sd
+        beta = (q - m) / s
+        mass = TruncatedNormal._mass_block(beta, p)
+        return _where(q <= 0.0, 0.0, (m * mass + s * (p._pdf_alpha - _norm_pdf(beta))) / p._z)
+
+    @staticmethod
+    def _m2_block(q, p):
+        m, s = p.norm_mean, p.norm_sd
+        beta = (q - m) / s
+        mass = TruncatedNormal._mass_block(beta, p)
+        tails = m * p._pdf_alpha - (m + q) * _norm_pdf(beta)
+        return _where(q <= 0.0, 0.0, ((m * m + s * s) * mass + s * tails) / p._z)
 
     def to_dict(self):
         return {"family": "truncated_normal", "mean": self.norm_mean, "sd": self.norm_sd}
 
 
-def _truncnorm_mean(location: float, sd: float) -> float:
-    """Mean of Normal(location, sd) conditioned on [0, inf)."""
+def _truncnorm_mean(location, sd):
+    """Mean of Normal(location, sd) conditioned on [0, inf), for floats or
+    element-wise over arrays alike."""
     z = location / sd
-    # inverse Mills ratio in log space; stable for any z
-    return location + sd * math.exp(-0.5 * z * z - _LOG_ROOT_2PI - float(log_ndtr(z)))
-
-
-def _truncnorm_means(locations: np.ndarray, sds: np.ndarray) -> np.ndarray:
-    """``_truncnorm_mean`` element-wise, bit for bit."""
-    z = locations / sds
-    return locations + sds * _math_map(math.exp, -0.5 * z * z - _LOG_ROOT_2PI - log_ndtr(z))
+    log_tail = log_ndtr(z)
+    if not isinstance(log_tail, np.ndarray):
+        # a Python float, so that an infinite z makes nan without a warning
+        log_tail = float(log_tail)
+    # the inverse Mills ratio in log space; where z is far below zero the two
+    # terms of the exponent cancel, and the result may overflow
+    return location + sd * _exp(-0.5 * z * z - _LOG_ROOT_2PI - log_tail)
 
 
 class Empirical(Distribution):
@@ -1041,12 +1120,15 @@ class _Stack:
     family's record and in the order of its constructor (``params``); every
     entry must pass ``valid``. ``_derive`` computes the constants of the
     scalar constructor by the same expressions, under the family's own
-    attribute names (``fields`` are those its ``_inverse_cdf`` reads), so the
-    family samples from them through ``_Gathered``. The kernels take a scalar
-    argument and return one value per component (or 0.0 where all vanish),
-    computed by the same IEEE operations and functions as the scalar kernels,
-    so that every weighted sum equals the per-component one bit for bit;
-    ``cdf(x, fast=True)`` and ``pdf(x, fast=True)``, for quadrature
+    attribute names; ``fields`` names every per-component array, which
+    ``_Gathered`` gathers per draw or per row.
+
+    The kernels are the family's array layer (see _math_map) with the stack
+    for ``p``, defined here once for every family; the subclasses define only
+    what concerns the parameters. At a scalar point a kernel returns one value
+    per component (or 0.0 where all vanish), by the scalar kernel's own
+    operations, so that every weighted sum equals the per-component one bit
+    for bit. ``cdf(x, fast=True)`` and ``pdf(x, fast=True)``, for quadrature
     integrands, may differ in the last bit.
     """
 
@@ -1074,6 +1156,18 @@ class _Stack:
 
     def means(self) -> np.ndarray:
         raise NotImplementedError
+
+    def cdf(self, x, fast=False):
+        return self.family._cdf_block(x, self, fast)
+
+    def pdf(self, x, fast=False):
+        return self.family._pdf_block(x, self, fast)
+
+    def _partial_expectation(self, q):
+        return self.family._m1_block(q, self)
+
+    def _second_partial_moment(self, q):
+        return self.family._m2_block(q, self)
 
     def closed_form_max(self) -> bool:
         """``Mixture._closed_form_max`` of the components."""
@@ -1135,39 +1229,6 @@ class _Gathered:
         return value[self._idx] if name in self._stack.fields else value
 
 
-def _math_map(fn, x: np.ndarray) -> np.ndarray:
-    # element-wise through math: numpy's vectorized exp and expm1 round some
-    # inputs differently, and M1, M2 can magnify that by cancellation
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-# The kernels over blocks: ``_cdf_block(x, p)`` and ``_pdf_block(x, p)`` of
-# every parametric family and of an upper truncation of one, and the partial
-# moments ``_m1_block`` and ``_m2_block`` of the families with the closed-form
-# maximum, evaluate the scalar kernel element-wise over an array of points
-# ``x``, by the same IEEE operations, ``math`` functions through _math_map and
-# scipy's ufuncs as they are, so that each value equals the scalar kernel's
-# bit for bit. ``p`` is an instance of the family, or holds its parameters as
-# arrays that broadcast against ``x``: a stack, or a stack's parameters
-# gathered per row of a block (``_Gathered`` with a column of indices).
-
-
-def _exp_array(x: np.ndarray, fast: bool) -> np.ndarray:
-    # fast: numpy's exp, for quadrature integrands; the last bit of a density
-    # does not matter there, and one math.exp call per component would cost
-    # most of the time of each evaluation
-    return np.exp(x) if fast else _math_map(math.exp, x)
-
-
-def _expm1_array(x: np.ndarray, fast: bool) -> np.ndarray:
-    # as _exp_array, for the exponential CDF
-    return np.expm1(x) if fast else _math_map(math.expm1, x)
-
-
-def _norm_pdf_array(z: np.ndarray, fast: bool = False) -> np.ndarray:
-    return _exp_array(-0.5 * z * z, fast) / _ROOT_2PI
-
-
 class _UniformStack(_Stack):
     family = Uniform
     params = ("lo", "hi")
@@ -1192,20 +1253,8 @@ class _UniformStack(_Stack):
         # per-component walk does
         return (min(self.lo.tolist()), max(self.hi.tolist()))
 
-    def cdf(self, x, fast=False):
-        return Uniform._cdf_block(x, self)
-
-    def pdf(self, x, fast=False):
-        return Uniform._pdf_block(x, self)
-
     def breakpoints(self):
         return tuple(np.unique(np.concatenate((self.lo, self.hi))).tolist())
-
-    def _partial_expectation(self, q):
-        return Uniform._m1_block(q, self)
-
-    def _second_partial_moment(self, q):
-        return Uniform._m2_block(q, self)
 
 
 class _ExponentialStack(_Stack):
@@ -1222,18 +1271,6 @@ class _ExponentialStack(_Stack):
     def means(self):
         return 1.0 / self.rate
 
-    def cdf(self, x, fast=False):
-        return -_expm1_array(-self.rate * x, fast) if x > 0.0 else 0.0
-
-    def pdf(self, x, fast=False):
-        return self.rate * _exp_array(-self.rate * x, fast) if x >= 0.0 else 0.0
-
-    def _partial_expectation(self, q):
-        return Exponential._m1_block(q, self)
-
-    def _second_partial_moment(self, q):
-        return Exponential._m2_block(q, self)
-
     def quantile_range(self, u):
         # log1p of the one argument through math, as in the scalar quantile
         q = -math.log1p(-u) / self.rate
@@ -1242,7 +1279,8 @@ class _ExponentialStack(_Stack):
 
 class _LogNormalStack(_Stack):
     family = LogNormal
-    params = fields = ("log_mean", "log_sd")
+    params = ("log_mean", "log_sd")
+    fields = ("log_mean", "log_sd", "log_var", "_mean", "m2_scale")
 
     @staticmethod
     def valid(log_mean, log_sd):
@@ -1250,37 +1288,14 @@ class _LogNormalStack(_Stack):
 
     def _derive(self, log_mean, log_sd):
         self.log_mean, self.log_sd = log_mean, log_sd
-        # squared by pow, as the scalar kernels square log_sd: in about one
-        # case in a thousand it rounds differently from log_sd * log_sd
+        # squared by pow, as LogNormal.log_var
         squares = map(math.pow, log_sd.tolist(), itertools.repeat(2.0))
         self.log_var = np.fromiter(squares, float, log_sd.size)
-        self._means = _math_map(math.exp, log_mean + 0.5 * self.log_var)
-        self.m2_scale = _math_map(math.exp, 2.0 * (log_mean + self.log_var))
+        self._mean = _exp(log_mean + 0.5 * self.log_var)
+        self.m2_scale = _exp(2.0 * (log_mean + self.log_var))
 
     def means(self):
-        return self._means
-
-    def cdf(self, x, fast=False):
-        if x <= 0.0:
-            return 0.0
-        return ndtr((math.log(x) - self.log_mean) / self.log_sd)
-
-    def pdf(self, x, fast=False):
-        if x <= 0.0:
-            return 0.0
-        z = (math.log(x) - self.log_mean) / self.log_sd
-        return _norm_pdf_array(z, fast) / (x * self.log_sd)
-
-    def _partial_expectation(self, q):
-        if q <= 0.0:
-            return 0.0
-        return self._means * ndtr((math.log(q) - self.log_mean - self.log_var) / self.log_sd)
-
-    def _second_partial_moment(self, q):
-        if q <= 0.0:
-            return 0.0
-        z = (math.log(q) - self.log_mean - 2.0 * self.log_var) / self.log_sd
-        return self.m2_scale * ndtr(z)
+        return self._mean
 
     def quantile_range(self, u):
         # exp is monotone, so the extremes are taken before it, by math.exp
@@ -1292,7 +1307,7 @@ class _LogNormalStack(_Stack):
 class _TruncatedNormalStack(_Stack):
     family = TruncatedNormal
     params = ("mean", "sd")
-    fields = ("norm_mean", "norm_sd", "_f0", "_z")
+    fields = ("norm_mean", "norm_sd", "_f0", "_z", "_pdf_alpha")
 
     @staticmethod
     def valid(mean, sd):
@@ -1314,42 +1329,10 @@ class _TruncatedNormalStack(_Stack):
         self._f0 = ndtr(alpha)
         self._z = ndtr(-alpha)
         self._upper_tail = bool(alpha[0] > 0.0)
-        self._pdf_alpha = _norm_pdf_array(alpha)
+        self._pdf_alpha = _norm_pdf(alpha)
 
     def means(self):
-        return _truncnorm_means(self.norm_mean, self.norm_sd)
-
-    def _mass(self, beta):
-        return TruncatedNormal._mass_block(beta, self)
-
-    def cdf(self, x, fast=False):
-        if x <= 0.0:
-            return 0.0
-        mass = self._mass((x - self.norm_mean) / self.norm_sd)
-        return np.clip(mass / self._z, 0.0, 1.0)
-
-    def pdf(self, x, fast=False):
-        if x < 0.0:
-            return 0.0
-        z = (x - self.norm_mean) / self.norm_sd
-        return _norm_pdf_array(z, fast) / (self.norm_sd * self._z)
-
-    def _partial_expectation(self, q):
-        if q <= 0.0:
-            return 0.0
-        m, s = self.norm_mean, self.norm_sd
-        beta = (q - m) / s
-        mass = self._mass(beta)
-        return (m * mass + s * (self._pdf_alpha - _norm_pdf_array(beta))) / self._z
-
-    def _second_partial_moment(self, q):
-        if q <= 0.0:
-            return 0.0
-        m, s = self.norm_mean, self.norm_sd
-        beta = (q - m) / s
-        mass = self._mass(beta)
-        tails = m * self._pdf_alpha - (m + q) * _norm_pdf_array(beta)
-        return ((m * m + s * s) * mass + s * tails) / self._z
+        return _truncnorm_mean(self.norm_mean, self.norm_sd)
 
 
 _STACKS = {
@@ -1437,16 +1420,16 @@ class UpperTruncated(Distribution):
     def _second_partial_moment(self, q):
         return self.base._second_partial_moment(min(q, self.upper)) / self._z
 
-    # the kernels over blocks (see _math_map), of an instance whose base is
-    # a parametric family
+    # the array layer (see _math_map), of an instance whose base is a
+    # parametric family
 
     @staticmethod
-    def _cdf_block(x, p):
-        return np.where(x >= p.upper, 1.0, type(p.base)._cdf_block(x, p.base) / p._z)
+    def _cdf_block(x, p, fast=False):
+        return _where(x >= p.upper, 1.0, type(p.base)._cdf_block(x, p.base, fast) / p._z)
 
     @staticmethod
-    def _pdf_block(x, p):
-        return np.where(x > p.upper, 0.0, type(p.base)._pdf_block(x, p.base) / p._z)
+    def _pdf_block(x, p, fast=False):
+        return _where(x > p.upper, 0.0, type(p.base)._pdf_block(x, p.base, fast) / p._z)
 
     def to_dict(self):
         record = dict(self.base.to_dict())
@@ -1496,7 +1479,8 @@ def expected_maxima(orders, demand: Distribution) -> list[float]:
     closed, dense, alone = [], [], []
     for k, g in enumerate(orders):
         if _closed_form_pair(g, demand) is not None:
-            batch = closed if type(g) is Uniform and type(demand) in _CLOSED_FORM_BLOCKS else alone
+            # the demand is a parametric family with the closed-form maximum
+            batch = closed if type(g) is Uniform and type(demand) in _STACKS else alone
         else:
             batch = dense if type(g) in _STACKS and _has_blocks(demand) else alone
         batch.append(k)
@@ -1598,11 +1582,6 @@ def _uniform_closed_form(mean, lo, hi, width, cdf, m1, m2):
     return mean + (h(hi) - h(lo)) / width
 
 
-# the demands whose uniform closed form expected_maxima takes over arrays:
-# the families with the closed-form maximum and partial moments over blocks
-_CLOSED_FORM_BLOCKS = (Uniform, Exponential, LogNormal)
-
-
 def _has_blocks(d: Distribution) -> bool:
     """Whether d's CDF and density are defined over blocks (see _math_map):
     a parametric family, or an upper truncation of one."""
@@ -1619,8 +1598,8 @@ def _blocks(d, *kernels):
 
 
 def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
-    """``_expected_max_uniform`` of closed-form uniforms against a demand in
-    ``_CLOSED_FORM_BLOCKS``, over arrays: a uniform demand integrates
+    """``_expected_max_uniform`` of closed-form uniforms against a demand of
+    a parametric family, over arrays: a uniform demand integrates
     instead of the order where its (lo, hi) sorts first (``_uniform_rank``)."""
     stack = _stack_of_members(orders)
     lo, hi = stack.lo, stack.hi

@@ -150,29 +150,7 @@ def check_feasibility(
     """
     naive_q = naive_order_quantity(params, scenario.estimated_demand)
     rhs = baseline_profit(params, scenario, mode) / params.p
-    return _feasibility(params, scenario.compound_demand, order_dist, naive_q, rhs, mode)
-
-
-def _feasibility(
-    params: MarketParams,
-    compound: Distribution,
-    order_dist: Distribution,
-    naive_q: float,
-    rhs: float,
-    mode: RhsMode,
-) -> FeasibilityReport:
-    e_max = expected_max(order_dist, compound)
-    mean_q = order_dist.mean()
-    lhs, margin, _ = _lhs_margin_profit(params, compound.mean(), mean_q, e_max, rhs, False)
-    return FeasibilityReport(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        feasible=margin >= -FEASIBILITY_TOL,
-        naive_order=naive_q,
-        rhs_mode=mode,
-        profit_gap=params.p * margin,
-    )
+    return _report(params, scenario.compound_demand, order_dist, naive_q, rhs, mode, False)
 
 
 def check_mean_constrained_feasibility(
@@ -186,27 +164,34 @@ def check_mean_constrained_feasibility(
     compound = scenario.compound_demand
     naive_q = naive_order_quantity(params, scenario.estimated_demand)
     rhs = _expected_max_at(naive_q, compound)
-    return _mean_constrained_feasibility(params, compound, order_dist, naive_q, rhs)
+    return _report(params, compound, order_dist, naive_q, rhs, RhsMode.EXPECTED_PROFIT, True)
 
 
-def _mean_constrained_feasibility(
+def _report(
     params: MarketParams,
     compound: Distribution,
     order_dist: Distribution,
     naive_q: float,
     rhs: float,
+    mode: RhsMode,
+    pinned: bool,
 ) -> FeasibilityReport:
+    """The report of one order against the right-hand side ``rhs``: the
+    moment-constrained check when ``pinned``, else the feasibility
+    inequality (``_lhs_margin_profit``)."""
     mean_q = order_dist.mean()
-    _check_pinned_mean(mean_q, naive_q)
+    if pinned:
+        # refused before any integral
+        _check_pinned_mean(mean_q, naive_q)
     e_max = expected_max(order_dist, compound)
-    lhs, margin, _ = _lhs_margin_profit(params, compound.mean(), mean_q, e_max, rhs, True)
+    lhs, margin, _ = _lhs_margin_profit(params, compound.mean(), mean_q, e_max, rhs, pinned)
     return FeasibilityReport(
         lhs=lhs,
         rhs=rhs,
         margin=margin,
         feasible=margin >= -FEASIBILITY_TOL,
         naive_order=naive_q,
-        rhs_mode=RhsMode.EXPECTED_PROFIT,
+        rhs_mode=mode,
         profit_gap=params.p * margin,
     )
 
@@ -300,20 +285,31 @@ def _solve_truncnorm_location(target_mean: float, sd: float) -> float:
 
     The truncated mean is strictly increasing in the location and always
     exceeds it, so [target - 2^k sd, target] brackets the root; bisect.
+    Raises ValueError when no bracket closes, or when the truncated mean
+    overflows on the way: far below zero in units of sd, its exponent
+    cancels.
     """
+    refusal = f"cannot pin the order mean to {target_mean} with sd {sd}"
+
+    def below(location):
+        try:
+            return _truncnorm_mean(location, sd) < target_mean
+        except OverflowError:
+            raise ValueError(refusal) from None
+
     hi = target_mean
     gap = sd
     lo = target_mean - gap
     for _ in range(200):
-        if _truncnorm_mean(lo, sd) < target_mean:
+        if below(lo):
             break
         gap *= 2.0
         lo = target_mean - gap
     else:
-        raise ValueError(f"cannot pin the order mean to {target_mean} with sd {sd}")
+        raise ValueError(refusal)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _truncnorm_mean(mid, sd) < target_mean:
+        if below(mid):
             lo = mid
         else:
             hi = mid

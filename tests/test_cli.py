@@ -262,6 +262,22 @@ class TestSearchCommand:
         assert main(["search", write_scenario(tmp_path, record), "--json", str(out)]) == 0
         assert json.loads(out.read_text())["evaluations"] == 3
 
+    def test_truncated_normal_orders_far_wider_than_the_mean_are_skipped(self, tmp_path):
+        # pinning the mean of such an order overflows; each is an invalid
+        # candidate with a nan row, not a crash
+        record = base_record(
+            estimated_demand={"family": "exponential", "rate": 1e9},
+            order_family={"family": "truncated_normal", "bounds": {"sd": [1e-3, 1e150]}},
+            search={"method": "grid", "budget": 5, "seed": 1, "constrain_mean_to_qhat": True},
+        )
+        trace = tmp_path / "trace.csv"
+        assert main(["search", write_scenario(tmp_path, record), "--trace", str(trace)]) == 0
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        wide = [row for row in rows if float(row[1]) > 1e149]
+        assert len(wide) == 4
+        assert all(row[3:] == ["nan", "nan", "false"] for row in wide)
+
     def test_missing_search_config(self, tmp_path):
         assert main(["search", write_scenario(tmp_path, base_record())]) == 3
 

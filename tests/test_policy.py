@@ -25,6 +25,7 @@ from randvendor import (
     optimal_profit,
     search_policy,
 )
+from randvendor import policy
 from randvendor.policy import _truncnorm_mean, order_family_param_names
 
 MP = MarketParams(p=2.0, w=1.0)
@@ -163,6 +164,14 @@ class TestMomentConstrainedCheck:
         with pytest.raises(ValueError, match="0.5"):
             check_mean_constrained_feasibility(MP, TRIPLE_EXACT, Uniform(0.2, 0.9))
 
+    def test_mean_mismatch_rejected_before_any_integral(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("expected_max ran before the mean check")
+
+        monkeypatch.setattr(policy, "expected_max", refused)
+        with pytest.raises(ValueError, match="requires E\\[Q\\]"):
+            check_mean_constrained_feasibility(MP, TRIPLE_EXACT, Uniform(0.2, 0.9))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_unconstrained_check(self, seed):
         rng = np.random.default_rng(2000 + seed)
@@ -210,6 +219,12 @@ class TestOrderFamilies:
 
     def test_truncnorm_mean_helper_is_stable_far_left(self):
         assert _truncnorm_mean(-40.0, 1.0) > 0.0
+
+    def test_truncated_normal_far_wider_than_its_mean_is_invalid(self):
+        # the bracket reaches locations where the truncated mean's exponent
+        # cancels and overflows; the candidate is invalid, not a crash
+        with pytest.raises(ValueError, match="cannot pin"):
+            build_order_dist("truncated_normal", (1e150,), naive_q=1e-9, constrained=True)
 
     def test_point_family_matches_benchmark(self):
         g = build_order_dist("point", (0.5,), naive_q=0.0, constrained=False)
