@@ -11,13 +11,12 @@ for panels and receives their rule results: ``integrate`` drives one with
 the scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
 each round evaluating every panel they ask for as one (panels, 21) block
 and summing each row in the scalar rule's order (``_gk21_rows``), so that
-each keeps its own path and value bit for bit. ``integrate_vector`` is the
-same rule over a block of components at once, with the panel choice and
-stopping rule of ``scipy.integrate.quad_vec`` under the max norm.
+each keeps its own path and value bit for bit. An integral over a stacked
+mixture is one scalar quadrature of the weighted sum over its components,
+or one per component where ``scalar_pays`` says so.
 """
 
 import bisect
-import heapq
 import itertools
 import math
 import sys
@@ -33,9 +32,6 @@ _MAX_POINTS = 40
 
 # the rule's error estimate may not exceed this, relative to max(1, |value|)
 _MAX_ERROR = 1e-8
-
-# the Gauss-Kronrod rule evaluates the integrand this often per panel
-_EVALS_PER_PANEL = 21
 
 # Infinite supports are cut at quantile(1 - TAIL_PROB); callers add an exact
 # tail term where one is available.
@@ -423,114 +419,15 @@ def integrate_many(fn, spans) -> list[float]:
     return values
 
 
-# the 21 nodes of dqk21 on [-1, 1], from the right end, with their Kronrod
-# weights and Gauss weights (zero at Kronrod's own nodes), as block rows
-_NODES = np.array([*_XGK, 0.0, *(-x for x in reversed(_XGK))])
-_KRONROD = np.array([*_WGK, *reversed(_WGK[:-1])])
-_GAUSS = np.zeros(21)
-_GAUSS[1:10:2] = _WG
-_GAUSS[11:20:2] = _WG[::-1]
-_KRONROD_GAUSS = np.stack([_KRONROD, _GAUSS])
-
-
-def _gk21_vector(fn, a: float, b: float, size: int):
-    """The 21-point rule over [a, b] for the ``size`` components of ``fn``,
-    with ``quad_vec``'s error formula under the max norm: the Kronrod values,
-    the error estimate and its rounding part. The integrand's values form a
-    (21, size) block, and each weighted sum is one product with it."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    block = np.empty((_EVALS_PER_PANEL, size))
-    for row, t in zip(block, (c + h * _NODES).tolist()):
-        row[...] = fn(t)
-    kronrod, gauss = _KRONROD_GAUSS @ block
-    rough = _KRONROD @ np.abs(block)
-    spread = _KRONROD @ np.abs(block - kronrod / 2.0)
-    err = float(np.abs((kronrod - gauss) * h).max())
-    dabs = float(np.abs(spread * h).max())
-    if dabs != 0.0 and err != 0.0:
-        err = dabs * min(1.0, (200.0 * err / dabs) ** 1.5)
-    round_err = float(np.abs(50.0 * _EPMACH * h * rough).max())
-    if round_err > _UFLOW:
-        err = max(err, round_err)
-    return h * kronrod, err, round_err
-
-
-def integrate_vector(fn, lo: float, hi: float, size: int, points=()) -> np.ndarray:
-    """Integrate the ``size`` components of ``fn`` over [lo, hi] at once.
-
-    One adaptive pass serves every component; it splits at every interior
-    point, without thinning, and stops when the largest component's error is
-    small, as ``quad_vec`` does: it bisects the panels with the largest
-    estimates until what is left exceeds the total by less than an eighth of
-    the tolerance, and stops with at least two panels once the total is
-    below that eighth or below the rule's rounding error. The estimate, plus
-    that rounding error, bounds each component's error, and so any convex
-    combination of them: it must pass the same test as in ``integrate``, with
-    the largest component as the value.
-    """
-    if hi <= lo:
-        return np.zeros(size)
-    pts = sorted({float(p) for p in points if lo < p < hi})
-    value, err = _adaptive_vector(fn, float(lo), float(hi), size, pts)
-    scale = float(np.abs(value).max())
-    if not err <= _MAX_ERROR * max(1.0, scale):
-        raise NumericalIntegrityError(
-            f"vector quadrature over [{lo!r}, {hi!r}] has error estimate {err:.3g} "
-            f"on values up to {scale!r}"
-        )
-    return value
-
-
-# quad_vec bisects at most this many panels in one round
-_SPLIT_AT_ONCE = 128
-
-
-def _adaptive_vector(fn, lo: float, hi: float, size: int, points):
-    """quad_vec's adaptive loop over the panels between the sorted interior
-    ``points``: (values, error estimate plus rounding error)."""
-    edges = [lo, *points, hi]
-    total = None
-    heap = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        part, err, rnd = _gk21_vector(fn, a, b, size)
-        if total is None:
-            total, error, rounding = part.copy(), err, rnd
-        else:
-            total += part
-            error += err
-            rounding += rnd
-        heap.append((-err, a, b, part))
-    heapq.heapify(heap)
-    while len(heap) < _LIMIT:
-        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
-        split, popped = [], 0.0
-        while heap and (not split or popped <= error - tol / 8) and len(split) < _SPLIT_AT_ONCE:
-            panel = heapq.heappop(heap)
-            split.append(panel)
-            popped -= panel[0]
-        for neg_err, a, b, part in split:
-            c = 0.5 * (a + b)
-            left, err1, rnd1 = _gk21_vector(fn, a, c, size)
-            right, err2, rnd2 = _gk21_vector(fn, c, b, size)
-            total += left + right - part
-            error += err1 + err2 + neg_err
-            rounding += rnd1 + rnd2
-            heapq.heappush(heap, (-err1, a, c, left))
-            heapq.heappush(heap, (-err2, c, b, right))
-        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
-        if error < tol / 8 or error < rounding:
-            break
-        if not (math.isfinite(error) and math.isfinite(rounding)):
-            break
-    return total, error + rounding
-
-
-# a panel of the scalar pass over a whole stack (one integrand value of
-# 1 - sum w F is a few array calls) costs about as much as this many scalar
-# quadratures of a single component: its 21 nodes took 8-10 us each on
-# two-bound uniform stacks of 256 to 1,024 components, and one component's
-# quadrature 18-21 us, on a 2-core VM
+# a panel of the scalar pass over a whole stack (one integrand value is a
+# few array calls) costs about as much as this many quadratures of one
+# component over a span between shared points, its own kinks included, on a
+# 2-core VM: for a survival integral, which shares no points, the stack's 21
+# nodes took 8-10 us each on two-bound uniform stacks of 256 to 1,024
+# components, and one component's quadrature 18-21 us; for the expected
+# maximum, whose component quadratures all split at the ladder around the
+# other side, the rule picked the faster route on each of 17 stacks of 4 to
+# 4,096 components of every family
 _SCALAR_PANEL_COST = 10
 
 
@@ -538,28 +435,13 @@ def _panels(lo: float, hi: float, points) -> int:
     return 1 + sum(1 for p in points if lo < p < hi)
 
 
-def vector_pays(size: int, lo: float, hi: float, points) -> bool:
-    """Whether one ``integrate_vector`` that evaluates all ``size``
-    components of a stacked mixture at every node beats ``size`` calls of
-    ``integrate``, one per component, over [lo, hi]: it routes the expected
-    maximum's ``int t f F``.
-
-    The vector pass evaluates every component at 21 nodes of every panel
-    between points, and each of those evaluations costs about as much as one
-    scalar quadrature of a single component: 40-55 us each for 64 to 4,096
-    uniform components on a 2-core VM, where the two paths then break even
-    at about size / 21 panels. Components that each add a kink of their own
-    therefore keep one quadrature each; without kinks the vector pass wins
-    from a few dozen components on, and below that both take about a
-    millisecond.
-    """
-    return _EVALS_PER_PANEL * _panels(lo, hi, points) < size
-
-
-def scalar_pays(size: int, lo: float, hi: float, points) -> bool:
-    """Whether one scalar ``integrate`` of a stacked mixture's own survival
-    function beats ``size`` calls, one per component, over [lo, hi]: it
-    routes the survival integrals. Its panels are cheaper than the vector
-    pass's (``_SCALAR_PANEL_COST``), so it pays from fewer components per
-    kink."""
-    return _SCALAR_PANEL_COST * _panels(lo, hi, points) < size
+def scalar_pays(size: int, lo: float, hi: float, points, shared=()) -> bool:
+    """Whether one scalar ``integrate`` of a stacked mixture's weighted sum
+    over its ``size`` components, split at ``points``, beats ``size`` calls
+    over [lo, hi], one per component, each split at the ``shared`` points
+    and its own: it routes the survival integrals and each half of the
+    expected maximum. A panel of the whole stack costs about
+    ``_SCALAR_PANEL_COST`` quadratures of one component over a span between
+    shared points, so the whole stack pays unless its components bring about
+    a kink each."""
+    return _SCALAR_PANEL_COST * _panels(lo, hi, points) < size * _panels(lo, hi, shared)

@@ -20,15 +20,16 @@ sampled as one stacked family (``_Stack``), one array call per kernel and
 per Monte-Carlo batch, with the same results bit for bit as the sum over its
 components; a mixture of different families, or of truncated normals with
 means on both sides of zero, keeps that sum. A survival integral of a stacked
-mixture is one scalar quadrature of its own survival function, and each half
-of an expected maximum one vector quadrature over the stack, one value per
-component, summed with the weights; across more kinks than either repays
-(``scalar_pays``, ``vector_pays``), each component takes a scalar quadrature
-of its own. Its quantile is bisected on a numpy sum whose rounding is
-bounded, falling back to the accurately rounded sum only where the bound
-leaves the step open. A stack is built from parameter arrays, so a compound
-built from its grid of parameters creates component objects only for the
-paths that walk them.
+mixture, and each half of an expected maximum against one, is one scalar
+quadrature of the mixture's weighted sum, taken by numpy at each node and
+split at every kink; the expected maximum splits also at a ladder of points
+around the other side's bulk (``_ladder``), so that a narrow density there
+is not stepped over. Across more kinks than that repays (``scalar_pays``),
+each component takes a scalar quadrature of its own. Its quantile is
+bisected on a numpy sum whose rounding is bounded, falling back to the
+accurately rounded sum only where the bound leaves the step open. A stack
+is built from parameter arrays, so a compound built from its grid of
+parameters creates component objects only for the paths that walk them.
 
 Kernels come in two layers: each family's methods at one point, by
 ``math``, and each parametric family's ``_*_block`` kernels, the only array
@@ -63,9 +64,7 @@ from ._quad import (
     TAIL_PROB,
     integrate,
     integrate_many,
-    integrate_vector,
     scalar_pays,
-    vector_pays,
 )
 
 _EPS = math.ulp(1.0)
@@ -1696,38 +1695,67 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
 
 
 def _density_cdf_integral(x: Distribution, y: Distribution, lo: float, hi: float, pts) -> float:
-    """int_lo^hi t f_x(t) F_y(t) dt; when a side is a stacked mixture, one
-    vector quadrature over its components, summed with its weights. Across
-    more kinks than that repays (``vector_pays``), each component takes a
-    quadrature of its own instead (``_per_component``)."""
+    """int_lo^hi t f_x(t) F_y(t) dt. When a side is a stacked mixture, the
+    quadrature splits at every kink and at the ladder around the other
+    side's bulk (``_ladder``), and is one scalar quadrature of the mixture's
+    weighted sum at each node, as its survival integrals are; across more
+    kinks than that repays (``scalar_pays``), each component takes a
+    quadrature of its own, split at its own kinks, the other side's and the
+    ladder."""
+    mixture, other = y, x
     stack = _stack_of(y)
-    if stack is not None:
-        if not vector_pays(stack.size, lo, hi, pts):
-            return _per_component(y, lambda d, kinks: _density_cdf_integral(x, d, lo, hi, kinks), x)
-        fn = lambda t: t * x.pdf(t) * stack.cdf(t, fast=True)  # noqa: E731
-        return stack.combine(integrate_vector(fn, lo, hi, stack.size, pts))
-    stack = _stack_of(x)
-    if stack is not None:
-        if not vector_pays(stack.size, lo, hi, pts):
-            return _per_component(x, lambda d, kinks: _density_cdf_integral(d, y, lo, hi, kinks), y)
-        fn = lambda t: t * stack.pdf(t, fast=True) * y.cdf(t)  # noqa: E731
-        return stack.combine(integrate_vector(fn, lo, hi, stack.size, pts))
-    pdf, cdf = x.pdf, y.cdf
-    return integrate(lambda t: t * pdf(t) * cdf(t), lo, hi, pts)
+    if stack is None:
+        mixture, other = x, y
+        stack = _stack_of(x)
+    if stack is None:
+        pdf, cdf = x.pdf, y.cdf
+        return integrate(lambda t: t * pdf(t) * cdf(t), lo, hi, pts)
+    shared = _ladder(other, lo, hi).union(other.breakpoints())
+    points = shared.union(pts)
+    if not scalar_pays(stack.size, lo, hi, points, shared):
+        parts = []
+        for _, d in mixture.components:
+            pair = (x, d) if mixture is y else (d, y)
+            parts.append(_density_cdf_integral(*pair, lo, hi, shared.union(d.breakpoints())))
+        return stack.combine(parts)
+    weights = stack.weights
+    if mixture is y:
+        pdf, cdf = x.pdf, stack.cdf
+        fn = lambda t: t * pdf(t) * float((weights * cdf(t, fast=True)).sum())  # noqa: E731
+    else:
+        pdf, cdf = stack.pdf, y.cdf
+        fn = lambda t: t * float((weights * pdf(t, fast=True)).sum()) * cdf(t)  # noqa: E731
+    return integrate(fn, lo, hi, points, every_point=True)
 
 
-# Quantiles of the other side that split every per-component quadrature, so
-# that none can step over a narrow peak of that side's density: without
-# them, sixty uniforms against LogNormal(0, 0.01) lost 0.067 of 2.91
-_MASS_POINTS = (1e-3, 0.5, 1.0 - 1e-3)
+# Rungs of ``_ladder`` on each side of the median: with the median, 33
+# points, which leaves room within _quad._MAX_POINTS for a component's kinks
+# and the other side's, so that no quadrature of one component thins them
+_RUNGS = 16
 
 
-def _per_component(mixture: Mixture, integral, other: Distribution) -> float:
-    """sum_i w_i integral(component_i, kinks), where the kinks are the
-    component's own, the other side's and the other side's _MASS_POINTS."""
-    shared = set(other.breakpoints()) | {other._quantile(p) for p in _MASS_POINTS}
-    parts = [integral(d, shared.union(d.breakpoints())) for _, d in mixture.components]
-    return mixture._stacked().combine(parts)
+def _ladder(d: Distribution, lo: float, hi: float) -> set[float]:
+    """Points of (lo, hi) around d's bulk for a quadrature against a
+    stacked mixture to split at: d's median, and the median minus and plus
+    d's interquartile range times 2^k for k = 0, 1, ..., until both leave
+    [lo, hi] or after ``_RUNGS`` steps, so that the ladder stays short even
+    where the range rounds to nothing next to the median.
+
+    A narrow density then lies between points, and each panel outward is at
+    most twice as wide as the one inside it, so that the 21 nodes of no
+    panel miss the density or its tails. Fixed quantiles are not enough: the
+    panel beyond the outermost one is wide, and the tail mass beyond a
+    quantile at 1e-3, ..., 1e-10 was lost in full."""
+    median = d._quantile(0.5)
+    step = d._quantile(0.75) - d._quantile(0.25)
+    points = {median}
+    for _ in range(_RUNGS):
+        below, above = median - step, median + step
+        points.update((below, above))
+        if below <= lo and above >= hi:
+            break
+        step *= 2.0
+    return {p for p in points if lo < p < hi}
 
 
 def _stack_of(d: Distribution):

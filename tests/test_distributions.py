@@ -586,7 +586,8 @@ class TestExpectedMax:
         # mixture of two families is integrated by one scalar quad, which
         # cannot split at every kink; its error estimate is ~4e-3, so the
         # value is refused. The 60 uniforms alone are one stacked family,
-        # which vector quadrature gets right (test_expected_max.py).
+        # whose quadrature splits at every kink and gets it right
+        # (test_expected_max.py).
         rng = np.random.default_rng(0)
         lo = np.sort(rng.uniform(0.0, 5.0, size=60))
         width = rng.uniform(0.05, 1.0, size=60)

@@ -1,7 +1,7 @@
 """The package's own Gauss-Kronrod rule (``_quad``) against
 ``scipy.integrate``, which the package no longer imports and the tests keep
 as an independent oracle: ``integrate`` ports QUADPACK's dqagse/dqagpe,
-which ``quad`` wraps, and ``integrate_vector`` mirrors ``quad_vec``."""
+which ``quad`` wraps."""
 
 import math
 import os
@@ -10,7 +10,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 import scipy.integrate as si
 
@@ -19,15 +18,13 @@ from randvendor import (
     Exponential,
     LogNormal,
     Mixture,
-    ParameterUncertainty,
     TruncatedNormal,
     Uniform,
     UpperTruncated,
-    compound_of,
     expected_max,
 )
 from randvendor import _quad
-from randvendor.distributions import _density_cdf_integral, _half_max, _stack_of
+from randvendor.distributions import _density_cdf_integral, _half_max
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,67 +89,6 @@ def test_density_cdf_integrands_agree_with_quad(x):
         hi = min(x.support()[1], cut)
         pts = set(x.breakpoints()) | set(y.breakpoints())
         _agrees(lambda t: t * x.pdf(t) * y.cdf(t), lo, hi, pts)
-
-
-STACKS = {
-    "uniform": compound_of(
-        Uniform(0.5, 2.0),
-        [
-            ParameterUncertainty("lo", Uniform(0.2, 0.8)),
-            ParameterUncertainty("hi", Uniform(1.5, 2.5)),
-        ],
-        nodes=8,
-    ),
-    "exponential": compound_of(
-        Exponential(1.0), [ParameterUncertainty("rate", LogNormal(0.0, 0.5))], nodes=40
-    ),
-    "lognormal": compound_of(
-        LogNormal(0.0, 0.5),
-        [
-            ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
-            ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
-        ],
-        nodes=8,
-    ),
-    "truncated_normal": compound_of(
-        TruncatedNormal(1.0, 0.5),
-        [
-            ParameterUncertainty("mean", TruncatedNormal(1.0, 0.2)),
-            ParameterUncertainty("sd", Uniform(0.3, 0.7)),
-        ],
-        nodes=8,
-    ),
-}
-OTHERS = [Uniform(0.2, 1.7), Exponential(0.8), LogNormal(0.3, 0.05), TruncatedNormal(1.0, 0.5)]
-
-
-@pytest.mark.parametrize("name", sorted(STACKS))
-@pytest.mark.parametrize("other", OTHERS, ids=repr)
-def test_vector_rule_agrees_with_quad_vec(name, other):
-    mix = STACKS[name]
-    stack = _stack_of(mix)
-    lo = 0.0
-    hi = max(mix.upper_cut(), other.upper_cut())
-    pts = sorted({float(p) for p in set(mix.breakpoints()) | set(other.breakpoints()) if lo < p < hi})
-    halves = (
-        lambda t: t * other.pdf(t) * stack.cdf(t, fast=True),
-        lambda t: t * stack.pdf(t, fast=True) * other.cdf(t),
-    )
-    for fn in halves:
-        ref, ref_err = si.quad_vec(
-            lambda t: np.broadcast_to(fn(t), (stack.size,)),
-            lo,
-            hi,
-            epsabs=_quad._EPSABS,
-            epsrel=_quad._EPSREL,
-            norm="max",
-            limit=_quad._LIMIT,
-            points=pts or None,
-        )
-        value, err = _quad._adaptive_vector(fn, lo, hi, stack.size, pts)
-        assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert err == pytest.approx(ref_err, rel=1e-2)
-        np.testing.assert_array_equal(_quad.integrate_vector(fn, lo, hi, stack.size, pts), value)
 
 
 # -- the first-panel guard ----------------------------------------------------------

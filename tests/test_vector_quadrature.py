@@ -1,14 +1,16 @@
 """Quadrature over a stacked mixture: one scalar quadrature of the mixture's
-own survival function for each survival integral, split at every kink, and
-one vector integral over its components for each half of the expected
-maximum; across more kinks than that repays, one quadrature per component.
-Also the bisection of a stacked mixture's quantile, whose steps are decided
-by a bounded numpy sum."""
+weighted sum for each survival integral and each half of the expected
+maximum, split at every kink, and for the expected maximum at a ladder
+around the other side's bulk; across more kinks than that repays, one
+quadrature per component. Also the bisection of a stacked mixture's
+quantile, whose steps are decided by a bounded numpy sum."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -137,23 +139,6 @@ def test_survival_check_catches_a_corrupted_first_moment(name, monkeypatch):
         optimal_profit(MarketParams(p=3.0, w=1.2), mix)
 
 
-def test_refuses_a_large_error_estimate(monkeypatch):
-    def sloppy(fn, lo, hi, size, points):
-        return np.ones(3), 1e-6
-
-    monkeypatch.setattr(_quad, "_adaptive_vector", sloppy)
-    with pytest.raises(NumericalIntegrityError, match="error estimate"):
-        _quad.integrate_vector(lambda t: np.ones(3), 0.0, 1.0, 3)
-
-
-def test_integrates_each_component():
-    # t^k over [0, 2] for k = 0..3, split at points in and out of the interval
-    powers = np.arange(4.0)
-    value = _quad.integrate_vector(lambda t: t**powers, 0.0, 2.0, 4, (-1.0, 0.5, 1.0, 3.0))
-    assert np.allclose(value, 2.0 ** (powers + 1) / (powers + 1), rtol=1e-14)
-    assert np.array_equal(_quad.integrate_vector(lambda t: t**powers, 1.0, 1.0, 4), np.zeros(4))
-
-
 @pytest.mark.parametrize("name", FAMILIES)
 def test_breakpoints_from_parameter_arrays(name):
     mix = _fresh(name)
@@ -173,11 +158,7 @@ def test_survival_integral_of_a_stack_is_one_scalar_quadrature(name, monkeypatch
         calls.append(args[1:3])
         return _quad.integrate(*args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("vector quadrature")
-
     monkeypatch.setattr(distributions, "integrate", counted)
-    monkeypatch.setattr(distributions, "integrate_vector", refuse)
     for method in (mix.survival_integral, mix.weighted_survival_integral):
         calls.clear()
         assert method(q) > 0.0
@@ -204,8 +185,7 @@ def test_more_kinks_than_the_subinterval_limit():
 
 def test_survival_integrals_route_by_their_own_crossover(monkeypatch):
     # two uncertain uniform bounds over 32 nodes: 1,024 components and 64
-    # kinks, too many for the vector pass to repay but not the cheaper
-    # scalar pass over the whole mixture
+    # kinks, which one scalar pass over the whole mixture repays
     mix = compound_of(
         Uniform(0.5, 2.0),
         [
@@ -215,7 +195,6 @@ def test_survival_integrals_route_by_their_own_crossover(monkeypatch):
         nodes=32,
     )
     q, pts = mix.quantile(0.95), mix.breakpoints()
-    assert not _quad.vector_pays(mix._stacked().size, 0.0, q, pts)
     assert _quad.scalar_pays(mix._stacked().size, 0.0, q, pts)
     calls = []
 
@@ -387,19 +366,23 @@ def test_quantile_is_bisected_once_per_fractile(monkeypatch):
 
 
 def test_a_kink_per_component_keeps_one_quadrature_each(monkeypatch):
-    # one uncertain bound: as many kinks as components, so a vector pass
-    # would evaluate every component on every panel between them
+    # one uncertain bound: as many kinks as components, so a pass over the
+    # whole mixture would evaluate every component on every panel between them
     mix = compound_of(
         Uniform(0.5, 2.0), [ParameterUncertainty("hi", Uniform(1.5, 2.5))], nodes=500
     )
     q = mix.quantile(0.95)
+    assert not _quad.scalar_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
     expected = Mixture(mix.components).survival_integral(q)
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("vector quadrature")
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return _quad.integrate(*args, **kwargs)
 
-    monkeypatch.setattr(distributions, "integrate_vector", refuse)
+    monkeypatch.setattr(distributions, "integrate", counted)
     assert mix.survival_integral(q) == expected
+    assert calls == [(0.0, q)] * 500
     assert mix.survival_integral(q) + mix.integrated_cdf(q) == pytest.approx(q, rel=1e-12)
 
 
@@ -422,27 +405,83 @@ def test_truncated_normal_order_against_compound_uniform():
     assert abs(report.mean - value) <= 4.0 * report.std_error
 
 
+class _Routes:
+    """Each integral that ``distributions`` takes, as its ``every_point``,
+    and each decision of ``scalar_pays``, which ``force`` overrides when set."""
+
+    def __init__(self, monkeypatch, force=None):
+        self.calls, self.decisions, self.force = [], [], force
+        monkeypatch.setattr(distributions, "integrate", self._integrate)
+        monkeypatch.setattr(distributions, "scalar_pays", self._decide)
+
+    def _integrate(self, *args, **kwargs):
+        self.calls.append(kwargs.get("every_point", False))
+        return _quad.integrate(*args, **kwargs)
+
+    def _decide(self, *args):
+        pays = _quad.scalar_pays(*args) if self.force is None else self.force
+        self.decisions.append(pays)
+        return pays
+
+    def followed(self, size: int) -> bool:
+        """Whether each half took one quadrature over the whole stack, split
+        at every point, where scalar_pays said so, and one per component
+        elsewhere."""
+        expected = []
+        for pays in self.decisions:
+            expected += [True] if pays else [False] * size
+        return len(self.decisions) == 2 and self.calls == expected
+
+
 def test_components_with_own_kinks_take_one_quadrature_each(monkeypatch):
     # only hi uncertain: every component brings a kink of its own, so one
-    # vector quadrature would cost components x kinks
+    # quadrature over the whole mixture would cost components x kinks
     hi = ParameterUncertainty("hi", Uniform(1.5, 2.5))
     mix = compound_of(Uniform(0.5, 2.0), [hi], nodes=300)
     order = build_order_dist("truncated_normal", (0.3,), 1.1, True)
-    vector_calls = []
-
-    def counted(*args, **kwargs):
-        vector_calls.append(args[1:3])
-        return _quad.integrate_vector(*args, **kwargs)
-
-    monkeypatch.setattr(distributions, "integrate_vector", counted)
+    routes = _Routes(monkeypatch)
     value = expected_max(order, mix)
-    assert vector_calls == []
-    monkeypatch.setattr(distributions, "vector_pays", lambda *args: True)
-    vector = expected_max(order, mix)
-    assert len(vector_calls) == 2
-    assert value == pytest.approx(vector, rel=1e-10, abs=0.0)
+    assert routes.decisions == [False, False]
+    assert routes.followed(300)
+    routes = _Routes(monkeypatch, force=True)
+    whole = expected_max(order, mix)
+    assert routes.followed(300)
+    assert value == pytest.approx(whole, rel=1e-12, abs=0.0)
     report = simulate_expected_max(mix, order, SimConfig(n_draws=2_000_000, seed=5))
     assert abs(report.mean - value) <= 4.0 * report.std_error
+
+
+# the stacked compounds, with a 256-component uniform one, so that one
+# quadrature per component stays quick
+ROUTED = dict(
+    STACKED,
+    uniform=compound_of(
+        Uniform(0.5, 2.0),
+        [
+            ParameterUncertainty("lo", Uniform(0.2, 0.8)),
+            ParameterUncertainty("hi", Uniform(1.5, 2.5)),
+        ],
+        nodes=16,
+    ),
+)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_expected_max_halves_follow_scalar_pays(name, monkeypatch):
+    mix = ROUTED[name]
+    size = mix._stacked().size
+    order = build_order_dist("truncated_normal", (0.3,), 1.1, True)
+    routes = _Routes(monkeypatch)
+    value = expected_max(order, mix)
+    assert routes.followed(size)
+    forced = {}
+    for pays in (True, False):
+        routes = _Routes(monkeypatch, force=pays)
+        forced[pays] = expected_max(order, mix)
+        assert routes.decisions == [pays, pays]
+        assert routes.followed(size)
+    assert forced[True] == pytest.approx(forced[False], rel=1e-12, abs=0.0)
+    assert value in forced.values()
 
 
 @pytest.mark.parametrize("q", [0.3, 1.1, 1.4, 2.2])
@@ -452,3 +491,83 @@ def test_point_order_against_compound_uniform(q):
     centre = 0.5 * (order.lo + order.hi)
     exact = centre * mix.cdf(centre) + mix.upper_partial_expectation(centre)
     assert expected_max(order, mix) == pytest.approx(exact, rel=1e-12)
+
+
+# -- narrow orders against a stacked compound ----------------------------------------
+
+
+@functools.cache
+def _narrow_demand(name):
+    if name == "exponential_40":
+        return STACKED["exponential"]
+    uncertain = [
+        ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
+        ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
+    ]
+    return compound_of(LogNormal(0.0, 0.5), uncertain, nodes=int(name.split("_")[1]))
+
+
+def _narrow_reference(log_sd, mix):
+    """E[max(X, Y)] for X ~ LogNormal(0, log_sd) and Y the compound, by
+    300-node Gauss-Hermite over log X and each component's closed forms, in
+    scipy's ndtr: sum_i w_i (E[Y_i] + E[X F_i(X) - M1_i(X)]) for lognormal
+    components, and E[X] + sum_i w_i E[exp(-rate_i X)] / rate_i for
+    exponential ones."""
+    z, h = np.polynomial.hermite_e.hermegauss(300)
+    x = np.exp(log_sd * z)[:, None]
+    h = (h / h.sum())[:, None]
+    stack = mix._stacked()
+    if hasattr(stack, "rate"):
+        tails = (h * np.exp(-x * stack.rate)).sum(axis=0) / stack.rate
+        return math.exp(0.5 * log_sd**2) + math.fsum((stack.weights * tails).tolist())
+    mu, sigma = stack.log_mean, stack.log_sd
+    mean = np.exp(mu + 0.5 * sigma**2)
+    cdf = ndtr((np.log(x) - mu) / sigma)
+    m1 = mean * ndtr((np.log(x) - mu - sigma**2) / sigma)
+    excess = (h * (x * cdf - m1)).sum(axis=0)
+    return math.fsum((stack.weights * (mean + excess)).tolist())
+
+
+@pytest.mark.parametrize("name", ["lognormal_16", "lognormal_100", "exponential_40"])
+@pytest.mark.parametrize("log_sd", [0.3, 0.05, 0.01, 0.002])
+def test_narrow_orders_against_a_compound(name, log_sd):
+    # the order's density is a peak of width ~log_sd; before the quadrature
+    # split at the ladder around it, its first panels stepped over the peak,
+    # and log_sd <= 0.01 came out 30-42 % low
+    mix = _narrow_demand(name)
+    value = expected_max(LogNormal(0.0, log_sd), mix)
+    assert value == pytest.approx(_narrow_reference(log_sd, mix), rel=1e-10, abs=0.0)
+
+
+# orders whose interquartile range is zero, or one ulp or less of the median
+DEGENERATE = {
+    "iqr_zero": TruncatedNormal(4.0, 1e-17),
+    "iqr_below_an_ulp": TruncatedNormal(4.0, 4e-16),
+    "point_at_a_large_q": build_order_dist("point", (), 1e7, True),
+    "uniform_one_ulp_wide": Uniform(3.0, math.nextafter(3.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_ladder_is_short_and_never_thinned(name, monkeypatch):
+    order = DEGENERATE[name]
+    median = order.quantile(0.5)
+    lo, hi = 0.0, 2.0 * median
+    ladder = distributions._ladder(order, lo, hi)
+    assert median in ladder
+    assert len(ladder) <= 2 * distributions._RUNGS + 1
+    mix = STACKED["truncated_normal"]
+    kept = []
+
+    def recorded(fn, a, b, points=(), every_point=False):
+        kept.append(set(_quad._split_points(a, b, points, every_point)[0]))
+        return 0.0
+
+    monkeypatch.setattr(distributions, "integrate", recorded)
+    for pays in (True, False):
+        monkeypatch.setattr(distributions, "scalar_pays", lambda *args, pays=pays: pays)
+        for x, y in ((order, mix), (mix, order)):
+            kept.clear()
+            distributions._density_cdf_integral(x, y, lo, hi, set(mix.breakpoints()))
+            assert len(kept) == (1 if pays else mix._stacked().size)
+            assert all(ladder <= points for points in kept)
