@@ -24,12 +24,14 @@ mixture, and each half of an expected maximum against one, is one scalar
 quadrature of the mixture's weighted sum, taken by numpy at each node and
 split at every kink; the expected maximum splits also at a ladder of points
 around the other side's bulk (``_ladder``), so that a narrow density there
-is not stepped over. Across more kinks than that repays (``scalar_pays``),
-each component takes a scalar quadrature of its own. Its quantile is
-bisected on a numpy sum whose rounding is bounded, falling back to the
-accurately rounded sum only where the bound leaves the step open. A stack
-is built from parameter arrays, so a compound built from its grid of
-parameters creates component objects only for the paths that walk them.
+is not stepped over; a mixture of several families meets a stacked one
+component by component, each on a ladder of its own. Across more kinks than
+that repays (``scalar_pays``), each component takes a scalar quadrature of
+its own. Its quantile is bisected on a numpy sum whose rounding is bounded,
+falling back to the accurately rounded sum only where the bound leaves the
+step open. A stack is built from parameter arrays, so a compound built from
+its grid of parameters creates component objects only for the paths that
+walk them.
 
 Kernels come in two layers: each family's methods at one point, by
 ``math``, and each parametric family's ``_*_block`` kernels, the only array
@@ -1448,8 +1450,9 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     or a truncated normal, whose partial moments are too coarse for it.
     Otherwise it goes through exact atom conditioning, or through the
     decomposition ``int x g(x) F(x) dx + int y f(y) G(y) dy`` when both
-    sides have a density. Arguments are put in a canonical order first so
-    the result is bit-identical under swaps.
+    sides have a density; a mixture of several families against a stacked
+    mixture is the weighted sum over its components. Arguments are put in a
+    canonical order first so the result is bit-identical under swaps.
     """
     pair = _closed_form_pair(dist_a, dist_b)
     if pair is not None:
@@ -1522,6 +1525,11 @@ def _expected_max(x: Distribution, y: Distribution) -> float:
     ay = y.atoms()
     if ay is not None:
         return _expected_max_over_atoms(ay, x)
+    # a mixture of several families against a stacked one is linear in its
+    # components, so that each meets the stack on a ladder of its own
+    for mix, stacked in ((x, y), (y, x)):
+        if isinstance(mix, Mixture) and _stack_of(mix) is None and _stack_of(stacked) is not None:
+            return math.fsum(w * expected_max(d, stacked) for w, d in mix.components)
     if x.has_density and y.has_density:
         return _expected_max_densities(x, y)
     # a mixture with both atomic and continuous parts: condition on the component
@@ -1851,7 +1859,12 @@ def _read_sample_csv(path: str) -> list[float]:
 _SEED_MOD = 2**64
 
 
+def _seed_sequence(*entropy: int) -> np.random.SeedSequence:
+    """The seed sequence of an entropy tuple, each entry taken mod 2^64; every
+    generator of the package is keyed through it."""
+    return np.random.SeedSequence(entropy=tuple(int(e) % _SEED_MOD for e in entropy))
+
+
 def _generator(*entropy: int) -> np.random.Generator:
     """Counter-based generator keyed on the entropy tuple; replayable anywhere."""
-    key = tuple(int(e) % _SEED_MOD for e in entropy)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
+    return np.random.Generator(np.random.Philox(_seed_sequence(*entropy)))

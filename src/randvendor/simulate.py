@@ -1,26 +1,27 @@
 """Monte-Carlo cross-checks for every analytic quantity in the package.
 
-Draws are partitioned into batches, each driven by a counter-based generator
-keyed on (seed, batch_index), so results are reproducible and independent of
-how batches would be scheduled. Each batch is drawn into one buffer that the
-batch loop reuses. A streaming one-pass accumulator merges the per-batch
-moments.
+Draws are partitioned into batches, each driven by its own PCG64 generator
+keyed on (seed, batch_index) (``_batch_generator``), so results are
+reproducible and independent of how batches would be scheduled. Each batch
+is drawn into one buffer that the batch loop reuses, laid out as blocks:
+column j of a batch of m observations is its doubles j*m to (j+1)*m. A
+streaming one-pass accumulator merges the per-batch moments.
 
 ``validate`` reads one stream per batch for all five of its rows
 (``simulate_validation``). A batch of m observations draws 2m doubles, and
-each distribution samples them once: the demand into a buffer of its own,
-the order over the doubles themselves, which nothing reads afterwards. A
-fresh generator's (m, 1) draws are the first m doubles of its 2m draws and
-its (m, 2) draws are those 2m in row order, and every sampler is
-element-wise. So the demand-only rows read the first m demand draws and the
-two-draw rows read the demand and order draws as m pairs, in the same
-columns as the standalone oracles, which therefore give the same reports
-bit for bit. The buffers belong to one call of the pass; every row is
-written into one reused row buffer and its deviations are squared there.
-The standalone ``simulate_expected_max`` likewise samples its two columns
-into buffers of its own and takes the maximum in place. Samplers that
-gather per draw (empirical, mixture, upper-truncated) work through blocks
-of at most 65,536 draws, so their temporaries stay small.
+each distribution samples its own column once: the demand the first m into
+a buffer of m doubles, the order the last m in place, as nothing reads them
+afterwards. A fresh generator's first m doubles are its m draws of width
+one, and every sampler is element-wise. So the demand-only rows read the
+same demand draws as the width-one oracles, the two-draw rows read the
+demand and order draws in the same columns as theirs, and every row
+reports the same numbers as its standalone oracle bit for bit. The buffers
+belong to one call of the pass; every row is written into one reused row
+buffer and its deviations are squared there. The standalone
+``simulate_expected_max`` likewise samples its two columns into buffers of
+its own and takes the maximum in place. Samplers that gather per draw
+(empirical, mixture, upper-truncated) work through blocks of at most
+65,536 draws, so their temporaries stay small.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, _generator
+from .distributions import Distribution, _seed_sequence
 from .newsvendor import MarketParams
 from .policy import Deterministic, OrderPolicy
 
@@ -115,8 +116,15 @@ def _batch_plan(cfg: SimConfig) -> tuple[int, int]:
     return cfg.n_draws, cfg.batch_size
 
 
+def _batch_generator(seed: int, index: int) -> np.random.Generator:
+    """The PCG64 stream of one batch, keyed as ``distributions._generator``
+    keys its Philox streams."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
+
+
 def _batches(cfg: SimConfig, width: int):
-    """Each batch's ``width * m`` doubles of its (seed, batch_index) stream.
+    """Each batch's ``width * m`` doubles of its (seed, batch_index) stream;
+    column j of the batch is its doubles j*m to (j+1)*m.
 
     Every batch is drawn into one buffer, so a batch is only valid until the
     next one is drawn; the first batch is the largest.
@@ -125,7 +133,7 @@ def _batches(cfg: SimConfig, width: int):
     u = np.empty(width * min(per_batch, observations))
     for index, done in enumerate(range(0, observations, per_batch)):
         batch = u[: width * min(per_batch, observations - done)]
-        _generator(cfg.seed, index).random(out=batch)
+        _batch_generator(cfg.seed, index).random(out=batch)
         yield batch
 
 
@@ -142,14 +150,15 @@ def _pair(values: list):
 def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
     """Estimate E[transform(U)] where U is a row of independent uniforms.
 
-    ``transform`` maps an (m, n_uniforms) array of uniform draws to m values.
-    With antithetic pairing on, each observation is the average of the
-    transform at u and at 1 - u; the integrand must be monotone in each
-    coordinate for the pairing to reduce variance.
+    ``transform`` maps an (m, n_uniforms) array of uniform draws to m values;
+    column j is the batch's doubles j*m to (j+1)*m. With antithetic pairing
+    on, each observation is the average of the transform at u and at 1 - u;
+    the integrand must be monotone in each coordinate for the pairing to
+    reduce variance.
     """
     acc = _Accumulator()
     for u in _batches(cfg, n_uniforms):
-        draws = _halves(u.reshape(-1, n_uniforms), cfg.antithetic)
+        draws = _halves(u.reshape(n_uniforms, -1).T, cfg.antithetic)
         acc.add_batch(np.asarray(_pair([transform(h) for h in draws]), dtype=float))
     return acc.report()
 
@@ -219,8 +228,8 @@ def simulate_expected_max(
 ) -> SimReport:
     """E[max(X, Y)] for independent draws; the oracle for the quadrature path.
 
-    X samples column 0 and Y column 1 of each batch's (m, 2) draws, each into
-    a buffer this call owns, and the maximum is taken in X's buffer.
+    X samples a batch's first m doubles and Y its last m, each into a buffer
+    this call owns, and the maximum is taken in X's buffer.
     """
     acc = _Accumulator()
     m_max = min(_batch_plan(cfg))
@@ -236,8 +245,8 @@ def simulate_expected_max(
             halves.append(np.subtract(1.0, u, out=flipped[: 2 * m]))
         rows = []
         for h, a_buf, b_buf in zip(halves, a_bufs, b_bufs):
-            row = dist_a.from_uniform(h[0::2], out=a_buf[:m])
-            np.maximum(row, dist_b.from_uniform(h[1::2], out=b_buf[:m]), out=row)
+            row = dist_a.from_uniform(h[:m], out=a_buf[:m])
+            np.maximum(row, dist_b.from_uniform(h[m:], out=b_buf[:m]), out=row)
             rows.append(row)
         values = rows[0]
         if cfg.antithetic:
@@ -262,14 +271,12 @@ def simulate_validation(
     2. ``simulate_profit`` ordering ``q_star``;
     3. ``simulate_profit_squared_deviation`` ordering ``naive_q`` about ``center``;
     4. ``simulate_profit`` with the order drawn from ``order_dist``;
-    5. ``simulate_expected_max(order_dist, demand)``.
+    5. ``simulate_expected_max(demand, order_dist)``.
 
     Each report equals that standalone call's bit for bit. A batch draws
-    2m doubles once, and the demand and the order sample all of them once
-    each. Rows 1-3 read the first m demand draws, those of the (m, 1) stream
-    of a fresh generator. Rows 4 and 5 read the (m, 2) stream in their
-    oracles' columns: row 4 the demand of column 0 and the order of column
-    1, row 5 the order of column 0 and the demand of column 1.
+    2m doubles once; the demand samples the first m once and the order the
+    last m once, as every oracle's columns 0 and 1. Rows 1-3 read the demand
+    draws alone, those of a fresh generator's width-one stream.
     """
     accs = [_Accumulator() for _ in range(5)]
     m_max = min(_batch_plan(cfg))
@@ -277,7 +284,7 @@ def simulate_validation(
     # owned by this call: 1 - u when paired, each half's demand draws and
     # each half's row values; batches use leading views of them
     flipped = np.empty(2 * m_max) if cfg.antithetic else None
-    demand_bufs = [np.empty(2 * m_max) for _ in range(n_halves)]
+    demand_bufs = [np.empty(m_max) for _ in range(n_halves)]
     row_bufs = [np.empty(m_max) for _ in range(n_halves)]
 
     for u in _batches(cfg, 2):
@@ -286,10 +293,10 @@ def simulate_validation(
         if cfg.antithetic:
             halves.append(np.subtract(1.0, u, out=flipped[: 2 * m]))
         demand_draws = [
-            demand.from_uniform(h, out=buf[: 2 * m]) for h, buf in zip(halves, demand_bufs)
+            demand.from_uniform(h[:m], out=buf[:m]) for h, buf in zip(halves, demand_bufs)
         ]
-        # the uniforms are not read again: the order draws overwrite them
-        order_draws = [order_dist.from_uniform(h, out=h) for h in halves]
+        # the order's uniforms are not read again: its draws overwrite them
+        order_draws = [order_dist.from_uniform(h[m:], out=h[m:]) for h in halves]
         rows = [buf[:m] for buf in row_bufs]
 
         def add(k, fill):
@@ -302,14 +309,15 @@ def simulate_validation(
             accs[k].add_batch(values, owned=True)
 
         def squared_deviation(r, d, o):
-            _profit(params, naive_q, d[:m], out=r)
+            _profit(params, naive_q, d, out=r)
             r -= center
             r *= r
 
-        add(0, lambda r, d, o: _profit(params, naive_q, d[:m], out=r))
-        add(1, lambda r, d, o: _profit(params, q_star, d[:m], out=r))
+        add(0, lambda r, d, o: _profit(params, naive_q, d, out=r))
+        add(1, lambda r, d, o: _profit(params, q_star, d, out=r))
         add(2, squared_deviation)
-        add(3, lambda r, d, o: _profit(params, o[1::2], d[0::2], out=r))
-        add(4, lambda r, d, o: np.maximum(o[0::2], d[1::2], out=r))
+        # row 5 before row 4, whose profit scales the order draws in place
+        add(4, lambda r, d, o: np.maximum(d, o, out=r))
+        add(3, lambda r, d, o: _profit(params, o, d, out=r))
 
     return [acc.report() for acc in accs]

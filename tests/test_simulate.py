@@ -29,7 +29,7 @@ from randvendor import (
     simulate_profit_squared_deviation,
 )
 from randvendor.distributions import _generator
-from randvendor.simulate import simulate_validation, simulate_values
+from randvendor.simulate import _batch_generator, simulate_validation, simulate_values
 
 MP = MarketParams(p=2.0, w=1.0)
 U01 = Uniform(0.0, 1.0)
@@ -219,15 +219,20 @@ class TestKernelCrossChecks:
         assert z_score(dev, profit_variance(mp, demand, q)) < 4.0
 
 
-class TestPhiloxPrefix:
-    """The shared validation pass reads the (m, 1) and (m, 2) streams of a
-    batch out of one draw of 2m doubles; a numpy that breaks this must fail."""
+class TestBatchStreamPrefix:
+    """The shared validation pass reads the (m, 1) stream of a batch as the
+    first m doubles of one draw of 2m; a numpy that breaks this must fail."""
 
     @pytest.mark.parametrize("m", [1, 5, 237_856, 262_144])
-    def test_narrow_streams_are_views_of_the_wide_draw(self, m):
-        wide = _generator(17, 3).random(2 * m)
-        assert np.array_equal(_generator(17, 3).random((m, 1)).ravel(), wide[:m])
-        assert np.array_equal(_generator(17, 3).random((m, 2)), wide.reshape(m, 2))
+    def test_narrow_stream_is_a_view_of_the_wide_draw(self, m):
+        wide = _batch_generator(17, 3).random(2 * m)
+        assert np.array_equal(_batch_generator(17, 3).random((m, 1)).ravel(), wide[:m])
+
+    def test_batch_streams_share_the_philox_key(self):
+        for entropy in [(17, 3), (-1, 0), (2**64 + 5, 2)]:
+            pcg, philox = _batch_generator(*entropy), _generator(*entropy)
+            assert type(pcg.bit_generator) is np.random.PCG64
+            assert pcg.bit_generator.seed_seq.entropy == philox.bit_generator.seed_seq.entropy
 
 
 def _validation_demands():
@@ -290,19 +295,53 @@ class TestSharedValidationPass:
             simulate_profit(MP, demand, Deterministic(q_star), cfg),
             simulate_profit_squared_deviation(MP, demand, Deterministic(naive_q), center, cfg),
             simulate_profit(MP, demand, Stochastic(order), cfg),
-            simulate_expected_max(order, demand, cfg),
+            simulate_expected_max(demand, order, cfg),
         ]
         got = simulate_validation(MP, demand, naive_q, q_star, center, order, cfg)
         assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in expected]
 
 
+class _Counting:
+    """A distribution that records the size of every array it maps."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.sizes = []
+
+    def from_uniform(self, u, out=None):
+        self.sizes.append(u.size)
+        return self.dist.from_uniform(u, out=out)
+
+
+class TestValidationPassSamplesOnce:
+    """The shared pass maps m draws of the demand and m of the order per
+    batch and per antithetic half, and no more."""
+
+    @pytest.mark.parametrize(
+        "cfg_name,sizes",
+        [
+            ("plain", [6_000]),
+            ("antithetic", [3_000, 3_000]),
+            ("partial_batch", [1_000] * 7 + [333]),
+            ("blocked_batch", [80_000]),
+        ],
+    )
+    def test_each_draw_is_mapped_once(self, cfg_name, sizes):
+        demand = _Counting(VALIDATION_DEMANDS["lognormal"])
+        order = _Counting(VALIDATION_ORDERS["lognormal"])
+        simulate_validation(MP, demand, 1.0, 1.5, 1.0, order, VALIDATION_CONFIGS[cfg_name])
+        assert demand.sizes == sizes
+        assert order.sizes == sizes
+
+
 class TestValidationPassMemory:
     """The shared pass owns a few batch-sized buffers and no per-row
-    temporaries: its traced peak over two default batches stays within three
-    arrays of one batch's 2m doubles (12 MiB), the plain pass's peak when
-    every row had temporaries of its own."""
+    temporaries: its traced peak over two default batches stays within two
+    and a half arrays of one batch's 2m doubles (10 MiB). The batch, m
+    demand draws and m row values make two; the samplers' block temporaries
+    take the rest."""
 
-    LIMIT = 3 * (2 * SimConfig(n_draws=1).batch_size) * 8
+    LIMIT = 2.5 * (2 * SimConfig(n_draws=1).batch_size) * 8
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("demand_name", ["lognormal", "empirical", "stacked_compound"])

@@ -539,6 +539,26 @@ def test_narrow_orders_against_a_compound(name, log_sd):
     assert value == pytest.approx(_narrow_reference(log_sd, mix), rel=1e-10, abs=0.0)
 
 
+def test_mixture_of_several_families_against_a_compound():
+    # a narrow mode of a mixture that has no stack got no rung of the ladder
+    # around the mixture's one median, and the value was 0.36 % low
+    mix = _narrow_demand("lognormal_16")  # the shipped 256-component compound
+    rate = 0.1
+    order = Mixture([(0.5, LogNormal(0.0, 0.002)), (0.5, Exponential(rate))])
+    weighted = math.fsum(w * expected_max(d, mix) for w, d in order.components)
+    # E[max(X, Y)] = E[Y] + E[exp(-rate Y)] / rate for X ~ Exponential(rate),
+    # by 300-node Gauss-Hermite over each component's log Y
+    z, h = np.polynomial.hermite_e.hermegauss(300)
+    stack = mix._stacked()
+    y = np.exp(stack.log_mean + stack.log_sd * z[:, None])
+    laplace = ((h / h.sum())[:, None] * np.exp(-rate * y)).sum(axis=0)
+    exponential = mix.mean() + math.fsum((stack.weights * laplace).tolist()) / rate
+    reference = 0.5 * _narrow_reference(0.002, mix) + 0.5 * exponential
+    for value in (expected_max(order, mix), expected_max(mix, order)):
+        assert value == pytest.approx(weighted, rel=1e-10, abs=0.0)
+        assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+
 # orders whose interquartile range is zero, or one ulp or less of the median
 DEGENERATE = {
     "iqr_zero": TruncatedNormal(4.0, 1e-17),
