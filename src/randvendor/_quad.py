@@ -11,9 +11,10 @@ for panels and receives their rule results: ``integrate`` drives one with
 the scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
 each round evaluating every panel they ask for as one (panels, 21) block
 and summing each row in the scalar rule's order (``_gk21_rows``), so that
-each keeps its own path and value bit for bit. An integral over a stacked
-mixture is one scalar quadrature of the weighted sum over its components,
-or one per component where ``scalar_pays`` says so.
+each keeps its own path and value bit for bit. A survival integral of a
+stacked mixture is one scalar quadrature of the weighted sum over its
+components, or one per component where ``scalar_pays`` says so; the expected
+maximum against a mixture is one scalar quadrature, over the other side.
 """
 
 import bisect
@@ -419,29 +420,20 @@ def integrate_many(fn, spans) -> list[float]:
     return values
 
 
-# a panel of the scalar pass over a whole stack (one integrand value is a
-# few array calls) costs about as much as this many quadratures of one
-# component over a span between shared points, its own kinks included, on a
-# 2-core VM: for a survival integral, which shares no points, the stack's 21
-# nodes took 8-10 us each on two-bound uniform stacks of 256 to 1,024
-# components, and one component's quadrature 18-21 us; for the expected
-# maximum, whose component quadratures all split at the ladder around the
-# other side, the rule picked the faster route on each of 17 stacks of 4 to
-# 4,096 components of every family
+# a panel of the scalar pass over a whole stack's survival function (one
+# integrand value is a few array calls) costs about as much as this many
+# quadratures of one component's, its own kinks included, on a 2-core VM:
+# the stack's 21 nodes took 8-10 us each on two-bound uniform stacks of 256
+# to 1,024 components, and one component's quadrature 18-21 us
 _SCALAR_PANEL_COST = 10
 
 
-def _panels(lo: float, hi: float, points) -> int:
-    return 1 + sum(1 for p in points if lo < p < hi)
-
-
-def scalar_pays(size: int, lo: float, hi: float, points, shared=()) -> bool:
-    """Whether one scalar ``integrate`` of a stacked mixture's weighted sum
-    over its ``size`` components, split at ``points``, beats ``size`` calls
-    over [lo, hi], one per component, each split at the ``shared`` points
-    and its own: it routes the survival integrals and each half of the
-    expected maximum. A panel of the whole stack costs about
-    ``_SCALAR_PANEL_COST`` quadratures of one component over a span between
-    shared points, so the whole stack pays unless its components bring about
-    a kink each."""
-    return _SCALAR_PANEL_COST * _panels(lo, hi, points) < size * _panels(lo, hi, shared)
+def scalar_pays(size: int, lo: float, hi: float, points) -> bool:
+    """Whether one scalar ``integrate`` over [lo, hi] of a stacked mixture's
+    survival function, the weighted sum over its ``size`` components, split
+    at ``points``, beats ``size`` calls, one per component, each split at its
+    own kinks. A panel of the whole stack costs about ``_SCALAR_PANEL_COST``
+    quadratures of one component, so the whole stack pays unless its
+    components bring about a kink each."""
+    panels = 1 + sum(1 for p in points if lo < p < hi)
+    return _SCALAR_PANEL_COST * panels < size

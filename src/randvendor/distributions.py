@@ -13,25 +13,26 @@ forms the newsvendor profit and variance are cross-checked against) and
 for the expected maximum of the remaining pairs that both have a density,
 including those with a uniform too narrow for the closed form or a
 truncated normal, whose partial moments lose relative precision below its
-bulk.
+bulk. Against a mixture, that expected maximum is E_X[h_Y(X)] with
+h_Y(t) = E[max(t, Y)] = t F_Y(t) + mean_Y - M1_Y(t): one quadrature over the
+side that is not a mixture (of two stacked mixtures, the one with fewer
+kinks), split at a ladder of points around its bulk (``_ladder``), so that a
+narrow density there is not stepped over; a mixture of several families
+against another mixture is the sum over its components.
 
 A mixture whose components share one parametric family is evaluated and
 sampled as one stacked family (``_Stack``), one array call per kernel and
 per Monte-Carlo batch, with the same results bit for bit as the sum over its
 components; a mixture of different families, or of truncated normals with
-means on both sides of zero, keeps that sum. A survival integral of a stacked
-mixture, and each half of an expected maximum against one, is one scalar
-quadrature of the mixture's weighted sum, taken by numpy at each node and
-split at every kink; the expected maximum splits also at a ladder of points
-around the other side's bulk (``_ladder``), so that a narrow density there
-is not stepped over; a mixture of several families meets a stacked one
-component by component, each on a ladder of its own. Across more kinks than
-that repays (``scalar_pays``), each component takes a scalar quadrature of
-its own. Its quantile is bisected on a numpy sum whose rounding is bounded,
-falling back to the accurately rounded sum only where the bound leaves the
-step open. A stack is built from parameter arrays, so a compound built from
-its grid of parameters creates component objects only for the paths that
-walk them.
+means on both sides of zero, keeps that sum. A quadrature integrand that
+reads a stacked mixture takes its weighted sum by numpy at each node: a
+survival integral is one such quadrature split at every kink, unless its
+components' kinks make one quadrature each cheaper (``scalar_pays``), and
+h_Y of a stacked Y is one weighted sum per node. A stacked mixture's
+quantile is bisected on a numpy sum whose rounding is bounded, falling back
+to the accurately rounded sum only where the bound leaves the step open. A
+stack is built from parameter arrays, so a compound built from its grid of
+parameters creates component objects only for the paths that walk them.
 
 Kernels come in two layers: each family's methods at one point, by
 ``math``, and each parametric family's ``_*_block`` kernels, the only array
@@ -63,6 +64,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._quad import (
+    _MAX_POINTS,
     TAIL_PROB,
     integrate,
     integrate_many,
@@ -78,16 +80,17 @@ _MIN_UNIFORM_WIDTH = 1e-3
 
 
 # The array layer: ``_cdf_block(x, p, fast)``, ``_pdf_block(x, p, fast)``,
-# ``_m1_block(q, p)`` and ``_m2_block(q, p)`` of each parametric family. ``p``
-# is an instance, or holds the parameters and derived constants as arrays
-# under the instance's attribute names (a stack, or its gathered rows); the
-# point is a float or an array that broadcasts against them. Each runs its
+# ``_m1_block(q, p, fast)`` and ``_m2_block(q, p)`` of each parametric family.
+# ``p`` is an instance, or holds the parameters and derived constants as
+# arrays under the instance's attribute names (a stack, or its gathered rows);
+# the point is a float or an array that broadcasts against them. Each runs its
 # scalar kernel's own IEEE operations: ``math`` on a float and element by
 # element over an array (``_exp``, ``_expm1``, ``_log``), scipy's ufuncs as
 # they are, and guards by ``_where``; so each value equals the scalar
 # kernel's bit for bit. ``fast``, which only quadrature integrands pass, takes
-# numpy's transcendentals over arrays, which may differ in the last bit. The
-# scalar kernels stay plain ``math``, as quadrature calls them at every node:
+# numpy's transcendentals over arrays, which may differ in the last bit (M1,
+# where it cancels, in the last bit of its component's mean). The scalar
+# kernels stay plain ``math``, as quadrature calls them at every node:
 # on a float, the lognormal F and f here took about 0.9 and 1.0 us, against
 # 0.4-0.6 and 0.35 us (2-core VM).
 
@@ -382,7 +385,7 @@ class Uniform(Distribution):
         return _where((p.lo <= x) & (x <= p.hi), 1.0 / p._width, 0.0)
 
     @staticmethod
-    def _m1_block(q, p):
+    def _m1_block(q, p, fast=False):
         top = np.minimum(q, p.hi)
         return _where(q <= p.lo, 0.0, (top * top - p.lo * p.lo) / (2.0 * p._width))
 
@@ -476,10 +479,10 @@ class Exponential(Distribution):
         return _where(inside, p.rate * _exp(-p.rate * _where(inside, x, 0.0), fast), 0.0)
 
     @staticmethod
-    def _m1_block(q, p):
+    def _m1_block(q, p, fast=False):
         x = p.rate * q
-        closed = -_expm1(-x) / p.rate - q * _exp(-x)
-        return Exponential._series_block(x, closed, _EXP_M1_SERIES, q)
+        closed = -_expm1(-x, fast) / p.rate - q * _exp(-x, fast)
+        return Exponential._series_block(x, closed, _EXP_M1_SERIES, q, fast)
 
     @staticmethod
     def _m2_block(q, p):
@@ -488,14 +491,14 @@ class Exponential(Distribution):
         return Exponential._series_block(x, closed, _EXP_M2_SERIES, q * q)
 
     @staticmethod
-    def _series_block(x, closed, coeffs, scale):
+    def _series_block(x, closed, coeffs, scale, fast=False):
         """The small-x series of the scalar kernels where x = rate * q is
         below ``_EXP_SERIES_MAX``, else ``closed``."""
         small = x < _EXP_SERIES_MAX
         if not np.any(small):
             return closed
         x = _where(small, x, 0.0)
-        series = scale * x * _exp(-x) * _horner(coeffs, x)
+        series = scale * x * _exp(-x, fast) * _horner(coeffs, x)
         return _where(small, series, closed)
 
     def to_dict(self):
@@ -585,9 +588,9 @@ class LogNormal(Distribution):
         return _where(inside, _norm_pdf(z, fast) / (x * p.log_sd), 0.0)
 
     @staticmethod
-    def _m1_block(q, p):
+    def _m1_block(q, p, fast=False):
         inside = q > 0.0
-        logs = _log(_where(inside, q, 1.0))
+        logs = _log(_where(inside, q, 1.0), fast)
         return _where(inside, p._mean * ndtr((logs - p.log_mean - p.log_var) / p.log_sd), 0.0)
 
     @staticmethod
@@ -716,11 +719,12 @@ class TruncatedNormal(Distribution):
         return _where(x < 0.0, 0.0, _norm_pdf(z, fast) / (p.norm_sd * p._z))
 
     @staticmethod
-    def _m1_block(q, p):
+    def _m1_block(q, p, fast=False):
         m, s = p.norm_mean, p.norm_sd
         beta = (q - m) / s
         mass = TruncatedNormal._mass_block(beta, p)
-        return _where(q <= 0.0, 0.0, (m * mass + s * (p._pdf_alpha - _norm_pdf(beta))) / p._z)
+        moment = (m * mass + s * (p._pdf_alpha - _norm_pdf(beta, fast))) / p._z
+        return _where(q <= 0.0, 0.0, moment)
 
     @staticmethod
     def _m2_block(q, p):
@@ -1448,11 +1452,19 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     closed form from the other side's F, M1 and M2, unless either side is or
     mixes in a uniform narrower than ``_MIN_UNIFORM_WIDTH`` of its upper end
     or a truncated normal, whose partial moments are too coarse for it.
-    Otherwise it goes through exact atom conditioning, or through the
-    decomposition ``int x g(x) F(x) dx + int y f(y) G(y) dy`` when both
-    sides have a density; a mixture of several families against a stacked
-    mixture is the weighted sum over its components. Arguments are put in a
-    canonical order first so the result is bit-identical under swaps.
+    Otherwise it goes through exact atom conditioning, or, when both sides
+    have a density:
+
+    - against a mixture, through E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)],
+      one quadrature over X, the side that is not a mixture, or of two
+      stacked mixtures the one with fewer kinks, else the first
+      (``_expected_max_over``); a mixture of several families against
+      another mixture is the weighted sum over its components;
+    - between two other families, through the decomposition
+      ``int x g(x) F(x) dx + int y f(y) G(y) dy``.
+
+    Arguments are put in a canonical order first so the result is
+    bit-identical under swaps.
     """
     pair = _closed_form_pair(dist_a, dist_b)
     if pair is not None:
@@ -1525,11 +1537,11 @@ def _expected_max(x: Distribution, y: Distribution) -> float:
     ay = y.atoms()
     if ay is not None:
         return _expected_max_over_atoms(ay, x)
-    # a mixture of several families against a stacked one is linear in its
-    # components, so that each meets the stack on a ladder of its own
-    for mix, stacked in ((x, y), (y, x)):
-        if isinstance(mix, Mixture) and _stack_of(mix) is None and _stack_of(stacked) is not None:
-            return math.fsum(w * expected_max(d, stacked) for w, d in mix.components)
+    # a mixture of several families against another mixture is linear in its
+    # components, so that each is integrated over on a ladder of its own
+    for mix, other in ((x, y), (y, x)):
+        if isinstance(mix, Mixture) and isinstance(other, Mixture) and _stack_of(mix) is None:
+            return math.fsum(w * expected_max(d, other) for w, d in mix.components)
     if x.has_density and y.has_density:
         return _expected_max_densities(x, y)
     # a mixture with both atomic and continuous parts: condition on the component
@@ -1623,18 +1635,77 @@ def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
     return values.tolist()
 
 
+def _expected_max_at(t: float, y: Distribution) -> float:
+    """E[max(t, Y)] = t F_Y(t) + int_t^inf s f_Y(s) ds, for a point t."""
+    return t * y.cdf(t) + y.upper_partial_expectation(t)
+
+
 def _expected_max_over_atoms(atoms, other: Distribution) -> float:
     values, weights = atoms
-    return math.fsum(
-        w * (v * other.cdf(v) + other.upper_partial_expectation(v))
-        for v, w in zip(values, weights)
-    )
+    return math.fsum(w * _expected_max_at(v, other) for v, w in zip(values, weights))
 
 
 def _expected_max_densities(x: Distribution, y: Distribution) -> float:
     cut = max(x.upper_cut(), y.upper_cut())
+    if isinstance(x, Mixture) or isinstance(y, Mixture):
+        if _integration_rank(y) < _integration_rank(x):
+            x, y = y, x
+        return _expected_max_over(x, y, cut)
     pts = set(x.breakpoints()) | set(y.breakpoints())
     return _half_max(x, y, cut, pts) + _half_max(y, x, cut, pts)
+
+
+def _integration_rank(d: Distribution) -> tuple:
+    """Lower for the side ``_expected_max_over`` integrates over: one that is
+    not a mixture, else the one with fewer kinks, at which the quadrature
+    splits its density; a tie keeps the first in canonical order."""
+    return (isinstance(d, Mixture), len(d.breakpoints()))
+
+
+def _expected_max_over(x: Distribution, y: Distribution, cut: float) -> float:
+    """E[max(X, Y)] = E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)]: one quadrature
+    of h_Y f_X over X's support below the cut, plus X's tail moment beyond
+    the cut, where h_Y(t) is t within TAIL_PROB.
+
+    The quadrature splits at X's own kinks and at the ladder around X's bulk
+    (``_ladder``), so that a narrow X is not stepped over. Y's kinks cannot
+    be stepped over: h_Y is continuously differentiable, with derivative
+    F_Y, so a narrow component of Y is a bend in h_Y, which the adaptive rule
+    refines. But the rule's error estimate underrates a jump in h_Y'' = f_Y:
+    it left errors up to 1e-10 of the value against two uniforms. So it
+    splits at Y's kinks too, where they fit within ``_MAX_POINTS`` with the
+    ladder, which is never thinned.
+
+    A stacked side is one numpy weighted sum at each node, by the ``fast``
+    kernels: h_Y(t) = E[Y] + sum_i w_i (t F_i(t) - M1_i(t)), and
+    f_X(t) = sum_i w_i f_i(t)."""
+    lo, top = x.support()
+    hi = min(top, cut)
+    y_stack, x_stack = _stack_of(y), _stack_of(x)
+    if y_stack is None:
+        h = functools.partial(_expected_max_at, y=y)
+    else:
+        family, weights, mean = y_stack.family, y_stack.weights, y.mean()
+
+        def h(t):
+            below = t * family._cdf_block(t, y_stack, True) - family._m1_block(t, y_stack, True)
+            return mean + float((weights * below).sum())
+
+    if x_stack is None:
+        pdf = x.pdf
+    else:
+        weights_x, pdf_x = x_stack.weights, x_stack.pdf
+
+        def pdf(t):
+            return float((weights_x * pdf_x(t, fast=True)).sum())
+
+    points = {p for p in _ladder(x, lo, hi).union(x.breakpoints()) if lo < p < hi}
+    kinks = points.union(p for p in y.breakpoints() if lo < p < hi)
+    if len(kinks) <= _MAX_POINTS:
+        points = kinks
+    value = integrate(lambda t: h(t) * pdf(t), lo, hi, points)
+    # a finite support below the cut leaves no tail
+    return value + (x.upper_partial_expectation(hi) if hi < top else 0.0)
 
 
 def _half_range(x: Distribution, y: Distribution, cut: float) -> tuple[float, float]:
@@ -1646,9 +1717,8 @@ def _half_max(x: Distribution, y: Distribution, cut: float, pts) -> float:
     # int t f_x(t) F_y(t) dt; beyond the cut F_y is within TAIL_PROB of 1, so
     # the remainder is the exact tail moment of x
     lo, hi = _half_range(x, y, cut)
-    value = 0.0
-    if hi > lo:
-        value = _density_cdf_integral(x, y, lo, hi, pts)
+    pdf, cdf = x.pdf, y.cdf
+    value = integrate(lambda t: t * pdf(t) * cdf(t), lo, hi, pts)
     return value + x.upper_partial_expectation(max(hi, lo))
 
 
@@ -1702,49 +1772,15 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
     return [first + second for first, second in zip(halves[::2], halves[1::2])]
 
 
-def _density_cdf_integral(x: Distribution, y: Distribution, lo: float, hi: float, pts) -> float:
-    """int_lo^hi t f_x(t) F_y(t) dt. When a side is a stacked mixture, the
-    quadrature splits at every kink and at the ladder around the other
-    side's bulk (``_ladder``), and is one scalar quadrature of the mixture's
-    weighted sum at each node, as its survival integrals are; across more
-    kinks than that repays (``scalar_pays``), each component takes a
-    quadrature of its own, split at its own kinks, the other side's and the
-    ladder."""
-    mixture, other = y, x
-    stack = _stack_of(y)
-    if stack is None:
-        mixture, other = x, y
-        stack = _stack_of(x)
-    if stack is None:
-        pdf, cdf = x.pdf, y.cdf
-        return integrate(lambda t: t * pdf(t) * cdf(t), lo, hi, pts)
-    shared = _ladder(other, lo, hi).union(other.breakpoints())
-    points = shared.union(pts)
-    if not scalar_pays(stack.size, lo, hi, points, shared):
-        parts = []
-        for _, d in mixture.components:
-            pair = (x, d) if mixture is y else (d, y)
-            parts.append(_density_cdf_integral(*pair, lo, hi, shared.union(d.breakpoints())))
-        return stack.combine(parts)
-    weights = stack.weights
-    if mixture is y:
-        pdf, cdf = x.pdf, stack.cdf
-        fn = lambda t: t * pdf(t) * float((weights * cdf(t, fast=True)).sum())  # noqa: E731
-    else:
-        pdf, cdf = stack.pdf, y.cdf
-        fn = lambda t: t * float((weights * pdf(t, fast=True)).sum()) * cdf(t)  # noqa: E731
-    return integrate(fn, lo, hi, points, every_point=True)
-
-
 # Rungs of ``_ladder`` on each side of the median: with the median, 33
-# points, which leaves room within _quad._MAX_POINTS for a component's kinks
-# and the other side's, so that no quadrature of one component thins them
+# points, which leaves room within _quad._MAX_POINTS for the few kinks of a
+# family, so that the quadrature does not thin them
 _RUNGS = 16
 
 
 def _ladder(d: Distribution, lo: float, hi: float) -> set[float]:
-    """Points of (lo, hi) around d's bulk for a quadrature against a
-    stacked mixture to split at: d's median, and the median minus and plus
+    """Points of (lo, hi) around d's bulk for a quadrature over d's density
+    to split at: d's median, and the median minus and plus
     d's interquartile range times 2^k for k = 0, 1, ..., until both leave
     [lo, hi] or after ``_RUNGS`` steps, so that the ladder stays short even
     where the range rounds to nothing next to the median.

@@ -28,6 +28,7 @@ from .distributions import (
     LogNormal,
     TruncatedNormal,
     Uniform,
+    _expected_max_at,
     _generator,
     _truncnorm_mean,
     expected_max,
@@ -117,11 +118,6 @@ def expected_profit_stochastic(
         mean_q = g.mean()
         e_max = expected_max(g, demand)
     return p * mean_q + p * demand.mean() - p * e_max - w * mean_q
-
-
-def _expected_max_at(q: float, demand: Distribution) -> float:
-    """E[max(q, D)] = q F(q) + int_q^inf t f(t) dt for a point order q."""
-    return q * demand.cdf(q) + demand.upper_partial_expectation(q)
 
 
 def baseline_profit(

@@ -580,22 +580,41 @@ class TestExpectedMax:
         expected = 0.5 * (0.25 * 0.25 + (0.5 - 0.03125)) + 0.5 * (0.75 * 0.75 + (0.5 - 0.28125))
         assert expected_max(e, Uniform(0, 1)) == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_unreliable_quadrature_raises(self):
-        # 60 kinked components and an exponential against a narrow peak: a
-        # mixture of two families is integrated by one scalar quad, which
-        # cannot split at every kink; its error estimate is ~4e-3, so the
-        # value is refused. The 60 uniforms alone are one stacked family,
-        # whose quadrature splits at every kink and gets it right
-        # (test_expected_max.py).
-        rng = np.random.default_rng(0)
+    @staticmethod
+    def _sixty_uniforms(seed):
+        rng = np.random.default_rng(seed)
         lo = np.sort(rng.uniform(0.0, 5.0, size=60))
         width = rng.uniform(0.05, 1.0, size=60)
-        parts = [Uniform(a, a + w) for a, w in zip(lo, width)] + [Exponential(1.0)]
-        mix = Mixture([(1.0 / 61, d) for d in parts])
+        return [Uniform(a, a + w) for a, w in zip(lo, width)]
+
+    def test_several_families_against_a_narrow_peak(self):
+        # 60 kinked uniforms and an exponential against a narrow peak: one
+        # quadrature over the peak, which its ladder resolves. The halves of
+        # the decomposition, one scalar quadrature each over the whole
+        # mixture, could not split at every kink and refused the value with
+        # an error estimate of ~4e-3.
+        uniforms = self._sixty_uniforms(0)
+        mix = Mixture([(1.0 / 61, d) for d in uniforms + [Exponential(1.0)]])
         assert mix._stacked() is None
+        peak = LogNormal(0.0, 0.01)
+        # the uniforms in closed form; E[max(X, Y)] = E[Y] + E[exp(-Y)] for
+        # X ~ Exponential(1), by 300-node Gauss-Hermite over log Y
+        z, h = np.polynomial.hermite_e.hermegauss(300)
+        laplace = float((h * np.exp(-np.exp(0.01 * z))).sum() / h.sum())
+        parts = [expected_max(u, peak) for u in uniforms] + [peak.mean() + laplace]
+        assert expected_max(mix, peak) == pytest.approx(math.fsum(parts) / 61, rel=1e-12)
+
+    def test_unreliable_quadrature_raises(self):
+        # two stacked mixtures of uniforms, with 120 and 122 kinks, one of them
+        # with a uniform too narrow for the closed form: the quadrature over
+        # the one with fewer kinks cannot split at them all, and its error
+        # estimate (~1e-2) refuses the value
+        first = Mixture([(1.0 / 60, u) for u in self._sixty_uniforms(1)])
+        parts = self._sixty_uniforms(0) + [Uniform(2.0, 2.0 + 1e-9)]
+        second = Mixture([(1.0 / 61, u) for u in parts])
+        assert first._stacked() is not None and second._stacked() is not None
         with pytest.raises(NumericalIntegrityError, match="error estimate"):
-            _expected_max_densities(mix, LogNormal(0.0, 0.01))
+            expected_max(first, second)
 
     def test_ordering_key_is_computed_once(self, monkeypatch):
         # the atom path orders its arguments by their canonical record

@@ -1,5 +1,6 @@
-"""The closed-form expected maximum against a uniform, checked against
-40-digit mpmath, the quadrature path, Monte Carlo and property identities."""
+"""The closed-form expected maximum against a uniform, and the quadrature
+against a mixture, checked against 40-digit mpmath, the quadrature path,
+Monte Carlo and property identities."""
 
 import itertools
 import math
@@ -146,19 +147,29 @@ def test_truncated_normal_keeps_quadrature():
             assert expected_max(order, demand) == _expected_max_densities(order, demand)
 
 
-@pytest.mark.parametrize(
-    "demand",
-    [LogNormal(3.5, 0.4), Uniform(10.0, 60.0), Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))])],
-    ids=repr,
-)
+def _narrow_uniforms(demand):
+    """A point order (a 1e-9-wide uniform) and a grid cell 3e-6 of hi wide:
+    both below the width guard."""
+    return (build_order_dist("point", (), demand.quantile(0.6), True), Uniform(6.043298, 6.0433))
+
+
+@pytest.mark.parametrize("demand", [LogNormal(3.5, 0.4), Uniform(10.0, 60.0)], ids=repr)
 def test_narrow_uniform_keeps_old_paths(demand):
-    # a point order (a 1e-9-wide uniform) and a grid cell 3e-6 of hi wide are
-    # below the width guard: the value is the quadrature's, bit for bit
-    q = demand.quantile(0.6)
-    for order in (build_order_dist("point", (), q, True), Uniform(6.043298, 6.0433)):
+    # the value is the quadrature's, bit for bit
+    for order in _narrow_uniforms(demand):
         assert not order._closed_form_max
         assert expected_max(order, demand) == _expected_max_densities(order, demand)
         assert expected_max(demand, order) == expected_max(order, demand)
+
+
+def test_narrow_uniform_against_a_mixture():
+    # one quadrature over the narrow uniform, which adds no tail beyond its
+    # upper end, so the uniform's M1 never cancels
+    demand = Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))])
+    for order in _narrow_uniforms(demand):
+        value = expected_max(order, demand)
+        assert value == _expected_max_densities(order, demand) == expected_max(demand, order)
+        assert value == pytest.approx(_mp_expected_max(order, demand), rel=1e-14)
 
 
 def test_narrow_uniform_against_atoms_keeps_atom_path():
@@ -167,11 +178,15 @@ def test_narrow_uniform_against_atoms_keeps_atom_path():
     assert expected_max(point, atoms) == _expected_max_over_atoms(atoms.atoms(), point)
 
 
-def _sixty_uniforms():
-    rng = np.random.default_rng(0)
+def _sixty_uniforms_of(seed):
+    rng = np.random.default_rng(seed)
     lo = np.sort(rng.uniform(0.0, 5.0, size=60))
     width = rng.uniform(0.05, 1.0, size=60)
-    return Mixture([(1.0 / 60, Uniform(a, a + w)) for a, w in zip(lo, width)])
+    return [Uniform(a, a + w) for a, w in zip(lo, width)]
+
+
+def _sixty_uniforms():
+    return Mixture([(1.0 / 60, u) for u in _sixty_uniforms_of(0)])
 
 
 def test_uniform_mixture_matches_monte_carlo():
@@ -221,9 +236,16 @@ def test_uniform_mixture_is_linear_in_components():
 
 
 def test_uniform_mixture_with_a_narrow_component_keeps_quadrature():
-    mix = Mixture([(0.5, Uniform(1.0, 3.0)), (0.5, Uniform(2.0, 2.0 + 1e-9))])
+    # one quadrature over the lognormal, of E[max(t, Y)], which reads the
+    # narrow uniform's M1: it cancels like eps * hi / width (ROADMAP item 2),
+    # and the value is 3.0e-11 from the exact one
+    narrow = Uniform(2.0, 2.0 + 1e-9)
+    mix = Mixture([(0.5, Uniform(1.0, 3.0)), (0.5, narrow)])
     order = LogNormal(0.5, 0.3)
-    assert expected_max(mix, order) == _expected_max_densities(mix, order)
+    value = expected_max(mix, order)
+    assert value == _expected_max_densities(order, mix) == _expected_max_densities(mix, order)
+    exact = 0.5 * _mp_expected_max(Uniform(1.0, 3.0), order) + 0.5 * _mp_expected_max(narrow, order)
+    assert value == pytest.approx(exact, rel=1e-10)
 
 
 def test_argument_order_is_that_of_the_canonical_records():
@@ -338,3 +360,94 @@ def test_point_orders_exact():
     # the larger of two draws from U(lo, hi) has mean lo + 2 (hi - lo) / 3
     exact = a.lo + 2.0 * (a.hi - a.lo) / 3.0
     assert expected_max(a, a) == pytest.approx(exact, rel=1e-12)
+
+
+# -- the expected maximum against a mixture --------------------------------------
+
+TWO_FAMILIES = Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))])
+# a compound of 64 lognormals, one stacked family
+COMPOUND = compound_of(
+    LogNormal(0.0, 0.5),
+    [
+        ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
+        ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
+    ],
+    nodes=8,
+)
+
+
+def _min_plus_max(a, b, points=()) -> float:
+    """E[max(X, Y)] = E[X] + E[Y] - int_0^inf (1 - F_X)(1 - F_Y), by scipy's
+    quad of the survival product, split at both sides' kinks and ``points``."""
+    cut = max(a.upper_cut(), b.upper_cut())
+    pts = sorted(p for p in {*a.breakpoints(), *b.breakpoints(), *points} if 0.0 < p < cut)
+    e_min = si.quad(
+        lambda t: (1.0 - a.cdf(t)) * (1.0 - b.cdf(t)),
+        0.0,
+        cut,
+        points=pts or None,
+        limit=500,
+        epsabs=1e-14,
+        epsrel=1e-13,
+    )[0]
+    return a.mean() + b.mean() - e_min
+
+
+def test_narrow_order_against_a_mixture_of_two_families():
+    # the halves of the decomposition stepped over the narrow truncated
+    # normal and returned 1.14116, below E[X] = 3; the value is mpmath's, and
+    # 2e6 Monte-Carlo draws gave 3.30631 +/- 0.00065
+    order = TruncatedNormal(3.0, 0.004)
+    for value in (expected_max(order, TWO_FAMILIES), expected_max(TWO_FAMILIES, order)):
+        assert value == pytest.approx(3.306465273075863, rel=1e-10, abs=0.0)
+
+
+@st.composite
+def narrow_orders(draw):
+    """A lognormal or truncated-normal order whose width relative to its
+    location (log sd, or sd over mean) is 1e-3 to 1, at a location anywhere
+    in two decades around 1."""
+    location = 10.0 ** draw(st.floats(-1.0, 1.0))
+    rel = 10.0 ** draw(st.floats(-3.0, 0.0))
+    if draw(st.booleans()):
+        return LogNormal(math.log(location), rel)
+    return TruncatedNormal(location, rel * location)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(order=narrow_orders(), stacked=st.booleans())
+def test_narrow_orders_against_mixtures_by_min_plus_max(order, stacked):
+    mix = COMPOUND if stacked else TWO_FAMILIES
+    value = expected_max(order, mix)
+    assert value == expected_max(mix, order)
+    # the order's quantiles split the oracle's quadrature too, out to where
+    # its survival is 1e-12, so that no panel steps over the order's drop
+    levels = (1e-12, 1e-6, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0 - 1e-6, 1.0 - 1e-12)
+    quantiles = [order.quantile(u) for u in levels]
+    assert value == pytest.approx(_min_plus_max(order, mix, quantiles), rel=1e-10)
+
+
+SEVERAL = Mixture([(0.3, LogNormal(1.0, 0.3)), (0.7, TruncatedNormal(2.0, 0.05))])
+MANY_KINKS = Mixture([(1.0 / 61, u) for u in _sixty_uniforms_of(0) + [Uniform(2.0, 2.0 + 1e-9)]])
+FEW_KINKS = Mixture([(0.5, Uniform(1.0, 3.0)), (0.5, Uniform(2.5, 2.5 + 1e-9))])
+
+
+@pytest.mark.parametrize(
+    "a, b, points",
+    [
+        # two stacks with one kink each: over the first in canonical order
+        (compound_of(Exponential(1.0), [ParameterUncertainty("rate", LogNormal(0.0, 0.5))], 40),
+         COMPOUND, ()),
+        # two stacks of uniforms: over the one with fewer kinks, which sorts
+        # second; the narrow uniforms' M1 cancels, as above
+        (MANY_KINKS, FEW_KINKS, ()),
+        # two mixtures of several families: the first in canonical order is
+        # the sum over its components, each integrated over
+        (TWO_FAMILIES, SEVERAL, (2.0,)),
+    ],
+    ids=["stacks", "uniform_stacks", "several_families"],
+)
+def test_mixture_against_a_mixture(a, b, points):
+    value = expected_max(a, b)
+    assert expected_max(b, a).hex() == value.hex()
+    assert value == pytest.approx(_min_plus_max(a, b, points), rel=1e-10)

@@ -133,7 +133,8 @@ def test_truncated_normal_mean_over_arrays_equals_each_float():
 @pytest.mark.parametrize("name", sorted(STACKS))
 def test_fast_kernels_stay_within_a_few_ulps(name):
     # fast=True, used only inside quadrature integrands, takes numpy's
-    # transcendentals over arrays instead of math's element by element
+    # transcendentals over arrays instead of math's element by element, in
+    # F, f and M1
     stack = STACKS[name]._stacked()
     for x in STACK_POINTS:
         for kernel in (stack.cdf, stack.pdf):
@@ -141,3 +142,10 @@ def test_fast_kernels_stay_within_a_few_ulps(name):
             fast = np.broadcast_to(kernel(x, fast=True), stack.size)
             ulps = np.spacing(np.maximum(np.abs(exact), np.abs(fast)))
             assert np.all(np.abs(fast - exact) <= 4 * ulps), (kernel.__name__, x)
+        # M1 cancels below a truncated normal's bulk, where a last bit of its
+        # density becomes many of M1's; the expected maximum adds M1 to the
+        # component's mean, on whose scale it is judged
+        exact = np.broadcast_to(stack._partial_expectation(x), stack.size)
+        fast = np.broadcast_to(stack.family._m1_block(x, stack, True), stack.size)
+        ulps = np.spacing(np.maximum(np.abs(exact), stack.means()))
+        assert np.all(np.abs(fast - exact) <= 4 * ulps), ("m1", x)

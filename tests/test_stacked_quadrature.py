@@ -1,8 +1,8 @@
 """Quadrature over a stacked mixture: one scalar quadrature of the mixture's
-weighted sum for each survival integral and each half of the expected
-maximum, split at every kink, and for the expected maximum at a ladder
-around the other side's bulk; across more kinks than that repays, one
-quadrature per component. Also the bisection of a stacked mixture's
+weighted sum for each survival integral, split at every kink, or one per
+component across more kinks than that repays; and one quadrature for the
+expected maximum against a mixture, over the other side, split at the
+ladder around that side's bulk. Also the bisection of a stacked mixture's
 quantile, whose steps are decided by a bounded numpy sum."""
 
 import functools
@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate as si
 from scipy.special import ndtr
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -405,54 +406,7 @@ def test_truncated_normal_order_against_compound_uniform():
     assert abs(report.mean - value) <= 4.0 * report.std_error
 
 
-class _Routes:
-    """Each integral that ``distributions`` takes, as its ``every_point``,
-    and each decision of ``scalar_pays``, which ``force`` overrides when set."""
-
-    def __init__(self, monkeypatch, force=None):
-        self.calls, self.decisions, self.force = [], [], force
-        monkeypatch.setattr(distributions, "integrate", self._integrate)
-        monkeypatch.setattr(distributions, "scalar_pays", self._decide)
-
-    def _integrate(self, *args, **kwargs):
-        self.calls.append(kwargs.get("every_point", False))
-        return _quad.integrate(*args, **kwargs)
-
-    def _decide(self, *args):
-        pays = _quad.scalar_pays(*args) if self.force is None else self.force
-        self.decisions.append(pays)
-        return pays
-
-    def followed(self, size: int) -> bool:
-        """Whether each half took one quadrature over the whole stack, split
-        at every point, where scalar_pays said so, and one per component
-        elsewhere."""
-        expected = []
-        for pays in self.decisions:
-            expected += [True] if pays else [False] * size
-        return len(self.decisions) == 2 and self.calls == expected
-
-
-def test_components_with_own_kinks_take_one_quadrature_each(monkeypatch):
-    # only hi uncertain: every component brings a kink of its own, so one
-    # quadrature over the whole mixture would cost components x kinks
-    hi = ParameterUncertainty("hi", Uniform(1.5, 2.5))
-    mix = compound_of(Uniform(0.5, 2.0), [hi], nodes=300)
-    order = build_order_dist("truncated_normal", (0.3,), 1.1, True)
-    routes = _Routes(monkeypatch)
-    value = expected_max(order, mix)
-    assert routes.decisions == [False, False]
-    assert routes.followed(300)
-    routes = _Routes(monkeypatch, force=True)
-    whole = expected_max(order, mix)
-    assert routes.followed(300)
-    assert value == pytest.approx(whole, rel=1e-12, abs=0.0)
-    report = simulate_expected_max(mix, order, SimConfig(n_draws=2_000_000, seed=5))
-    assert abs(report.mean - value) <= 4.0 * report.std_error
-
-
-# the stacked compounds, with a 256-component uniform one, so that one
-# quadrature per component stays quick
+# the stacked compounds, with a 256-component uniform one of 32 kinks
 ROUTED = dict(
     STACKED,
     uniform=compound_of(
@@ -464,24 +418,7 @@ ROUTED = dict(
         nodes=16,
     ),
 )
-
-
-@pytest.mark.parametrize("name", FAMILIES)
-def test_expected_max_halves_follow_scalar_pays(name, monkeypatch):
-    mix = ROUTED[name]
-    size = mix._stacked().size
-    order = build_order_dist("truncated_normal", (0.3,), 1.1, True)
-    routes = _Routes(monkeypatch)
-    value = expected_max(order, mix)
-    assert routes.followed(size)
-    forced = {}
-    for pays in (True, False):
-        routes = _Routes(monkeypatch, force=pays)
-        forced[pays] = expected_max(order, mix)
-        assert routes.decisions == [pays, pays]
-        assert routes.followed(size)
-    assert forced[True] == pytest.approx(forced[False], rel=1e-12, abs=0.0)
-    assert value in forced.values()
+_TN_ORDER = build_order_dist("truncated_normal", (0.3,), 1.1, True)
 
 
 @pytest.mark.parametrize("q", [0.3, 1.1, 1.4, 2.2])
@@ -568,26 +505,91 @@ DEGENERATE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_ladder_is_short_and_never_thinned(name, monkeypatch):
-    order = DEGENERATE[name]
-    median = order.quantile(0.5)
-    lo, hi = 0.0, 2.0 * median
-    ladder = distributions._ladder(order, lo, hi)
-    assert median in ladder
-    assert len(ladder) <= 2 * distributions._RUNGS + 1
-    mix = STACKED["truncated_normal"]
-    kept = []
+def test_ladder_is_short():
+    for order in DEGENERATE.values():
+        median = order.quantile(0.5)
+        ladder = distributions._ladder(order, 0.0, 2.0 * median)
+        assert median in ladder
+        assert len(ladder) <= 2 * distributions._RUNGS + 1
 
-    def recorded(fn, a, b, points=(), every_point=False):
-        kept.append(set(_quad._split_points(a, b, points, every_point)[0]))
+
+# -- the expected maximum against a mixture: one quadrature over the other side ------
+
+
+def _exact_against_uniforms(order, mix):
+    """The terms w_i E[h_i(X)] of E[max(X, Y)] for Y a mixture of uniforms,
+    with h_i(t) = E[max(t, Y_i)] in closed form, by scipy's quad over X's
+    density split at each component's bounds, once per distinct component."""
+    cut = order.upper_cut()
+    by_bounds = {}
+    for w, u in mix.components:
+        lo, hi = u.lo, u.hi
+        if (lo, hi) not in by_bounds:
+            mean, width = 0.5 * (lo + hi), hi - lo
+
+            def h(t):
+                return mean if t <= lo else t if t >= hi else mean + (t - lo) ** 2 / (2.0 * width)
+
+            pts = sorted(p for p in (lo, hi, order.quantile(0.5)) if 0.0 < p < cut)
+            value = si.quad(
+                lambda t: h(t) * order.pdf(t), 0.0, cut, points=pts, limit=500,
+                epsabs=1e-15, epsrel=1e-14,
+            )[0]
+            by_bounds[lo, hi] = value + order.upper_partial_expectation(cut)
+        yield w * by_bounds[lo, hi]
+
+
+KINK_PER_COMPONENT = compound_of(
+    Uniform(0.5, 2.0), [ParameterUncertainty("hi", Uniform(1.5, 2.5))], nodes=300
+)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("sd", [0.3, 1.0])
+def test_order_against_a_kink_per_component(sd):
+    # only hi uncertain: every component brings a kink of its own, which the
+    # quadrature over the order does not split at
+    order = build_order_dist("truncated_normal", (sd,), 1.1, True)
+    exact = math.fsum(_exact_against_uniforms(order, KINK_PER_COMPONENT))
+    assert expected_max(order, KINK_PER_COMPONENT) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+# (the side integrated over, the mixture)
+ROUTES = {f"order_against_{name}": (_TN_ORDER, mix) for name, mix in ROUTED.items()}
+ROUTES.update(
+    order_against_a_kink_per_component=(_TN_ORDER, KINK_PER_COMPONENT),
+    narrow_lognormal=(LogNormal(0.0, 0.01), _narrow_demand("lognormal_16")),
+    several_families=(
+        TruncatedNormal(3.0, 0.004),
+        Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))]),
+    ),
+    # two stacks with one kink each: the first in canonical order
+    two_stacks=(STACKED["exponential"], STACKED["lognormal"]),
+)
+ROUTES.update(
+    (f"degenerate_{name}", (order, STACKED["truncated_normal"]))
+    for name, order in DEGENERATE.items()
+)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_expected_max_against_a_mixture_is_one_quadrature(name, monkeypatch):
+    x, mix = ROUTES[name]
+    calls = []
+
+    def recorded(fn, lo, hi, points=(), **kwargs):
+        # the route alone: no quadrature resolves the degenerate orders
+        calls.append((lo, hi, set(points), kwargs))
         return 0.0
 
     monkeypatch.setattr(distributions, "integrate", recorded)
-    for pays in (True, False):
-        monkeypatch.setattr(distributions, "scalar_pays", lambda *args, pays=pays: pays)
-        for x, y in ((order, mix), (mix, order)):
-            kept.clear()
-            distributions._density_cdf_integral(x, y, lo, hi, set(mix.breakpoints()))
-            assert len(kept) == (1 if pays else mix._stacked().size)
-            assert all(ladder <= points for points in kept)
+    expected_max(x, mix)
+    expected_max(mix, x)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    lo, hi, points, kwargs = calls[0]
+    # over x's support, split at every rung of the ladder around x, none of
+    # them thinned; no call asks to split at every point
+    assert kwargs == {}
+    assert lo == x.support()[0]
+    kept = set(_quad._split_points(lo, hi, points, False)[0])
+    assert distributions._ladder(x, lo, hi) <= kept
