@@ -7,7 +7,8 @@ Commands:
 
 Exit codes: 0 ok, 2 missing file or command-line usage error (reported by
 argparse, e.g. an unknown flag), 3 schema/config error, 4 numerical
-integrity failure, 5 validation failure.
+integrity failure (a quadrature or cross-check refused, or an overflow),
+5 validation failure.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except NumericalIntegrityError as exc:
         print(f"error: numerical integrity: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
+    except OverflowError as exc:
+        # a kernel whose value leaves the floats, e.g. exp of a lognormal's
+        # quantile at log_mean 800
+        print(f"error: numerical integrity: overflow: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
 
 

@@ -13,12 +13,16 @@ forms the newsvendor profit and variance are cross-checked against) and
 for the expected maximum of the remaining pairs that both have a density,
 including those with a uniform too narrow for the closed form or a
 truncated normal, whose partial moments lose relative precision below its
-bulk. Against a mixture, that expected maximum is E_X[h_Y(X)] with
-h_Y(t) = E[max(t, Y)] = t F_Y(t) + mean_Y - M1_Y(t): one quadrature over the
-side that is not a mixture (of two stacked mixtures, the one with fewer
-kinks), split at a ladder of points around its bulk (``_ladder``), so that a
-narrow density there is not stepped over; a mixture of several families
-against another mixture is the sum over its components.
+bulk. Between two parametric families, that expected maximum is the sum of
+two halves ``int t f_X(t) F_Y(t) dt``. Every other pair, a mixture or an
+upper truncation on either side, is E_X[h_Y(X)] with
+h_Y(t) = E[max(t, Y)] = t F_Y(t) + mean_Y - M1_Y(t): one quadrature over X,
+the side that is not a mixture and the narrower of two such (of two
+mixtures, the one with fewer kinks), split at a ladder of points around its
+bulk (``_ladder``), so that a narrow density there is not stepped over; a
+mixture of several families against another mixture is the sum over its
+components. A density whose quartiles round to one float is refused rather
+than integrated over.
 
 A mixture whose components share one parametric family is evaluated and
 sampled as one stacked family (``_Stack``), one array call per kernel and
@@ -42,7 +46,7 @@ quadrature share; the two agree bit for bit.
 ``expected_maxima`` evaluates the expected maxima of many orders against one
 demand, the candidates of a search, with the same values bit for bit as
 ``expected_max`` of each pair: closed-form uniforms over arrays, and
-density pairs of non-mixtures in one lockstep quadrature
+density pairs of two parametric families in one lockstep quadrature
 (``integrate_many``), whose integrands are the families' array kernels over
 a block of points.
 
@@ -70,6 +74,7 @@ from ._quad import (
     integrate_many,
     scalar_pays,
 )
+from .errors import NumericalIntegrityError
 
 _EPS = math.ulp(1.0)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -1425,17 +1430,6 @@ class UpperTruncated(Distribution):
     def _second_partial_moment(self, q):
         return self.base._second_partial_moment(min(q, self.upper)) / self._z
 
-    # the array layer (see _math_map), of an instance whose base is a
-    # parametric family
-
-    @staticmethod
-    def _cdf_block(x, p, fast=False):
-        return _where(x >= p.upper, 1.0, type(p.base)._cdf_block(x, p.base, fast) / p._z)
-
-    @staticmethod
-    def _pdf_block(x, p, fast=False):
-        return _where(x > p.upper, 0.0, type(p.base)._pdf_block(x, p.base, fast) / p._z)
-
     def to_dict(self):
         record = dict(self.base.to_dict())
         record["upper"] = self.upper
@@ -1455,13 +1449,18 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     Otherwise it goes through exact atom conditioning, or, when both sides
     have a density:
 
-    - against a mixture, through E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)],
-      one quadrature over X, the side that is not a mixture, or of two
-      stacked mixtures the one with fewer kinks, else the first
-      (``_expected_max_over``); a mixture of several families against
-      another mixture is the weighted sum over its components;
-    - between two other families, through the decomposition
-      ``int x g(x) F(x) dx + int y f(y) G(y) dy``.
+    - between two parametric families, through the decomposition
+      ``int x g(x) F(x) dx + int y f(y) G(y) dy``;
+    - otherwise (a mixture, or an upper truncation, on either side), through
+      E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)], one quadrature over X
+      (``_expected_max_over``), the side ``_integration_rank`` ranks lower:
+      one that is not a mixture, the narrower of two such, else the mixture
+      with fewer kinks; a mixture of several families against another
+      mixture is the weighted sum over its components.
+
+    A side whose density a quadrature integrates and whose quartiles round
+    to one float is refused with NumericalIntegrityError: no node would see
+    its mass.
 
     Arguments are put in a canonical order first so the result is
     bit-identical under swaps.
@@ -1485,9 +1484,9 @@ def expected_maxima(orders, demand: Distribution) -> list[float]:
     Uniforms that take the closed form against a uniform, exponential or
     lognormal demand are evaluated over arrays (``_uniform_maxima``). Orders
     of a parametric family that take the density-pair quadrature against a
-    demand of one, or an upper truncation of one, share one lockstep
-    quadrature (``_density_maxima``). The rest, such as any order against a
-    mixture, take ``expected_max`` one by one.
+    parametric demand share one lockstep quadrature (``_density_maxima``).
+    The rest, such as any order against a mixture or an upper truncation,
+    take ``expected_max`` one by one.
     """
     values = [0.0] * len(orders)
     closed, dense, alone = [], [], []
@@ -1496,7 +1495,7 @@ def expected_maxima(orders, demand: Distribution) -> list[float]:
             # the demand is a parametric family with the closed-form maximum
             batch = closed if type(g) is Uniform and type(demand) in _STACKS else alone
         else:
-            batch = dense if type(g) in _STACKS and _has_blocks(demand) else alone
+            batch = dense if _parametric_pair(g, demand) else alone
         batch.append(k)
     for k in alone:
         values[k] = expected_max(orders[k], demand)
@@ -1601,14 +1600,6 @@ def _uniform_closed_form(mean, lo, hi, width, cdf, m1, m2):
     return mean + (h(hi) - h(lo)) / width
 
 
-def _has_blocks(d: Distribution) -> bool:
-    """Whether d's CDF and density are defined over blocks (see _math_map):
-    a parametric family, or an upper truncation of one."""
-    if isinstance(d, UpperTruncated):
-        d = d.base
-    return type(d) in _STACKS
-
-
 def _blocks(d, *kernels):
     """d's kernels over blocks, named without the ``_block`` suffix, as
     functions of the points."""
@@ -1645,21 +1636,47 @@ def _expected_max_over_atoms(atoms, other: Distribution) -> float:
     return math.fsum(w * _expected_max_at(v, other) for v, w in zip(values, weights))
 
 
+def _parametric_pair(a: Distribution, b: Distribution) -> bool:
+    """Whether both sides are members of parametric families, the pairs whose
+    expected maximum takes the halves (``_half_max``, ``_density_maxima``)."""
+    return type(a) in _STACKS and type(b) in _STACKS
+
+
 def _expected_max_densities(x: Distribution, y: Distribution) -> float:
     cut = max(x.upper_cut(), y.upper_cut())
-    if isinstance(x, Mixture) or isinstance(y, Mixture):
-        if _integration_rank(y) < _integration_rank(x):
-            x, y = y, x
-        return _expected_max_over(x, y, cut)
-    pts = set(x.breakpoints()) | set(y.breakpoints())
-    return _half_max(x, y, cut, pts) + _half_max(y, x, cut, pts)
+    if _parametric_pair(x, y):
+        _check_resolved(x, y)
+        pts = set(x.breakpoints()) | set(y.breakpoints())
+        return _half_max(x, y, cut, pts) + _half_max(y, x, cut, pts)
+    if _integration_rank(y) < _integration_rank(x):
+        x, y = y, x
+    _check_resolved(x)
+    return _expected_max_over(x, y, cut)
+
+
+def _check_resolved(*sides: Distribution) -> None:
+    """Raise NumericalIntegrityError for the first side whose quartiles round
+    to one float: the nodes of a quadrature over its density round onto a
+    few floats, and no panel beside them sees its mass."""
+    for d in sides:
+        below = d._quantile(0.25)
+        if below == d._quantile(0.75):
+            raise NumericalIntegrityError(
+                f"{d!r} is narrower than the floats at its median {below!r}: "
+                "no quadrature over its density resolves it"
+            )
 
 
 def _integration_rank(d: Distribution) -> tuple:
-    """Lower for the side ``_expected_max_over`` integrates over: one that is
-    not a mixture, else the one with fewer kinks, at which the quadrature
-    splits its density; a tie keeps the first in canonical order."""
-    return (isinstance(d, Mixture), len(d.breakpoints()))
+    """Lower for the side ``_expected_max_over`` integrates over: one whose
+    record is not a mixture's (``_mixture_record``), the narrower of two such
+    by interquartile range, so that a narrow order is integrated over and
+    its own M1 never read; else the mixture with fewer kinks, at which the
+    quadrature splits its density. A tie keeps the first in canonical
+    order."""
+    if _mixture_record(d):
+        return (True, len(d.breakpoints()))
+    return (False, d._quantile(0.75) - d._quantile(0.25))
 
 
 def _expected_max_over(x: Distribution, y: Distribution, cut: float) -> float:
@@ -1723,11 +1740,20 @@ def _half_max(x: Distribution, y: Distribution, cut: float, pts) -> float:
 
 
 def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[float]:
-    """``_expected_max_densities`` of each order against the demand, bit for
-    bit, with every half's quadrature in one ``integrate_many``, listed in
-    the order ``expected_max`` takes them, so that a failure raises the
-    error of the first half it would refuse. The orders' kernels over a
-    block come from one stack per family and tail form, gathered per row."""
+    """``_expected_max_densities`` of each order of a parametric family
+    against a parametric demand, bit for bit, with every half's quadrature
+    in one ``integrate_many``, listed in the order ``expected_max`` takes
+    them, so that a failure raises the error ``expected_max`` would raise
+    first. The orders' kernels over a block come from one stack per family
+    and tail form, gathered per row."""
+    for k, g in enumerate(orders):
+        try:
+            _check_resolved(*((demand, g) if _sorts_before(demand, g) else (g, demand)))
+        except NumericalIntegrityError:
+            # the candidates before it come first, and may fail first
+            if k:
+                _density_maxima(orders[:k], demand)
+            raise
     groups: dict[tuple, list[int]] = {}
     for k, g in enumerate(orders):
         groups.setdefault((type(g), getattr(g, "_upper_tail", None)), []).append(k)

@@ -472,25 +472,17 @@ def search_policy(
                 best_dist = g
 
     if best_dist is None:
-        return SearchResult(
-            best_policy=Deterministic(naive_q),
-            best_params=(),
-            best_expected_profit=base,
-            baseline_profit=base,
-            improvement=0.0,
-            evaluations=len(candidates),
-            feasible_count=0,
-            family=family,
-            param_names=names,
-            rhs_mode=rhs_mode,
-            search_trace=tuple(trace),
-        )
+        # the naive order is retained, with zero improvement
+        best_policy, best_params, best_profit, improvement = Deterministic(naive_q), (), base, 0.0
+        feasible_count = 0
+    else:
+        best_policy, improvement = Stochastic(best_dist), best_profit - base
     return SearchResult(
-        best_policy=Stochastic(best_dist),
+        best_policy=best_policy,
         best_params=best_params,
         best_expected_profit=best_profit,
         baseline_profit=base,
-        improvement=best_profit - base,
+        improvement=improvement,
         evaluations=len(candidates),
         feasible_count=feasible_count,
         family=family,

@@ -198,6 +198,25 @@ class TestSolveCommand:
         monkeypatch.setattr(cli_module.newsvendor, "optimal_profit", explode)
         assert main(["solve", write_scenario(tmp_path, base_record())]) == 4
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # the lognormal's quantile overflows
+            {"estimated_demand": {"family": "lognormal", "log_mean": 800.0, "log_sd": 1.0}},
+            # so do the derived constants of the compound's far components
+            {
+                "estimated_demand": {"family": "lognormal", "log_mean": 1.0, "log_sd": 1.0},
+                "parameter_uncertainties": [
+                    {"param": "log_mean", "dist": {"family": "uniform", "lo": 1.0, "hi": 1500.0}}
+                ],
+            },
+        ],
+        ids=["lognormal", "compound"],
+    )
+    def test_overflow_exit_code(self, tmp_path, capsys, overrides):
+        assert main(["solve", write_scenario(tmp_path, base_record(**overrides))]) == 4
+        assert "overflow" in capsys.readouterr().err
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -319,6 +338,32 @@ class TestNarrowOrdersAgainstACompound:
         assert main(["search", self.scenario(tmp_path), "--json", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["feasible_count"] == 0
+        assert report["best_policy"]["kind"] == "deterministic"
+
+
+class TestNarrowOrdersAgainstATruncation:
+    """A truncated lognormal demand with pinned truncated-normal orders of sd
+    in [0.004, 0.006]: their expected maxima came out 0.80 low, so search
+    reported improvement 6.408 with 3 of 5 candidates feasible, and validate
+    failed with z = 1061."""
+
+    def scenario(self, tmp_path):
+        record = base_record(
+            market={"p": 3.0, "w": 1.0},
+            estimated_demand={"family": "lognormal", "log_mean": 1.0, "log_sd": 0.5, "upper": 6.0},
+            order_family={"family": "truncated_normal", "bounds": {"sd": [0.004, 0.006]}},
+            search={"method": "grid", "budget": 5, "seed": 0, "constrain_mean_to_qhat": True},
+        )
+        return write_scenario(tmp_path, record)
+
+    def test_validate_passes(self, tmp_path):
+        assert main(["validate", self.scenario(tmp_path)]) == 0
+
+    def test_search_finds_no_feasible_candidate(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["search", self.scenario(tmp_path), "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["feasible_count"], report["evaluations"]) == (0, 5)
         assert report["best_policy"]["kind"] == "deterministic"
 
 

@@ -31,6 +31,7 @@ from randvendor import (  # noqa: E402
     simulate_expected_max,
 )
 from randvendor.distributions import (  # noqa: E402
+    expected_maxima,
     _expected_max_densities,
     _MIN_UNIFORM_WIDTH,
     _expected_max_over_atoms,
@@ -40,6 +41,10 @@ from randvendor.policy import build_order_dist  # noqa: E402
 
 mp.mp.dps = 40
 EPS = np.finfo(float).eps
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
 
 
 def _mp_cdf(d):
@@ -402,6 +407,52 @@ def test_narrow_order_against_a_mixture_of_two_families():
         assert value == pytest.approx(3.306465273075863, rel=1e-10, abs=0.0)
 
 
+TRUNCATED_LOGNORMAL = UpperTruncated(LogNormal(1.0, 0.5), 6.0)
+TRUNCATED_MIXTURE = UpperTruncated(
+    Mixture([(0.5, LogNormal(0.0, 0.5)), (0.5, LogNormal(0.5, 0.4))]), 6.0
+)
+_ORDER_LEVELS = (1e-12, 1e-6, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0 - 1e-6, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("demand", [TRUNCATED_LOGNORMAL, TRUNCATED_MIXTURE], ids=repr)
+def test_narrow_orders_against_an_upper_truncation(demand):
+    # the halves stepped over TruncatedNormal(4, 0.005) and returned 0.827063
+    # against the truncated lognormal and 0.034875 against the truncated
+    # mixture; Monte Carlo gives 4.13469 +/- 0.00026 and 4.00417 +/- 0.00003.
+    # The point order, narrower than the demand, is integrated over, so that
+    # its M1 is never read; its reference is mpmath's
+    narrow = TruncatedNormal(4.0, 0.005)
+    point = build_order_dist("point", (), 4.0, True)
+    references = [
+        (narrow, _min_plus_max(narrow, demand, [narrow.quantile(u) for u in _ORDER_LEVELS])),
+        (point, _mp_expected_max(point, demand)),
+    ]
+    for order, reference in references:
+        value = expected_max(order, demand)
+        assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+        assert _bits([expected_max(demand, order), *expected_maxima([order], demand)]) == _bits(
+            [value, value]
+        )
+
+
+@pytest.mark.parametrize(
+    "demand",
+    [LogNormal(1.0, 0.5), TRUNCATED_LOGNORMAL, TRUNCATED_MIXTURE, TWO_FAMILIES, COMPOUND],
+    ids=repr,
+)
+@pytest.mark.parametrize("order", [TruncatedNormal(4.0, 1e-17), LogNormal(math.log(4.0), 1e-17)])
+def test_an_order_narrower_than_the_floats_is_refused(order, demand):
+    # its quartiles round to 4.0: the quadrature over its density, of either
+    # route, saw none of its mass and returned 0.0 against 4.0199 for the
+    # 144-component truncated-normal compound
+    assert order.quantile(0.25) == order.quantile(0.75)
+    for a, b in ((order, demand), (demand, order)):
+        with pytest.raises(NumericalIntegrityError, match="narrower than the floats"):
+            expected_max(a, b)
+    with pytest.raises(NumericalIntegrityError, match="narrower than the floats"):
+        expected_maxima([LogNormal(1.0, 0.3), order], demand)
+
+
 @st.composite
 def narrow_orders(draw):
     """A lognormal or truncated-normal order whose width relative to its
@@ -414,17 +465,25 @@ def narrow_orders(draw):
     return TruncatedNormal(location, rel * location)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(order=narrow_orders(), stacked=st.booleans())
-def test_narrow_orders_against_mixtures_by_min_plus_max(order, stacked):
-    mix = COMPOUND if stacked else TWO_FAMILIES
-    value = expected_max(order, mix)
-    assert value == expected_max(mix, order)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    order=narrow_orders(),
+    demand=st.sampled_from(
+        [
+            TWO_FAMILIES,
+            COMPOUND,
+            UpperTruncated(LogNormal(0.3, 0.6), 2.5),
+            UpperTruncated(COMPOUND, 2.0),
+        ]
+    ),
+)
+def test_narrow_orders_against_mixtures_by_min_plus_max(order, demand):
+    value = expected_max(order, demand)
+    assert value == expected_max(demand, order)
     # the order's quantiles split the oracle's quadrature too, out to where
     # its survival is 1e-12, so that no panel steps over the order's drop
-    levels = (1e-12, 1e-6, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0 - 1e-6, 1.0 - 1e-12)
-    quantiles = [order.quantile(u) for u in levels]
-    assert value == pytest.approx(_min_plus_max(order, mix, quantiles), rel=1e-10)
+    quantiles = [order.quantile(u) for u in _ORDER_LEVELS]
+    assert value == pytest.approx(_min_plus_max(order, demand, quantiles), rel=1e-10)
 
 
 SEVERAL = Mixture([(0.3, LogNormal(1.0, 0.3)), (0.7, TruncatedNormal(2.0, 0.05))])

@@ -13,6 +13,7 @@ from randvendor import (
     Exponential,
     LogNormal,
     MarketParams,
+    Mixture,
     NumericalIntegrityError,
     ParameterUncertainty,
     SearchConfig,
@@ -149,13 +150,9 @@ def _orders():
     return out
 
 
-DEMANDS = [
-    Exponential(0.25),
-    LogNormal(1.2, 0.6),
-    TruncatedNormal(4.0, 2.5),
-    Uniform(1.0, 9.0),
-    UpperTruncated(LogNormal(1.0, 0.8), 7.5),
-]
+PARAMETRIC = [Exponential(0.25), LogNormal(1.2, 0.6), TruncatedNormal(4.0, 2.5), Uniform(1.0, 9.0)]
+# an upper truncation takes expected_max one order at a time
+DEMANDS = PARAMETRIC + [UpperTruncated(LogNormal(1.0, 0.8), 7.5)]
 
 
 @pytest.mark.parametrize("demand", DEMANDS, ids=repr)
@@ -166,7 +163,7 @@ def test_expected_maxima_match_expected_max(demand):
     assert _bits(expected_maxima(orders, demand)) == _bits(expected)
 
 
-@pytest.mark.parametrize("demand", DEMANDS, ids=repr)
+@pytest.mark.parametrize("demand", PARAMETRIC, ids=repr)
 def test_every_density_pair_through_the_lockstep_quadrature(demand):
     # each kind of order alone in a batch, against the scalar density-pair
     # quadrature, which expected_max takes for the wide uniforms only against
@@ -200,14 +197,10 @@ def test_a_candidate_alone_and_in_a_batch_of_25():
         assert _bits(alone) == _bits([together[i]]) == _bits([expected_max(batch[i], demand)])
 
 
-def test_a_failing_batch_raises_as_the_loop(monkeypatch):
-    # the demand's record sorts first, so expected_max takes its half first
-    demand = Exponential(2.0)
-    orders = [LogNormal(0.5 + 0.2 * i, 0.2 + 0.1 * i) for i in range(8)]
-    assert all(distributions._sorts_before(demand, g) for g in orders)
-    # refuse both halves of one candidate, which share its cut, and no other
+def _refuse_the_halves_of(monkeypatch, orders, demand, k):
+    """Refuse both halves of candidate k, which share its cut, and no other."""
     cuts = [max(g.upper_cut(), demand.upper_cut()) for g in orders]
-    refused = cuts[3]
+    refused = cuts[k]
     assert cuts.count(refused) == 1
     checked = _quad._checked
 
@@ -215,12 +208,80 @@ def test_a_failing_batch_raises_as_the_loop(monkeypatch):
         return checked(value, math.inf if hi == refused else err, lo, hi)
 
     monkeypatch.setattr(_quad, "_checked", refuse)
+
+
+def _loop(orders, demand):
+    for g in orders:
+        expected_max(g, demand)
+
+
+def test_a_failing_batch_raises_as_the_loop(monkeypatch):
+    # the demand's record sorts first, so expected_max takes its half first
+    demand = Exponential(2.0)
+    orders = [LogNormal(0.5 + 0.2 * i, 0.2 + 0.1 * i) for i in range(8)]
+    assert all(distributions._sorts_before(demand, g) for g in orders)
+    _refuse_the_halves_of(monkeypatch, orders, demand, 3)
     with pytest.raises(NumericalIntegrityError) as expected:
-        for g in orders:
-            expected_max(g, demand)
+        _loop(orders, demand)
     with pytest.raises(NumericalIntegrityError) as batched:
         _density_maxima(orders, demand)
     assert str(batched.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("refused", [None, 2])
+def test_an_unresolved_order_in_a_batch_raises_as_the_loop(monkeypatch, refused):
+    # the quartiles of TruncatedNormal(4, 1e-17) round to 4.0: the batch
+    # raises that order's error, unless a candidate before it fails first
+    demand = Exponential(2.0)
+    orders = [LogNormal(0.5 + 0.2 * i, 0.2 + 0.1 * i) for i in range(6)]
+    orders.insert(4, TruncatedNormal(4.0, 1e-17))
+    if refused is not None:
+        _refuse_the_halves_of(monkeypatch, orders, demand, refused)
+    with pytest.raises(NumericalIntegrityError) as expected:
+        _loop(orders, demand)
+    with pytest.raises(NumericalIntegrityError) as batched:
+        expected_maxima(orders, demand)
+    assert str(batched.value) == str(expected.value)
+    assert ("narrower than the floats" in str(expected.value)) == (refused is None)
+
+
+_PARAMETRIC_TYPES = (Uniform, Exponential, LogNormal, TruncatedNormal)
+
+
+def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
+    # the scalar halves and the lockstep see no other pair; every other pair
+    # with densities is one quadrature over one side
+    mixture = Mixture([(0.5, LogNormal(0.0, 0.5)), (0.5, LogNormal(0.5, 0.4))])
+    others = [
+        UpperTruncated(LogNormal(1.0, 0.8), 7.5),
+        UpperTruncated(TruncatedNormal(4.0, 2.5), 6.0),
+        UpperTruncated(mixture, 6.0),
+        mixture,
+    ]
+    seen = {"_half_max": [], "_density_maxima": [], "_expected_max_over": []}
+    for name, calls in seen.items():
+
+        def recorded(x, y, *args, _calls=calls, _original=getattr(distributions, name)):
+            _calls.append((x, y))
+            return _original(x, y, *args)
+
+        monkeypatch.setattr(distributions, name, recorded)
+    orders = _orders()
+    for demand in PARAMETRIC + others:
+        expected_maxima(orders, demand)
+        _loop(orders, demand)
+        for g in orders:
+            expected_max(demand, g)
+    for demand in others:
+        expected_max(demand, demand)
+    assert all(seen.values())
+    for x, y in seen["_half_max"]:
+        assert isinstance(x, _PARAMETRIC_TYPES) and isinstance(y, _PARAMETRIC_TYPES)
+    for batch, demand in seen["_density_maxima"]:
+        assert all(isinstance(g, _PARAMETRIC_TYPES) for g in batch)
+        assert isinstance(demand, _PARAMETRIC_TYPES)
+    for x, y in seen["_expected_max_over"]:
+        assert not (isinstance(x, _PARAMETRIC_TYPES) and isinstance(y, _PARAMETRIC_TYPES))
 
 
 # -- which searches take the batch --------------------------------------------------
