@@ -229,16 +229,20 @@ def _cmd_validate(args) -> int:
     profit_at_naive = newsvendor.expected_profit(market, compound, naive_q)
 
     # analytic values first, in row order, so that the first one to fail
-    # raises before any Monte-Carlo work
-    analytic = {
-        "expected_profit_at_naive_order": profit_at_naive,
-        "optimal_profit": newsvendor.optimal_profit(market, compound),
-        "profit_variance_at_naive_order": newsvendor.profit_variance(market, compound, naive_q),
-        "expected_profit_stochastic_midpoint": policy.expected_profit_stochastic(
-            market, compound, policy.Stochastic(midpoint)
-        ),
-        "expected_max_midpoint": expected_max(midpoint, compound),
-    }
+    # raises before any Monte-Carlo work; a pair that expected_max has no
+    # route for is refused as search refuses it
+    try:
+        analytic = {
+            "expected_profit_at_naive_order": profit_at_naive,
+            "optimal_profit": newsvendor.optimal_profit(market, compound),
+            "profit_variance_at_naive_order": newsvendor.profit_variance(market, compound, naive_q),
+            "expected_profit_stochastic_midpoint": policy.expected_profit_stochastic(
+                market, compound, policy.Stochastic(midpoint)
+            ),
+            "expected_max_midpoint": expected_max(midpoint, compound),
+        }
+    except ValueError as exc:
+        raise ScenarioError("validate", str(exc)) from None
     reports = simulate_validation(
         market, compound, naive_q, q_star, profit_at_naive, midpoint, cfg
     )

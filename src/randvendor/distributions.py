@@ -150,8 +150,10 @@ def _sample_in_place(dist, u, out):
 
 # Samplers that gather per draw (an index, gathered parameters) take at most
 # this many draws at a time, so that their temporaries stay small however
-# many draws one call maps
-_SAMPLE_BLOCK = 65_536
+# many draws one call maps; the Monte-Carlo pass (``simulate._blocks``) reads
+# its streams in blocks of as many observations, whose buffers fit in a
+# core's L2 cache
+_SAMPLE_BLOCK = 32_768
 
 
 def _blocked(sample_into, u, out):
@@ -1017,10 +1019,10 @@ class Mixture(Distribution):
             stack.family._inverse_cdf(v, _Gathered(stack, idx))
             return
         for j, (_, d) in enumerate(self.components):
-            mask = idx == j
-            if mask.any():
-                part = v[mask]
-                v[mask] = d.from_uniform(part, out=part)
+            where = np.flatnonzero(idx == j)
+            if where.size:
+                part = v[where]
+                v[where] = d.from_uniform(part, out=part)
 
     def _sampling_tables(self):
         """(weights, edges, upper edges, guide table) of the composition.

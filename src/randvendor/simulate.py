@@ -2,26 +2,23 @@
 
 Draws are partitioned into batches, each driven by its own PCG64 generator
 keyed on (seed, batch_index) (``_batch_generator``), so results are
-reproducible and independent of how batches would be scheduled. Each batch
-is drawn into one buffer that the batch loop reuses, laid out as blocks:
-column j of a batch of m observations is its doubles j*m to (j+1)*m. A
-streaming one-pass accumulator merges the per-batch moments.
+reproducible and independent of how batches would be scheduled. A batch is
+how the stream is split: column j of a batch of m observations is its
+doubles j*m to (j+1)*m. A block is the unit of memory and work: a batch is
+read in blocks of at most ``_SAMPLE_BLOCK`` observations (``_blocks``), each
+column by its own generator advanced by j*m, so every draw keeps its bits
+and the working set of a block stays in cache. A streaming one-pass
+accumulator merges the per-block moments.
 
 ``validate`` reads one stream per batch for all five of its rows
-(``simulate_validation``). A batch of m observations draws 2m doubles, and
-each distribution samples its own column once: the demand the first m into
-a buffer of m doubles, the order the last m in place, as nothing reads them
-afterwards. A fresh generator's first m doubles are its m draws of width
-one, and every sampler is element-wise. So the demand-only rows read the
-same demand draws as the width-one oracles, the two-draw rows read the
-demand and order draws in the same columns as theirs, and every row
-reports the same numbers as its standalone oracle bit for bit. The buffers
-belong to one call of the pass; every row is written into one reused row
-buffer and its deviations are squared there. The standalone
-``simulate_expected_max`` likewise samples its two columns into buffers of
-its own and takes the maximum in place. Samplers that gather per draw
-(empirical, mixture, upper-truncated) work through blocks of at most
-65,536 draws, so their temporaries stay small.
+(``simulate_validation``). Each distribution samples its own column of a
+block once and in place, as nothing reads the uniforms afterwards. A fresh
+generator's first m doubles are its m draws of width one, and every sampler
+is element-wise. So the demand-only rows read the same demand draws as the
+width-one oracles, the two-draw rows read the demand and order draws in the
+same columns as theirs, every oracle reads the same blocks, and every row
+reports the same numbers as its standalone oracle bit for bit. The pass's
+buffers are block-sized and reused from block to block.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, _seed_sequence
+from .distributions import _SAMPLE_BLOCK, Distribution, _seed_sequence
 from .newsvendor import MarketParams
 from .policy import Deterministic, OrderPolicy
 
@@ -71,7 +68,7 @@ class SimReport:
 
 
 class _Accumulator:
-    """Streaming (n, mean, M2) merge; one pass over the batches."""
+    """Streaming (n, mean, M2) merge; one pass over the blocks."""
 
     __slots__ = ("n", "mean", "m2")
 
@@ -81,16 +78,15 @@ class _Accumulator:
         self.m2 = 0.0
 
     def add_batch(self, values: np.ndarray, owned: bool = False) -> None:
-        """Merge one batch; ``owned`` values are overwritten by their squared
-        deviations, others cost one temporary. Either way the deviations are
-        squared by the same operations as ``(values - bmean) ** 2``."""
+        """Merge one block; ``owned`` values are overwritten by their
+        deviations, others cost one temporary. The squared deviations are
+        summed by ``einsum``, without an array of squares."""
         bn = values.size
         if bn == 0:
             return
-        bmean = float(values.mean())
+        bmean = float(np.add.reduce(values)) / bn
         dev = np.subtract(values, bmean, out=values if owned else None)
-        dev *= dev
-        bm2 = float(dev.sum())
+        bm2 = float(np.einsum("i,i->", dev, dev))
         delta = bmean - self.mean
         total = self.n + bn
         self.mean += delta * bn / total
@@ -122,19 +118,32 @@ def _batch_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
 
 
-def _batches(cfg: SimConfig, width: int):
-    """Each batch's ``width * m`` doubles of its (seed, batch_index) stream;
-    column j of the batch is its doubles j*m to (j+1)*m.
+def _block_size(cfg: SimConfig) -> int:
+    """Observations in the largest block ``_blocks`` yields."""
+    return min(_SAMPLE_BLOCK, *_batch_plan(cfg))
 
-    Every batch is drawn into one buffer, so a batch is only valid until the
-    next one is drawn; the first batch is the largest.
+
+def _blocks(cfg: SimConfig, width: int):
+    """Each batch's ``width * m`` doubles of its (seed, batch_index) stream,
+    column j being its doubles j*m to (j+1)*m, as (width, k) blocks of k <=
+    ``_SAMPLE_BLOCK`` observations: row j of a block is the next k doubles
+    of column j, read by a generator of the batch advanced by j*m.
+
+    Every block is drawn into one buffer, so a block is only valid until the
+    next one is drawn.
     """
     observations, per_batch = _batch_plan(cfg)
-    u = np.empty(width * min(per_batch, observations))
+    u = np.empty((width, _block_size(cfg)))
     for index, done in enumerate(range(0, observations, per_batch)):
-        batch = u[: width * min(per_batch, observations - done)]
-        _batch_generator(cfg.seed, index).random(out=batch)
-        yield batch
+        m = min(per_batch, observations - done)
+        columns = [_batch_generator(cfg.seed, index) for _ in range(width)]
+        for j, column in enumerate(columns):
+            column.bit_generator.advance(j * m)
+        for start in range(0, m, _SAMPLE_BLOCK):
+            block = u[:, : min(_SAMPLE_BLOCK, m - start)]
+            for column, row in zip(columns, block):
+                column.random(out=row)
+            yield block
 
 
 def _halves(u: np.ndarray, antithetic: bool) -> tuple:
@@ -150,15 +159,15 @@ def _pair(values: list):
 def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
     """Estimate E[transform(U)] where U is a row of independent uniforms.
 
-    ``transform`` maps an (m, n_uniforms) array of uniform draws to m values;
-    column j is the batch's doubles j*m to (j+1)*m. With antithetic pairing
-    on, each observation is the average of the transform at u and at 1 - u;
-    the integrand must be monotone in each coordinate for the pairing to
-    reduce variance.
+    ``transform`` maps a (k, n_uniforms) block of uniform draws to k values;
+    column j reads the batch's doubles j*m to (j+1)*m. With antithetic
+    pairing on, each observation is the average of the transform at u and at
+    1 - u; the integrand must be monotone in each coordinate for the pairing
+    to reduce variance.
     """
     acc = _Accumulator()
-    for u in _batches(cfg, n_uniforms):
-        draws = _halves(u.reshape(n_uniforms, -1).T, cfg.antithetic)
+    for u in _blocks(cfg, n_uniforms):
+        draws = _halves(u.T, cfg.antithetic)
         acc.add_batch(np.asarray(_pair([transform(h) for h in draws]), dtype=float))
     return acc.report()
 
@@ -223,36 +232,39 @@ def simulate_profit_squared_deviation(
     return simulate_values(transform, dim, cfg)
 
 
+def _sampled_blocks(cfg: SimConfig, dists: tuple):
+    """The blocks of ``_blocks(cfg, len(dists))``, each as one list per half
+    (u, and 1 - u when paired) of the draws of ``dists``: column j is
+    sampled by ``dists[j]`` in place, as nothing reads the uniforms again."""
+    flipped = np.empty((len(dists), _block_size(cfg))) if cfg.antithetic else None
+    for u in _blocks(cfg, len(dists)):
+        halves = [u]
+        if cfg.antithetic:
+            halves.append(np.subtract(1.0, u, out=flipped[:, : u.shape[1]]))
+        yield [[d.from_uniform(c, out=c) for d, c in zip(dists, h)] for h in halves]
+
+
+def _add_pair(acc: _Accumulator, rows: list) -> None:
+    """Merge one block's observations, each half's values in ``rows``: the
+    first half's values are overwritten, as ``_pair`` of the two halves."""
+    values = rows[0]
+    if len(rows) == 2:
+        values += rows[1]
+        values *= 0.5
+    acc.add_batch(values, owned=True)
+
+
 def simulate_expected_max(
     dist_a: Distribution, dist_b: Distribution, cfg: SimConfig
 ) -> SimReport:
     """E[max(X, Y)] for independent draws; the oracle for the quadrature path.
 
-    X samples a batch's first m doubles and Y its last m, each into a buffer
-    this call owns, and the maximum is taken in X's buffer.
+    X samples each block's column 0 and Y its column 1, in place, and the
+    maximum is taken in X's draws.
     """
     acc = _Accumulator()
-    m_max = min(_batch_plan(cfg))
-    n_halves = 2 if cfg.antithetic else 1
-    flipped = np.empty(2 * m_max) if cfg.antithetic else None
-    a_bufs = [np.empty(m_max) for _ in range(n_halves)]
-    b_bufs = [np.empty(m_max) for _ in range(n_halves)]
-
-    for u in _batches(cfg, 2):
-        m = u.size // 2
-        halves = [u]
-        if cfg.antithetic:
-            halves.append(np.subtract(1.0, u, out=flipped[: 2 * m]))
-        rows = []
-        for h, a_buf, b_buf in zip(halves, a_bufs, b_bufs):
-            row = dist_a.from_uniform(h[:m], out=a_buf[:m])
-            np.maximum(row, dist_b.from_uniform(h[m:], out=b_buf[:m]), out=row)
-            rows.append(row)
-        values = rows[0]
-        if cfg.antithetic:
-            values += rows[1]
-            values *= 0.5
-        acc.add_batch(values, owned=True)
+    for halves in _sampled_blocks(cfg, (dist_a, dist_b)):
+        _add_pair(acc, [np.maximum(a, b, out=a) for a, b in halves])
     return acc.report()
 
 
@@ -273,51 +285,35 @@ def simulate_validation(
     4. ``simulate_profit`` with the order drawn from ``order_dist``;
     5. ``simulate_expected_max(demand, order_dist)``.
 
-    Each report equals that standalone call's bit for bit. A batch draws
-    2m doubles once; the demand samples the first m once and the order the
-    last m once, as every oracle's columns 0 and 1. Rows 1-3 read the demand
-    draws alone, those of a fresh generator's width-one stream.
+    Each report equals that standalone call's bit for bit. Every block is
+    drawn once; the demand samples its column 0 once and the order its
+    column 1 once, as every oracle's columns 0 and 1. Rows 1-3 read the
+    demand draws alone, those of a fresh generator's width-one stream.
     """
     accs = [_Accumulator() for _ in range(5)]
-    m_max = min(_batch_plan(cfg))
-    n_halves = 2 if cfg.antithetic else 1
-    # owned by this call: 1 - u when paired, each half's demand draws and
-    # each half's row values; batches use leading views of them
-    flipped = np.empty(2 * m_max) if cfg.antithetic else None
-    demand_bufs = [np.empty(m_max) for _ in range(n_halves)]
-    row_bufs = [np.empty(m_max) for _ in range(n_halves)]
+    size = (2 if cfg.antithetic else 1, _block_size(cfg))
+    # each half's row values, and the squared deviations of row 1's
+    profit_bufs, square_bufs = np.empty(size), np.empty(size)
 
-    for u in _batches(cfg, 2):
-        m = u.size // 2
-        halves = [u]
-        if cfg.antithetic:
-            halves.append(np.subtract(1.0, u, out=flipped[: 2 * m]))
-        demand_draws = [
-            demand.from_uniform(h[:m], out=buf[:m]) for h, buf in zip(halves, demand_bufs)
-        ]
-        # the order's uniforms are not read again: its draws overwrite them
-        order_draws = [order_dist.from_uniform(h[m:], out=h[m:]) for h in halves]
-        rows = [buf[:m] for buf in row_bufs]
-
-        def add(k, fill):
-            for r, d, o in zip(rows, demand_draws, order_draws):
-                fill(r, d, o)
-            values = rows[0]
-            if cfg.antithetic:
-                values += rows[1]
-                values *= 0.5
-            accs[k].add_batch(values, owned=True)
-
-        def squared_deviation(r, d, o):
+    for halves in _sampled_blocks(cfg, (demand, order_dist)):
+        k = halves[0][0].size
+        profits = [buf[:k] for buf in profit_bufs]
+        squares = [buf[:k] for buf in square_bufs]
+        for (d, _), r, sq in zip(halves, profits, squares):
             _profit(params, naive_q, d, out=r)
-            r -= center
-            r *= r
-
-        add(0, lambda r, d, o: _profit(params, naive_q, d, out=r))
-        add(1, lambda r, d, o: _profit(params, q_star, d, out=r))
-        add(2, squared_deviation)
+            np.subtract(r, center, out=sq)
+            sq *= sq
+        _add_pair(accs[2], squares)
+        _add_pair(accs[0], profits)
+        for (d, _), r in zip(halves, profits):
+            _profit(params, q_star, d, out=r)
+        _add_pair(accs[1], profits)
         # row 5 before row 4, whose profit scales the order draws in place
-        add(4, lambda r, d, o: np.maximum(d, o, out=r))
-        add(3, lambda r, d, o: _profit(params, o, d, out=r))
+        for (d, o), r in zip(halves, profits):
+            np.maximum(d, o, out=r)
+        _add_pair(accs[4], profits)
+        for (d, o), r in zip(halves, profits):
+            _profit(params, o, d, out=r)
+        _add_pair(accs[3], profits)
 
     return [acc.report() for acc in accs]

@@ -395,6 +395,26 @@ class TestValidateCommand:
     def test_requires_order_family(self, tmp_path):
         assert main(["validate", write_scenario(tmp_path, base_record())]) == 3
 
+    def test_demand_without_an_expected_max_route_is_refused(self, tmp_path, capsys):
+        # an upper truncation of a mixture with both atoms and a density
+        demand = {
+            "family": "mixture",
+            "components": [
+                {"weight": 0.5, "dist": {"family": "empirical", "values": [1.0, 2.0]}},
+                {"weight": 0.5, "dist": {"family": "lognormal", "log_mean": 0.0, "log_sd": 1.0}},
+            ],
+            "upper": 3.0,
+        }
+        record = base_record(
+            estimated_demand=demand,
+            order_family={"family": "lognormal", "bounds": {"log_sd": [0.1, 0.2]}},
+            search={"method": "grid", "budget": 4, "seed": 0, "constrain_mean_to_qhat": True},
+        )
+        path = write_scenario(tmp_path, record)
+        for command in ("search", "validate"):
+            assert main([command, path]) == 3
+            assert f"{command}: expected_max cannot decompose" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "order_family,path",
         [

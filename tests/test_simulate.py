@@ -28,8 +28,15 @@ from randvendor import (
     simulate_profit,
     simulate_profit_squared_deviation,
 )
-from randvendor.distributions import _generator
-from randvendor.simulate import _batch_generator, simulate_validation, simulate_values
+from randvendor.distributions import _SAMPLE_BLOCK, _generator
+from randvendor.simulate import (
+    _Accumulator,
+    _batch_generator,
+    _batch_plan,
+    _blocks,
+    simulate_validation,
+    simulate_values,
+)
 
 MP = MarketParams(p=2.0, w=1.0)
 U01 = Uniform(0.0, 1.0)
@@ -101,6 +108,20 @@ class TestAccumulator:
         assert report.n == values.size
         assert report.mean == pytest.approx(float(values.mean()), rel=1e-12)
         assert report.variance == pytest.approx(float(values.var(ddof=1)), rel=1e-10)
+
+    def test_report_does_not_depend_on_the_buffer_offset(self):
+        values = np.random.default_rng(5).lognormal(size=_SAMPLE_BLOCK + 3)
+        reports = set()
+        for offset in range(8):
+            for owned in (False, True):
+                buf = np.empty(values.size + 8)
+                view = buf[offset : offset + values.size]
+                view[:] = values
+                acc = _Accumulator()
+                acc.add_batch(view[:_SAMPLE_BLOCK], owned=owned)
+                acc.add_batch(view[_SAMPLE_BLOCK:], owned=owned)
+                reports.add(repr(acc.report().to_dict()))
+        assert len(reports) == 1
 
     def test_merge_is_batch_size_invariant_in_expectation(self):
         # different batch sizes give different streams but compatible estimates
@@ -221,12 +242,38 @@ class TestKernelCrossChecks:
 
 class TestBatchStreamPrefix:
     """The shared validation pass reads the (m, 1) stream of a batch as the
-    first m doubles of one draw of 2m; a numpy that breaks this must fail."""
+    first m doubles of one draw of 2m, and column j as the doubles of a
+    generator advanced by j*m; a numpy that breaks either must fail."""
 
     @pytest.mark.parametrize("m", [1, 5, 237_856, 262_144])
     def test_narrow_stream_is_a_view_of_the_wide_draw(self, m):
         wide = _batch_generator(17, 3).random(2 * m)
         assert np.array_equal(_batch_generator(17, 3).random((m, 1)).ravel(), wide[:m])
+
+    @pytest.mark.parametrize("m", [1, 5, 3 * _SAMPLE_BLOCK + 7])
+    def test_advanced_stream_reads_the_next_column(self, m):
+        wide = _batch_generator(17, 3).random(2 * m)
+        column = _batch_generator(17, 3)
+        column.bit_generator.advance(m)
+        pieces = [column.random(size) for size in (m // 3, 1, m - m // 3 - 1) if size]
+        assert np.array_equal(np.concatenate(pieces), wide[m:])
+
+    @pytest.mark.parametrize(
+        "m,width",
+        [(1, 1), (7, 3), (_SAMPLE_BLOCK, 2), (2 * _SAMPLE_BLOCK + 1, 2), (_SAMPLE_BLOCK + 5, 3)],
+    )
+    def test_blocks_lay_out_each_batch_as_columns(self, m, width):
+        # two batches of m observations, the second cut short
+        cfg = SimConfig(n_draws=2 * m - 1 if m > 1 else 2, seed=19, batch_size=m)
+        blocks = [np.array(block) for block in _blocks(cfg, width)]
+        assert max(block.shape[1] for block in blocks) <= _SAMPLE_BLOCK
+        got = np.concatenate(blocks, axis=1)
+        observations, _ = _batch_plan(cfg)
+        expected = [
+            _batch_generator(19, index).random(width * n).reshape(width, n)
+            for index, n in enumerate([m, observations - m])
+        ]
+        assert np.array_equal(got, np.concatenate(expected, axis=1))
 
     def test_batch_streams_share_the_philox_key(self):
         for entropy in [(17, 3), (-1, 0), (2**64 + 5, 2)]:
@@ -272,8 +319,15 @@ VALIDATION_CONFIGS = {
     "antithetic_partial_batch": SimConfig(n_draws=7_334, seed=24, batch_size=1_001, antithetic=True),
     "one_draw": SimConfig(n_draws=1, seed=25),
     "one_pair": SimConfig(n_draws=2, seed=26, antithetic=True),
-    # one batch longer than a 65,536-draw sampling block, sampled in blocks
+    # one batch longer than two sampling blocks, sampled in blocks
     "blocked_batch": SimConfig(n_draws=80_000, seed=27, batch_size=80_000),
+    # one batch of two blocks and one draw; paired, of two blocks and one pair
+    "two_blocks_and_one": SimConfig(
+        n_draws=2 * _SAMPLE_BLOCK + 1, seed=29, batch_size=2 * _SAMPLE_BLOCK + 1
+    ),
+    "antithetic_two_blocks_and_one": SimConfig(
+        n_draws=4 * _SAMPLE_BLOCK + 2, seed=30, batch_size=4 * _SAMPLE_BLOCK + 2, antithetic=True
+    ),
 }
 
 
@@ -302,61 +356,81 @@ class TestSharedValidationPass:
 
 
 class _Counting:
-    """A distribution that records the size of every array it maps."""
+    """A distribution that records a copy of every uniform array it maps."""
 
     def __init__(self, dist):
         self.dist = dist
-        self.sizes = []
+        self.mapped = []
 
     def from_uniform(self, u, out=None):
-        self.sizes.append(u.size)
+        self.mapped.append(np.array(u))
         return self.dist.from_uniform(u, out=out)
 
 
+def _batch_columns(cfg: SimConfig, column: int):
+    """Each batch's doubles of one of two columns, from one draw of its stream."""
+    observations, per_batch = _batch_plan(cfg)
+    for index, done in enumerate(range(0, observations, per_batch)):
+        m = min(per_batch, observations - done)
+        yield _batch_generator(cfg.seed, index).random(2 * m)[column * m : (column + 1) * m]
+
+
 class TestValidationPassSamplesOnce:
-    """The shared pass maps m draws of the demand and m of the order per
-    batch and per antithetic half, and no more."""
+    """The shared pass maps each draw of the demand and of the order once,
+    per antithetic half, in calls of at most one block."""
 
     @pytest.mark.parametrize(
-        "cfg_name,sizes",
-        [
-            ("plain", [6_000]),
-            ("antithetic", [3_000, 3_000]),
-            ("partial_batch", [1_000] * 7 + [333]),
-            ("blocked_batch", [80_000]),
-        ],
+        "cfg_name",
+        ["plain", "antithetic", "partial_batch", "blocked_batch", "antithetic_two_blocks_and_one"],
     )
-    def test_each_draw_is_mapped_once(self, cfg_name, sizes):
-        demand = _Counting(VALIDATION_DEMANDS["lognormal"])
-        order = _Counting(VALIDATION_ORDERS["lognormal"])
-        simulate_validation(MP, demand, 1.0, 1.5, 1.0, order, VALIDATION_CONFIGS[cfg_name])
-        assert demand.sizes == sizes
-        assert order.sizes == sizes
+    def test_each_draw_is_mapped_once(self, cfg_name):
+        cfg = VALIDATION_CONFIGS[cfg_name]
+        dists = [_Counting(VALIDATION_DEMANDS["lognormal"]), _Counting(VALIDATION_ORDERS["lognormal"])]
+        simulate_validation(MP, dists[0], 1.0, 1.5, 1.0, dists[1], cfg)
+        n_halves = 2 if cfg.antithetic else 1
+        for column, dist in enumerate(dists):
+            assert max(u.size for u in dist.mapped) <= _SAMPLE_BLOCK
+            # each block maps u, then 1 - u when paired
+            halves = [iter(dist.mapped[h::n_halves]) for h in range(n_halves)]
+            for u in _batch_columns(cfg, column):
+                for h, calls in enumerate(halves):
+                    # this batch's calls of this half, which must sum to m
+                    got = []
+                    while sum(c.size for c in got) < u.size:
+                        got.append(next(calls))
+                    assert np.array_equal(np.concatenate(got), 1.0 - u if h else u)
+            assert [next(calls, None) for calls in halves] == [None] * n_halves
 
 
 class TestValidationPassMemory:
-    """The shared pass owns a few batch-sized buffers and no per-row
-    temporaries: its traced peak over two default batches stays within two
-    and a half arrays of one batch's 2m doubles (10 MiB). The batch, m
-    demand draws and m row values make two; the samplers' block temporaries
-    take the rest."""
+    """The Monte-Carlo passes own a few block-sized buffers and no
+    batch-sized ones: the traced peak over two default batches stays within
+    twelve blocks of doubles (3 MiB), below one batch's 2m doubles (4 MiB).
+    The paired validation pass peaks at ten: the block and 1 - u, two row
+    buffers per half and the samplers' block temporaries."""
 
-    LIMIT = 2.5 * (2 * SimConfig(n_draws=1).batch_size) * 8
+    LIMIT = 12 * _SAMPLE_BLOCK * 8
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("demand_name", ["lognormal", "empirical", "stacked_compound"])
-    def test_traced_peak(self, demand_name, antithetic):
+    @pytest.mark.parametrize("oracle", ["validation", "expected_max", "values"])
+    def test_traced_peak(self, oracle, demand_name, antithetic):
         demand = VALIDATION_DEMANDS[demand_name]
         order = VALIDATION_ORDERS["lognormal"]
         args = (MP, demand, demand.quantile(0.4), demand.quantile(0.7), 1.0, order)
+        run = {
+            "validation": lambda cfg: simulate_validation(*args, cfg),
+            "expected_max": lambda cfg: simulate_expected_max(demand, order, cfg),
+            "values": lambda cfg: simulate_profit(MP, demand, Stochastic(order), cfg),
+        }[oracle]
         # the distributions' lazy caches are built before tracing
-        simulate_validation(*args, SimConfig(n_draws=1_000, seed=1))
+        run(SimConfig(n_draws=1_000, seed=1))
         cfg = SimConfig(n_draws=524_288, seed=28, antithetic=antithetic)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            simulate_validation(*args, cfg)
+            run(cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
