@@ -32,11 +32,15 @@ means on both sides of zero, keeps that sum. A quadrature integrand that
 reads a stacked mixture takes its weighted sum by numpy at each node: a
 survival integral is one such quadrature split at every kink, unless its
 components' kinks make one quadrature each cheaper (``scalar_pays``), and
-h_Y of a stacked Y is one weighted sum per node. A stacked mixture's
-quantile is bisected on a numpy sum whose rounding is bounded, falling back
-to the accurately rounded sum only where the bound leaves the step open. A
-stack is built from parameter arrays, so a compound built from its grid of
-parameters creates component objects only for the paths that walk them.
+h_Y of a stacked Y is one weighted sum per node. At a point, a stack's
+weighted sum is rounded correctly, as ``math.fsum`` rounds the sum over its
+components, by an error-free split certified row by row (``_exact_sum``),
+which takes fsum itself for a row it cannot certify and for one short row.
+A stacked mixture's quantile is bisected on a numpy sum whose rounding is
+bounded, falling back to that correctly rounded sum only where the bound
+leaves the step open. A stack is built from parameter arrays, so a compound
+built from its grid of parameters creates component objects only for the
+paths that walk them.
 
 Kernels come in two layers: each family's methods at one point, by
 ``math``, and each parametric family's ``_*_block`` kernels, the only array
@@ -45,10 +49,11 @@ quadrature share; the two agree bit for bit.
 
 ``expected_maxima`` evaluates the expected maxima of many orders against one
 demand, the candidates of a search, with the same values bit for bit as
-``expected_max`` of each pair: closed-form uniforms over arrays, and
-density pairs of two parametric families in one lockstep quadrature
-(``integrate_many``), whose integrands are the families' array kernels over
-a block of points.
+``expected_max`` of each pair: closed-form uniforms over arrays, against a
+stacked mixture as blocks of the candidates against its components summed
+row by row, and density pairs of two parametric families in one lockstep
+quadrature (``integrate_many``), whose integrands are the families' array
+kernels over a block of points.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -1125,6 +1130,59 @@ class Mixture(Distribution):
 # -- stacked single-family mixtures --------------------------------------------
 
 
+# ``_exact_sum`` of one row shorter than this is ``math.fsum`` at once: the
+# split's two dozen numpy calls cost about 13 us, and fsum about 32 ns a term
+# (2-core VM), so that they break even near 400 terms
+_SPLIT_MIN_TERMS = 512
+
+
+def _exact_sum(products):
+    """``math.fsum`` of each row, bit for bit: a float for one row (1-D), an
+    array of one sum per row for a 2-D block.
+
+    The error-free split of Rump, Ogita and Oishi (Accurate floating-point
+    summation, Part I, 2008), certified per row. With n terms, max|p| below
+    2^e and sigma = 2^(e + ceil(log2(n + 2))), the high parts
+    (p + sigma) - sigma are multiples of ulp(sigma) / 2 whose partial sums
+    stay below sigma, so numpy adds them exactly in any order. The low parts
+    are exact and at most ulp(sigma) / 2 = eps sigma / 2 each, so numpy's
+    sum of them, in any order, is within n^2 eps^2 sigma / 4 of theirs; the
+    bound taken is 2 n^2 eps^2 sigma. TwoSum of the two totals gives r and
+    an exact residual. r is the correctly rounded sum when the residual,
+    widened by the bound either way, stays inside half the smaller gap next
+    to r: the gap below a power of two is half the one above, so the smaller
+    one holds on both sides. A row that this does not certify takes
+    ``math.fsum``: a half-ulp tie, a sum of zero (whose sign fsum decides), or
+    a term that is not finite or so large that sigma overflows, so that such
+    a row returns or raises exactly as fsum does. So does one row of fewer
+    than ``_SPLIT_MIN_TERMS`` terms, for which fsum costs less.
+    """
+    p = np.asarray(products, dtype=float)
+    n = p.shape[-1]
+    if p.ndim == 1 and n < _SPLIT_MIN_TERMS:
+        return math.fsum(p.tolist())
+    with np.errstate(all="ignore"):
+        top = np.abs(p).max(axis=-1)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + (n + 1).bit_length())
+        column = sigma[..., np.newaxis]
+        high = p + column
+        high -= column
+        low = np.subtract(p, high).sum(axis=-1)
+        high = high.sum(axis=-1)
+        total = high + low
+        back = total - high
+        residual = (high - (total - back)) + (low - back)
+        bound = sigma * (2.0 * n * n * _EPS * _EPS)
+        size = abs(total)
+        # false wherever a nan has reached either side
+        certified = 2.0 * (abs(residual) + bound) < size - np.nextafter(size, 0.0)
+    if p.ndim == 1:
+        return float(total) if certified else math.fsum(p.tolist())
+    for i in np.flatnonzero(~certified).tolist():
+        total[i] = math.fsum(p[i].tolist())
+    return total
+
+
 class _Stack:
     """A mixture of one parametric family as arrays over its components.
 
@@ -1190,10 +1248,12 @@ class _Stack:
         than the uniform are supported on [0, inf)."""
         return (0.0, math.inf)
 
-    def combine(self, values) -> float:
-        """sum_i w_i values_i, accurately rounded, as the per-component sum:
-        the products are the same IEEE operations."""
-        return math.fsum((self.weights * values).tolist())
+    def combine(self, values):
+        """sum_i w_i values_i, correctly rounded (``_exact_sum``), as the
+        per-component sum by ``math.fsum``: the products are the same IEEE
+        operations. ``values`` at one point gives a float; a 2-D block, one
+        row of the components per point, gives one sum per row."""
+        return _exact_sum(self.weights * values)
 
     def cdf_reaches(self, x: float, u: float) -> bool:
         """Whether ``combine(cdf(x)) >= u``, bit for bit, mostly without the
@@ -1484,18 +1544,22 @@ def expected_maxima(orders, demand: Distribution) -> list[float]:
     candidates of a search, evaluated together where that pays.
 
     Uniforms that take the closed form against a uniform, exponential or
-    lognormal demand are evaluated over arrays (``_uniform_maxima``). Orders
-    of a parametric family that take the density-pair quadrature against a
-    parametric demand share one lockstep quadrature (``_density_maxima``).
-    The rest, such as any order against a mixture or an upper truncation,
-    take ``expected_max`` one by one.
+    lognormal demand, or against a stacked mixture of one of them, are
+    evaluated over arrays (``_uniform_maxima``); against a stack, each kernel
+    is one block of the candidates against the components, summed per row
+    as ``Mixture`` sums it at one point. Orders of a parametric family that
+    take the density-pair quadrature against a parametric demand share one
+    lockstep quadrature (``_density_maxima``). The rest, such as any other
+    order against a mixture or an upper truncation, take ``expected_max``
+    one by one.
     """
     values = [0.0] * len(orders)
     closed, dense, alone = [], [], []
+    arrays = type(demand) in _STACKS or _stack_of(demand) is not None
     for k, g in enumerate(orders):
         if _closed_form_pair(g, demand) is not None:
-            # the demand is a parametric family with the closed-form maximum
-            batch = closed if type(g) is Uniform and type(demand) in _STACKS else alone
+            # the demand has the closed-form maximum: no truncated normal
+            batch = closed if type(g) is Uniform and arrays else alone
         else:
             batch = dense if _parametric_pair(g, demand) else alone
         batch.append(k)
@@ -1611,9 +1675,13 @@ def _blocks(d, *kernels):
 
 def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
     """``_expected_max_uniform`` of closed-form uniforms against a demand of
-    a parametric family, over arrays: a uniform demand integrates
-    instead of the order where its (lo, hi) sorts first (``_uniform_rank``)."""
+    a parametric family or a stacked mixture of one, over arrays: a uniform
+    demand integrates instead of the order where its (lo, hi) sorts first
+    (``_uniform_rank``), while a uniform order ranks below any mixture."""
     stack = _stack_of_members(orders)
+    mixture = _stack_of(demand)
+    if mixture is not None:
+        return _uniform_maxima_over(stack, demand.mean(), mixture)
     lo, hi = stack.lo, stack.hi
     kernels = _blocks(demand, "cdf", "m1", "m2")
     values = _uniform_closed_form(demand.mean(), lo, hi, stack._width, *kernels)
@@ -1626,6 +1694,28 @@ def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
             )
             values = np.where(swap, swapped, values)
     return values.tolist()
+
+
+def _uniform_maxima_over(orders: _Stack, mean: float, mixture: _Stack) -> list[float]:
+    """``_uniform_maxima`` against a stacked mixture of the given mean. Each
+    kernel takes a column of the orders' lo or hi against the components and
+    sums each row by ``combine``, the products and their rounding being
+    those of the mixture's kernels at one point; the orders go in chunks of
+    at most ``_SAMPLE_BLOCK`` products a block."""
+
+    def summed(kernel):
+        return lambda x: mixture.combine(kernel(x[:, np.newaxis]))
+
+    kernels = [summed(kernel) for kernel in _blocks(mixture, "cdf", "m1", "m2")]
+    rows = max(1, _SAMPLE_BLOCK // mixture.size)
+    values = []
+    for start in range(0, orders.size, rows):
+        part = slice(start, start + rows)
+        chunk = _uniform_closed_form(
+            mean, orders.lo[part], orders.hi[part], orders._width[part], *kernels
+        )
+        values.extend(chunk.tolist())
+    return values
 
 
 def _expected_max_at(t: float, y: Distribution) -> float:

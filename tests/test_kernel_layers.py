@@ -1,15 +1,18 @@
 """The two kernel layers: each family's array kernels (``_cdf_block``,
 ``_pdf_block``, ``_m1_block``, ``_m2_block``) against its scalar kernels,
 element by element and bit for bit, and a stack's kernels, which are the
-array kernels over the stack's parameter arrays."""
+array kernels over the stack's parameter arrays; and the correctly rounded
+sum that weighs a stack's kernels (``_exact_sum``) against ``math.fsum``."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randvendor import Exponential, LogNormal, Mixture, TruncatedNormal, Uniform
-from randvendor.distributions import _Gathered, _truncnorm_mean
+from randvendor.distributions import _SPLIT_MIN_TERMS, _Gathered, _exact_sum, _truncnorm_mean
 
 SCALAR = {
     "cdf": "cdf",
@@ -137,3 +140,121 @@ def test_fast_kernels_stay_within_a_few_ulps(name):
         fast = np.broadcast_to(stack.family._m1_block(x, stack, True), stack.size)
         ulps = np.spacing(np.maximum(np.abs(exact), stack.means()))
         assert np.all(np.abs(fast - exact) <= 4 * ulps), ("m1", x)
+
+
+# -- the correctly rounded sum ------------------------------------------------------
+
+
+def _outcome(total):
+    """The bits of a sum, or the kind of error it raised."""
+    try:
+        return float(total()).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _row_outcomes(block):
+    """``_exact_sum`` of a 2-D block against fsum of each row: the same bits
+    per row, or the error of the first row whose fsum raises."""
+    expected = [_outcome(lambda row=row: math.fsum(row.tolist())) for row in block]
+    errors = [e for e in expected if e.endswith("Error")]
+    try:
+        got = [float(v).hex() for v in _exact_sum(block)]
+    except (OverflowError, ValueError) as exc:
+        got = [type(exc).__name__]
+    return got, errors[:1] or expected
+
+
+def _assert_exact(terms):
+    p = np.asarray(terms, dtype=float)
+    assert _outcome(lambda: _exact_sum(p)) == _outcome(lambda: math.fsum(p.tolist()))
+    got, expected = _row_outcomes(p[np.newaxis])
+    assert got == expected
+
+
+@st.composite
+def _terms(draw):
+    """n terms from 1 to 20,000: a seeded bulk of mixed signs over a range of
+    magnitudes, with zeros, -0.0, subnormals and values Hypothesis picks."""
+    n = draw(st.integers(1, 20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-320, 300))
+    high = draw(st.integers(low, 300))
+    signs = draw(st.sampled_from(["positive", "mixed", "cancelling"]))
+    terms = rng.uniform(1.0, 2.0, n) * 10.0 ** rng.uniform(low, high, n)
+    if signs != "positive":
+        terms *= rng.choice([-1.0, 1.0], n)
+    if signs == "cancelling":
+        terms[n // 2 :][: n // 2] = -terms[: n // 2]
+    picked = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+                st.floats(allow_nan=False, allow_infinity=False, width=64),
+            ),
+            max_size=8,
+        )
+    )
+    at = rng.integers(0, n, len(picked))
+    terms[at] = picked
+    return terms
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(terms=_terms(), rows=st.integers(1, 5))
+def test_exact_sum_is_fsum(terms, rows):
+    assert _outcome(lambda: _exact_sum(terms)) == _outcome(lambda: math.fsum(terms.tolist()))
+    rows = min(rows, terms.size)
+    got, expected = _row_outcomes(terms[: terms.size // rows * rows].reshape(rows, -1))
+    assert got == expected
+
+
+# each row padded past _SPLIT_MIN_TERMS with zeros, so that one row takes the
+# split too, not fsum at once
+_PAD = [0.0] * _SPLIT_MIN_TERMS
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # half-ulp ties, which round to even, and just past them
+        [1.0, 2**-53],
+        [1.0, 2**-53, 2**-106],
+        [1.0, -(2**-54)],
+        [1.0, -(2**-54), -(2**-110)],
+        [1.0 + 2**-52, 2**-53],
+        [2.0**-1000, 2.0**-1053],
+        [1.0, *[2**-62] * 512],
+        [1.0, *[2**-62] * 512, 2**-200],
+        # sums of zero, whose sign fsum decides
+        [0.0, -0.0],
+        [-0.0, -0.0],
+        [1.0, -1.0],
+        [1e300, 1.0, -1e300],
+        # subnormal sums
+        [5e-324, 5e-324, -1e-323 / 4],
+        [2.2250738585072014e-308, -5e-324],
+        # overflow, and terms that are not finite
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],
+        [1.7e308, -1.7e308, 1.0],
+        [math.inf, 1.0],
+        [math.inf, -math.inf],
+        [math.nan, 1.0],
+        [-math.inf, math.nan],
+    ],
+)
+def test_exact_sum_takes_fsum_where_it_cannot_certify(terms):
+    _assert_exact(terms)
+    _assert_exact(terms + _PAD)
+    _assert_exact(_PAD + terms[::-1])
+
+
+def test_exact_sum_keeps_each_row_apart():
+    # a tie, an overflow-free cancellation and a plain row side by side
+    block = np.array([[1.0, 2**-53, 0.0], [1e300, 1.0, -1e300], [0.1, 0.2, 0.3]])
+    assert [v.hex() for v in _exact_sum(block)] == [
+        math.fsum(row).hex() for row in block.tolist()
+    ]
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([[0.1, 0.2], [1e308, 1e308]]))

@@ -21,12 +21,15 @@ from randvendor import (
     Uniform,
     UpperTruncated,
     build_scenario,
+    compound_of,
     distributions,
     expected_max,
     search_policy,
 )
 from randvendor import _quad
 from randvendor.distributions import (
+    _SAMPLE_BLOCK,
+    _closed_form_pair,
     _density_maxima,
     _expected_max_densities,
     _uniform_maxima,
@@ -185,6 +188,63 @@ def test_uniform_closed_form_over_arrays(demand):
     assert all(g._closed_form_max for g in orders)
     expected = [expected_max(g, demand) for g in orders]
     assert _bits(_uniform_maxima(orders, demand)) == _bits(expected)
+
+
+def _stacked_demands():
+    uncertain = [
+        ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
+        ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
+    ]
+    return {
+        "uniform": Mixture([(0.25, Uniform(lo, 2.0 + 2.0 * lo)) for lo in (0.0, 0.5, 1.0, 3.0)]),
+        "exponential": Mixture([(0.2, Exponential(r)) for r in (0.1, 0.3, 0.8, 2.0, 5.0)]),
+        "lognormal": compound_of(LogNormal(0.0, 0.5), uncertain, nodes=16),
+        # 3 candidates a chunk, the last one partial
+        "lognormal_10k": compound_of(LogNormal(0.0, 0.5), uncertain, nodes=100),
+        # a component too narrow for the closed form
+        "uniform_narrow": Mixture([(0.5, Uniform(0.5, 3.0)), (0.5, Uniform(2.0, 2.0 + 1e-9))]),
+    }
+
+
+STACKED_DEMANDS = _stacked_demands()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_DEMANDS))
+def test_uniform_orders_against_a_stack_in_one_pass(monkeypatch, name):
+    demand = STACKED_DEMANDS[name]
+    assert demand._stacked() is not None
+    edges = [0.0, 0.4, 1.0, 2.5, 6.0]
+    orders = [Uniform(lo, hi) for lo, hi in itertools.combinations(edges, 2)]
+    if name == "lognormal_10k":
+        orders = orders[:7]
+    else:
+        # a point order and a lognormal take expected_max on their own
+        orders += [Uniform(1.5, 1.5 + 1e-9), LogNormal(0.2, 0.5)]
+    expected = [expected_max(g, demand) for g in orders]
+    taken_alone, blocks = [], []
+
+    def alone(g, d, _original=expected_max):
+        assert not (type(g) is Uniform and _closed_form_pair(g, d)), "a batched order"
+        taken_alone.append(g)
+        return _original(g, d)
+
+    def recorded(products, _original=distributions._exact_sum):
+        blocks.append(np.shape(products))
+        return _original(products)
+
+    monkeypatch.setattr(distributions, "expected_max", alone)
+    monkeypatch.setattr(distributions, "_exact_sum", recorded)
+    assert _bits(expected_maxima(orders, demand)) == _bits(expected)
+    if name == "uniform_narrow":
+        assert not demand._stacked().closed_form_max()
+        assert taken_alone == orders
+        return
+    assert taken_alone == orders[10:]
+    assert max(math.prod(shape) for shape in blocks) <= _SAMPLE_BLOCK
+    if name == "lognormal_10k":
+        # the chunks of 3, 3 and 1 rows, six kernels each
+        rows = [shape[0] for shape in blocks]
+        assert rows == [3] * 6 + [3] * 6 + [1] * 6
 
 
 def test_a_candidate_alone_and_in_a_batch_of_25():
