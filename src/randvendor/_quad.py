@@ -10,11 +10,13 @@ integrate none. The adaptive loop (``_dqagse``) is a generator that asks
 for panels and receives their rule results: ``integrate`` drives one with
 the scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
 each round evaluating every panel they ask for as one (panels, 21) block
-and summing each row in the scalar rule's order (``_gk21_rows``), so that
-each keeps its own path and value bit for bit. A survival integral of a
-stacked mixture is one scalar quadrature of the weighted sum over its
-components, or one per component where ``scalar_pays`` says so; the expected
-maximum against a mixture is one scalar quadrature, over the other side.
+and summing each row in the scalar rule's order (``_gk21_rows``), or, for a
+round of a few panels, by the scalar rule on each row, so that each keeps
+its own path and value bit for bit. A survival integral of a
+stacked mixture is one quadrature of the weighted sum over its components,
+each round's nodes evaluated as one block through ``integrate_many``, or one
+per component where ``scalar_pays`` says so; the expected maximum against a
+mixture is one scalar quadrature, over the other side.
 """
 
 import bisect
@@ -383,8 +385,14 @@ def _gk21_rows(values: np.ndarray, hlgth: np.ndarray):
     return resk * hlgth, abserr, resabs, resasc
 
 
-def integrate_many(fn, spans) -> list[float]:
-    """``integrate(f_i, lo_i, hi_i, points_i)`` for every span
+# a round of fewer panels takes the scalar rule panel by panel: the block
+# rule's fixed cost of numpy calls (about 75 us on a 2-core VM) exceeds the
+# scalar rule's Python arithmetic (about 8 us a panel) below this
+_ROW_RULE_PANELS = 8
+
+
+def integrate_many(fn, spans, every_point: bool = False) -> list[float]:
+    """``integrate(f_i, lo_i, hi_i, points_i, every_point)`` for every span
     (lo_i, hi_i, points_i) at once, bit for bit.
 
     Each span keeps its own ``_dqagse`` path; they advance in lockstep, and
@@ -398,7 +406,7 @@ def integrate_many(fn, spans) -> list[float]:
     pending = []
     for i, (lo, hi, points) in enumerate(spans):
         if hi > lo:
-            pts, limit = _split_points(lo, hi, points, False)
+            pts, limit = _split_points(lo, hi, points, every_point)
             steps = _dqagse(float(lo), float(hi), pts, limit)
             pending.append((i, steps, next(steps)))
     done = {}
@@ -406,7 +414,13 @@ def integrate_many(fn, spans) -> list[float]:
         owner = np.array([i for i, _, panels in pending for _ in panels])
         edges = np.array([edge for _, _, panels in pending for edge in panels])
         t, hlgth = _panel_nodes(edges[:, 0], edges[:, 1])
-        rules = zip(*(part.tolist() for part in _gk21_rows(fn(owner, t), hlgth)))
+        at = fn(owner, t)
+        if len(edges) < _ROW_RULE_PANELS:
+            # the scalar rule on each panel, reading its nodes' values
+            rows = zip(t.tolist(), at.tolist(), edges.tolist())
+            rules = iter([_gk21(dict(zip(x, v)).__getitem__, a, b) for x, v, (a, b) in rows])
+        else:
+            rules = zip(*(part.tolist() for part in _gk21_rows(at, hlgth)))
         running = []
         for i, steps, panels in pending:
             try:
@@ -420,16 +434,16 @@ def integrate_many(fn, spans) -> list[float]:
     return values
 
 
-# a panel of the scalar pass over a whole stack's survival function (one
-# integrand value is a few array calls) costs about as much as this many
-# quadratures of one component's, its own kinks included, on a 2-core VM:
-# the stack's 21 nodes took 8-10 us each on two-bound uniform stacks of 256
-# to 1,024 components, and one component's quadrature 18-21 us
+# a panel of the pass over a whole stack's survival function cost about as
+# much as this many quadratures of one component's, its own kinks included,
+# on a 2-core VM, when the pass evaluated the stack node by node: the
+# stack's 21 nodes took 8-10 us each on two-bound uniform stacks of 256 to
+# 1,024 components, and one component's quadrature 18-21 us
 _SCALAR_PANEL_COST = 10
 
 
 def scalar_pays(size: int, lo: float, hi: float, points) -> bool:
-    """Whether one scalar ``integrate`` over [lo, hi] of a stacked mixture's
+    """Whether one quadrature over [lo, hi] of a stacked mixture's
     survival function, the weighted sum over its ``size`` components, split
     at ``points``, beats ``size`` calls, one per component, each split at its
     own kinks. A panel of the whole stack costs about ``_SCALAR_PANEL_COST``

@@ -155,9 +155,9 @@ def _sample_in_place(dist, u, out):
 
 # Samplers that gather per draw (an index, gathered parameters) take at most
 # this many draws at a time, so that their temporaries stay small however
-# many draws one call maps; the Monte-Carlo pass (``simulate._blocks``) reads
-# its streams in blocks of as many observations, whose buffers fit in a
-# core's L2 cache
+# many draws one call maps; the Monte-Carlo pass
+# (``simulate._column_blocks``) reads its streams in blocks of as many
+# observations, whose buffers fit in a core's L2 cache
 _SAMPLE_BLOCK = 32_768
 
 
@@ -225,6 +225,16 @@ class Distribution:
         which is then overwritten, but must not otherwise overlap it.
         """
         raise NotImplementedError
+
+    def _draw_column(self, rng: np.random.Generator, out: np.ndarray, flipped=None) -> None:
+        """Fill ``out`` with draws of a column of the Monte-Carlo pass read
+        from ``rng``, and ``flipped``, when given, with their antithetic
+        partners: uniforms u and 1 - u through ``from_uniform``. One draw
+        reads one double, so a column read in blocks reads the same draws."""
+        rng.random(out=out)
+        halves = (out,) if flipped is None else (out, np.subtract(1.0, out, out=flipped))
+        for half in halves:
+            self.from_uniform(half, out=half)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -568,9 +578,23 @@ class LogNormal(Distribution):
     @staticmethod
     def _inverse_cdf(v, p):
         ndtri(v, out=v)
-        v *= p.log_sd
-        v += p.log_mean
-        return np.exp(v, out=v)
+        return LogNormal._from_normal(v, p)
+
+    @staticmethod
+    def _from_normal(z, p):
+        """exp(log_mean + log_sd z) of standard normal draws z, in place."""
+        z *= p.log_sd
+        z += p.log_mean
+        return np.exp(z, out=z)
+
+    def _draw_column(self, rng, out, flipped=None):
+        # standard normals z by the ziggurat, and -z as their partners, with
+        # no inverse CDF; the ziggurat reads whole draws from the stream, so
+        # a column read in blocks still reads the same draws
+        rng.standard_normal(out=out)
+        halves = (out,) if flipped is None else (out, np.negative(out, out=flipped))
+        for half in halves:
+            self._from_normal(half, self)
 
     def _partial_expectation(self, q):
         if q <= 0.0:
@@ -588,9 +612,11 @@ class LogNormal(Distribution):
 
     @staticmethod
     def _cdf_block(x, p, fast=False):
+        # guarded at the points, not over the (points x components) values:
+        # below the support the log is -inf, and ndtr(-inf) is 0
         inside = x > 0.0
-        logs = _log(_where(inside, x, 1.0), fast)
-        return _where(inside, ndtr((logs - p.log_mean) / p.log_sd), 0.0)
+        logs = _where(inside, _log(_where(inside, x, 1.0), fast), -math.inf)
+        return ndtr((logs - p.log_mean) / p.log_sd)
 
     @staticmethod
     def _pdf_block(x, p, fast=False):
@@ -1106,19 +1132,28 @@ class Mixture(Distribution):
 
     def _survival_integral(self, q, weighted=False):
         # quadrature of F on either path, so it checks the stacked M1 and M2
-        # independently: a stack takes one scalar quadrature of its own
-        # survival function, split at every kink, unless its components'
-        # kinks make one quadrature each cheaper (scalar_pays)
+        # independently: a stack takes one quadrature of its own survival
+        # function, split at every kink, unless its components' kinks make
+        # one quadrature each cheaper (scalar_pays)
         stack, pts = self._stacked(), self.breakpoints()
         if stack is None or not scalar_pays(stack.size, 0.0, q, pts):
             return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
         weights, cdf = stack.weights, stack.cdf
+        rows = max(1, _SAMPLE_BLOCK // stack.size)
 
-        def survival(t):
-            tail = 1.0 - float((weights * cdf(t, fast=True)).sum())
-            return t * tail if weighted else tail
+        def survival(_, t):
+            # each round's nodes against the components, in chunks of at
+            # most _SAMPLE_BLOCK products
+            nodes = t.reshape(-1, 1)
+            tails = np.empty(nodes.size)
+            for start in range(0, nodes.size, rows):
+                part = slice(start, start + rows)
+                tails[part] = (weights * cdf(nodes[part], fast=True)).sum(axis=1)
+            tails = 1.0 - tails
+            return (tails * nodes[:, 0] if weighted else tails).reshape(t.shape)
 
-        return integrate(survival, 0.0, q, pts, every_point=True)
+        (value,) = integrate_many(survival, [(0.0, q, pts)], every_point=True)
+        return value
 
     def to_dict(self):
         return {

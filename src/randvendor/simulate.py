@@ -1,24 +1,28 @@
 """Monte-Carlo cross-checks for every analytic quantity in the package.
 
-Draws are partitioned into batches, each driven by its own PCG64 generator
-keyed on (seed, batch_index) (``_batch_generator``), so results are
-reproducible and independent of how batches would be scheduled. A batch is
-how the stream is split: column j of a batch of m observations is its
-doubles j*m to (j+1)*m. A block is the unit of memory and work: a batch is
-read in blocks of at most ``_SAMPLE_BLOCK`` observations (``_blocks``), each
-column by its own generator advanced by j*m, so every draw keeps its bits
-and the working set of a block stays in cache. A streaming one-pass
-accumulator merges the per-block moments.
+Draws are partitioned into batches, and column j of batch b is its own
+PCG64 stream keyed on (seed, b, j) (``_column_generator``), so results are
+reproducible and independent of how batches would be scheduled. A block is
+the unit of memory and work: a batch is read in blocks of at most
+``_SAMPLE_BLOCK`` observations (``_column_blocks``), each column as the next
+draws of its stream. Every draw reads whole words of its stream, so a
+column's draws do not depend on how it is cut into blocks, and the working
+set of a block stays in cache. A streaming one-pass accumulator merges the
+per-block moments.
 
-``validate`` reads one stream per batch for all five of its rows
-(``simulate_validation``). Each distribution samples its own column of a
-block once and in place, as nothing reads the uniforms afterwards. A fresh
-generator's first m doubles are its m draws of width one, and every sampler
-is element-wise. So the demand-only rows read the same demand draws as the
-width-one oracles, the two-draw rows read the demand and order draws in the
-same columns as theirs, every oracle reads the same blocks, and every row
-reports the same numbers as its standalone oracle bit for bit. The pass's
-buffers are block-sized and reused from block to block.
+Each distribution draws its own column (``Distribution._draw_column``): a
+lognormal exp(mu + sigma z) from the stream's standard normals z, with -z
+as the antithetic partner, and every other family its stream's uniforms u
+through ``from_uniform``, with 1 - u as the partner. ``simulate_values``
+hands a transform the uniform rows of a block.
+
+``validate`` reads each column once for all five of its rows
+(``simulate_validation``): the demand draws column 0 and the order column 1
+of each block, into buffers reused from block to block. The demand-only
+rows read the demand's column alone, the stream of a width-one oracle's
+only column, and the two-draw rows read both columns as their oracles do,
+so every row reports the same numbers as its standalone oracle bit for bit.
+When the optimal order is the naive one, row 2 is row 1's report.
 """
 
 from __future__ import annotations
@@ -112,38 +116,42 @@ def _batch_plan(cfg: SimConfig) -> tuple[int, int]:
     return cfg.n_draws, cfg.batch_size
 
 
-def _batch_generator(seed: int, index: int) -> np.random.Generator:
-    """The PCG64 stream of one batch, keyed as ``distributions._generator``
-    keys its Philox streams."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
+def _column_generator(seed: int, batch: int, column: int) -> np.random.Generator:
+    """The PCG64 stream of one column of a batch, keyed as
+    ``distributions._generator`` keys its Philox streams."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, batch, column)))
 
 
 def _block_size(cfg: SimConfig) -> int:
-    """Observations in the largest block ``_blocks`` yields."""
+    """Observations in the largest block ``_column_blocks`` yields."""
     return min(_SAMPLE_BLOCK, *_batch_plan(cfg))
 
 
+def _column_blocks(cfg: SimConfig, width: int):
+    """The blocks of every batch, as (the streams of the batch's ``width``
+    columns, k): a block is the next k <= ``_SAMPLE_BLOCK`` observations of
+    its batch, which each column reads as its stream's next k draws."""
+    observations, per_batch = _batch_plan(cfg)
+    for index, done in enumerate(range(0, observations, per_batch)):
+        m = min(per_batch, observations - done)
+        columns = [_column_generator(cfg.seed, index, j) for j in range(width)]
+        for start in range(0, m, _SAMPLE_BLOCK):
+            yield columns, min(_SAMPLE_BLOCK, m - start)
+
+
 def _blocks(cfg: SimConfig, width: int):
-    """Each batch's ``width * m`` doubles of its (seed, batch_index) stream,
-    column j being its doubles j*m to (j+1)*m, as (width, k) blocks of k <=
-    ``_SAMPLE_BLOCK`` observations: row j of a block is the next k doubles
-    of column j, read by a generator of the batch advanced by j*m.
+    """Each block of ``_column_blocks(cfg, width)`` as (width, k) uniform
+    doubles, row j being the next k doubles of column j's stream.
 
     Every block is drawn into one buffer, so a block is only valid until the
     next one is drawn.
     """
-    observations, per_batch = _batch_plan(cfg)
     u = np.empty((width, _block_size(cfg)))
-    for index, done in enumerate(range(0, observations, per_batch)):
-        m = min(per_batch, observations - done)
-        columns = [_batch_generator(cfg.seed, index) for _ in range(width)]
-        for j, column in enumerate(columns):
-            column.bit_generator.advance(j * m)
-        for start in range(0, m, _SAMPLE_BLOCK):
-            block = u[:, : min(_SAMPLE_BLOCK, m - start)]
-            for column, row in zip(columns, block):
-                column.random(out=row)
-            yield block
+    for columns, k in _column_blocks(cfg, width):
+        block = u[:, :k]
+        for column, row in zip(columns, block):
+            column.random(out=row)
+        yield block
 
 
 def _halves(u: np.ndarray, antithetic: bool) -> tuple:
@@ -160,7 +168,7 @@ def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
     """Estimate E[transform(U)] where U is a row of independent uniforms.
 
     ``transform`` maps a (k, n_uniforms) block of uniform draws to k values;
-    column j reads the batch's doubles j*m to (j+1)*m. With antithetic
+    column j reads the stream of column j of each batch. With antithetic
     pairing on, each observation is the average of the transform at u and at
     1 - u; the integrand must be monotone in each coordinate for the pairing
     to reduce variance.
@@ -186,30 +194,54 @@ def _profit(params: MarketParams, q, d, out=None):
     return r
 
 
-def _profit_transform(params: MarketParams, demand: Distribution, policy: OrderPolicy):
+def _profit_draws(params: MarketParams, demand: Distribution, policy: OrderPolicy):
+    """The columns a profit is drawn from, the demand's then the order's when
+    it is random, and the profit of one half's draws, written over the
+    demand draws."""
     if isinstance(policy, Deterministic):
         q = policy.quantity
+        return (demand,), lambda d: _profit(params, q, d, out=d)
+    return (demand, policy.order_dist), lambda d, o: _profit(params, o, d, out=d)
 
-        def transform(u):
-            return _profit(params, q, demand.from_uniform(u[:, 0]))
 
-        return transform, 1
+def _sampled_blocks(cfg: SimConfig, dists: tuple):
+    """The blocks of ``_column_blocks(cfg, len(dists))``, each as one list
+    per half (the draws, and their antithetic partners when paired) of the
+    draws of ``dists``: column j is drawn by ``dists[j]._draw_column``, into
+    buffers reused from block to block."""
+    size = (len(dists), _block_size(cfg))
+    buffers = [np.empty(size) for _ in range(2 if cfg.antithetic else 1)]
+    for columns, k in _column_blocks(cfg, len(dists)):
+        halves = [buf[:, :k] for buf in buffers]
+        for j, (dist, column) in enumerate(zip(dists, columns)):
+            dist._draw_column(column, *(h[j] for h in halves))
+        yield [list(h) for h in halves]
 
-    order_dist = policy.order_dist
 
-    def transform(u):
-        d = demand.from_uniform(u[:, 0])
-        return _profit(params, order_dist.from_uniform(u[:, 1]), d)
+def _add_pair(acc: _Accumulator, rows: list) -> None:
+    """Merge one block's observations, each half's values in ``rows``: the
+    first half's values are overwritten, as ``_pair`` of the two halves."""
+    values = rows[0]
+    if len(rows) == 2:
+        values += rows[1]
+        values *= 0.5
+    acc.add_batch(values, owned=True)
 
-    return transform, 2
+
+def _simulate(cfg: SimConfig, dists: tuple, values) -> SimReport:
+    """Statistics of ``values(*draws)``, one half's draws of ``dists`` at a
+    time, which it may overwrite."""
+    acc = _Accumulator()
+    for halves in _sampled_blocks(cfg, dists):
+        _add_pair(acc, [values(*draws) for draws in halves])
+    return acc.report()
 
 
 def simulate_profit(
     params: MarketParams, demand: Distribution, policy: OrderPolicy, cfg: SimConfig
 ) -> SimReport:
     """Realized-profit statistics: per draw, p * min(q, d) - w * q."""
-    transform, dim = _profit_transform(params, demand, policy)
-    return simulate_values(transform, dim, cfg)
+    return _simulate(cfg, *_profit_draws(params, demand, policy))
 
 
 def simulate_profit_squared_deviation(
@@ -224,34 +256,15 @@ def simulate_profit_squared_deviation(
     With ``center`` set to the analytic expected profit this estimates the
     profit variance as a plain mean, so the usual standard error applies.
     """
-    base, dim = _profit_transform(params, demand, policy)
+    dists, profit = _profit_draws(params, demand, policy)
 
-    def transform(u):
-        return (base(u) - center) ** 2
+    def squared_deviation(*draws):
+        r = profit(*draws)
+        r -= center
+        r *= r
+        return r
 
-    return simulate_values(transform, dim, cfg)
-
-
-def _sampled_blocks(cfg: SimConfig, dists: tuple):
-    """The blocks of ``_blocks(cfg, len(dists))``, each as one list per half
-    (u, and 1 - u when paired) of the draws of ``dists``: column j is
-    sampled by ``dists[j]`` in place, as nothing reads the uniforms again."""
-    flipped = np.empty((len(dists), _block_size(cfg))) if cfg.antithetic else None
-    for u in _blocks(cfg, len(dists)):
-        halves = [u]
-        if cfg.antithetic:
-            halves.append(np.subtract(1.0, u, out=flipped[:, : u.shape[1]]))
-        yield [[d.from_uniform(c, out=c) for d, c in zip(dists, h)] for h in halves]
-
-
-def _add_pair(acc: _Accumulator, rows: list) -> None:
-    """Merge one block's observations, each half's values in ``rows``: the
-    first half's values are overwritten, as ``_pair`` of the two halves."""
-    values = rows[0]
-    if len(rows) == 2:
-        values += rows[1]
-        values *= 0.5
-    acc.add_batch(values, owned=True)
+    return _simulate(cfg, dists, squared_deviation)
 
 
 def simulate_expected_max(
@@ -259,13 +272,9 @@ def simulate_expected_max(
 ) -> SimReport:
     """E[max(X, Y)] for independent draws; the oracle for the quadrature path.
 
-    X samples each block's column 0 and Y its column 1, in place, and the
-    maximum is taken in X's draws.
+    X draws column 0 and Y column 1, and the maximum is taken in X's draws.
     """
-    acc = _Accumulator()
-    for halves in _sampled_blocks(cfg, (dist_a, dist_b)):
-        _add_pair(acc, [np.maximum(a, b, out=a) for a, b in halves])
-    return acc.report()
+    return _simulate(cfg, (dist_a, dist_b), lambda a, b: np.maximum(a, b, out=a))
 
 
 def simulate_validation(
@@ -286,11 +295,14 @@ def simulate_validation(
     5. ``simulate_expected_max(demand, order_dist)``.
 
     Each report equals that standalone call's bit for bit. Every block is
-    drawn once; the demand samples its column 0 once and the order its
-    column 1 once, as every oracle's columns 0 and 1. Rows 1-3 read the
-    demand draws alone, those of a fresh generator's width-one stream.
+    drawn once: the demand draws its column 0 once and the order its column
+    1 once, the streams of every oracle's columns 0 and 1, and rows 1-3 read
+    the demand draws alone. When ``q_star == naive_q``, row 2 is row 1's
+    report, not recomputed.
     """
     accs = [_Accumulator() for _ in range(5)]
+    # row 2 is its own only where it orders another quantity
+    distinct = q_star != naive_q
     size = (2 if cfg.antithetic else 1, _block_size(cfg))
     # each half's row values, and the squared deviations of row 1's
     profit_bufs, square_bufs = np.empty(size), np.empty(size)
@@ -305,9 +317,10 @@ def simulate_validation(
             sq *= sq
         _add_pair(accs[2], squares)
         _add_pair(accs[0], profits)
-        for (d, _), r in zip(halves, profits):
-            _profit(params, q_star, d, out=r)
-        _add_pair(accs[1], profits)
+        if distinct:
+            for (d, _), r in zip(halves, profits):
+                _profit(params, q_star, d, out=r)
+            _add_pair(accs[1], profits)
         # row 5 before row 4, whose profit scales the order draws in place
         for (d, o), r in zip(halves, profits):
             np.maximum(d, o, out=r)
@@ -316,4 +329,6 @@ def simulate_validation(
             _profit(params, o, d, out=r)
         _add_pair(accs[3], profits)
 
+    if not distinct:
+        accs[1] = accs[0]
     return [acc.report() for acc in accs]

@@ -1,4 +1,7 @@
-"""Shared generators for randomized sweeps."""
+"""Shared generators for randomized sweeps, and the benchmark's modules."""
+
+import types
+from pathlib import Path
 
 import numpy as np
 
@@ -41,3 +44,16 @@ def random_market(rng: np.random.Generator) -> MarketParams:
 
 def random_empirical(rng: np.random.Generator, n: int = 12) -> Empirical:
     return Empirical(rng.uniform(0.0, 3.0, size=n))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """A benchmark module, executed from its source, so that importing it
+    leaves no bytecode cache in ``perfbench/``."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module

@@ -9,28 +9,14 @@ import contextlib
 import copy
 import io
 import json
-import types
-from pathlib import Path
 
 import pytest
 
+from helpers import perfbench_module
 from randvendor.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _module(name: str) -> types.ModuleType:
-    """A benchmark module, executed from its source, so that importing it
-    leaves no bytecode cache in ``perfbench/``."""
-    path = PERFBENCH / f"{name}.py"
-    module = types.ModuleType(name)
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
-check = _module("check")
-workloads = _module("workloads")
+check = perfbench_module("check")
+workloads = perfbench_module("workloads")
 
 
 def _run(argv) -> int:

@@ -97,6 +97,9 @@ def test_integrate_many_matches_integrate():
     spans = [span for _, *span in SPANS]
     expected = [_quad.integrate(f, lo, hi, pts) for f, lo, hi, pts in SPANS]
     assert _bits(_quad.integrate_many(_table(fns), spans)) == _bits(expected)
+    # alone, a span's rounds have fewer panels than the block rule takes
+    for fn, span, value in zip(fns, spans, expected):
+        assert _bits(_quad.integrate_many(_table([fn]), [span])) == _bits([value])
 
 
 def _refuse_only_the_worst(monkeypatch, ratios):

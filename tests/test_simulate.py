@@ -28,12 +28,13 @@ from randvendor import (
     simulate_profit,
     simulate_profit_squared_deviation,
 )
+from randvendor import distributions
 from randvendor.distributions import _SAMPLE_BLOCK, _generator
 from randvendor.simulate import (
     _Accumulator,
-    _batch_generator,
     _batch_plan,
     _blocks,
+    _column_generator,
     simulate_validation,
     simulate_values,
 )
@@ -240,23 +241,23 @@ class TestKernelCrossChecks:
         assert z_score(dev, profit_variance(mp, demand, q)) < 4.0
 
 
-class TestBatchStreamPrefix:
-    """The shared validation pass reads the (m, 1) stream of a batch as the
-    first m doubles of one draw of 2m, and column j as the doubles of a
-    generator advanced by j*m; a numpy that breaks either must fail."""
+class TestColumnStreams:
+    """Column j of batch b is its own PCG64 stream, keyed (seed, b, j), and
+    the pass reads it block by block; a numpy whose draws depend on how a
+    stream is cut into blocks must fail here."""
 
-    @pytest.mark.parametrize("m", [1, 5, 237_856, 262_144])
-    def test_narrow_stream_is_a_view_of_the_wide_draw(self, m):
-        wide = _batch_generator(17, 3).random(2 * m)
-        assert np.array_equal(_batch_generator(17, 3).random((m, 1)).ravel(), wide[:m])
-
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
     @pytest.mark.parametrize("m", [1, 5, 3 * _SAMPLE_BLOCK + 7])
-    def test_advanced_stream_reads_the_next_column(self, m):
-        wide = _batch_generator(17, 3).random(2 * m)
-        column = _batch_generator(17, 3)
-        column.bit_generator.advance(m)
-        pieces = [column.random(size) for size in (m // 3, 1, m - m // 3 - 1) if size]
-        assert np.array_equal(np.concatenate(pieces), wide[m:])
+    def test_a_column_read_in_pieces_is_one_draw(self, m, draw):
+        whole = getattr(_column_generator(17, 3, 1), draw)(m)
+        column = _column_generator(17, 3, 1)
+        pieces = []
+        for size in (m // 3, 1, m - m // 3 - 1):
+            if size:
+                piece = np.empty(size)
+                getattr(column, draw)(out=piece)
+                pieces.append(piece)
+        assert np.array_equal(np.concatenate(pieces), whole)
 
     @pytest.mark.parametrize(
         "m,width",
@@ -270,16 +271,66 @@ class TestBatchStreamPrefix:
         got = np.concatenate(blocks, axis=1)
         observations, _ = _batch_plan(cfg)
         expected = [
-            _batch_generator(19, index).random(width * n).reshape(width, n)
+            np.vstack([_column_generator(19, index, j).random(n) for j in range(width)])
             for index, n in enumerate([m, observations - m])
         ]
         assert np.array_equal(got, np.concatenate(expected, axis=1))
 
-    def test_batch_streams_share_the_philox_key(self):
-        for entropy in [(17, 3), (-1, 0), (2**64 + 5, 2)]:
-            pcg, philox = _batch_generator(*entropy), _generator(*entropy)
+    def test_columns_and_batches_are_distinct_streams(self):
+        draws = [_column_generator(17, b, j).random(4).tolist() for b in (0, 1) for j in (0, 1)]
+        assert len({tuple(d) for d in draws}) == 4
+
+    def test_column_streams_share_the_philox_key(self):
+        for entropy in [(17, 3, 0), (-1, 0, 1), (2**64 + 5, 2, 1)]:
+            pcg, philox = _column_generator(*entropy), _generator(*entropy)
             assert type(pcg.bit_generator) is np.random.PCG64
             assert pcg.bit_generator.seed_seq.entropy == philox.bit_generator.seed_seq.entropy
+
+
+class TestLogNormalColumn:
+    """A lognormal column draws exp(mu + sigma z) from its stream's standard
+    normals z, and exp(mu - sigma z) as their antithetic partners."""
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    @pytest.mark.parametrize("log_mean,log_sd", [(0.2, 0.6), (-1.5, 0.05), (3.0, 1.8)])
+    def test_draws_follow_the_cdf(self, log_mean, log_sd, seed):
+        dist = LogNormal(log_mean, log_sd)
+        n = 200_000
+        out, flipped = np.empty(n), np.empty(n)
+        dist._draw_column(_column_generator(seed, 0, 0), out, flipped)
+        ranks = np.arange(n + 1) / n
+        for draws in (out, flipped):
+            cdf = LogNormal._cdf_block(np.sort(draws), dist)
+            ks = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
+            # the KS statistic against its 1 % critical value
+            assert ks <= 1.63 / math.sqrt(n)
+
+    def test_antithetic_logs_sum_to_twice_the_log_mean(self):
+        dist = LogNormal(0.7, 1.3)
+        out, flipped = np.empty(50_000), np.empty(50_000)
+        dist._draw_column(_column_generator(5, 0, 1), out, flipped)
+        logs = np.log(out) + np.log(flipped)
+        scale = np.abs(np.log(out)).max()
+        assert np.max(np.abs(logs - 2 * 0.7)) <= 8 * np.finfo(float).eps * max(1.0, scale)
+        assert not np.array_equal(out, flipped)
+
+    def test_no_inverse_cdf_runs(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return real(*args, **kwargs)
+
+        real = distributions.ndtri
+        monkeypatch.setattr(distributions, "ndtri", counting)
+        demand = VALIDATION_DEMANDS["lognormal"]
+        cfg = SimConfig(n_draws=40_000, seed=3, antithetic=True)
+        simulate_validation(MP, demand, 1.0, 1.5, 1.0, VALIDATION_ORDERS["lognormal"], cfg)
+        simulate_expected_max(demand, LogNormal(0.0, 0.3), cfg)
+        assert calls == []
+        # a truncated-normal column still inverts its CDF, once per block and half
+        simulate_expected_max(demand, VALIDATION_ORDERS["truncated_normal"], cfg)
+        assert sum(calls) == 40_000
 
 
 def _validation_demands():
@@ -354,52 +405,73 @@ class TestSharedValidationPass:
         got = simulate_validation(MP, demand, naive_q, q_star, center, order, cfg)
         assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in expected]
 
+    @pytest.mark.parametrize("cfg_name", ["plain", "antithetic_partial_batch", "two_blocks_and_one"])
+    @pytest.mark.parametrize("demand_name", ["lognormal", "truncated_normal", "stacked_compound"])
+    def test_row_two_is_row_one_when_the_orders_agree(self, demand_name, cfg_name):
+        demand = VALIDATION_DEMANDS[demand_name]
+        order = VALIDATION_ORDERS["lognormal"]
+        cfg = VALIDATION_CONFIGS[cfg_name]
+        q = demand.quantile(0.4)
+        center = expected_profit(MP, demand, q)
+        got = simulate_validation(MP, demand, q, q, center, order, cfg)
+        standalone = simulate_profit(MP, demand, Deterministic(q), cfg)
+        assert repr(got[1].to_dict()) == repr(got[0].to_dict()) == repr(standalone.to_dict())
+        assert got[3] == simulate_profit(MP, demand, Stochastic(order), cfg)
+
 
 class _Counting:
-    """A distribution that records a copy of every uniform array it maps."""
+    """A distribution that records a copy of every block of each column it
+    draws, and of its antithetic partners."""
 
     def __init__(self, dist):
         self.dist = dist
-        self.mapped = []
+        self.drawn = []
 
-    def from_uniform(self, u, out=None):
-        self.mapped.append(np.array(u))
-        return self.dist.from_uniform(u, out=out)
+    def _draw_column(self, rng, out, flipped=None):
+        self.dist._draw_column(rng, out, flipped)
+        self.drawn.append([np.array(h) for h in (out, flipped) if h is not None])
 
 
-def _batch_columns(cfg: SimConfig, column: int):
-    """Each batch's doubles of one of two columns, from one draw of its stream."""
+def _column_draws(cfg: SimConfig, column: int, dist):
+    """Each batch's draws of one column, and their antithetic partners when
+    paired, from one draw of the column's stream and by whole-array numpy."""
     observations, per_batch = _batch_plan(cfg)
     for index, done in enumerate(range(0, observations, per_batch)):
         m = min(per_batch, observations - done)
-        yield _batch_generator(cfg.seed, index).random(2 * m)[column * m : (column + 1) * m]
+        stream = _column_generator(cfg.seed, index, column)
+        if isinstance(dist, LogNormal):
+            z = stream.standard_normal(m)
+            halves = [np.exp(s * dist.log_sd + dist.log_mean) for s in (z, -z)]
+        else:
+            u = stream.random(m)
+            halves = [dist.from_uniform(u), dist.from_uniform(1.0 - u)]
+        yield halves[: 2 if cfg.antithetic else 1]
 
 
 class TestValidationPassSamplesOnce:
-    """The shared pass maps each draw of the demand and of the order once,
-    per antithetic half, in calls of at most one block."""
+    """The shared pass draws each column once per block, at most one block at
+    a time, and its draws are each batch's column streams in order."""
 
     @pytest.mark.parametrize(
         "cfg_name",
         ["plain", "antithetic", "partial_batch", "blocked_batch", "antithetic_two_blocks_and_one"],
     )
-    def test_each_draw_is_mapped_once(self, cfg_name):
+    def test_each_draw_is_drawn_once(self, cfg_name):
         cfg = VALIDATION_CONFIGS[cfg_name]
-        dists = [_Counting(VALIDATION_DEMANDS["lognormal"]), _Counting(VALIDATION_ORDERS["lognormal"])]
+        raw = [VALIDATION_DEMANDS["lognormal"], VALIDATION_ORDERS["truncated_normal"]]
+        dists = [_Counting(d) for d in raw]
         simulate_validation(MP, dists[0], 1.0, 1.5, 1.0, dists[1], cfg)
-        n_halves = 2 if cfg.antithetic else 1
-        for column, dist in enumerate(dists):
-            assert max(u.size for u in dist.mapped) <= _SAMPLE_BLOCK
-            # each block maps u, then 1 - u when paired
-            halves = [iter(dist.mapped[h::n_halves]) for h in range(n_halves)]
-            for u in _batch_columns(cfg, column):
-                for h, calls in enumerate(halves):
-                    # this batch's calls of this half, which must sum to m
-                    got = []
-                    while sum(c.size for c in got) < u.size:
-                        got.append(next(calls))
-                    assert np.array_equal(np.concatenate(got), 1.0 - u if h else u)
-            assert [next(calls, None) for calls in halves] == [None] * n_halves
+        for column, (dist, plain) in enumerate(zip(dists, raw)):
+            assert max(block[0].size for block in dist.drawn) <= _SAMPLE_BLOCK
+            blocks = iter(dist.drawn)
+            for halves in _column_draws(cfg, column, plain):
+                # this batch's blocks, which must sum to m
+                got = []
+                while sum(block[0].size for block in got) < halves[0].size:
+                    got.append(next(blocks))
+                for h, expected in enumerate(halves):
+                    assert np.array_equal(np.concatenate([block[h] for block in got]), expected)
+            assert next(blocks, None) is None
 
 
 class TestValidationPassMemory:

@@ -150,20 +150,21 @@ def test_breakpoints_from_parameter_arrays(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_survival_integral_of_a_stack_is_one_scalar_quadrature(name, monkeypatch):
+def test_survival_integral_of_a_stack_is_one_quadrature(name, monkeypatch):
     mix = _fresh(name)
     q = mix.quantile(0.7)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return _quad.integrate(*args, **kwargs)
+    def counted(fn, spans, every_point=False):
+        calls.append(([span[:2] for span in spans], every_point))
+        return _quad.integrate_many(fn, spans, every_point)
 
-    monkeypatch.setattr(distributions, "integrate", counted)
+    monkeypatch.setattr(distributions, "integrate", None)
+    monkeypatch.setattr(distributions, "integrate_many", counted)
     for method in (mix.survival_integral, mix.weighted_survival_integral):
         calls.clear()
         assert method(q) > 0.0
-        assert calls == [(0.0, q)]
+        assert calls == [([(0.0, q)], True)]
 
 
 def test_more_kinks_than_the_subinterval_limit():
@@ -199,13 +200,14 @@ def test_survival_integrals_route_by_their_own_crossover(monkeypatch):
     assert _quad.scalar_pays(mix._stacked().size, 0.0, q, pts)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return _quad.integrate(*args, **kwargs)
+    def counted(fn, spans, every_point=False):
+        calls.append([span[:2] for span in spans])
+        return _quad.integrate_many(fn, spans, every_point)
 
-    monkeypatch.setattr(distributions, "integrate", counted)
+    monkeypatch.setattr(distributions, "integrate", None)
+    monkeypatch.setattr(distributions, "integrate_many", counted)
     assert mix.survival_integral(q) == pytest.approx(q - mix.integrated_cdf(q), rel=1e-10)
-    assert calls == [(0.0, q)]
+    assert calls == [[(0.0, q)]]
 
 
 def test_integrate_splits_at_every_point_only_when_asked(monkeypatch):
@@ -219,6 +221,34 @@ def test_integrate_splits_at_every_point_only_when_asked(monkeypatch):
     pts = np.linspace(0.001, 0.999, 400)
     _quad.integrate(lambda t: 1.0, 0.0, 1.0, pts)
     _quad.integrate(lambda t: 1.0, 0.0, 1.0, pts, every_point=True)
+    assert seen == [(_quad._MAX_POINTS, _quad._LIMIT), (400, 400 + _quad._LIMIT)]
+
+
+def test_integrate_many_splits_at_every_point_only_when_asked(monkeypatch):
+    pts = np.linspace(0.001, 0.999, 400)
+    # more kinks than integrate keeps unless asked to split at every point
+    kinks = np.sort(np.abs(np.sin(np.arange(1, 61))))
+
+    def kinked(owner, t):
+        return np.abs(t[..., None] - kinks).sum(axis=-1)
+
+    def scalar(t):
+        return float(kinked(None, np.array(t)))
+
+    for every_point in (False, True):
+        (value,) = _quad.integrate_many(kinked, [(0.0, 1.0, kinks)], every_point)
+        alone = _quad.integrate(scalar, 0.0, 1.0, kinks, every_point)
+        assert value == alone
+    seen = []
+
+    def dqagse(lo, hi, points, limit):
+        seen.append((len(points), limit))
+        yield [(lo, hi)]
+        return 1.0, 0.0
+
+    monkeypatch.setattr(_quad, "_dqagse", dqagse)
+    _quad.integrate_many(kinked, [(0.0, 1.0, pts)])
+    _quad.integrate_many(kinked, [(0.0, 1.0, pts)], every_point=True)
     assert seen == [(_quad._MAX_POINTS, _quad._LIMIT), (400, 400 + _quad._LIMIT)]
 
 
