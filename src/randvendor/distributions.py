@@ -30,7 +30,8 @@ per Monte-Carlo batch, with the same results bit for bit as the sum over its
 components; a mixture of different families, or of truncated normals with
 means on both sides of zero, keeps that sum. A quadrature integrand that
 reads a stacked mixture takes its weighted sum by numpy at each node: a
-survival integral is one such quadrature split at every kink, unless its
+survival integral is one such quadrature split at every kink, each round's
+nodes one block against the components (``integrate_many``), unless its
 components' kinks make one quadrature each cheaper (``scalar_pays``), and
 h_Y of a stacked Y is one weighted sum per node. At a point, a stack's
 weighted sum is rounded correctly, as ``math.fsum`` rounds the sum over its
