@@ -25,10 +25,13 @@ components. A density whose quartiles round to one float is refused rather
 than integrated over.
 
 A mixture whose components share one parametric family is evaluated and
-sampled as one stacked family (``_Stack``), one array call per kernel and
-per Monte-Carlo batch, with the same results bit for bit as the sum over its
-components; a mixture of different families, or of truncated normals with
-means on both sides of zero, keeps that sum. A quadrature integrand that
+sampled as one stacked family (``_Stack``), one array call per kernel, with
+the same results bit for bit as the sum over its components; a mixture of
+different families, or of truncated normals with means on both sides of
+zero, keeps that sum. A stack's Monte-Carlo column draws each block as one
+family call over its parameters repeated by the batch's component counts
+(``Mixture._column_sampler``), and ``from_uniform`` as one call over them
+gathered per draw. A quadrature integrand that
 reads a stacked mixture takes its weighted sum by numpy at each node: a
 survival integral is one such quadrature split at every kink, each round's
 nodes one block against the components (``integrate_many``), unless its
@@ -236,6 +239,24 @@ class Distribution:
         halves = (out,) if flipped is None else (out, np.subtract(1.0, out, out=flipped))
         for half in halves:
             self.from_uniform(half, out=half)
+
+    def _column_sampler(self, rng: np.random.Generator, m: int):
+        """The sampler of one batch of a Monte-Carlo column, m draws read
+        from ``rng``, made once per batch before its first draw: a callable
+        ``draw(out, flipped=None)`` that fills ``out`` with the batch's next
+        ``out.size`` draws, as ``_draw_column`` fills it. Here it is
+        ``_draw_column`` on ``rng``, which keeps no state between blocks."""
+        return functools.partial(self._draw_column, rng)
+
+    @classmethod
+    def _draw_block(cls, rng, p, out, flipped=None) -> None:
+        """``_draw_column`` of a parametric family whose parameters ``p``
+        holds, as ``_inverse_cdf`` takes them: uniforms u through
+        ``_inverse_cdf``, and 1 - u as their partners."""
+        rng.random(out=out)
+        halves = (out,) if flipped is None else (out, np.subtract(1.0, out, out=flipped))
+        for half in halves:
+            cls._inverse_cdf(half, p)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -493,13 +514,14 @@ class Exponential(Distribution):
 
     @staticmethod
     def _cdf_block(x, p, fast=False):
-        inside = x > 0.0
-        return _where(inside, -_expm1(-p.rate * _where(inside, x, 0.0), fast), 0.0)
+        # guarded at the points, not over the (points x components) values:
+        # at a point taken to 0, -expm1(-rate * 0) is 0
+        return -_expm1(-p.rate * _where(x > 0.0, x, 0.0), fast)
 
     @staticmethod
     def _pdf_block(x, p, fast=False):
-        inside = x >= 0.0
-        return _where(inside, p.rate * _exp(-p.rate * _where(inside, x, 0.0), fast), 0.0)
+        # below the support the point is taken to inf, where rate exp(-inf) is 0
+        return p.rate * _exp(-p.rate * _where(x >= 0.0, x, math.inf), fast)
 
     @staticmethod
     def _m1_block(q, p, fast=False):
@@ -589,13 +611,17 @@ class LogNormal(Distribution):
         return np.exp(z, out=z)
 
     def _draw_column(self, rng, out, flipped=None):
+        self._draw_block(rng, self, out, flipped)
+
+    @staticmethod
+    def _draw_block(rng, p, out, flipped=None):
         # standard normals z by the ziggurat, and -z as their partners, with
         # no inverse CDF; the ziggurat reads whole draws from the stream, so
         # a column read in blocks still reads the same draws
         rng.standard_normal(out=out)
         halves = (out,) if flipped is None else (out, np.negative(out, out=flipped))
         for half in halves:
-            self._from_normal(half, self)
+            LogNormal._from_normal(half, p)
 
     def _partial_expectation(self, q):
         if q <= 0.0:
@@ -747,15 +773,20 @@ class TruncatedNormal(Distribution):
 
     @staticmethod
     def _cdf_block(x, p, fast=False):
+        # guarded at the points, not over the (points x components) values:
+        # at a point taken to -inf the mass is -Phi(alpha) (or Z - 1), not
+        # positive, so the clamp below makes it 0
+        x = _where(x <= 0.0, -math.inf, x)
         ratio = TruncatedNormal._mass_block((x - p.norm_mean) / p.norm_sd, p) / p._z
         # min(1.0, max(0.0, ratio)), as Python takes them: np.maximum(a, b) is
         # np.where(a >= b, a, b) where neither is nan
-        return _where(x <= 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, ratio)))
+        return np.minimum(1.0, np.maximum(0.0, ratio))
 
     @staticmethod
     def _pdf_block(x, p, fast=False):
-        z = (x - p.norm_mean) / p.norm_sd
-        return _where(x < 0.0, 0.0, _norm_pdf(z, fast) / (p.norm_sd * p._z))
+        # below the support the point is taken to -inf, where the density is 0
+        z = (_where(x < 0.0, -math.inf, x) - p.norm_mean) / p.norm_sd
+        return _norm_pdf(z, fast) / (p.norm_sd * p._z)
 
     @staticmethod
     def _m1_block(q, p, fast=False):
@@ -1056,6 +1087,39 @@ class Mixture(Distribution):
                 part = v[where]
                 v[where] = d.from_uniform(part, out=part)
 
+    def _column_sampler(self, rng, m):
+        # composition by counts (Devroye 1986, II.4): the multinomial counts
+        # of the batch's m draws come first in the stream, and the column is
+        # the components' runs in component order. Every statistic of the
+        # pass is a symmetric sum over the observations, and the other
+        # columns are drawn i.i.d. in order (simulate._sampled_blocks), so a
+        # column grouped by component gives it exactly the law of i.i.d. draws
+        counts = rng.multinomial(m, self._weights)
+        stack = self._stacked()
+        if stack is not None:
+
+            def fill(first, runs, out, flipped):
+                # one family call over the parameters repeated by the runs
+                rows = _Repeated(stack, slice(first, first + runs.size), runs)
+                stack.family._draw_block(rng, rows, out, flipped)
+
+        else:
+            # each component's own sampler of its run, in its run's order
+            samplers = [
+                d._column_sampler(rng, n) if n else None
+                for (_, d), n in zip(self.components, counts.tolist())
+            ]
+
+            def fill(first, runs, out, flipped):
+                start = 0
+                for sampler, n in zip(samplers[first:], runs.tolist()):
+                    if n:
+                        part = slice(start, start + n)
+                        sampler(out[part], None if flipped is None else flipped[part])
+                        start += n
+
+        return _Runs(counts, fill)
+
     def _sampling_tables(self):
         """(weights, edges, upper edges, guide table) of the composition.
 
@@ -1161,6 +1225,33 @@ class Mixture(Distribution):
             "family": "mixture",
             "components": [{"weight": w, "dist": d.to_dict()} for w, d in self.components],
         }
+
+
+class _Runs:
+    """The sampler of one batch of a mixture's Monte-Carlo column, whose
+    draws are ``counts[i]`` draws of component i, the components' runs in
+    order. Each call ``draw(out, flipped=None)`` takes the batch's next
+    ``out.size`` draws as ``fill(first, runs, out, flipped)``: ``runs[i]``
+    draws of component ``first + i`` (some of them none), in order."""
+
+    __slots__ = ("_edges", "_start", "_fill")
+
+    def __init__(self, counts: np.ndarray, fill):
+        # component i's run is draws edges[i] to edges[i + 1]
+        self._edges = np.concatenate(([0], np.cumsum(counts)))
+        self._start = 0
+        self._fill = fill
+
+    def __call__(self, out, flipped=None):
+        start, stop = self._start, self._start + out.size
+        self._start = stop
+        edges = self._edges
+        # the component whose run holds the first draw, and past the one
+        # whose run holds the last
+        first = int(np.searchsorted(edges, start, side="right")) - 1
+        last = int(np.searchsorted(edges, stop, side="left"))
+        runs = np.diff(np.clip(edges[first : last + 1], start, stop))
+        self._fill(first, runs, out, flipped)
 
 
 # -- stacked single-family mixtures --------------------------------------------
@@ -1337,6 +1428,25 @@ class _Gathered:
         return value[self._idx] if name in self._stack.fields else value
 
 
+class _Repeated:
+    """Like ``_Gathered``, a stack's ``rows`` (a slice of its components)
+    with each row's parameters repeated ``runs`` times, for the consecutive
+    draws of each component; ``np.repeat`` costs less than a gather."""
+
+    __slots__ = ("_stack", "_rows", "_runs")
+
+    def __init__(self, stack: _Stack, rows: slice, runs: np.ndarray):
+        self._stack = stack
+        self._rows = rows
+        self._runs = runs
+
+    def __getattr__(self, name):
+        value = getattr(self._stack, name)
+        if name in self._stack.fields:
+            return np.repeat(value[self._rows], self._runs)
+        return value
+
+
 class _UniformStack(_Stack):
     family = Uniform
     params = ("lo", "hi")
@@ -1505,9 +1615,30 @@ class UpperTruncated(Distribution):
         return _blocked(self._sample_into, u, out)
 
     def _sample_into(self, u, out):
+        # u Z through the base's draws is a draw below the bound only where
+        # those draws are its quantiles; a mixture's go by composition
+        split = self._split()
+        if split is not None:
+            split._sample_into(u, out)
+            return
         np.multiply(u, self._z, out=out)
         self.base.from_uniform(out, out=out)
         np.minimum(out, self.upper, out=out)
+
+    def _split(self):
+        """An upper truncation of a mixture as the mixture of its components'
+        truncations, weighted w_i F_i(u) / F(u) over the components with
+        F_i(u) > 0, built once; None for any other base."""
+        split = getattr(self, "_split_cache", None)
+        if split is None and isinstance(self.base, Mixture):
+            u, z = self.upper, self._z
+            parts = [(w, d, d.cdf(u)) for w, d in self.base.components]
+            parts = [(w * f / z, UpperTruncated(d, u)) for w, d, f in parts if f > 0.0]
+            split = Mixture.__new__(Mixture)
+            # weights that sum to 1 up to the rounding of each ratio
+            split._init(np.array([w for w, _ in parts]), tuple(parts), None)
+            self._split_cache = split
+        return split
 
     def atoms(self):
         base_atoms = self.base.atoms()
@@ -1555,6 +1686,10 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
       one that is not a mixture, the narrower of two such, else the mixture
       with fewer kinks; a mixture of several families against another
       mixture is the weighted sum over its components.
+
+    A mixture with both atoms and a density is the weighted sum over its
+    components, and an upper truncation of one the weighted sum over its
+    components' truncations, w_i F_i(u) / F(u) each.
 
     A side whose density a quadrature integrates and whose quartiles round
     to one float is refused with NumericalIntegrityError: no node would see
@@ -1650,6 +1785,11 @@ def _expected_max(x: Distribution, y: Distribution) -> float:
         return math.fsum(w * _expected_max(d, y) for w, d in x.components)
     if isinstance(y, Mixture):
         return math.fsum(w * _expected_max(x, d) for w, d in y.components)
+    # an upper truncation of such a mixture: condition on its components
+    if isinstance(x, UpperTruncated) and x._split() is not None:
+        return _expected_max(x._split(), y)
+    if isinstance(y, UpperTruncated) and y._split() is not None:
+        return _expected_max(x, y._split())
     raise ValueError("expected_max cannot decompose these distributions")
 
 

@@ -10,11 +10,21 @@ column's draws do not depend on how it is cut into blocks, and the working
 set of a block stays in cache. A streaming one-pass accumulator merges the
 per-block moments.
 
-Each distribution draws its own column (``Distribution._draw_column``): a
-lognormal exp(mu + sigma z) from the stream's standard normals z, with -z
-as the antithetic partner, and every other family its stream's uniforms u
-through ``from_uniform``, with 1 - u as the partner. ``simulate_values``
-hands a transform the uniform rows of a block.
+Each distribution draws its own column through a sampler made once per
+batch (``Distribution._column_sampler``), which fills the batch's next k
+draws for each block: a lognormal exp(mu + sigma z) from the stream's
+standard normals z, with -z as the antithetic partner, and every other
+family its stream's uniforms u through ``from_uniform`` (its inverse CDF,
+or a mixture's one-uniform stratified composition), with 1 - u as the
+partner. A mixture in column 0 is drawn by composition instead: its stream
+first gives the batch's multinomial counts per component, and the column is
+the components' runs in component order, a stack's as one family call over
+its parameters repeated by the counts and any other mixture's through each
+component's own sampler. Every statistic of the pass is a symmetric sum
+over observations, and every other column is drawn i.i.d. in order
+(``_draw_column``), so the grouped column gives every row the law of i.i.d.
+draws, standard errors included. ``simulate_values`` hands a transform the
+uniform rows of a block.
 
 ``validate`` reads each column once for all five of its rows
 (``simulate_validation``): the demand draws column 0 and the order column 1
@@ -27,6 +37,7 @@ When the optimal order is the naive one, row 2 is row 1's report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,30 +138,39 @@ def _block_size(cfg: SimConfig) -> int:
     return min(_SAMPLE_BLOCK, *_batch_plan(cfg))
 
 
-def _column_blocks(cfg: SimConfig, width: int):
-    """The blocks of every batch, as (the streams of the batch's ``width``
-    columns, k): a block is the next k <= ``_SAMPLE_BLOCK`` observations of
-    its batch, which each column reads as its stream's next k draws."""
+def _column_blocks(cfg: SimConfig, samplers):
+    """The blocks of every batch, as (the batch's column samplers, k): a
+    block is the next k <= ``_SAMPLE_BLOCK`` observations of its batch.
+    Column j of a batch of m observations is drawn by ``samplers[j](stream,
+    m)``, made once per batch from the column's stream, before any draw; a
+    block calls it to fill the column's next k draws."""
     observations, per_batch = _batch_plan(cfg)
     for index, done in enumerate(range(0, observations, per_batch)):
         m = min(per_batch, observations - done)
-        columns = [_column_generator(cfg.seed, index, j) for j in range(width)]
+        columns = [
+            make(_column_generator(cfg.seed, index, j), m) for j, make in enumerate(samplers)
+        ]
         for start in range(0, m, _SAMPLE_BLOCK):
             yield columns, min(_SAMPLE_BLOCK, m - start)
 
 
+def _uniform_column(rng: np.random.Generator, m: int):
+    """The sampler of a column of uniform doubles, the next of its stream."""
+    return lambda out: rng.random(out=out)
+
+
 def _blocks(cfg: SimConfig, width: int):
-    """Each block of ``_column_blocks(cfg, width)`` as (width, k) uniform
-    doubles, row j being the next k doubles of column j's stream.
+    """Each block of ``_column_blocks`` of ``width`` uniform columns, as
+    (width, k) doubles, row j being the next k doubles of column j's stream.
 
     Every block is drawn into one buffer, so a block is only valid until the
     next one is drawn.
     """
     u = np.empty((width, _block_size(cfg)))
-    for columns, k in _column_blocks(cfg, width):
+    for columns, k in _column_blocks(cfg, [_uniform_column] * width):
         block = u[:, :k]
-        for column, row in zip(columns, block):
-            column.random(out=row)
+        for draw, row in zip(columns, block):
+            draw(row)
         yield block
 
 
@@ -204,17 +224,31 @@ def _profit_draws(params: MarketParams, demand: Distribution, policy: OrderPolic
     return (demand, policy.order_dist), lambda d, o: _profit(params, o, d, out=d)
 
 
+def _in_order(dist: Distribution):
+    """The sampler maker of a column drawn i.i.d. along the column, by
+    ``dist._draw_column``, which keeps no state between blocks."""
+    return lambda rng, m: functools.partial(dist._draw_column, rng)
+
+
 def _sampled_blocks(cfg: SimConfig, dists: tuple):
-    """The blocks of ``_column_blocks(cfg, len(dists))``, each as one list
-    per half (the draws, and their antithetic partners when paired) of the
-    draws of ``dists``: column j is drawn by ``dists[j]._draw_column``, into
-    buffers reused from block to block."""
+    """The blocks of ``_column_blocks`` of ``dists``, each as one list per
+    half (the draws, and their antithetic partners when paired) of the draws
+    of ``dists``, into buffers reused from block to block.
+
+    Column 0 is drawn by its batch's sampler ``dists[0]._column_sampler``,
+    which groups a mixture's draws by component, and every other column in
+    order by ``_draw_column``. A grouped column paired with i.i.d. columns
+    of other streams gives i.i.d. observations up to their order, which no
+    statistic of the pass sees; two grouped columns would pair their
+    components by position.
+    """
     size = (len(dists), _block_size(cfg))
     buffers = [np.empty(size) for _ in range(2 if cfg.antithetic else 1)]
-    for columns, k in _column_blocks(cfg, len(dists)):
+    samplers = [dists[0]._column_sampler] + [_in_order(d) for d in dists[1:]]
+    for columns, k in _column_blocks(cfg, samplers):
         halves = [buf[:, :k] for buf in buffers]
-        for j, (dist, column) in enumerate(zip(dists, columns)):
-            dist._draw_column(column, *(h[j] for h in halves))
+        for j, draw in enumerate(columns):
+            draw(*(h[j] for h in halves))
         yield [list(h) for h in halves]
 
 

@@ -825,6 +825,40 @@ class TestUpperTruncation:
         # above the bound the CDF is 1, so the integral grows linearly
         assert t.integrated_cdf(1.5) == pytest.approx(t.integrated_cdf(1.0) + 0.5, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            # the first component crosses the bound, the last lies above it
+            Mixture(
+                [
+                    (0.3, Empirical([0.5, 1.5, 4.0])),
+                    (0.4, TruncatedNormal(1.0, 0.8)),
+                    (0.3, Uniform(3.5, 5.0)),
+                ]
+            ),
+            Mixture([(0.5, LogNormal(0.0, 0.5)), (0.5, LogNormal(0.5, 0.4))]),
+        ],
+        ids=["several_families", "stack"],
+    )
+    def test_a_truncated_mixture_samples_below_its_bound(self, base):
+        # a mixture's draws go by composition, not by its quantiles, so u Z
+        # through them is no draw of the truncation: the first component's
+        # draws above the bound were clipped to it
+        t = UpperTruncated(base, 1.0)
+        n = 50_000
+        draws = np.sort(t.sample(n, seed=12))
+        assert draws[-1] <= 1.0
+        # the KS statistic at each value drawn and just below it, where an
+        # atom of the empirical component steps
+        values = np.unique(draws)
+        ks = 0.0
+        for side, points in (("right", values), ("left", np.nextafter(values, -np.inf))):
+            ecdf = np.searchsorted(draws, values, side=side) / n
+            cdf = np.array([t.cdf(x) for x in points.tolist()])
+            ks = max(ks, float(np.max(np.abs(ecdf - cdf))))
+        # against its 1 % critical value, which atoms only make conservative
+        assert ks <= 1.63 / math.sqrt(n)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)

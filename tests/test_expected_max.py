@@ -510,3 +510,51 @@ def test_mixture_against_a_mixture(a, b, points):
     value = expected_max(a, b)
     assert expected_max(b, a).hex() == value.hex()
     assert value == pytest.approx(_min_plus_max(a, b, points), rel=1e-10)
+
+
+# upper truncations of mixtures with both atoms and a density: the uniform
+# component lies above the bound, and one atom of the empirical one too
+TRUNCATED_ATOMS_AND_DENSITY = [
+    UpperTruncated(
+        Mixture([(0.5, Empirical([1.0, 2.0])), (0.5, LogNormal(0.0, 1.0))]), 3.0
+    ),
+    UpperTruncated(
+        Mixture(
+            [
+                (0.3, Empirical([0.5, 1.5, 4.0])),
+                (0.4, TruncatedNormal(1.0, 0.8)),
+                (0.3, Uniform(3.5, 5.0)),
+            ]
+        ),
+        3.0,
+    ),
+]
+DENSITY_ORDERS = [LogNormal(0.3, 0.5), TruncatedNormal(1.2, 0.6), Exponential(0.9)]
+
+
+def _truncated_components(trunc):
+    """The mixture of the truncated components, weighted w_i F_i(u) / F(u),
+    built by hand."""
+    u, base = trunc.upper, trunc.base
+    return Mixture(
+        [
+            (w * d.cdf(u) / trunc._z, UpperTruncated(d, u))
+            for w, d in base.components
+            if d.cdf(u) > 0.0
+        ]
+    )
+
+
+@pytest.mark.parametrize("order", DENSITY_ORDERS, ids=repr)
+@pytest.mark.parametrize("demand", TRUNCATED_ATOMS_AND_DENSITY, ids=["two", "three"])
+def test_truncated_mixture_of_atoms_and_a_density_is_its_truncated_components(demand, order):
+    value = expected_max(order, demand)
+    assert _bits([value, expected_max(demand, order)]) == _bits([value, value])
+    assert _bits([value]) == _bits([expected_max(order, _truncated_components(demand))])
+
+
+@pytest.mark.parametrize("order", DENSITY_ORDERS, ids=repr)
+@pytest.mark.parametrize("demand", TRUNCATED_ATOMS_AND_DENSITY, ids=["two", "three"])
+def test_truncated_mixture_of_atoms_and_a_density_matches_monte_carlo(demand, order):
+    report = simulate_expected_max(demand, order, SimConfig(n_draws=1_000_000, seed=77))
+    assert abs(report.mean - expected_max(order, demand)) <= 4.0 * report.std_error

@@ -104,6 +104,48 @@ def test_stack_at_a_point_equals_the_block_over_its_arrays(name):
             assert _bits(gathered[:, j]) == _bits(scalar), (kernel, x)
 
 
+def _large_stacks():
+    rng = np.random.default_rng(2024)
+    n = 1_000
+    sds = rng.uniform(0.05, 3.0, n)
+    grids = {
+        "exponential": (Exponential, {"rate": rng.uniform(0.01, 50.0, n)}),
+        "truncated_normal": (TruncatedNormal, {"mean": rng.uniform(0.0, 5.0, n), "sd": sds}),
+        "truncated_normal_upper_tail": (
+            TruncatedNormal,
+            {"mean": rng.uniform(-4.0, -0.01, n), "sd": rng.uniform(0.5, 3.0, n)},
+        ),
+    }
+    return {name: Mixture._of_grid(family, params) for name, (family, params) in grids.items()}
+
+
+LARGE_STACKS = _large_stacks()
+SIGNED_POINTS = [
+    *(-math.inf, -3.0, -0.5, -1e-300, -0.0),
+    *(0.0, 1e-300, 1e-9, 0.3, 1.0, 2.5, 7.0, 40.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_STACKS))
+def test_a_column_of_points_against_a_large_stack(name):
+    # the guards are taken at the points, on both sides of 0
+    mix = LARGE_STACKS[name]
+    stack, dists = mix._stacked(), [d for _, d in mix.components]
+    assert stack is not None and stack.size == 1_000
+    column = np.array(SIGNED_POINTS)[:, None]
+    for kernel in ("cdf", "pdf"):
+        block = getattr(stack, kernel)(column)
+        fast = getattr(stack, kernel)(column, fast=True)
+        assert block.shape == fast.shape == (column.size, stack.size)
+        for j, x in enumerate(SIGNED_POINTS):
+            scalar = [getattr(d, kernel)(x) for d in dists]
+            assert _bits(block[j]) == _bits(scalar), (kernel, x)
+            # numpy's transcendentals, at the points one at a time
+            assert _bits(fast[j]) == _bits(getattr(stack, kernel)(x, fast=True)), (kernel, x)
+            if not x >= 0.0:
+                assert _bits(fast[j]) == _bits(np.zeros(stack.size)), (kernel, x)
+
+
 @pytest.mark.parametrize("name", sorted(STACKS))
 def test_instance_and_stack_share_their_constants(name):
     mix = STACKS[name]

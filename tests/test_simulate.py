@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from randvendor import (
     simulate_profit_squared_deviation,
 )
 from randvendor import distributions
-from randvendor.distributions import _SAMPLE_BLOCK, _generator
+from randvendor.distributions import _SAMPLE_BLOCK, _Gathered, _generator
 from randvendor.simulate import (
     _Accumulator,
     _batch_plan,
@@ -421,46 +425,88 @@ class TestSharedValidationPass:
 
 class _Counting:
     """A distribution that records a copy of every block of each column it
-    draws, and of its antithetic partners."""
+    draws, and of its antithetic partners, and the draws of each batch its
+    per-batch sampler is made for."""
 
     def __init__(self, dist):
         self.dist = dist
         self.drawn = []
+        self.batches = []
+
+    def _record(self, out, flipped):
+        self.drawn.append([np.array(h) for h in (out, flipped) if h is not None])
 
     def _draw_column(self, rng, out, flipped=None):
         self.dist._draw_column(rng, out, flipped)
-        self.drawn.append([np.array(h) for h in (out, flipped) if h is not None])
+        self._record(out, flipped)
+
+    def _column_sampler(self, rng, m):
+        self.batches.append(m)
+        draw = self.dist._column_sampler(rng, m)
+
+        def recorded(out, flipped=None):
+            draw(out, flipped)
+            self._record(out, flipped)
+
+        return recorded
+
+
+def _batch_draws(stream, m: int, dist):
+    """One batch of m draws of a column and their antithetic partners, from
+    one read of the column's stream and by whole-array numpy: a mixture's
+    multinomial counts first, then its components' runs in order, a stack's
+    as one family call over its parameters repeated by the counts."""
+    if isinstance(dist, Mixture):
+        counts = stream.multinomial(m, dist._weights)
+        stack = dist._stacked()
+        if stack is None:
+            runs = [
+                _batch_draws(stream, n, d)
+                for (_, d), n in zip(dist.components, counts.tolist())
+                if n
+            ]
+            return [np.concatenate(h) for h in zip(*runs)]
+        if stack.family is LogNormal:
+            z = stream.standard_normal(m)
+            mu, sd = (np.repeat(a, counts) for a in (stack.log_mean, stack.log_sd))
+            return [np.exp(s * sd + mu) for s in (z, -z)]
+        u = stream.random(m)
+        rows = _Gathered(stack, np.repeat(np.arange(stack.size), counts))
+        return [stack.family._inverse_cdf(v, rows) for v in (u.copy(), 1.0 - u)]
+    if isinstance(dist, LogNormal):
+        z = stream.standard_normal(m)
+        return [np.exp(s * dist.log_sd + dist.log_mean) for s in (z, -z)]
+    u = stream.random(m)
+    return [dist.from_uniform(u), dist.from_uniform(1.0 - u)]
 
 
 def _column_draws(cfg: SimConfig, column: int, dist):
     """Each batch's draws of one column, and their antithetic partners when
-    paired, from one draw of the column's stream and by whole-array numpy."""
+    paired (``_batch_draws``). Only column 0 is drawn by its per-batch
+    sampler: a mixture in another column is drawn in order, as no caller
+    here passes one."""
+    assert column == 0 or not isinstance(dist, Mixture)
     observations, per_batch = _batch_plan(cfg)
     for index, done in enumerate(range(0, observations, per_batch)):
         m = min(per_batch, observations - done)
-        stream = _column_generator(cfg.seed, index, column)
-        if isinstance(dist, LogNormal):
-            z = stream.standard_normal(m)
-            halves = [np.exp(s * dist.log_sd + dist.log_mean) for s in (z, -z)]
-        else:
-            u = stream.random(m)
-            halves = [dist.from_uniform(u), dist.from_uniform(1.0 - u)]
+        halves = _batch_draws(_column_generator(cfg.seed, index, column), m, dist)
         yield halves[: 2 if cfg.antithetic else 1]
+
+
+def _batch_sizes(cfg: SimConfig) -> list[int]:
+    observations, per_batch = _batch_plan(cfg)
+    return [min(per_batch, observations - done) for done in range(0, observations, per_batch)]
 
 
 class TestValidationPassSamplesOnce:
     """The shared pass draws each column once per block, at most one block at
     a time, and its draws are each batch's column streams in order."""
 
-    @pytest.mark.parametrize(
-        "cfg_name",
-        ["plain", "antithetic", "partial_batch", "blocked_batch", "antithetic_two_blocks_and_one"],
-    )
-    def test_each_draw_is_drawn_once(self, cfg_name):
-        cfg = VALIDATION_CONFIGS[cfg_name]
-        raw = [VALIDATION_DEMANDS["lognormal"], VALIDATION_ORDERS["truncated_normal"]]
+    def check_drawn_once(self, cfg, raw):
         dists = [_Counting(d) for d in raw]
         simulate_validation(MP, dists[0], 1.0, 1.5, 1.0, dists[1], cfg)
+        # one sampler per batch of the demand's column
+        assert dists[0].batches == _batch_sizes(cfg)
         for column, (dist, plain) in enumerate(zip(dists, raw)):
             assert max(block[0].size for block in dist.drawn) <= _SAMPLE_BLOCK
             blocks = iter(dist.drawn)
@@ -473,6 +519,24 @@ class TestValidationPassSamplesOnce:
                     assert np.array_equal(np.concatenate([block[h] for block in got]), expected)
             assert next(blocks, None) is None
 
+    @pytest.mark.parametrize(
+        "cfg_name",
+        ["plain", "antithetic", "partial_batch", "blocked_batch", "antithetic_two_blocks_and_one"],
+    )
+    def test_each_draw_is_drawn_once(self, cfg_name):
+        raw = [VALIDATION_DEMANDS["lognormal"], VALIDATION_ORDERS["truncated_normal"]]
+        self.check_drawn_once(VALIDATION_CONFIGS[cfg_name], raw)
+
+    @pytest.mark.parametrize(
+        "cfg_name",
+        ["antithetic", "antithetic_partial_batch", "blocked_batch", "two_blocks_and_one"],
+    )
+    @pytest.mark.parametrize("demand_name", ["stacked_compound", "mixed_mixture"])
+    def test_a_mixture_column_is_drawn_once(self, demand_name, cfg_name):
+        # blocks cut the runs of the components, and the last batch is short
+        raw = [VALIDATION_DEMANDS[demand_name], VALIDATION_ORDERS["lognormal"]]
+        self.check_drawn_once(VALIDATION_CONFIGS[cfg_name], raw)
+
 
 class TestValidationPassMemory:
     """The Monte-Carlo passes own a few block-sized buffers and no
@@ -484,7 +548,9 @@ class TestValidationPassMemory:
     LIMIT = 12 * _SAMPLE_BLOCK * 8
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
-    @pytest.mark.parametrize("demand_name", ["lognormal", "empirical", "stacked_compound"])
+    @pytest.mark.parametrize(
+        "demand_name", ["lognormal", "empirical", "stacked_compound", "mixed_mixture"]
+    )
     @pytest.mark.parametrize("oracle", ["validation", "expected_max", "values"])
     def test_traced_peak(self, oracle, demand_name, antithetic):
         demand = VALIDATION_DEMANDS[demand_name]
@@ -507,3 +573,133 @@ class TestValidationPassMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.LIMIT
+
+
+MIXTURE_COLUMNS = {
+    "lognormal_stack": VALIDATION_DEMANDS["stacked_compound"],
+    "uniform_stack": Mixture(
+        [(0.2, Uniform(0.0, 1.0)), (0.5, Uniform(0.5, 3.0)), (0.3, Uniform(2.0, 2.5))]
+    ),
+    "exponential_stack": Mixture(
+        [(0.3, Exponential(0.5)), (0.3, Exponential(2.0)), (0.4, Exponential(8.0))]
+    ),
+    "truncated_normal_stack": Mixture(
+        [
+            (0.25, TruncatedNormal(0.3, 0.5)),
+            (0.25, TruncatedNormal(1.0, 0.2)),
+            (0.5, TruncatedNormal(2.5, 1.0)),
+        ]
+    ),
+    # means below zero: the stack's upper-tail form
+    "truncated_normal_upper_stack": Mixture(
+        [(0.5, TruncatedNormal(-0.5, 1.0)), (0.5, TruncatedNormal(-1.0, 2.0))]
+    ),
+    "lognormal_truncated_normal": Mixture(
+        [(0.6, LogNormal(0.0, 0.5)), (0.4, TruncatedNormal(1.0, 0.4))]
+    ),
+}
+
+
+def _read_column(mix, m: int, sizes, antithetic: bool, seed: int = 31):
+    """One batch of m draws of a mixture's column, read by its per-batch
+    sampler in pieces of ``sizes``, and their partners when paired."""
+    draw = mix._column_sampler(_column_generator(seed, 2, 0), m)
+    halves = [np.empty(m) for _ in range(2 if antithetic else 1)]
+    start = 0
+    for size in sizes:
+        draw(*(h[start : start + size] for h in halves))
+        start += size
+    assert start == m
+    return halves
+
+
+class TestMixtureColumn:
+    """A mixture column draws its batch's multinomial component counts first,
+    then the components' runs in order: a stack as one family call over its
+    parameters repeated by the counts, any other mixture each component's
+    run through its own sampler."""
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_COLUMNS))
+    def test_draws_follow_the_mixture_cdf(self, name, antithetic):
+        mix = MIXTURE_COLUMNS[name]
+        assert (mix._stacked() is not None) == name.endswith("_stack")
+        n = 200_000
+        blocks = [_SAMPLE_BLOCK] * (n // _SAMPLE_BLOCK) + [n % _SAMPLE_BLOCK]
+        ranks = np.arange(n + 1) / n
+        for draws in _read_column(mix, n, blocks, antithetic):
+            x = np.sort(draws)
+            # numpy's transcendentals: the last bit does not matter here
+            cdf = sum(w * type(d)._cdf_block(x, d, fast=True) for w, d in mix.components)
+            ks = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
+            # the KS statistic against its 1 % critical value
+            assert ks <= 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_COLUMNS))
+    def test_a_column_read_in_blocks_is_one_read(self, name, antithetic):
+        mix = MIXTURE_COLUMNS[name]
+        m = 3_007
+        sizes = [1, 2, 500, 1, m - 504]
+        # the pieces end inside the components' runs
+        counts = _column_generator(31, 2, 0).multinomial(m, mix._weights)
+        assert not set(np.cumsum(sizes).tolist()) <= set(np.cumsum(counts).tolist())
+        whole = _read_column(mix, m, [m], antithetic)
+        pieces = _read_column(mix, m, sizes, antithetic)
+        for a, b in zip(whole, pieces):
+            assert np.array_equal(a, b)
+
+    def test_counts_are_drawn_once_per_batch(self, monkeypatch):
+        made = []
+
+        class Recording(distributions._Runs):
+            def __init__(self, counts, fill):
+                made.append(counts.copy())
+                super().__init__(counts, fill)
+
+        monkeypatch.setattr(distributions, "_Runs", Recording)
+        demand = VALIDATION_DEMANDS["stacked_compound"]
+        cfg = VALIDATION_CONFIGS["antithetic_partial_batch"]
+        simulate_validation(MP, demand, 1.0, 1.5, 1.0, VALIDATION_ORDERS["lognormal"], cfg)
+        sizes = _batch_sizes(cfg)
+        assert len(sizes) == 8 and sizes[-1] < sizes[0]
+        assert [int(c.sum()) for c in made] == sizes
+        for index, (counts, m) in enumerate(zip(made, sizes)):
+            # the first draws of the demand's column stream
+            expected = _column_generator(cfg.seed, index, 0).multinomial(m, demand._weights)
+            assert np.array_equal(counts, expected)
+
+    def test_no_inverse_cdf_runs_on_a_lognormal_stack(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return real(*args, **kwargs)
+
+        real = distributions.ndtri
+        monkeypatch.setattr(distributions, "ndtri", counting)
+        demand = VALIDATION_DEMANDS["stacked_compound"]
+        order = VALIDATION_ORDERS["lognormal"]
+        for antithetic in (False, True):
+            cfg = SimConfig(n_draws=40_000, seed=3, antithetic=antithetic)
+            simulate_validation(MP, demand, 1.0, 1.5, 1.0, order, cfg)
+            simulate_profit(MP, demand, Deterministic(1.0), cfg)
+        assert calls == []
+
+    def test_two_processes_write_identical_validate_reports(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        scenario = root / "scenarios" / "uncertain_parameters.json"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        outputs = []
+        for run in range(2):
+            report = tmp_path / f"validate-{run}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "randvendor.cli", "validate", str(scenario)]
+                + ["--json", str(report)],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outputs.append((done.stdout, report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b"result: PASS" in outputs[0][0]
