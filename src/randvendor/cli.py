@@ -191,7 +191,7 @@ def _cmd_search(args) -> int:
     print(f"baseline profit      = {result.baseline_profit!r}")
     print(f"improvement          = {result.improvement!r}")
     print(f"feasible candidates  = {result.feasible_count}/{result.evaluations}")
-    if result.improvement <= 1e-6:
+    if isinstance(result.best_policy, policy.Deterministic):
         print("deterministic optimum retained")
 
     if args.trace:
@@ -230,17 +230,19 @@ def _cmd_validate(args) -> int:
 
     # analytic values first, in row order, so that the first one to fail
     # raises before any Monte-Carlo work; a pair that expected_max has no
-    # route for is refused as search refuses it
+    # route for is refused as search refuses it. The midpoint's E[max] is
+    # taken once, for its expected profit and its own row.
     try:
         analytic = {
             "expected_profit_at_naive_order": profit_at_naive,
             "optimal_profit": newsvendor.optimal_profit(market, compound),
             "profit_variance_at_naive_order": newsvendor.profit_variance(market, compound, naive_q),
-            "expected_profit_stochastic_midpoint": policy.expected_profit_stochastic(
-                market, compound, policy.Stochastic(midpoint)
-            ),
-            "expected_max_midpoint": expected_max(midpoint, compound),
         }
+        e_max = expected_max(midpoint, compound)
+        analytic["expected_profit_stochastic_midpoint"] = policy._profit_of_order(
+            market, compound, midpoint.mean(), e_max
+        )
+        analytic["expected_max_midpoint"] = e_max
     except ValueError as exc:
         raise ScenarioError("validate", str(exc)) from None
     reports = simulate_validation(

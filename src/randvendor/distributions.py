@@ -28,23 +28,27 @@ A mixture whose components share one parametric family is evaluated and
 sampled as one stacked family (``_Stack``), one array call per kernel, with
 the same results bit for bit as the sum over its components; a mixture of
 different families, or of truncated normals with means on both sides of
-zero, keeps that sum. A stack's Monte-Carlo column draws each block as one
-family call over its parameters repeated by the batch's component counts
-(``Mixture._column_sampler``), and ``from_uniform`` as one call over them
-gathered per draw. A quadrature integrand that
-reads a stacked mixture takes its weighted sum by numpy at each node: a
-survival integral is one such quadrature split at every kink, each round's
-nodes one block against the components (``integrate_many``), unless its
-components' kinks make one quadrature each cheaper (``scalar_pays``), and
-h_Y of a stacked Y is one weighted sum per node. At a point, a stack's
-weighted sum is rounded correctly, as ``math.fsum`` rounds the sum over its
-components, by an error-free split certified row by row (``_exact_sum``),
-which takes fsum itself for a row it cannot certify and for one short row.
-A stacked mixture's quantile is bisected on a numpy sum whose rounding is
-bounded, falling back to that correctly rounded sum only where the bound
-leaves the step open. A stack is built from parameter arrays, so a compound
-built from its grid of parameters creates component objects only for the
-paths that walk them.
+zero, keeps that sum. A quadrature integrand that reads a stacked mixture
+takes its weighted sum by numpy at each node: a survival integral is one
+such quadrature split at every kink, each round's nodes one block against
+the components (``integrate_many``), unless its components' kinks make one
+quadrature each cheaper (``scalar_pays``), and h_Y of a stacked Y is one
+weighted sum per node. At a point, a stack's weighted sum is rounded
+correctly, as ``math.fsum`` rounds the sum over its components, by an
+error-free split certified row by row (``_exact_sum``), which takes fsum
+itself for a row it cannot certify and for one short row. A stacked
+mixture's quantile is bisected on a numpy sum whose rounding is bounded,
+falling back to that correctly rounded sum only where the bound leaves the
+step open. A stack is built from parameter arrays, so a compound built from
+its grid of parameters creates component objects only for the paths that
+walk them.
+
+Every draw goes through one uniform map per distribution, in place,
+``_inverse_cdf(v, p)``: ``from_uniform`` applies it block by block, a
+Monte-Carlo column's ``_draw_block`` to its stream's uniforms (a lognormal's
+takes standard normals instead), and a column's per-batch
+``_column_sampler`` calls ``_draw_block``, a mixture's by the batch's
+component counts (see ``simulate``).
 
 Kernels come in two layers: each family's methods at one point, by
 ``math``, and each parametric family's ``_*_block`` kernels, the only array
@@ -146,39 +150,12 @@ def _norm_pdf(z, fast=False):
     return _exp(-0.5 * z * z, fast) / _ROOT_2PI
 
 
-def _sample_in_place(dist, u, out):
-    """``from_uniform`` of a family with an in-place ``_inverse_cdf``: it runs
-    on ``out`` holding a copy of ``u`` (in ``u`` itself when ``out is u``), or
-    on a fresh copy whose 0-d result is returned as a scalar."""
-    if out is None:
-        return dist._inverse_cdf(np.array(u, dtype=float), dist)[()]
-    if out is not u:
-        np.copyto(out, u)
-    return dist._inverse_cdf(out, dist)
-
-
-# Samplers that gather per draw (an index, gathered parameters) take at most
-# this many draws at a time, so that their temporaries stay small however
-# many draws one call maps; the Monte-Carlo pass
-# (``simulate._column_blocks``) reads its streams in blocks of as many
+# ``from_uniform`` maps at most this many draws at a time, so that the
+# temporaries of a sampler that gathers per draw (an index, gathered
+# parameters) stay small however many draws one call maps; the Monte-Carlo
+# pass (``simulate._column_blocks``) reads its streams in blocks of as many
 # observations, whose buffers fit in a core's L2 cache
 _SAMPLE_BLOCK = 32_768
-
-
-def _blocked(sample_into, u, out):
-    """``from_uniform`` by ``sample_into(u_block, out_block)`` over blocks of
-    at most ``_SAMPLE_BLOCK`` draws; every sampler is element-wise, so the
-    draws do not depend on the blocks. ``out_block`` is ``u_block`` itself
-    when ``out is u``, so ``sample_into`` reads each draw before it writes
-    the draw's own position and no other."""
-    u = np.asarray(u, dtype=float)
-    if out is None:
-        out = np.empty(u.shape)
-    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_u.size, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        sample_into(flat_u[block], flat_out[block])
-    return out
 
 
 def _finite(name: str, value) -> float:
@@ -221,42 +198,57 @@ class Distribution:
         """M2(q) = int_0^q t^2 f(t) dt, for q >= 0."""
         raise NotImplementedError
 
+    @staticmethod
+    def _inverse_cdf(v: np.ndarray, p) -> np.ndarray:
+        """Overwrite the uniform draws ``v`` with draws of the distribution
+        ``p`` and return them: its inverse CDF, or a mixture's stratified
+        composition. ``p`` is an instance or, for a parametric family, holds
+        its parameters as arrays aligned with ``v`` (a stacked mixture's
+        ``_Gathered`` or ``_Repeated`` rows). It is the one uniform map of
+        each distribution: ``from_uniform`` and ``_draw_block`` apply it, and
+        a Monte-Carlo column's ``_column_sampler`` calls ``_draw_block``."""
+        raise NotImplementedError
+
     def from_uniform(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Map uniform(0,1) draws to draws from this distribution.
+        """Map uniform(0,1) draws to draws from this distribution: a scalar
+        for a scalar ``u``, else an array shaped like it.
 
         With ``out``, a 1-d float array shaped like ``u``, the draws are
         written there and ``out`` is returned; ``out`` may be ``u`` itself,
-        which is then overwritten, but must not otherwise overlap it.
+        which is then overwritten, but must not otherwise overlap it. Each
+        block of at most ``_SAMPLE_BLOCK`` draws is copied into ``out`` and
+        mapped there by ``_inverse_cdf``, which is element-wise, so the
+        draws do not depend on the blocks.
         """
-        raise NotImplementedError
+        if out is None:
+            return self.from_uniform(u, np.empty(np.shape(u)))[()]
+        u = np.asarray(u, dtype=float)
+        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+        for start in range(0, flat_out.size, _SAMPLE_BLOCK):
+            block = flat_out[start : start + _SAMPLE_BLOCK]
+            if out is not u:
+                np.copyto(block, flat_u[start : start + _SAMPLE_BLOCK])
+            self._inverse_cdf(block, self)
+        return out
 
-    def _draw_column(self, rng: np.random.Generator, out: np.ndarray, flipped=None) -> None:
-        """Fill ``out`` with draws of a column of the Monte-Carlo pass read
-        from ``rng``, and ``flipped``, when given, with their antithetic
-        partners: uniforms u and 1 - u through ``from_uniform``. One draw
+    @classmethod
+    def _draw_block(cls, rng, p, out, flipped=None) -> None:
+        """Fill ``out`` with the next draws of a Monte-Carlo column read from
+        ``rng``, and ``flipped``, when given, with their antithetic partners:
+        uniforms u and 1 - u through ``_inverse_cdf`` with ``p``. One draw
         reads one double, so a column read in blocks reads the same draws."""
         rng.random(out=out)
         halves = (out,) if flipped is None else (out, np.subtract(1.0, out, out=flipped))
         for half in halves:
-            self.from_uniform(half, out=half)
+            cls._inverse_cdf(half, p)
 
     def _column_sampler(self, rng: np.random.Generator, m: int):
         """The sampler of one batch of a Monte-Carlo column, m draws read
         from ``rng``, made once per batch before its first draw: a callable
         ``draw(out, flipped=None)`` that fills ``out`` with the batch's next
-        ``out.size`` draws, as ``_draw_column`` fills it. Here it is
-        ``_draw_column`` on ``rng``, which keeps no state between blocks."""
-        return functools.partial(self._draw_column, rng)
-
-    @classmethod
-    def _draw_block(cls, rng, p, out, flipped=None) -> None:
-        """``_draw_column`` of a parametric family whose parameters ``p``
-        holds, as ``_inverse_cdf`` takes them: uniforms u through
-        ``_inverse_cdf``, and 1 - u as their partners."""
-        rng.random(out=out)
-        halves = (out,) if flipped is None else (out, np.subtract(1.0, out, out=flipped))
-        for half in halves:
-            cls._inverse_cdf(half, p)
+        ``out.size`` draws. Here it is ``_draw_block`` on ``rng``, which
+        keeps no state between blocks."""
+        return functools.partial(self._draw_block, rng, self)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -392,15 +384,8 @@ class Uniform(Distribution):
     def _quantile(self, u):
         return self.lo + u * self._width
 
-    def from_uniform(self, u, out=None):
-        return _sample_in_place(self, u, out)
-
     @staticmethod
     def _inverse_cdf(v, p):
-        """Overwrite the uniform draws ``v`` with draws of the family whose
-        parameters ``p`` holds, as floats or as arrays aligned with ``v``; an
-        instance and a stacked mixture (``_Gathered``) share this formula.
-        ``from_uniform`` passes draws it may overwrite (``_sample_in_place``)."""
         v *= p._width
         v += p.lo
         return v
@@ -484,9 +469,6 @@ class Exponential(Distribution):
 
     def _quantile(self, u):
         return -math.log1p(-u) / self.rate
-
-    def from_uniform(self, u, out=None):
-        return _sample_in_place(self, u, out)
 
     @staticmethod
     def _inverse_cdf(v, p):
@@ -595,9 +577,6 @@ class LogNormal(Distribution):
     def _quantile(self, u):
         return math.exp(self.log_mean + self.log_sd * float(ndtri(u)))
 
-    def from_uniform(self, u, out=None):
-        return _sample_in_place(self, u, out)
-
     @staticmethod
     def _inverse_cdf(v, p):
         ndtri(v, out=v)
@@ -609,9 +588,6 @@ class LogNormal(Distribution):
         z *= p.log_sd
         z += p.log_mean
         return np.exp(z, out=z)
-
-    def _draw_column(self, rng, out, flipped=None):
-        self._draw_block(rng, self, out, flipped)
 
     @staticmethod
     def _draw_block(rng, p, out, flipped=None):
@@ -725,9 +701,6 @@ class TruncatedNormal(Distribution):
         if self._upper_tail:
             return self.norm_mean - self.norm_sd * float(ndtri((1.0 - u) * self._z))
         return self.norm_mean + self.norm_sd * float(ndtri(self._f0 + u * self._z))
-
-    def from_uniform(self, u, out=None):
-        return _sample_in_place(self, u, out)
 
     @staticmethod
     def _inverse_cdf(v, p):
@@ -855,12 +828,10 @@ class Empirical(Distribution):
         idx = int(math.ceil(self._n * u - 1e-9)) - 1
         return float(self.values[min(max(idx, 0), self._n - 1)])
 
-    def from_uniform(self, u, out=None):
-        return _blocked(self._sample_into, u, out)
-
-    def _sample_into(self, u, out):
-        idx = np.ceil(u * self._n - 1e-9).astype(int) - 1
-        np.take(self.values, idx, out=out, mode="clip")
+    @staticmethod
+    def _inverse_cdf(v, p):
+        idx = np.ceil(v * p._n - 1e-9).astype(int) - 1
+        return np.take(p.values, idx, out=v, mode="clip")
 
     def atoms(self):
         return self.values, np.full(self._n, 1.0 / self._n)
@@ -1066,26 +1037,23 @@ class Mixture(Distribution):
                 break
         return hi
 
-    def from_uniform(self, u, out=None):
-        return _blocked(self._sample_into, u, out)
-
-    def _sample_into(self, u, out):
+    @staticmethod
+    def _inverse_cdf(v, p):
         # stratified composition: the uniform draw picks the component and the
         # position within it, so the map stays deterministic and vectorized
-        weights, edges, _, _ = self._sampling_tables()
-        idx = self._component_index(u)
-        v = np.subtract(u, edges[idx], out=out)
+        weights, edges, _, _ = p._sampling_tables()
+        idx = p._component_index(v)
+        v -= edges[idx]
         v /= weights[idx]
         np.clip(v, 0.0, np.nextafter(1.0, 0.0), out=v)
-        stack = self._stacked()
+        stack = p._stacked()
         if stack is not None:
-            stack.family._inverse_cdf(v, _Gathered(stack, idx))
-            return
-        for j, (_, d) in enumerate(self.components):
+            return stack.family._inverse_cdf(v, _Gathered(stack, idx))
+        for j, (_, d) in enumerate(p.components):
             where = np.flatnonzero(idx == j)
             if where.size:
-                part = v[where]
-                v[where] = d.from_uniform(part, out=part)
+                v[where] = d._inverse_cdf(v[where], d)
+        return v
 
     def _column_sampler(self, rng, m):
         # composition by counts (Devroye 1986, II.4): the multinomial counts
@@ -1611,19 +1579,16 @@ class UpperTruncated(Distribution):
     def _quantile(self, u):
         return min(self.base._quantile(u * self._z), self.upper)
 
-    def from_uniform(self, u, out=None):
-        return _blocked(self._sample_into, u, out)
-
-    def _sample_into(self, u, out):
+    @staticmethod
+    def _inverse_cdf(v, p):
         # u Z through the base's draws is a draw below the bound only where
         # those draws are its quantiles; a mixture's go by composition
-        split = self._split()
+        split = p._split()
         if split is not None:
-            split._sample_into(u, out)
-            return
-        np.multiply(u, self._z, out=out)
-        self.base.from_uniform(out, out=out)
-        np.minimum(out, self.upper, out=out)
+            return Mixture._inverse_cdf(v, split)
+        v *= p._z
+        p.base._inverse_cdf(v, p.base)
+        return np.minimum(v, p.upper, out=v)
 
     def _split(self):
         """An upper truncation of a mixture as the mixture of its components'

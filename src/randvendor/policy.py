@@ -109,7 +109,6 @@ def expected_profit_stochastic(
     params: MarketParams, demand: Distribution, policy: OrderPolicy
 ) -> float:
     """E[profit] when the order follows the policy, independent of demand."""
-    p, w = params.p, params.w
     if isinstance(policy, Deterministic):
         mean_q = policy.quantity
         e_max = _expected_max_at(policy.quantity, demand)
@@ -117,6 +116,15 @@ def expected_profit_stochastic(
         g = policy.order_dist
         mean_q = g.mean()
         e_max = expected_max(g, demand)
+    return _profit_of_order(params, demand, mean_q, e_max)
+
+
+def _profit_of_order(
+    params: MarketParams, demand: Distribution, mean_q: float, e_max: float
+) -> float:
+    """E[profit] of an order with mean ``mean_q`` and E[max(Q, D)] = ``e_max``:
+    p E[min(Q, D)] - w E[Q], with E[min] = E[Q] + E[D] - E[max]."""
+    p, w = params.p, params.w
     return p * mean_q + p * demand.mean() - p * e_max - w * mean_q
 
 

@@ -10,21 +10,22 @@ column's draws do not depend on how it is cut into blocks, and the working
 set of a block stays in cache. A streaming one-pass accumulator merges the
 per-block moments.
 
-Each distribution draws its own column through a sampler made once per
-batch (``Distribution._column_sampler``), which fills the batch's next k
-draws for each block: a lognormal exp(mu + sigma z) from the stream's
-standard normals z, with -z as the antithetic partner, and every other
-family its stream's uniforms u through ``from_uniform`` (its inverse CDF,
-or a mixture's one-uniform stratified composition), with 1 - u as the
-partner. A mixture in column 0 is drawn by composition instead: its stream
-first gives the batch's multinomial counts per component, and the column is
-the components' runs in component order, a stack's as one family call over
-its parameters repeated by the counts and any other mixture's through each
-component's own sampler. Every statistic of the pass is a symmetric sum
-over observations, and every other column is drawn i.i.d. in order
-(``_draw_column``), so the grouped column gives every row the law of i.i.d.
-draws, standard errors included. ``simulate_values`` hands a transform the
-uniform rows of a block.
+Each distribution draws a block of its column by ``_draw_block``: a
+lognormal exp(mu + sigma z) from the stream's standard normals z, with -z
+as the antithetic partner, and every other family its stream's uniforms u
+through ``_inverse_cdf`` (its inverse CDF, or a mixture's one-uniform
+stratified composition), with 1 - u as the partner. Column 0 is drawn
+through a sampler made once per batch (``Distribution._column_sampler``),
+which fills the batch's next k draws for each block, and is
+``_draw_block`` except for a mixture, drawn by composition instead: its
+stream first gives the batch's multinomial counts per component, and the
+column is the components' runs in component order, a stack's as one
+``_draw_block`` over its parameters repeated by the counts and any other
+mixture's through each component's own sampler. Every statistic of the pass
+is a symmetric sum over observations, and every other column is drawn
+i.i.d. in order by ``_draw_block``, so the grouped column gives every row
+the law of i.i.d. draws, standard errors included. ``simulate_values`` is
+the same pass over columns of ``Uniform(0, 1)``.
 
 ``validate`` reads each column once for all five of its rows
 (``simulate_validation``): the demand draws column 0 and the order column 1
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _SAMPLE_BLOCK, Distribution, _seed_sequence
+from .distributions import _SAMPLE_BLOCK, Distribution, Uniform, _seed_sequence
 from .newsvendor import MarketParams
 from .policy import Deterministic, OrderPolicy
 
@@ -154,52 +155,6 @@ def _column_blocks(cfg: SimConfig, samplers):
             yield columns, min(_SAMPLE_BLOCK, m - start)
 
 
-def _uniform_column(rng: np.random.Generator, m: int):
-    """The sampler of a column of uniform doubles, the next of its stream."""
-    return lambda out: rng.random(out=out)
-
-
-def _blocks(cfg: SimConfig, width: int):
-    """Each block of ``_column_blocks`` of ``width`` uniform columns, as
-    (width, k) doubles, row j being the next k doubles of column j's stream.
-
-    Every block is drawn into one buffer, so a block is only valid until the
-    next one is drawn.
-    """
-    u = np.empty((width, _block_size(cfg)))
-    for columns, k in _column_blocks(cfg, [_uniform_column] * width):
-        block = u[:, :k]
-        for draw, row in zip(columns, block):
-            draw(row)
-        yield block
-
-
-def _halves(u: np.ndarray, antithetic: bool) -> tuple:
-    """The draws one observation is made of: u, and 1 - u when paired."""
-    return (u, 1.0 - u) if antithetic else (u,)
-
-
-def _pair(values: list):
-    """One value per observation: the value at u, or the mean over u and 1 - u."""
-    return 0.5 * (values[0] + values[1]) if len(values) == 2 else values[0]
-
-
-def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
-    """Estimate E[transform(U)] where U is a row of independent uniforms.
-
-    ``transform`` maps a (k, n_uniforms) block of uniform draws to k values;
-    column j reads the stream of column j of each batch. With antithetic
-    pairing on, each observation is the average of the transform at u and at
-    1 - u; the integrand must be monotone in each coordinate for the pairing
-    to reduce variance.
-    """
-    acc = _Accumulator()
-    for u in _blocks(cfg, n_uniforms):
-        draws = _halves(u.T, cfg.antithetic)
-        acc.add_batch(np.asarray(_pair([transform(h) for h in draws]), dtype=float))
-    return acc.report()
-
-
 def _profit(params: MarketParams, q, d, out=None):
     """Realized profit of ordering q when demand is d, p * min(q, d) - w * q,
     written to ``out`` when given. An array of orders q is scaled by w in
@@ -226,18 +181,19 @@ def _profit_draws(params: MarketParams, demand: Distribution, policy: OrderPolic
 
 def _in_order(dist: Distribution):
     """The sampler maker of a column drawn i.i.d. along the column, by
-    ``dist._draw_column``, which keeps no state between blocks."""
-    return lambda rng, m: functools.partial(dist._draw_column, rng)
+    ``dist``'s ``_draw_block``, which keeps no state between blocks."""
+    return lambda rng, m: functools.partial(dist._draw_block, rng, dist)
 
 
 def _sampled_blocks(cfg: SimConfig, dists: tuple):
     """The blocks of ``_column_blocks`` of ``dists``, each as one list per
-    half (the draws, and their antithetic partners when paired) of the draws
-    of ``dists``, into buffers reused from block to block.
+    half (the draws, and their antithetic partners when paired) of
+    (len(dists), k) arrays, row j the draws of ``dists[j]``, in buffers
+    reused from block to block.
 
     Column 0 is drawn by its batch's sampler ``dists[0]._column_sampler``,
     which groups a mixture's draws by component, and every other column in
-    order by ``_draw_column``. A grouped column paired with i.i.d. columns
+    order by ``_draw_block``. A grouped column paired with i.i.d. columns
     of other streams gives i.i.d. observations up to their order, which no
     statistic of the pass sees; two grouped columns would pair their
     components by position.
@@ -249,12 +205,13 @@ def _sampled_blocks(cfg: SimConfig, dists: tuple):
         halves = [buf[:, :k] for buf in buffers]
         for j, draw in enumerate(columns):
             draw(*(h[j] for h in halves))
-        yield [list(h) for h in halves]
+        yield halves
 
 
 def _add_pair(acc: _Accumulator, rows: list) -> None:
     """Merge one block's observations, each half's values in ``rows``: the
-    first half's values are overwritten, as ``_pair`` of the two halves."""
+    first half's values are overwritten, by the mean of the two halves when
+    paired."""
     values = rows[0]
     if len(rows) == 2:
         values += rows[1]
@@ -268,6 +225,23 @@ def _simulate(cfg: SimConfig, dists: tuple, values) -> SimReport:
     acc = _Accumulator()
     for halves in _sampled_blocks(cfg, dists):
         _add_pair(acc, [values(*draws) for draws in halves])
+    return acc.report()
+
+
+def simulate_values(transform, n_uniforms: int, cfg: SimConfig) -> SimReport:
+    """Estimate E[transform(U)] where U is a row of independent uniforms.
+
+    ``transform`` maps a (k, n_uniforms) block of uniform draws to k values;
+    column j reads the stream of column j of each batch, as a column of
+    ``Uniform(0, 1)`` in the pass of ``_sampled_blocks``. With antithetic
+    pairing on, each observation is the average of the transform at u and at
+    1 - u; the integrand must be monotone in each coordinate for the pairing
+    to reduce variance.
+    """
+    acc = _Accumulator()
+    for halves in _sampled_blocks(cfg, (Uniform(0.0, 1.0),) * n_uniforms):
+        # copies, which _add_pair overwrites: a transform may keep its values
+        _add_pair(acc, [np.array(transform(u.T), dtype=float) for u in halves])
     return acc.report()
 
 

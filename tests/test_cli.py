@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import perfbench_module
 from randvendor import RhsMode, ScenarioError, load_scenario, normalized_dict, parse_scenario
 from randvendor.cli import main
 
@@ -263,6 +264,16 @@ class TestSearchCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert "deterministic optimum retained" in printed
+
+    def test_a_point_order_winner_is_not_the_deterministic_optimum(self, tmp_path, capsys):
+        # the one feasible point order wins with an improvement of about
+        # -5e-12: the best policy is that order, not the naive one retained
+        record = perfbench_module("workloads").pool()["p-lognormal-point-2"]
+        code = main(["search", write_scenario(tmp_path, record)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "best policy: point(q=" in printed
+        assert "deterministic optimum retained" not in printed
 
     def test_truncated_normal_order_against_compound_uniform(self, tmp_path):
         # 4,096 uniform components with 128 kinks; quadrature of this pair

@@ -673,7 +673,8 @@ SAMPLERS["stacked_compound"] = STACKED["lognormal"]
 
 class TestFromUniformInto:
     """``from_uniform(u, out=)`` writes exactly the draws of ``from_uniform(u)``:
-    into a separate ``out``, leaving ``u`` as it was, or over ``u`` itself."""
+    into a separate ``out``, leaving ``u`` as it was, or over ``u`` itself;
+    a scalar ``u`` maps to a scalar, its draw as one element of an array."""
 
     @pytest.mark.parametrize("name", sorted(SAMPLERS))
     def test_matches_fresh_draws(self, name):
@@ -693,6 +694,10 @@ class TestFromUniformInto:
             assert dist.from_uniform(u, out=u) is u
             assert np.array_equal(u, expected)
         assert np.array_equal(rows[:, 0], other_column)
+        for u in (0.3, np.float64(0.7), np.array(0.9)):
+            draw = dist.from_uniform(u)
+            assert type(draw) is np.float64
+            assert draw == dist.from_uniform(np.array([u]))[0]
 
 
 class TestValidation:

@@ -37,7 +37,6 @@ from randvendor.distributions import _SAMPLE_BLOCK, _Gathered, _generator
 from randvendor.simulate import (
     _Accumulator,
     _batch_plan,
-    _blocks,
     _column_generator,
     simulate_validation,
     simulate_values,
@@ -270,7 +269,14 @@ class TestColumnStreams:
     def test_blocks_lay_out_each_batch_as_columns(self, m, width):
         # two batches of m observations, the second cut short
         cfg = SimConfig(n_draws=2 * m - 1 if m > 1 else 2, seed=19, batch_size=m)
-        blocks = [np.array(block) for block in _blocks(cfg, width)]
+        blocks = []
+
+        def record(u):
+            # each block as (width, k), row j column j's draws
+            blocks.append(np.array(u.T))
+            return u[:, 0]
+
+        simulate_values(record, width, cfg)
         assert max(block.shape[1] for block in blocks) <= _SAMPLE_BLOCK
         got = np.concatenate(blocks, axis=1)
         observations, _ = _batch_plan(cfg)
@@ -301,7 +307,7 @@ class TestLogNormalColumn:
         dist = LogNormal(log_mean, log_sd)
         n = 200_000
         out, flipped = np.empty(n), np.empty(n)
-        dist._draw_column(_column_generator(seed, 0, 0), out, flipped)
+        LogNormal._draw_block(_column_generator(seed, 0, 0), dist, out, flipped)
         ranks = np.arange(n + 1) / n
         for draws in (out, flipped):
             cdf = LogNormal._cdf_block(np.sort(draws), dist)
@@ -312,7 +318,7 @@ class TestLogNormalColumn:
     def test_antithetic_logs_sum_to_twice_the_log_mean(self):
         dist = LogNormal(0.7, 1.3)
         out, flipped = np.empty(50_000), np.empty(50_000)
-        dist._draw_column(_column_generator(5, 0, 1), out, flipped)
+        LogNormal._draw_block(_column_generator(5, 0, 1), dist, out, flipped)
         logs = np.log(out) + np.log(flipped)
         scale = np.abs(np.log(out)).max()
         assert np.max(np.abs(logs - 2 * 0.7)) <= 8 * np.finfo(float).eps * max(1.0, scale)
@@ -436,9 +442,10 @@ class _Counting:
     def _record(self, out, flipped):
         self.drawn.append([np.array(h) for h in (out, flipped) if h is not None])
 
-    def _draw_column(self, rng, out, flipped=None):
-        self.dist._draw_column(rng, out, flipped)
-        self._record(out, flipped)
+    @staticmethod
+    def _draw_block(rng, p, out, flipped=None):
+        type(p.dist)._draw_block(rng, p.dist, out, flipped)
+        p._record(out, flipped)
 
     def _column_sampler(self, rng, m):
         self.batches.append(m)
