@@ -44,11 +44,15 @@ its grid of parameters creates component objects only for the paths that
 walk them.
 
 Every draw goes through one uniform map per distribution, in place,
-``_inverse_cdf(v, p)``: ``from_uniform`` applies it block by block, a
-Monte-Carlo column's ``_draw_block`` to its stream's uniforms (a lognormal's
-takes standard normals instead), and a column's per-batch
-``_column_sampler`` calls ``_draw_block``, a mixture's by the batch's
-component counts (see ``simulate``).
+``_inverse_cdf(v, p)``: ``from_uniform`` applies it block by block to a copy
+of its uniforms, a Monte-Carlo column's ``_draw_block`` to its stream's
+uniforms (a lognormal's takes standard normals instead), and a column's
+per-batch ``_column_sampler`` calls ``_draw_block``, a mixture's by the
+batch's component counts (see ``simulate``). A mixture's map finds each
+draw's component by one binary search over its cumulative weights; a stacked
+mixture's family map then reads the parameter rows of its draws through one
+view of the stack (``_Rows``), gathered one row per draw or, for the counts,
+each component's row repeated along its run.
 
 Kernels come in two layers: each family's methods at one point, by
 ``math``, and each parametric family's ``_*_block`` kernels, the only array
@@ -75,6 +79,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -204,32 +209,23 @@ class Distribution:
         ``p`` and return them: its inverse CDF, or a mixture's stratified
         composition. ``p`` is an instance or, for a parametric family, holds
         its parameters as arrays aligned with ``v`` (a stacked mixture's
-        ``_Gathered`` or ``_Repeated`` rows). It is the one uniform map of
-        each distribution: ``from_uniform`` and ``_draw_block`` apply it, and
-        a Monte-Carlo column's ``_column_sampler`` calls ``_draw_block``."""
+        ``_Rows``). It is the one uniform map of each distribution:
+        ``from_uniform`` and ``_draw_block`` apply it, and a Monte-Carlo
+        column's ``_column_sampler`` calls ``_draw_block``."""
         raise NotImplementedError
 
-    def from_uniform(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0,1) draws to draws from this distribution: a scalar
-        for a scalar ``u``, else an array shaped like it.
-
-        With ``out``, a 1-d float array shaped like ``u``, the draws are
-        written there and ``out`` is returned; ``out`` may be ``u`` itself,
-        which is then overwritten, but must not otherwise overlap it. Each
-        block of at most ``_SAMPLE_BLOCK`` draws is copied into ``out`` and
-        mapped there by ``_inverse_cdf``, which is element-wise, so the
-        draws do not depend on the blocks.
+        for a scalar ``u``, else an array shaped like it; ``u`` is left as it
+        was. The draws are a copy of ``u`` mapped in place by
+        ``_inverse_cdf`` in blocks of at most ``_SAMPLE_BLOCK``, which is
+        element-wise, so the draws do not depend on the blocks.
         """
-        if out is None:
-            return self.from_uniform(u, np.empty(np.shape(u)))[()]
-        u = np.asarray(u, dtype=float)
-        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-        for start in range(0, flat_out.size, _SAMPLE_BLOCK):
-            block = flat_out[start : start + _SAMPLE_BLOCK]
-            if out is not u:
-                np.copyto(block, flat_u[start : start + _SAMPLE_BLOCK])
-            self._inverse_cdf(block, self)
-        return out
+        out = np.array(u, dtype=float, order="C")
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _SAMPLE_BLOCK):
+            self._inverse_cdf(flat[start : start + _SAMPLE_BLOCK], self)
+        return out[()]
 
     @classmethod
     def _draw_block(cls, rng, p, out, flipped=None) -> None:
@@ -918,7 +914,6 @@ class Mixture(Distribution):
         self._breakpoints = None
         self._atoms = None
         self._stack = None
-        self._strata = None
 
     @property
     def components(self) -> tuple:
@@ -1041,19 +1036,27 @@ class Mixture(Distribution):
     def _inverse_cdf(v, p):
         # stratified composition: the uniform draw picks the component and the
         # position within it, so the map stays deterministic and vectorized
-        weights, edges, _, _ = p._sampling_tables()
-        idx = p._component_index(v)
+        weights, edges = p._weights, p._edges
+        idx = np.searchsorted(edges, v, side="right") - 1
+        np.clip(idx, 0, weights.size - 1, out=idx)
         v -= edges[idx]
         v /= weights[idx]
         np.clip(v, 0.0, np.nextafter(1.0, 0.0), out=v)
         stack = p._stacked()
         if stack is not None:
-            return stack.family._inverse_cdf(v, _Gathered(stack, idx))
+            return stack.family._inverse_cdf(v, _Rows(stack, operator.itemgetter(idx)))
         for j, (_, d) in enumerate(p.components):
             where = np.flatnonzero(idx == j)
             if where.size:
                 v[where] = d._inverse_cdf(v[where], d)
         return v
+
+    @functools.cached_property
+    def _edges(self):
+        # cumulative weights from 0 to 1: component i owns [edges[i], edges[i + 1])
+        edges = np.concatenate(([0.0], np.cumsum(self._weights)))
+        edges[-1] = 1.0
+        return edges
 
     def _column_sampler(self, rng, m):
         # composition by counts (Devroye 1986, II.4): the multinomial counts
@@ -1068,7 +1071,7 @@ class Mixture(Distribution):
 
             def fill(first, runs, out, flipped):
                 # one family call over the parameters repeated by the runs
-                rows = _Repeated(stack, slice(first, first + runs.size), runs)
+                rows = _Rows(stack, lambda a: np.repeat(a[first : first + runs.size], runs))
                 stack.family._draw_block(rng, rows, out, flipped)
 
         else:
@@ -1087,41 +1090,6 @@ class Mixture(Distribution):
                         start += n
 
         return _Runs(counts, fill)
-
-    def _sampling_tables(self):
-        """(weights, edges, upper edges, guide table) of the composition.
-
-        ``edges`` are the cumulative weights from 0 to 1 and component i owns
-        [edges[i], edges[i + 1]). The guide table has a power-of-two size g,
-        so that c = floor(u g) and c / g are exact, and holds the component
-        that owns c / g; every u in cell c belongs to that one or a later one.
-        """
-        if self._strata is None:
-            weights = self._weights
-            edges = np.concatenate(([0.0], np.cumsum(weights)))
-            edges[-1] = 1.0
-            # the last component also takes u >= 1, as a clip would
-            upper = np.append(edges[1:-1], np.inf)
-            k = weights.size
-            g = 1 << (k - 1).bit_length()
-            cells = np.arange(g) / g
-            guide = np.clip(np.searchsorted(edges, cells, side="right") - 1, 0, k - 1)
-            self._strata = (weights, edges, upper, guide.astype(np.int32))
-        return self._strata
-
-    def _component_index(self, u: np.ndarray) -> np.ndarray:
-        """Component of each draw: searchsorted(edges, u, "right") - 1, clipped
-        to the components, found by a guide-table lookup and steps to the right."""
-        _, _, upper, guide = self._sampling_tables()
-        cell = np.array(u * guide.size, dtype=np.int32)
-        np.clip(cell, 0, guide.size - 1, out=cell)
-        idx = guide[cell]
-        del cell
-        while True:
-            step = upper[idx] <= u
-            if not step.any():
-                return idx
-            idx += step
 
     def atoms(self):
         # cached read-only, since every caller shares the arrays; False when
@@ -1286,7 +1254,7 @@ class _Stack:
     entry must pass ``valid``. ``_derive`` computes the constants of the
     scalar constructor by the same expressions, under the family's own
     attribute names; ``fields`` names every per-component array, which
-    ``_Gathered`` gathers per draw or per row.
+    ``_Rows`` takes per draw or per row.
 
     The kernels are the family's array layer (see _math_map) with the stack
     for ``p``, defined here once for every family; the subclasses define only
@@ -1380,39 +1348,21 @@ class _Stack:
         return float(q.min()), float(q.max())
 
 
-class _Gathered:
-    """A stack's parameter arrays gathered per draw on access, so that one
-    gathered array at a time is alive while a sampling formula runs; other
-    attributes are the stack's own."""
+class _Rows:
+    """A stack's rows: each per-component array taken by ``take`` on access,
+    such as ``a[idx]`` for one row per draw or each row of a slice repeated
+    by the counts of its run, so that one taken array at a time is alive
+    while a formula runs; other attributes are the stack's own."""
 
-    __slots__ = ("_stack", "_idx")
+    __slots__ = ("_stack", "_take")
 
-    def __init__(self, stack: _Stack, idx: np.ndarray):
+    def __init__(self, stack: _Stack, take):
         self._stack = stack
-        self._idx = idx
+        self._take = take
 
     def __getattr__(self, name):
         value = getattr(self._stack, name)
-        return value[self._idx] if name in self._stack.fields else value
-
-
-class _Repeated:
-    """Like ``_Gathered``, a stack's ``rows`` (a slice of its components)
-    with each row's parameters repeated ``runs`` times, for the consecutive
-    draws of each component; ``np.repeat`` costs less than a gather."""
-
-    __slots__ = ("_stack", "_rows", "_runs")
-
-    def __init__(self, stack: _Stack, rows: slice, runs: np.ndarray):
-        self._stack = stack
-        self._rows = rows
-        self._runs = runs
-
-    def __getattr__(self, name):
-        value = getattr(self._stack, name)
-        if name in self._stack.fields:
-            return np.repeat(value[self._rows], self._runs)
-        return value
+        return self._take(value) if name in self._stack.fields else value
 
 
 class _UniformStack(_Stack):
@@ -2020,7 +1970,8 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
                 rows = np.flatnonzero((stack_of == i) & (side_of == side))
                 if rows.size:
                     block = t[rows]
-                    pdf, cdf = _blocks(_Gathered(stack, span_row[owner[rows], None]), "pdf", "cdf")
+                    take = operator.itemgetter(span_row[owner[rows], None])
+                    pdf, cdf = _blocks(_Rows(stack, take), "pdf", "cdf")
                     if side:
                         out[rows] = block * pdf(block) * demand_cdf(block)
                     else:

@@ -14,18 +14,18 @@ Each distribution draws a block of its column by ``_draw_block``: a
 lognormal exp(mu + sigma z) from the stream's standard normals z, with -z
 as the antithetic partner, and every other family its stream's uniforms u
 through ``_inverse_cdf`` (its inverse CDF, or a mixture's one-uniform
-stratified composition), with 1 - u as the partner. Column 0 is drawn
-through a sampler made once per batch (``Distribution._column_sampler``),
-which fills the batch's next k draws for each block, and is
-``_draw_block`` except for a mixture, drawn by composition instead: its
-stream first gives the batch's multinomial counts per component, and the
-column is the components' runs in component order, a stack's as one
-``_draw_block`` over its parameters repeated by the counts and any other
-mixture's through each component's own sampler. Every statistic of the pass
-is a symmetric sum over observations, and every other column is drawn
-i.i.d. in order by ``_draw_block``, so the grouped column gives every row
-the law of i.i.d. draws, standard errors included. ``simulate_values`` is
-the same pass over columns of ``Uniform(0, 1)``.
+stratified composition), with 1 - u as the partner. Every column is drawn
+through a sampler made once per batch (``_column_sampler``), which fills
+the batch's next k draws for each block and is ``_draw_block`` except for
+a mixture in column 0, drawn by composition instead: its stream first
+gives the batch's multinomial counts per component, and the column is the
+components' runs in component order, a stack's as one ``_draw_block`` over
+its parameter rows repeated by the counts and any other mixture's through
+each component's own sampler. Every statistic of the pass is a symmetric
+sum over observations, and every other column is drawn i.i.d. in order by
+the base ``Distribution._column_sampler``, so the grouped column gives
+every row the law of i.i.d. draws, standard errors included.
+``simulate_values`` is the same pass over columns of ``Uniform(0, 1)``.
 
 ``validate`` reads each column once for all five of its rows
 (``simulate_validation``): the demand draws column 0 and the order column 1
@@ -93,15 +93,15 @@ class _Accumulator:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add_batch(self, values: np.ndarray, owned: bool = False) -> None:
-        """Merge one block; ``owned`` values are overwritten by their
-        deviations, others cost one temporary. The squared deviations are
-        summed by ``einsum``, without an array of squares."""
+    def add_batch(self, values: np.ndarray) -> None:
+        """Merge one block, overwriting ``values`` with their deviations from
+        the block's mean, whose squares are summed by ``einsum`` without an
+        array of squares."""
         bn = values.size
         if bn == 0:
             return
         bmean = float(np.add.reduce(values)) / bn
-        dev = np.subtract(values, bmean, out=values if owned else None)
+        dev = np.subtract(values, bmean, out=values)
         bm2 = float(np.einsum("i,i->", dev, dev))
         delta = bmean - self.mean
         total = self.n + bn
@@ -179,12 +179,6 @@ def _profit_draws(params: MarketParams, demand: Distribution, policy: OrderPolic
     return (demand, policy.order_dist), lambda d, o: _profit(params, o, d, out=d)
 
 
-def _in_order(dist: Distribution):
-    """The sampler maker of a column drawn i.i.d. along the column, by
-    ``dist``'s ``_draw_block``, which keeps no state between blocks."""
-    return lambda rng, m: functools.partial(dist._draw_block, rng, dist)
-
-
 def _sampled_blocks(cfg: SimConfig, dists: tuple):
     """The blocks of ``_column_blocks`` of ``dists``, each as one list per
     half (the draws, and their antithetic partners when paired) of
@@ -200,7 +194,9 @@ def _sampled_blocks(cfg: SimConfig, dists: tuple):
     """
     size = (len(dists), _block_size(cfg))
     buffers = [np.empty(size) for _ in range(2 if cfg.antithetic else 1)]
-    samplers = [dists[0]._column_sampler] + [_in_order(d) for d in dists[1:]]
+    # every later column by the base sampler, ``_draw_block`` in order
+    in_order = [functools.partial(Distribution._column_sampler, d) for d in dists[1:]]
+    samplers = [dists[0]._column_sampler, *in_order]
     for columns, k in _column_blocks(cfg, samplers):
         halves = [buf[:, :k] for buf in buffers]
         for j, draw in enumerate(columns):
@@ -216,7 +212,7 @@ def _add_pair(acc: _Accumulator, rows: list) -> None:
     if len(rows) == 2:
         values += rows[1]
         values *= 0.5
-    acc.add_batch(values, owned=True)
+    acc.add_batch(values)
 
 
 def _simulate(cfg: SimConfig, dists: tuple, values) -> SimReport:

@@ -5,6 +5,7 @@ array kernels over the stack's parameter arrays; and the correctly rounded
 sum that weighs a stack's kernels (``_exact_sum``) against ``math.fsum``."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randvendor import Exponential, LogNormal, Mixture, TruncatedNormal, Uniform
-from randvendor.distributions import _SPLIT_MIN_TERMS, _Gathered, _exact_sum, _truncnorm_mean
+from randvendor.distributions import _SPLIT_MIN_TERMS, _exact_sum, _Rows, _truncnorm_mean
 
 SCALAR = {
     "cdf": "cdf",
@@ -88,7 +89,7 @@ def test_stack_at_a_point_equals_the_block_over_its_arrays(name):
     stack, dists = mix._stacked(), [d for _, d in mix.components]
     assert stack is not None
     family = stack.family
-    rows = _Gathered(stack, np.arange(stack.size)[:, None])
+    rows = _Rows(stack, operator.itemgetter(np.arange(stack.size)[:, None]))
     grid = np.broadcast_to(np.array(STACK_POINTS), (stack.size, len(STACK_POINTS)))
     methods = {"cdf": stack.cdf, "pdf": stack.pdf}
     methods.update(m1=stack._partial_expectation, m2=stack._second_partial_moment)

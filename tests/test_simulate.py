@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from randvendor import (
     simulate_profit_squared_deviation,
 )
 from randvendor import distributions
-from randvendor.distributions import _SAMPLE_BLOCK, _Gathered, _generator
+from randvendor.distributions import _SAMPLE_BLOCK, _generator, _Rows
 from randvendor.simulate import (
     _Accumulator,
     _batch_plan,
@@ -117,14 +118,13 @@ class TestAccumulator:
         values = np.random.default_rng(5).lognormal(size=_SAMPLE_BLOCK + 3)
         reports = set()
         for offset in range(8):
-            for owned in (False, True):
-                buf = np.empty(values.size + 8)
-                view = buf[offset : offset + values.size]
-                view[:] = values
-                acc = _Accumulator()
-                acc.add_batch(view[:_SAMPLE_BLOCK], owned=owned)
-                acc.add_batch(view[_SAMPLE_BLOCK:], owned=owned)
-                reports.add(repr(acc.report().to_dict()))
+            buf = np.empty(values.size + 8)
+            view = buf[offset : offset + values.size]
+            view[:] = values
+            acc = _Accumulator()
+            acc.add_batch(view[:_SAMPLE_BLOCK])
+            acc.add_batch(view[_SAMPLE_BLOCK:])
+            reports.add(repr(acc.report().to_dict()))
         assert len(reports) == 1
 
     def test_merge_is_batch_size_invariant_in_expectation(self):
@@ -478,7 +478,7 @@ def _batch_draws(stream, m: int, dist):
             mu, sd = (np.repeat(a, counts) for a in (stack.log_mean, stack.log_sd))
             return [np.exp(s * sd + mu) for s in (z, -z)]
         u = stream.random(m)
-        rows = _Gathered(stack, np.repeat(np.arange(stack.size), counts))
+        rows = _Rows(stack, operator.itemgetter(np.repeat(np.arange(stack.size), counts)))
         return [stack.family._inverse_cdf(v, rows) for v in (u.copy(), 1.0 - u)]
     if isinstance(dist, LogNormal):
         z = stream.standard_normal(m)
