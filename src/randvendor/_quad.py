@@ -12,11 +12,13 @@ the scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
 each round evaluating every panel they ask for as one (panels, 21) block
 and summing each row in the scalar rule's order (``_gk21_rows``), or, for a
 round of a few panels, by the scalar rule on each row, so that each keeps
-its own path and value bit for bit. A survival integral of a
-stacked mixture is one quadrature of the weighted sum over its components,
-each round's nodes evaluated as one block through ``integrate_many``, or one
-per component where ``scalar_pays`` says so; the expected maximum against a
-mixture is one scalar quadrature, over the other side.
+its own path and value bit for bit. The two survival integrals of a
+stacked mixture at q, plain and weighted by t, are one ``integrate_many``
+of two spans over the weighted sum across its components, each round
+evaluating each distinct node against the components once and each span
+keeping its own path; or two quadratures per component where
+``scalar_pays`` says so. The expected maximum against a mixture is one
+scalar quadrature, over the other side.
 """
 
 import bisect
@@ -434,20 +436,25 @@ def integrate_many(fn, spans, every_point: bool = False) -> list[float]:
     return values
 
 
-# a panel of the pass over a whole stack's survival function cost about as
-# much as this many quadratures of one component's, its own kinks included,
-# on a 2-core VM, when the pass evaluated the stack node by node: the
-# stack's 21 nodes took 8-10 us each on two-bound uniform stacks of 256 to
-# 1,024 components, and one component's quadrature 18-21 us
-_SCALAR_PANEL_COST = 10
+# ``scalar_pays`` weighs the one pass that gives a stack's two survival
+# integrals at q (``Mixture._survival_integral``) against two quadratures of
+# each component, in units of one component's share of one panel of the
+# pass: 0.14-0.17 us on two-bound uniform stacks of 256 and 1,024
+# components (2-core VM). One component's two quadratures took 33-38 us,
+# about _PANEL_BUDGET units, and the pass about 0.15 ms more than its panels,
+# _PASS_COST units. So the pass pays below about 220 panels, whatever the
+# size, as measured: it was faster up to 205 panels and slower from 409 on
+# both sizes, and a stack of fewer than 5 components never pays.
+_PANEL_BUDGET = 220
+_PASS_COST = 1_000
 
 
 def scalar_pays(size: int, lo: float, hi: float, points) -> bool:
-    """Whether one quadrature over [lo, hi] of a stacked mixture's
-    survival function, the weighted sum over its ``size`` components, split
-    at ``points``, beats ``size`` calls, one per component, each split at its
-    own kinks. A panel of the whole stack costs about ``_SCALAR_PANEL_COST``
-    quadratures of one component, so the whole stack pays unless its
-    components bring about a kink each."""
+    """Whether one pass over [lo, hi] of a stacked mixture's survival
+    function, the weighted sum over its ``size`` components, split at
+    ``points``, for both survival integrals, beats two quadratures of each
+    component, each split at its own kinks: whether the pass's fixed cost and
+    its panels, each ``size`` units, come to less than ``_PANEL_BUDGET``
+    units a component."""
     panels = 1 + sum(1 for p in points if lo < p < hi)
-    return _SCALAR_PANEL_COST * panels < size
+    return _PASS_COST + panels * size < _PANEL_BUDGET * size

@@ -29,17 +29,20 @@ sampled as one stacked family (``_Stack``), one array call per kernel, with
 the same results bit for bit as the sum over its components; a mixture of
 different families, or of truncated normals with means on both sides of
 zero, keeps that sum. A quadrature integrand that reads a stacked mixture
-takes its weighted sum by numpy at each node: a survival integral is one
-such quadrature split at every kink, each round's nodes one block against
-the components (``integrate_many``), unless its components' kinks make one
-quadrature each cheaper (``scalar_pays``), and h_Y of a stacked Y is one
-weighted sum per node. At a point, a stack's weighted sum is rounded
+takes its weighted sum by numpy at each node: the two survival integrals
+at one q are one such quadrature of two spans split at every kink, each
+round's distinct nodes one block against the components
+(``integrate_many``), unless its components' kinks make one quadrature
+each cheaper (``scalar_pays``), and h_Y of a stacked Y is one weighted sum
+per node. At a point, a stack's weighted sum is rounded
 correctly, as ``math.fsum`` rounds the sum over its components, by an
 error-free split certified row by row (``_exact_sum``), which takes fsum
-itself for a row it cannot certify and for one short row. A stacked
-mixture's quantile is bisected on a numpy sum whose rounding is bounded,
-falling back to that correctly rounded sum only where the bound leaves the
-step open. A stack is built from parameter arrays, so a compound built from
+itself for a row it cannot certify and for one short row. A mixture's
+quantile is a bisection whose steps a stack decides on a numpy sum whose
+rounding is bounded, falling back to that correctly rounded sum only where
+the bound leaves the step open; regula falsi, steered by the same sums,
+first narrows the span, and the bisection then takes every step it
+would have taken, reading the CDF only between the points found. A stack is built from parameter arrays, so a compound built from
 its grid of parameters creates component objects only for the paths that
 walk them.
 
@@ -909,6 +912,9 @@ class Mixture(Distribution):
         self._mean = None
         # (u, quantile(u)) of the last call: a command asks for q* repeatedly
         self._last_quantile = None
+        # (q, (survival integral, weighted one)) of a stack's last pass at q:
+        # the two cross-checks at q* read the same nodes
+        self._last_survival = None
         self._has_density = None
         self._support = None
         self._breakpoints = None
@@ -1011,23 +1017,40 @@ class Mixture(Distribution):
         return q
 
     def _bisect_quantile(self, u):
+        """The generalized inverse of the CDF at u, by bisection of the span
+        of the component quantiles; it handles flat segments and jumps. Each
+        step is decided by whether the CDF reaches u: a stack's
+        ``cdf_reaches``, else the fsum CDF. Illinois regula falsi first
+        narrows the span, steered by the CDF's values (``_narrowed``); the
+        bisection then runs its steps unchanged, deciding a midpoint at or
+        below the largest point found short of u, or at or above the smallest
+        found to reach it, by those points alone. Where the decisions are
+        monotone in x, it returns the bisection's bits in a few CDF passes."""
         stack = self._stacked()
         if stack is not None:
             lo, hi = stack.quantile_range(u)
-            reaches = stack.cdf_reaches
+            probe = stack.cdf_reaches
         else:
             lo = min(d._quantile(u) for _, d in self.components)
             hi = max(d._quantile(u) for _, d in self.components)
-            reaches = lambda x, u: self.cdf(x) >= u  # noqa: E731
+
+            def probe(x, u):
+                value = self.cdf(x)
+                return value >= u, value
+
         if hi <= lo:
             return lo
-        # generalized inverse by bisection; handles flat segments and jumps
+        short, reached = _narrowed(probe, u, lo, hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if reaches(mid, u):
-                hi = mid
-            else:
+            if mid <= short:
                 lo = mid
+            elif mid >= reached:
+                hi = mid
+            elif probe(mid, u)[0]:
+                hi = reached = mid
+            else:
+                lo = short = mid
             if hi - lo <= 1e-15 * max(1.0, abs(hi)):
                 break
         return hi
@@ -1134,33 +1157,109 @@ class Mixture(Distribution):
     def _survival_integral(self, q, weighted=False):
         # quadrature of F on either path, so it checks the stacked M1 and M2
         # independently: a stack takes one quadrature of its own survival
-        # function, split at every kink, unless its components' kinks make
-        # one quadrature each cheaper (scalar_pays)
+        # function for both integrals at q, split at every kink, unless its
+        # components' kinks make quadratures of each cheaper (scalar_pays)
         stack, pts = self._stacked(), self.breakpoints()
         if stack is None or not scalar_pays(stack.size, 0.0, q, pts):
             return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
-        weights, cdf = stack.weights, stack.cdf
-        rows = max(1, _SAMPLE_BLOCK // stack.size)
-
-        def survival(_, t):
-            # each round's nodes against the components, in chunks of at
-            # most _SAMPLE_BLOCK products
-            nodes = t.reshape(-1, 1)
-            tails = np.empty(nodes.size)
-            for start in range(0, nodes.size, rows):
-                part = slice(start, start + rows)
-                tails[part] = (weights * cdf(nodes[part], fast=True)).sum(axis=1)
-            tails = 1.0 - tails
-            return (tails * nodes[:, 0] if weighted else tails).reshape(t.shape)
-
-        (value,) = integrate_many(survival, [(0.0, q, pts)], every_point=True)
-        return value
+        last = self._last_survival
+        if last is None or last[0] != q:
+            last = self._last_survival = (q, _survival_pair(stack, q, pts))
+        return last[1][weighted]
 
     def to_dict(self):
         return {
             "family": "mixture",
             "components": [{"weight": w, "dist": d.to_dict()} for w, d in self.components],
         }
+
+
+def _survival_pair(stack, q, pts):
+    """int_0^q P(X > t) dt and int_0^q t P(X > t) dt over a stack, split at
+    every point of ``pts``: one ``integrate_many`` of two spans, each on its
+    own ``_dqagse`` path, so that each has the bits of its quadrature alone.
+    Each round reads every distinct node of its panels against the
+    components once, in chunks of at most _SAMPLE_BLOCK products, and the
+    weighted span's values are t times the plain ones."""
+    weights, cdf = stack.weights, stack.cdf
+    rows = max(1, _SAMPLE_BLOCK // stack.size)
+
+    def survival(owner, t):
+        nodes, at = np.unique(t, return_inverse=True)
+        tails = np.empty(nodes.size)
+        for start in range(0, nodes.size, rows):
+            part = slice(start, start + rows)
+            tails[part] = (weights * cdf(nodes[part, None], fast=True)).sum(axis=1)
+        values = (1.0 - tails)[at.reshape(t.shape)]
+        weighted = owner == 1
+        values[weighted] *= t[weighted]
+        return values
+
+    plain, weighted = integrate_many(survival, [(0.0, q, pts)] * 2, every_point=True)
+    return plain, weighted
+
+
+def _narrowed(probe, u, lo, hi):
+    """The largest point of [lo, hi] found short of u and the smallest found
+    to reach it (-inf and inf where none is), by Illinois regula falsi
+    (Dowell and Jarratt, BIT 11, 1971). ``probe(x, u)`` gives whether the
+    CDF reaches u at x and a value of the CDF there, near enough to steer.
+    Each step reads the secant point of the two points kept, on the logit of
+    the values less that of u, the one kept twice in a row halved, and on
+    log x over a span of positive x: a tail's CDF bends least there. It
+    stops when the two points are as close as ``_bisect_quantile``'s
+    tolerance, when a value does not fall strictly between theirs, so that
+    the values no longer resolve the points, or after ``_NARROW_STEPS``
+    steps."""
+    (at_lo, value_lo), (at_hi, value_hi) = probe(lo, u), probe(hi, u)
+    if at_lo:
+        return -math.inf, lo
+    if not at_hi:
+        return hi, math.inf
+    target = _logit(u)
+    a, va, fa = lo, value_lo, _logit(value_lo) - target
+    b, vb, fb = hi, value_hi, _logit(value_hi) - target
+    kept = None
+    for _ in range(_NARROW_STEPS):
+        width, tol = b - a, 1e-15 * max(1.0, abs(b))
+        if width <= tol:
+            break
+        t = fa / (fa - fb) if -math.inf < fa < fb < math.inf else 0.5
+        x = a * (b / a) ** t if a > 0.0 else a + width * t
+        # at least half the tolerance inside, so that an end whose value has
+        # rounded to u, the secant point, is not read again
+        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        reaches, value = probe(x, u)
+        resolved = va < value < vb
+        if reaches:
+            b, vb, fb = x, value, _logit(value) - target
+            if kept == "short":
+                fa *= 0.5
+            kept = "short"
+        else:
+            a, va, fa = x, value, _logit(value) - target
+            if kept == "reached":
+                fb *= 0.5
+            kept = "reached"
+        if not resolved:
+            break
+    return a, b
+
+
+# a bound on the steps of a quantile's narrowing: the four stacked compounds
+# of tests/test_stacked_quadrature.py, the 10,000-component compound and a
+# mixture of three families took at most 17 at each of 69 quantiles from
+# u = 1e-12 to 1 - 1e-10, where the bisection alone takes 46-52 steps
+_NARROW_STEPS = 32
+
+
+def _logit(p: float) -> float:
+    """log(p / (1 - p)), -inf at or below 0 and inf at or above 1."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return math.log(p) - math.log1p(-p)
 
 
 class _Runs:
@@ -1318,22 +1417,24 @@ class _Stack:
         row of the components per point, gives one sum per row."""
         return _exact_sum(self.weights * values)
 
-    def cdf_reaches(self, x: float, u: float) -> bool:
+    def cdf_reaches(self, x: float, u: float) -> tuple[bool, float]:
         """Whether ``combine(cdf(x)) >= u``, bit for bit, mostly without the
-        exact sum. In whatever order numpy adds the products, its sum s is
-        within size * eps * sum|products| of their exact sum, and the products
-        of positive weights and CDF values are not negative, so that bound is
-        size * eps * s. The exact sum therefore exceeds u when s - bound > u,
-        and rounds below u when s + bound is below u's float predecessor; only
-        the steps in between, next to the quantile, take ``combine``."""
+        exact sum, and numpy's sum s of the weighted CDF values, which steers
+        the quantile's regula falsi (``_narrowed``). In whatever order numpy
+        adds the products, s is within size * eps * sum|products| of their
+        exact sum, and the products of positive weights and CDF values are
+        not negative, so that bound is size * eps * s. The exact sum
+        therefore exceeds u when s - bound > u, and rounds below u when
+        s + bound is below u's float predecessor; only the points in between,
+        next to the quantile, take ``combine``."""
         values = self.cdf(x)
         total = float((self.weights * values).sum())
         bound = self.size * _EPS * total
         if total - bound > u:
-            return True
+            return True, total
         if total + bound < math.nextafter(u, -math.inf):
-            return False
-        return self.combine(values) >= u
+            return False, total
+        return self.combine(values) >= u, total
 
     def breakpoints(self) -> tuple[float, ...]:
         """``Mixture.breakpoints`` of the components: the three families

@@ -2,11 +2,17 @@
 weighted sum for each survival integral, split at every kink, or one per
 component across more kinks than that repays; and one quadrature for the
 expected maximum against a mixture, over the other side, split at the
-ladder around that side's bulk. Also the bisection of a stacked mixture's
-quantile, whose steps are decided by a bounded numpy sum."""
+ladder around that side's bulk. The two survival integrals at one q share
+each round's nodes. Also a mixture's quantile: a bisection whose steps are
+decided by a bounded numpy sum, replayed after regula falsi has narrowed
+its span."""
 
+import contextlib
 import functools
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from randvendor import (  # noqa: E402
     SimConfig,
     TruncatedNormal,
     Uniform,
+    UpperTruncated,
     compound_of,
     expected_max,
     optimal_profit,
@@ -34,7 +41,7 @@ from randvendor import (  # noqa: E402
     optimal_quantity,
     simulate_expected_max,
 )
-from randvendor import _quad, distributions  # noqa: E402
+from randvendor import _quad, cli, distributions  # noqa: E402
 from randvendor.policy import build_order_dist  # noqa: E402
 
 
@@ -149,10 +156,9 @@ def test_breakpoints_from_parameter_arrays(name):
     assert all(type(p) is float for p in points)
 
 
-@pytest.mark.parametrize("name", FAMILIES)
-def test_survival_integral_of_a_stack_is_one_quadrature(name, monkeypatch):
-    mix = _fresh(name)
-    q = mix.quantile(0.7)
+def _counted_quadratures(monkeypatch):
+    """The spans (lo, hi) and every_point flag of each ``integrate_many``
+    call the distributions make from now on; ``integrate`` is refused."""
     calls = []
 
     def counted(fn, spans, every_point=False):
@@ -161,15 +167,33 @@ def test_survival_integral_of_a_stack_is_one_quadrature(name, monkeypatch):
 
     monkeypatch.setattr(distributions, "integrate", None)
     monkeypatch.setattr(distributions, "integrate_many", counted)
-    for method in (mix.survival_integral, mix.weighted_survival_integral):
+    return calls
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_survival_integral_of_a_stack_is_one_quadrature(name, monkeypatch):
+    # both integrals at q are one quadrature of two spans, split at every
+    # kink, whichever is asked first; the second call at q reads the pair
+    calls = _counted_quadratures(monkeypatch)
+    for weighted_first in (False, True):
+        mix = _fresh(name)
+        q = mix.quantile(0.7)
+        methods = [mix.survival_integral, mix.weighted_survival_integral]
+        if weighted_first:
+            methods.reverse()
         calls.clear()
-        assert method(q) > 0.0
-        assert calls == [([(0.0, q)], True)]
+        assert methods[0](q) > 0.0
+        assert calls == [([(0.0, q), (0.0, q)], True)]
+        calls.clear()
+        assert methods[1](q) > 0.0
+        assert calls == []
 
 
 def test_more_kinks_than_the_subinterval_limit():
     # 7,040 uniforms over 160 distinct lo and 160 distinct hi: 320 interior
     # kinks, more than the rule's own subinterval limit, each of which splits
+    # the stack's pass; past 220 panels one quadrature per component pays
+    # (scalar_pays), so the pass is also taken directly
     lows = (0.2 + 0.6 * np.arange(160) / 160).tolist()
     highs = (1.5 + np.arange(160) / 160).tolist()
     pairs = [(lo, highs[(i + k) % 160]) for i, lo in enumerate(lows) for k in range(44)]
@@ -177,37 +201,70 @@ def test_more_kinks_than_the_subinterval_limit():
     assert mix._stacked() is not None
     pts = mix.breakpoints()
     assert sum(1 for p in pts if 0.0 < p < 2.6) == 320 > _quad._LIMIT
-    for q in (mix.quantile(0.5), 2.6):
-        assert _quad.scalar_pays(len(pairs), 0.0, q, pts)
+    q_half = mix.quantile(0.5)
+    assert _quad.scalar_pays(len(pairs), 0.0, q_half, pts)
+    assert not _quad.scalar_pays(len(pairs), 0.0, 2.6, pts)
+    for q in (q_half, 2.6):
         tol = 1e-10 * max(1.0, q * q)
-        assert abs(mix.survival_integral(q) + mix.integrated_cdf(q) - q) <= tol
-        weighted = mix.weighted_survival_integral(q) + mix.weighted_integrated_cdf(q)
-        assert abs(weighted - 0.5 * q * q) <= tol
+        routed = (mix.survival_integral(q), mix.weighted_survival_integral(q))
+        for plain, weighted in (routed, distributions._survival_pair(mix._stacked(), q, pts)):
+            assert abs(plain + mix.integrated_cdf(q) - q) <= tol
+            assert abs(weighted + mix.weighted_integrated_cdf(q) - 0.5 * q * q) <= tol
+
+
+# two uncertain uniform bounds over 32 nodes: 1,024 components and 64
+# kinks, which one scalar pass over the whole mixture repays
+UNIFORM_1024 = compound_of(
+    Uniform(0.5, 2.0),
+    [
+        ParameterUncertainty("lo", Uniform(0.2, 0.8)),
+        ParameterUncertainty("hi", Uniform(1.5, 2.5)),
+    ],
+    nodes=32,
+)
 
 
 def test_survival_integrals_route_by_their_own_crossover(monkeypatch):
-    # two uncertain uniform bounds over 32 nodes: 1,024 components and 64
-    # kinks, which one scalar pass over the whole mixture repays
-    mix = compound_of(
-        Uniform(0.5, 2.0),
-        [
-            ParameterUncertainty("lo", Uniform(0.2, 0.8)),
-            ParameterUncertainty("hi", Uniform(1.5, 2.5)),
-        ],
-        nodes=32,
-    )
+    mix = Mixture(UNIFORM_1024.components)
     q, pts = mix.quantile(0.95), mix.breakpoints()
     assert _quad.scalar_pays(mix._stacked().size, 0.0, q, pts)
-    calls = []
-
-    def counted(fn, spans, every_point=False):
-        calls.append([span[:2] for span in spans])
-        return _quad.integrate_many(fn, spans, every_point)
-
-    monkeypatch.setattr(distributions, "integrate", None)
-    monkeypatch.setattr(distributions, "integrate_many", counted)
+    calls = _counted_quadratures(monkeypatch)
     assert mix.survival_integral(q) == pytest.approx(q - mix.integrated_cdf(q), rel=1e-10)
-    assert calls == [[(0.0, q)]]
+    assert mix.weighted_survival_integral(q) > 0.0
+    assert calls == [([(0.0, q), (0.0, q)], True)]
+
+
+def _one_span(mix, q, weighted):
+    """A stack's survival integral at q alone: one quadrature of one span,
+    each round reading every node of its panels against the components, in
+    chunks of at most 32,768 products."""
+    stack = mix._stacked()
+    rows = max(1, 32_768 // stack.size)
+
+    def survival(_, t):
+        nodes = t.reshape(-1, 1)
+        tails = np.empty(nodes.size)
+        for start in range(0, nodes.size, rows):
+            part = nodes[start : start + rows]
+            tails[start : start + rows] = (stack.weights * stack.cdf(part, fast=True)).sum(axis=1)
+        tails = 1.0 - tails
+        return (tails * nodes[:, 0] if weighted else tails).reshape(t.shape)
+
+    (value,) = _quad.integrate_many(survival, [(0.0, q, mix.breakpoints())], every_point=True)
+    return value
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "uniform_1024"])
+def test_shared_survival_pass_equals_one_quadrature_each(name):
+    # the pair at each q, which the last pair's cache must not answer; at
+    # u = 0.3 (lognormal) and 0.999 (lognormal, exponential) the two spans
+    # subdivide differently
+    mix = Mixture((UNIFORM_1024 if name == "uniform_1024" else STACKED[name]).components)
+    for u in (0.3, 0.7, 0.999):
+        q = mix.quantile(u)
+        assert _quad.scalar_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
+        assert mix.survival_integral(q).hex() == _one_span(mix, q, False).hex()
+        assert mix.weighted_survival_integral(q).hex() == _one_span(mix, q, True).hex()
 
 
 def test_integrate_splits_at_every_point_only_when_asked(monkeypatch):
@@ -311,9 +368,15 @@ def test_profit_forms_agree_on_random_compounds(name, data, p, share):
 
 
 def _exact_bisection(mix, u):
-    """The bisection of ``Mixture._bisect_quantile`` with every step decided
-    by the accurately rounded sum, ``mix.cdf``."""
-    lo, hi = mix._stacked().quantile_range(u)
+    """The bisection of ``Mixture._bisect_quantile`` alone, over the span of
+    the component quantiles, with every step decided by the accurately
+    rounded sum, ``mix.cdf``."""
+    stack = mix._stacked()
+    if stack is not None:
+        lo, hi = stack.quantile_range(u)
+    else:
+        lo = min(d._quantile(u) for _, d in mix.components)
+        hi = max(d._quantile(u) for _, d in mix.components)
     if hi <= lo:
         return lo
     for _ in range(200):
@@ -343,21 +406,22 @@ def test_bounded_sum_bisection_is_exact(name, u):
     for _ in range(16):
         x = math.nextafter(x, -math.inf)
     for _ in range(32):
-        assert stack.cdf_reaches(x, u) == (mix.cdf(x) >= u)
+        assert stack.cdf_reaches(x, u)[0] == (mix.cdf(x) >= u)
         x = math.nextafter(x, math.inf)
 
 
-def test_quantile_of_10k_compound_takes_the_exact_sum_on_few_steps(monkeypatch):
-    def compound():
-        uncertain = [
-            ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
-            ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
-        ]
-        return compound_of(LogNormal(0.0, 0.5), uncertain, nodes=100)
+def _compound_10k():
+    uncertain = [
+        ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1)),
+        ParameterUncertainty("log_sd", Uniform(0.4, 0.7)),
+    ]
+    return compound_of(LogNormal(0.0, 0.5), uncertain, nodes=100)
 
+
+def test_quantile_of_10k_compound_takes_the_exact_sum_on_few_steps(monkeypatch):
     u = MarketParams(p=3.0, w=1.2).critical_fractile
-    exact = _exact_bisection(compound(), u)
-    mix = compound()
+    exact = _exact_bisection(_compound_10k(), u)
+    mix = _compound_10k()
     stack = mix._stacked()
     assert stack.size == 10_000
     steps, exact_sums = [], []
@@ -375,8 +439,61 @@ def test_quantile_of_10k_compound_takes_the_exact_sum_on_few_steps(monkeypatch):
     monkeypatch.setattr(type(stack), "cdf_reaches", counted_step)
     monkeypatch.setattr(distributions._Stack, "combine", counted_sum)
     assert mix.quantile(u).hex() == exact.hex()
-    # 13 of its 49 steps take the exact sum
+    # 9 CDF passes where the bisection alone takes 49, and only the last
+    # few, next to the quantile, take the exact sum
+    assert len(steps) <= 16
     assert 0 < len(exact_sums) < len(steps) / 2
+
+
+SEVERAL_FAMILIES = Mixture(
+    [(0.3, Uniform(1.0, 4.0)), (0.5, Exponential(0.5)), (0.2, LogNormal(1.0, 0.3))]
+)
+
+
+@pytest.mark.parametrize("u", [1e-12, 0.6, 1.0 - _quad.TAIL_PROB])
+@pytest.mark.parametrize("name", ["several_families", *FAMILIES])
+def test_narrowed_bisection_is_the_bisection(name, u):
+    # a mixture of several families steers by its fsum CDF; an upper
+    # truncation of a stack bisects its base at u F(upper)
+    if name == "several_families":
+        mix = Mixture(SEVERAL_FAMILIES.components)
+        assert mix._stacked() is None
+        assert mix.quantile(u).hex() == _exact_bisection(SEVERAL_FAMILIES, u).hex()
+        return
+    base = _fresh(name)
+    cut = UpperTruncated(base, STACKED[name].quantile(0.8))
+    expected = min(_exact_bisection(STACKED[name], u * cut._z), cut.upper)
+    assert cut.quantile(u).hex() == expected.hex()
+
+
+def test_solve_reads_each_cdf_once_on_a_10k_compound(tmp_path, monkeypatch):
+    # a cost guard in counts, not time: q* takes few CDF passes, and the
+    # profit and variance cross-checks read each node of their quadrature
+    # against the 10,000 components once, 63 nodes where one quadrature
+    # each would read 126
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "uncertain_parameters.json"
+    record = json.loads(shipped.read_text())
+    record["compound_nodes"] = 100
+    scenario = tmp_path / "compound_10k.json"
+    scenario.write_text(json.dumps(record))
+    passes, rows = [], []
+    reaches, cdf = distributions._Stack.cdf_reaches, distributions._Stack.cdf
+
+    def counted_pass(self, x, u):
+        passes.append(x)
+        return reaches(self, x, u)
+
+    def counted_cdf(self, x, fast=False):
+        if fast and self.size == 10_000:
+            rows.append(len(x))
+        return cdf(self, x, fast)
+
+    monkeypatch.setattr(distributions._Stack, "cdf_reaches", counted_pass)
+    monkeypatch.setattr(distributions._Stack, "cdf", counted_cdf)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", str(scenario)]) == 0
+    assert len(passes) <= 16
+    assert sum(rows) == 63
 
 
 def test_quantile_is_bisected_once_per_fractile(monkeypatch):
