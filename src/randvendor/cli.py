@@ -14,6 +14,7 @@ integrity failure (a quadrature or cross-check refused, or an overflow),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -202,16 +203,27 @@ def _cmd_search(args) -> int:
 
 
 def _write_trace(path: str, result: policy.SearchResult) -> None:
-    lines = ["candidate_id,param_1,param_2,expected_profit,margin,feasible"]
-    for entry in result.search_trace:
-        p1 = _fmt(entry.params[0]) if len(entry.params) > 0 else ""
-        p2 = _fmt(entry.params[1]) if len(entry.params) > 1 else ""
-        lines.append(
-            f"{entry.candidate_id},{p1},{p2},{_fmt(entry.expected_profit)},"
-            f"{_fmt(entry.margin)},{'true' if entry.feasible else 'false'}"
-        )
+    """The trace CSV, written from the trace's columns: each axis value is
+    formatted once and taken by its index, so that 0.0 and -0.0 stay apart."""
+    trace = result.trace
+    params = [_axis_text(axis, index) for axis, index in trace.axes[:2]]
+    params += [itertools.repeat("")] * (2 - len(params))
+    rows = zip(
+        map(str, range(trace.feasible.size)),
+        *params,
+        map(repr, trace.expected_profit.tolist()),
+        map(repr, trace.margin.tolist()),
+        map(("false", "true").__getitem__, trace.feasible.tolist()),
+    )
+    header = "candidate_id,param_1,param_2,expected_profit,margin,feasible"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
+
+
+def _axis_text(axis, index):
+    """repr of each candidate's value on the axis, by its index."""
+    texts = list(map(repr, axis.tolist()))
+    return map(texts.__getitem__, index.tolist())
 
 
 def _cmd_validate(args) -> int:
@@ -298,10 +310,6 @@ def _midpoint_candidate(scenario: Scenario, naive_q: float):
         return policy.build_order_dist(family, spread, naive_q, constrained)
     except ValueError as exc:
         raise ScenarioError("order_family.bounds", f"no valid midpoint candidate: {exc}") from None
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _write_json(path: str, payload: dict) -> None:

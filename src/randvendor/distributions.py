@@ -62,13 +62,14 @@ Kernels come in two layers: each family's methods at one point, by
 definition of each formula, which stacks, gathered rows and the lockstep
 quadrature share; the two agree bit for bit.
 
-``expected_maxima`` evaluates the expected maxima of many orders against one
-demand, the candidates of a search, with the same values bit for bit as
-``expected_max`` of each pair: closed-form uniforms over arrays, against a
-stacked mixture as blocks of the candidates against its components summed
-row by row, and density pairs of two parametric families in one lockstep
-quadrature (``integrate_many``), whose integrands are the families' array
-kernels over a block of points.
+``_order_maxima`` evaluates the expected maxima of a search's candidates,
+members of one family given as its parameter columns, against one demand,
+with the same values bit for bit as ``expected_max`` of each pair:
+closed-form uniforms over arrays, against a stacked mixture as blocks of
+the candidates against its components summed row by row, and density pairs
+of two parametric families in one lockstep quadrature (``integrate_many``),
+whose integrands are the families' array kernels over a block of points.
+``expected_maxima`` takes a list of orders to it.
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -1525,9 +1526,7 @@ class _LogNormalStack(_Stack):
 
     def _derive(self, log_mean, log_sd):
         self.log_mean, self.log_sd = log_mean, log_sd
-        # squared by pow, as LogNormal.log_var
-        squares = map(math.pow, log_sd.tolist(), itertools.repeat(2.0))
-        self.log_var = np.fromiter(squares, float, log_sd.size)
+        self.log_var = _squares(log_sd)
         self._mean = _exp(log_mean + 0.5 * self.log_var)
         self.m2_scale = _exp(2.0 * (log_mean + self.log_var))
 
@@ -1539,6 +1538,12 @@ class _LogNormalStack(_Stack):
         # as in the scalar quantile
         x = self.log_mean + self.log_sd * float(ndtri(u))
         return math.exp(x.min()), math.exp(x.max())
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 per entry by Python's pow, as ``LogNormal.log_var`` squares, and
+    raising as it raises: numpy's square rounds differently."""
+    return np.fromiter(map(operator.pow, x.tolist(), itertools.repeat(2)), float, x.size)
 
 
 class _TruncatedNormalStack(_Stack):
@@ -1727,36 +1732,54 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
 
 
 def expected_maxima(orders, demand: Distribution) -> list[float]:
-    """``[expected_max(g, demand) for g in orders]``, bit for bit, for the
-    candidates of a search, evaluated together where that pays.
-
-    Uniforms that take the closed form against a uniform, exponential or
-    lognormal demand, or against a stacked mixture of one of them, are
-    evaluated over arrays (``_uniform_maxima``); against a stack, each kernel
-    is one block of the candidates against the components, summed per row
-    as ``Mixture`` sums it at one point. Orders of a parametric family that
-    take the density-pair quadrature against a parametric demand share one
-    lockstep quadrature (``_density_maxima``). The rest, such as any other
-    order against a mixture or an upper truncation, take ``expected_max``
-    one by one.
-    """
-    values = [0.0] * len(orders)
-    closed, dense, alone = [], [], []
-    arrays = type(demand) in _STACKS or _stack_of(demand) is not None
+    """``[expected_max(g, demand) for g in orders]``, bit for bit: the members
+    of each parametric family as its parameter columns (``_order_maxima``),
+    one family after another, then every other order by ``expected_max``."""
+    values = np.empty(len(orders))
+    for family in _STACKS:
+        rows = [k for k, g in enumerate(orders) if type(g) is family]
+        if rows:
+            params = _member_params(family, [orders[k] for k in rows])
+            values[rows] = _order_maxima(family, params, demand)
     for k, g in enumerate(orders):
-        if _closed_form_pair(g, demand) is not None:
-            # the demand has the closed-form maximum: no truncated normal
-            batch = closed if type(g) is Uniform and arrays else alone
-        else:
-            batch = dense if _parametric_pair(g, demand) else alone
-        batch.append(k)
-    for k in alone:
-        values[k] = expected_max(orders[k], demand)
-    for batch, maxima in ((closed, _uniform_maxima), (dense, _density_maxima)):
-        if batch:
-            for k, value in zip(batch, maxima([orders[k] for k in batch], demand)):
-                values[k] = value
+        if type(g) not in _STACKS:
+            values[k] = expected_max(g, demand)
+    return values.tolist()
+
+
+def _order_maxima(family: type, params: dict[str, np.ndarray], demand: Distribution) -> np.ndarray:
+    """E[max(Q, D)] of each member Q of a parametric family, given as its
+    parameter columns keyed as in its record, against the demand, bit for
+    bit as ``expected_max`` and routed by its predicates: a closed-form
+    uniform against a parametric demand or a stacked mixture over arrays
+    (``_uniform_maxima``), a member with no closed form against a
+    parametric demand in one lockstep (``_density_maxima``), and the rest,
+    first, by ``expected_max``. Members are made for the last two only."""
+    if family is Uniform:
+        # Uniform._closed_form_max
+        closed = params["hi"] - params["lo"] >= _MIN_UNIFORM_WIDTH * params["hi"]
+    else:
+        closed = np.full(next(iter(params.values())).size, family._closed_form_max)
+    # _closed_form_pair: the member or the demand is the uniform side
+    closed &= bool(demand._closed_form_max) and (family is Uniform or _uniform_rank(demand)[0] < 2)
+    parametric = type(demand) in _STACKS
+    batched = closed & (family is Uniform and (parametric or _stack_of(demand) is not None))
+    dense = ~closed & parametric
+    values = np.empty(closed.size)
+    for k in np.flatnonzero(~batched & ~dense).tolist():
+        values[k] = expected_max(_member(family, params, k), demand)
+    if batched.any():
+        rows = {name: params[name][batched] for name in _UniformStack.params}
+        values[batched] = _uniform_maxima(_equal_stack(Uniform, rows), demand)
+    if dense.any():
+        members = [_member(family, params, k) for k in np.flatnonzero(dense).tolist()]
+        values[dense] = _density_maxima(members, demand)
     return values
+
+
+def _member(family: type, params: dict[str, np.ndarray], k: int) -> Distribution:
+    """Row k of a parametric family's parameter columns, as a member."""
+    return family(*(params[name][k] for name in _STACKS[family].params))
 
 
 def _sorts_before(a: Distribution, b: Distribution) -> bool:
@@ -1865,12 +1888,12 @@ def _blocks(d, *kernels):
     return [functools.partial(getattr(family, f"_{name}_block"), p=d) for name in kernels]
 
 
-def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
-    """``_expected_max_uniform`` of closed-form uniforms against a demand of
-    a parametric family or a stacked mixture of one, over arrays: a uniform
-    demand integrates instead of the order where its (lo, hi) sorts first
-    (``_uniform_rank``), while a uniform order ranks below any mixture."""
-    stack = _stack_of_members(orders)
+def _uniform_maxima(stack: _Stack, demand: Distribution) -> np.ndarray:
+    """``_expected_max_uniform`` of closed-form uniforms, a stack's rows,
+    against a demand of a parametric family or a stacked mixture of one, over
+    arrays: a uniform demand integrates instead of the order where its
+    (lo, hi) sorts first (``_uniform_rank``), while a uniform order ranks
+    below any mixture."""
     mixture = _stack_of(demand)
     if mixture is not None:
         return _uniform_maxima_over(stack, demand.mean(), mixture)
@@ -1885,10 +1908,10 @@ def _uniform_maxima(orders: list[Uniform], demand: Distribution) -> list[float]:
                 stack.means(), demand.lo, demand.hi, demand._width, *kernels
             )
             values = np.where(swap, swapped, values)
-    return values.tolist()
+    return values
 
 
-def _uniform_maxima_over(orders: _Stack, mean: float, mixture: _Stack) -> list[float]:
+def _uniform_maxima_over(orders: _Stack, mean: float, mixture: _Stack) -> np.ndarray:
     """``_uniform_maxima`` against a stacked mixture of the given mean. Each
     kernel takes a column of the orders' lo or hi against the components and
     sums each row by ``combine``, the products and their rounding being
@@ -1900,14 +1923,12 @@ def _uniform_maxima_over(orders: _Stack, mean: float, mixture: _Stack) -> list[f
 
     kernels = [summed(kernel) for kernel in _blocks(mixture, "cdf", "m1", "m2")]
     rows = max(1, _SAMPLE_BLOCK // mixture.size)
-    values = []
+    chunks = []
     for start in range(0, orders.size, rows):
         part = slice(start, start + rows)
-        chunk = _uniform_closed_form(
-            mean, orders.lo[part], orders.hi[part], orders._width[part], *kernels
-        )
-        values.extend(chunk.tolist())
-    return values
+        lo, hi, width = orders.lo[part], orders.hi[part], orders._width[part]
+        chunks.append(_uniform_closed_form(mean, lo, hi, width, *kernels))
+    return np.concatenate(chunks)
 
 
 def _expected_max_at(t: float, y: Distribution) -> float:
@@ -2042,10 +2063,10 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
     for k, g in enumerate(orders):
         groups.setdefault((type(g), getattr(g, "_upper_tail", None)), []).append(k)
     stacks, member = [], [None] * len(orders)
-    for members in groups.values():
+    for (family, _), members in groups.items():
         for row, k in enumerate(members):
             member[k] = (len(stacks), row)
-        stacks.append(_stack_of_members([orders[k] for k in members]))
+        stacks.append(_equal_stack(family, _member_params(family, [orders[k] for k in members])))
 
     spans, tails, owners = [], [], []
     for k, g in enumerate(orders):
@@ -2125,11 +2146,11 @@ def _member_params(family: type, dists) -> dict[str, np.ndarray]:
     return {name: np.array([r[name] for r in records]) for name in _STACKS[family].params}
 
 
-def _stack_of_members(dists) -> _Stack:
-    """Members of one parametric family, with one tail form for truncated
-    normals, as an equal-weight stack."""
-    family = type(dists[0])
-    return _STACKS[family](_member_params(family, dists), np.full(len(dists), 1.0 / len(dists)))
+def _equal_stack(family: type, params: dict[str, np.ndarray]) -> _Stack:
+    """Members of one parametric family, by their parameter columns and with
+    one tail form for truncated normals, as an equal-weight stack."""
+    size = next(iter(params.values())).size
+    return _STACKS[family](params, np.full(size, 1.0 / size))
 
 
 # -- serialization ------------------------------------------------------------

@@ -7,14 +7,18 @@ distribution exactly when a feasibility inequality on (G, compound demand)
 holds; this module evaluates that inequality in both of its baseline
 readings, the equivalent moment-constrained form for candidates whose mean
 is pinned to the point order, and runs a derivative-free search for the
-best feasible order distribution. The search builds every candidate first
-and evaluates them as one batch (``expected_maxima``, then the feasibility
-arithmetic over arrays), with the margins and profits of the public checks
-bit for bit.
+best feasible order distribution. The search keeps its candidates as
+columns from the parameter grid to the trace: parameter arrays with one
+validity mask, their expected maxima routed by mask (``_order_maxima``),
+and the feasibility arithmetic over arrays, with the margins and profits of
+the public checks bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,11 +32,14 @@ from .distributions import (
     LogNormal,
     TruncatedNormal,
     Uniform,
+    _exp,
     _expected_max_at,
     _generator,
+    _member,
+    _order_maxima,
+    _squares,
     _truncnorm_mean,
     expected_max,
-    expected_maxima,
     valid_parameters,
 )
 from .newsvendor import MarketParams
@@ -252,36 +259,20 @@ def order_family_param_names(family: str, constrained: bool) -> tuple[str, ...]:
 def build_order_dist(
     family: str, values: tuple[float, ...], naive_q: float, constrained: bool
 ) -> Distribution:
-    """Construct a candidate order distribution; raises ValueError when the
-    parameter point is not a valid member of the family."""
+    """Construct a candidate order distribution, as a search makes its
+    candidates (``_candidate_columns``); raises ValueError when the parameter
+    point is not a valid member of the family."""
     names = order_family_param_names(family, constrained)
     if len(values) != len(names):
         raise ValueError(f"family {family!r} expects parameters {names}, got {values}")
-    if not constrained and family in _FAMILIES:
-        return _FAMILIES[family](*values)
-    if constrained and naive_q <= 0.0 and family != "uniform":
-        raise ValueError(f"cannot pin the order mean to {naive_q}")
-    if family == "uniform":
-        (width,) = values
-        if width <= 0.0:
-            raise ValueError(f"width must be > 0, got {width}")
-        return Uniform(naive_q - 0.5 * width, naive_q + 0.5 * width)
-    if family == "lognormal":
-        (log_sd,) = values
-        if log_sd <= 0.0:
-            raise ValueError(f"log_sd must be > 0, got {log_sd}")
-        # location solved exactly from exp(mu + sd^2/2) = target mean
-        return LogNormal(math.log(naive_q) - 0.5 * log_sd**2, log_sd)
-    if family == "truncated_normal":
-        (sd,) = values
-        if sd <= 0.0:
-            raise ValueError(f"sd must be > 0, got {sd}")
-        return TruncatedNormal(_solve_truncnorm_location(naive_q, sd), sd)
-    if family == "point":
-        q = naive_q if constrained else values[0]
-        lo = max(0.0, q - 0.5 * _POINT_WIDTH)
-        return Uniform(lo, lo + _POINT_WIDTH)
-    raise ValueError(f"unsupported order family {family!r}")
+    point = np.array(values, dtype=float).reshape(1, len(names))
+    cls, params, valid = _candidate_columns(family, point, naive_q, constrained)
+    if not valid[0]:
+        given = ", ".join(f"{name}={v!r}" for name, v in zip(names, values))
+        if constrained:
+            raise ValueError(f"cannot pin the mean of {family}({given}) to {naive_q!r}")
+        raise ValueError(f"{family}({given}) is not a valid order distribution")
+    return _member(cls, params, 0)
 
 
 def _solve_truncnorm_location(target_mean: float, sd: float) -> float:
@@ -322,25 +313,51 @@ def _solve_truncnorm_location(target_mean: float, sd: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _candidate_orders(
-    family: str, points: list[tuple[float, ...]], naive_q: float, constrained: bool
-) -> list[Distribution | None]:
-    """Each candidate's order distribution (``build_order_dist``), None where
-    it is not a valid member of the family. Free candidates of a parametric
-    family are its own parameters, tested in one array call."""
-    if family in _FAMILIES and not constrained:
+def _candidate_columns(
+    family: str, points: np.ndarray, naive_q: float, constrained: bool
+) -> tuple[type, dict[str, np.ndarray], np.ndarray]:
+    """The candidates, one row of ``points`` each, as the parameter columns of
+    the parametric family they are members of, keyed as in its record, and
+    the mask of the valid rows; ``build_order_dist`` takes one row."""
+    columns = dict(zip(_FAMILY_PARAMS[(family, constrained)], points.T))
+    if not constrained and family in _FAMILIES:
         cls = _FAMILIES[family]
-        columns = np.array(points, dtype=float).reshape(len(points), -1).T
-        valid = valid_parameters(cls, dict(zip(_FAMILY_PARAMS[(family, False)], columns)))
-        return [cls(*point) if ok else None for point, ok in zip(points, valid.tolist())]
-    return [_valid(build_order_dist, family, point, naive_q, constrained) for point in points]
+        return cls, columns, valid_parameters(cls, columns)
+    size = points.shape[0]
+    # a mean is pinned to a non-positive naive order only by a uniform
+    refused = constrained and naive_q <= 0.0 and family != "uniform"
+    if family == "uniform":
+        cls, half = Uniform, 0.5 * columns["width"]
+        params = {"lo": naive_q - half, "hi": naive_q + half}
+    elif family == "point":
+        q = columns["q"] if "q" in columns else np.full(size, naive_q)
+        # max(0.0, q - w / 2): q - w / 2 is never -0.0
+        lo = np.maximum(0.0, q - 0.5 * _POINT_WIDTH)
+        cls, params = Uniform, {"lo": lo, "hi": lo + _POINT_WIDTH}
+    elif family == "lognormal":
+        cls, log_sd = LogNormal, columns["log_sd"]
+        params = {"log_mean": np.full(size, np.nan), "log_sd": log_sd}
+        rows = np.flatnonzero(log_sd > 0.0)
+        if rows.size and not refused:
+            # the location solved exactly from exp(mu + sd^2/2) = naive_q
+            params["log_mean"][rows] = math.log(naive_q) - 0.5 * _squares(log_sd[rows])
+    else:
+        cls, sd = TruncatedNormal, columns["sd"]
+        params = {"mean": np.full(size, np.nan), "sd": sd}
+        for k in np.flatnonzero(sd > 0.0).tolist() if not refused else ():
+            with contextlib.suppress(ValueError):
+                params["mean"][k] = _solve_truncnorm_location(naive_q, float(sd[k]))
+    return cls, params, valid_parameters(cls, params) & (not refused)
 
 
-def _valid(build, *args) -> Distribution | None:
-    try:
-        return build(*args)
-    except ValueError:
-        return None
+def _order_means(cls: type, params: dict[str, np.ndarray]) -> np.ndarray:
+    """E[Q] of each member of a parametric order family, by its ``mean``'s
+    operations."""
+    if cls is Uniform:
+        return 0.5 * (params["lo"] + params["hi"])
+    if cls is LogNormal:
+        return _exp(params["log_mean"] + 0.5 * _squares(params["log_sd"]))
+    return _truncnorm_mean(params["mean"], params["sd"])
 
 
 # -- search --------------------------------------------------------------------
@@ -369,6 +386,32 @@ class TraceEntry:
     feasible: bool
 
 
+@dataclass(frozen=True, eq=False)
+class SearchTrace:
+    """Every candidate of a search as columns: each parameter as the values
+    on its axis and each candidate's index on it (a random search's axis is
+    its draws), and the profits, margins and feasibility."""
+
+    axes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    expected_profit: np.ndarray
+    margin: np.ndarray
+    feasible: np.ndarray
+
+    def entries(self) -> tuple[TraceEntry, ...]:
+        columns = [axis[index].tolist() for axis, index in self.axes]
+        points = zip(*columns) if columns else itertools.repeat(())
+        # nan as math.nan itself, so that equal traces compare equal
+        profits, margins = (
+            [math.nan if v != v else v for v in c.tolist()]
+            for c in (self.expected_profit, self.margin)
+        )
+        rows = zip(itertools.count(), points, profits, margins, self.feasible.tolist())
+        return tuple(itertools.starmap(TraceEntry, rows))
+
+    def __eq__(self, other):
+        return isinstance(other, SearchTrace) and self.entries() == other.entries()
+
+
 @dataclass(frozen=True)
 class SearchResult:
     best_policy: OrderPolicy
@@ -381,7 +424,12 @@ class SearchResult:
     family: str
     param_names: tuple[str, ...]
     rhs_mode: RhsMode
-    search_trace: tuple[TraceEntry, ...]
+    trace: SearchTrace
+
+    @functools.cached_property
+    def search_trace(self) -> tuple[TraceEntry, ...]:
+        """The trace as entries, made when first read."""
+        return self.trace.entries()
 
     def to_dict(self) -> dict:
         """JSON-compatible summary; the trace itself goes to CSV."""
@@ -424,80 +472,82 @@ def search_policy(
     configured baseline reading. When nothing feasible turns up, the naive
     deterministic order is retained with zero improvement.
 
-    Every candidate is built first and evaluated as one batch
-    (``expected_maxima``), with the same margins and profits bit for bit as
-    the public checks of each alone.
+    The candidates are parameter columns from the grid to the trace: their
+    family's parameters with one validity mask, their expected maxima by
+    ``distributions._order_maxima``, and the feasibility arithmetic over
+    arrays, with the same margins and profits bit for bit as the public
+    checks of each alone. Distributions are created only for the rows of
+    the per-row and lockstep routes, and for the winner.
     """
-    names = order_family_param_names(family, cfg.constrain_mean_to_qhat)
+    pinned = cfg.constrain_mean_to_qhat
+    names = order_family_param_names(family, pinned)
     _check_bounds(names, bounds)
-    candidates = _candidate_points(names, bounds, cfg)
+    axes, size = _candidate_axes(names, bounds, cfg), cfg.budget
 
     compound = scenario.compound_demand
     naive_q = naive_order_quantity(params, scenario.estimated_demand)
-    base = baseline_profit(params, scenario, rhs_mode)
-    compound_mean = compound.mean()
     # the right-hand sides are the same for every candidate
-    if cfg.constrain_mean_to_qhat:
-        rhs = _expected_max_at(naive_q, compound)
-    else:
-        rhs = base / params.p
-
-    pinned = cfg.constrain_mean_to_qhat
-    orders = _candidate_orders(family, candidates, naive_q, pinned)
-    valid = [g for g in orders if g is not None]
-    means = [g.mean() for g in valid]
     if pinned:
-        for k, mean_q in enumerate(means):
-            try:
-                _check_pinned_mean(mean_q, naive_q)
-            except ValueError:
-                # checked one at a time, the candidates before it come first
-                expected_maxima(valid[:k], compound)
-                raise
-    e_max = np.array(expected_maxima(valid, compound))
-    _, margins, profits = _lhs_margin_profit(
-        params, compound_mean, np.array(means), e_max, rhs, pinned
-    )
+        base, rhs = _pinned_baseline(params, compound, naive_q, rhs_mode)
+    else:
+        base = baseline_profit(params, scenario, rhs_mode)
+        rhs = base / params.p
+    compound_mean = compound.mean()
+
+    points = np.reshape([axis[index] for axis, index in axes], (len(axes), size)).T
+    cls, columns, valid = _candidate_columns(family, points, naive_q, pinned)
+    rows = {name: column[valid] for name, column in columns.items()}
+    means = _order_means(cls, rows)
+    off = np.flatnonzero(np.abs(means - naive_q) > 1e-6 * max(1.0, naive_q)) if pinned else []
+    if len(off):
+        # checked one at a time, the candidates before it come first
+        _order_maxima(cls, {name: column[: off[0]] for name, column in rows.items()}, compound)
+        _check_pinned_mean(float(means[off[0]]), naive_q)
+    mean_q, e_max = np.full(size, np.nan), np.full(size, np.nan)
+    mean_q[valid], e_max[valid] = means, _order_maxima(cls, rows, compound)
+    _, margins, profits = _lhs_margin_profit(params, compound_mean, mean_q, e_max, rhs, pinned)
     feasibles = margins >= -FEASIBILITY_TOL
-    evaluated = iter(zip(profits.tolist(), margins.tolist(), feasibles.tolist()))
 
-    trace: list[TraceEntry] = []
-    best_params: tuple[float, ...] | None = None
-    best_dist: Distribution | None = None
-    best_profit = -math.inf
-    feasible_count = 0
-    for cid, (point, g) in enumerate(zip(candidates, orders)):
-        if g is None:
-            trace.append(TraceEntry(cid, point, math.nan, math.nan, False))
-            continue
-        profit, margin, feasible = next(evaluated)
-        trace.append(TraceEntry(cid, point, profit, margin, feasible))
-        if feasible:
-            feasible_count += 1
-            if profit > best_profit:
-                best_profit = profit
-                best_params = point
-                best_dist = g
-
-    if best_dist is None:
+    best = int(np.argmax(np.where(feasibles, profits, -math.inf)))
+    best_profit = float(profits[best])
+    if feasibles[best] and best_profit > -math.inf:
+        best_policy, improvement = Stochastic(_member(cls, columns, best)), best_profit - base
+        # a random search's parameters stay numpy scalars, as drawn
+        best_params = tuple(axis[index[best]] for axis, index in axes)
+        if cfg.method == "grid":
+            best_params = tuple(map(float, best_params))
+        feasible_count = int(feasibles.sum())
+    else:
         # the naive order is retained, with zero improvement
         best_policy, best_params, best_profit, improvement = Deterministic(naive_q), (), base, 0.0
         feasible_count = 0
-    else:
-        best_policy, improvement = Stochastic(best_dist), best_profit - base
     return SearchResult(
         best_policy=best_policy,
         best_params=best_params,
         best_expected_profit=best_profit,
         baseline_profit=base,
         improvement=improvement,
-        evaluations=len(candidates),
+        evaluations=size,
         feasible_count=feasible_count,
         family=family,
         param_names=names,
         rhs_mode=rhs_mode,
-        search_trace=tuple(trace),
+        trace=SearchTrace(axes, profits, margins, feasibles),
     )
+
+
+def _pinned_baseline(
+    params: MarketParams, compound: Distribution, naive_q: float, mode: RhsMode
+) -> tuple[float, float]:
+    """``baseline_profit`` and the right-hand side ``_expected_max_at(naive_q,
+    compound)``, bit for bit, from one read each of F and M1 at the naive
+    order: against a mixture, each read is a pass over its components."""
+    exact = mode is RhsMode.EXPECTED_PROFIT
+    q = (newsvendor._check_quantity if exact else compound._check_cutoff)(naive_q)
+    cdf, m1 = compound.cdf(q), compound._partial_expectation(q)
+    # newsvendor.expected_profit, with the integrated CDF q F - M1
+    base = (params.p - params.w) * q - params.p * (q * cdf - m1) if exact else params.p * m1
+    return base, naive_q * cdf + max(0.0, compound.mean() - m1)
 
 
 def _check_bounds(names: tuple[str, ...], bounds: dict) -> None:
@@ -509,26 +559,25 @@ def _check_bounds(names: tuple[str, ...], bounds: dict) -> None:
             raise ValueError(f"bounds for {name!r} must be finite with lo <= hi, got {(lo, hi)}")
 
 
-def _candidate_points(
+def _candidate_axes(
     names: tuple[str, ...], bounds: dict, cfg: SearchConfig
-) -> list[tuple[float, ...]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each parameter's axis and each candidate's index on it
+    (``SearchTrace.axes``)."""
     k = len(names)
     if k == 0:
-        return [()] * cfg.budget
+        return ()
     spans = [bounds[name] for name in names]
     if cfg.method == "random":
         draws = _generator(cfg.seed).random((cfg.budget, k))
-        return [
-            tuple(lo + (hi - lo) * draws[i, j] for j, (lo, hi) in enumerate(spans))
-            for i in range(cfg.budget)
-        ]
+        index = np.arange(cfg.budget)
+        return tuple((lo + (hi - lo) * draws[:, j], index) for j, (lo, hi) in enumerate(spans))
     per_dim = round(cfg.budget ** (1.0 / k))
     if per_dim**k != cfg.budget:
         raise ValueError(
             f"grid search over {k} parameter(s) needs a budget that is a "
             f"perfect {k}-th power, got {cfg.budget}"
         )
-    axes = [np.linspace(lo, hi, per_dim) for lo, hi in spans]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [tuple(row) for row in flat.tolist()]
+    # the lattice in the order of meshgrid(*axes, indexing="ij")
+    indices = np.indices((per_dim,) * k).reshape(k, -1)
+    return tuple((np.linspace(lo, hi, per_dim), index) for (lo, hi), index in zip(spans, indices))

@@ -242,8 +242,9 @@ def test_uniform_mixture_is_linear_in_components():
 
 def test_uniform_mixture_with_a_narrow_component_keeps_quadrature():
     # one quadrature over the lognormal, of E[max(t, Y)], which reads the
-    # narrow uniform's M1: it cancels like eps * hi / width (ROADMAP item 2),
-    # and the value is 3.0e-11 from the exact one
+    # narrow uniform's M1: it cancels like eps * hi / width (ROADMAP, the
+    # narrow-uniform M1 cancellation of point orders), and the value is
+    # 3.0e-11 from the exact one
     narrow = Uniform(2.0, 2.0 + 1e-9)
     mix = Mixture([(0.5, Uniform(1.0, 3.0)), (0.5, narrow)])
     order = LogNormal(0.5, 0.3)
@@ -357,7 +358,9 @@ def test_closed_form_matches_quadrature_and_atoms(u, other):
     assert expected_max(u, other) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="Uniform M1 cancels at 1e-9 widths (ROADMAP item 4)")
+@pytest.mark.xfail(
+    strict=True, reason="Uniform M1 cancels at 1e-9 widths (ROADMAP, point orders as exact atoms)"
+)
 def test_point_orders_exact():
     # Uniform._partial_expectation loses about q^2 eps / width at the top of a
     # point order; fixing it moves recorded benchmark references

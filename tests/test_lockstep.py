@@ -26,17 +26,20 @@ from randvendor import (
     expected_max,
     search_policy,
 )
-from randvendor import _quad
+from randvendor import _quad, policy
 from randvendor.distributions import (
     _SAMPLE_BLOCK,
     _closed_form_pair,
     _density_maxima,
     _expected_max_densities,
+    _equal_stack,
+    _member,
+    _member_params,
     _uniform_maxima,
     expected_maxima,
 )
 from randvendor.policy import (
-    _candidate_orders,
+    _candidate_columns,
     build_order_dist,
 )
 
@@ -190,7 +193,8 @@ def test_uniform_closed_form_over_arrays(demand):
     orders = [Uniform(lo, hi) for lo, hi in itertools.combinations(edges, 2)]
     assert all(g._closed_form_max for g in orders)
     expected = [expected_max(g, demand) for g in orders]
-    assert _bits(_uniform_maxima(orders, demand)) == _bits(expected)
+    stack = _equal_stack(Uniform, _member_params(Uniform, orders))
+    assert _bits(_uniform_maxima(stack, demand)) == _bits(expected)
 
 
 def _stacked_demands():
@@ -379,11 +383,34 @@ def test_search_against_a_stacked_compound_stays_per_candidate(monkeypatch):
     assert len(result.search_trace) == 8
 
 
+def _scalar_order(family, values, naive_q, constrained):
+    """A candidate by the scalar definition of its family, one float at a
+    time; raises ValueError where the candidate is refused."""
+    families = {"uniform": Uniform, "lognormal": LogNormal, "truncated_normal": TruncatedNormal}
+    if not constrained and family in families:
+        return families[family](*values)
+    if constrained and naive_q <= 0.0 and family != "uniform":
+        raise ValueError("no mean to pin")
+    if family == "point":
+        q = naive_q if constrained else values[0]
+        lo = max(0.0, q - 0.5 * policy._POINT_WIDTH)
+        return Uniform(lo, lo + policy._POINT_WIDTH)
+    (scale,) = values
+    if scale <= 0.0:
+        raise ValueError("a scale must be > 0")
+    if family == "uniform":
+        return Uniform(naive_q - 0.5 * scale, naive_q + 0.5 * scale)
+    if family == "lognormal":
+        # the location solved exactly from exp(mu + sd^2/2) = naive_q
+        return LogNormal(math.log(naive_q) - 0.5 * scale**2, scale)
+    return TruncatedNormal(policy._solve_truncnorm_location(naive_q, scale), scale)
+
+
 def _one_by_one(family, points, naive_q, constrained):
     out = []
     for point in points:
         try:
-            out.append(build_order_dist(family, point, naive_q, constrained))
+            out.append(_scalar_order(family, point, naive_q, constrained))
         except ValueError:
             out.append(None)
     return out
@@ -401,11 +428,17 @@ def _one_by_one(family, points, naive_q, constrained):
     ],
 )
 def test_candidates_are_built_as_one_by_one(family, constrained, points):
-    # every candidate as build_order_dist makes it, None where it refuses
-    built = _candidate_orders(family, points, 0.8, constrained)
+    # every candidate's parameter columns as the scalar definition makes
+    # it, and invalid where it refuses; build_order_dist takes one row
+    rows = np.array(points, dtype=float).reshape(len(points), -1)
+    cls, params, valid = _candidate_columns(family, rows, 0.8, constrained)
     expected = _one_by_one(family, points, 0.8, constrained)
-    assert [g is None for g in built] == [g is None for g in expected]
+    assert valid.tolist() == [g is not None for g in expected]
     assert any(g is None for g in expected) or family == "point"
-    for g, e in zip(built, expected):
-        if e is not None:
-            assert type(g) is type(e) and g.to_dict() == e.to_dict()
+    for k, (point, e) in enumerate(zip(points, expected)):
+        if e is None:
+            with pytest.raises(ValueError):
+                build_order_dist(family, point, 0.8, constrained)
+            continue
+        for g in (_member(cls, params, k), build_order_dist(family, point, 0.8, constrained)):
+            assert type(g) is type(e) and repr(g.to_dict()) == repr(e.to_dict())

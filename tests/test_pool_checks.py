@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from helpers import perfbench_module
-from randvendor import policy
+from randvendor import distributions, policy
 from randvendor.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,13 +62,15 @@ def test_expected_max_lies_within_its_bounds(name, tmp_path, monkeypatch):
     D, to rounding, for every candidate a search evaluates."""
     evaluated = []
 
-    def recording(orders, demand):
-        values = expected_maxima(orders, demand)
-        evaluated.extend((g.mean(), demand.mean(), value, g) for g, value in zip(orders, values))
+    def recording(family, params, demand):
+        values = order_maxima(family, params, demand)
+        for k, value in enumerate(values.tolist()):
+            g = distributions._member(family, params, k)
+            evaluated.append((g.mean(), demand.mean(), value, g))
         return values
 
-    expected_maxima = policy.expected_maxima
-    monkeypatch.setattr(policy, "expected_maxima", recording)
+    order_maxima = policy._order_maxima
+    monkeypatch.setattr(policy, "_order_maxima", recording)
     scenario = tmp_path / f"{name}.json"
     scenario.write_text(json.dumps(SEARCHED[name]))
     assert _run(["search", str(scenario)]) == 0
