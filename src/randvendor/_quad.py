@@ -13,7 +13,7 @@ each round evaluating every panel they ask for as one (panels, 21) block
 and summing each row in the scalar rule's order (``_gk21_rows``), or, for a
 round of a few panels, by the scalar rule on each row, so that each keeps
 its own path and value bit for bit. The two survival integrals of a
-stacked mixture at q, plain and weighted by t, are one ``integrate_many``
+mixture's stack at q, plain and weighted by t, are one ``integrate_many``
 of two spans over the weighted sum across its components, each round
 evaluating each distinct node against the components once and each span
 keeping its own path; or two quadratures per component where
@@ -450,7 +450,7 @@ _PASS_COST = 1_000
 
 
 def scalar_pays(size: int, lo: float, hi: float, points) -> bool:
-    """Whether one pass over [lo, hi] of a stacked mixture's survival
+    """Whether one pass over [lo, hi] of a mixture's stack's survival
     function, the weighted sum over its ``size`` components, split at
     ``points``, for both survival integrals, beats two quadratures of each
     component, each split at its own kinks: whether the pass's fixed cost and

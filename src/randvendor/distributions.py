@@ -2,74 +2,36 @@
 
 Each family defines the CDF ``F`` and the partial moments
 ``M1(q) = int_0^q t f(t) dt`` and ``M2(q) = int_0^q t^2 f(t) dt`` in closed
-form. ``Distribution`` derives the rest once, by parts: the integrated CDF
-``q F - M1``, its first-moment weighting ``int_0^q t F = (q^2 F - M2) / 2``
-and the upper partial expectation ``mean - M1``. The expected maximum of
-a uniform and any other distribution follows from the other side's F, M1
-and M2 in closed form, and is linear over a mixture of uniforms. Adaptive
-quadrature (the package's own Gauss-Kronrod rule, ``_quad``) is used only
-for ``survival_integral`` and ``weighted_survival_integral`` (independent
-forms the newsvendor profit and variance are cross-checked against) and
-for the expected maximum of the remaining pairs that both have a density,
-including those with a uniform too narrow for the closed form or a
-truncated normal, whose partial moments lose relative precision below its
-bulk. Between two parametric families, that expected maximum is the sum of
-two halves ``int t f_X(t) F_Y(t) dt``. Every other pair, a mixture or an
-upper truncation on either side, is E_X[h_Y(X)] with
-h_Y(t) = E[max(t, Y)] = t F_Y(t) + mean_Y - M1_Y(t): one quadrature over X,
-the side that is not a mixture and the narrower of two such (of two
-mixtures, the one with fewer kinks), split at a ladder of points around its
-bulk (``_ladder``), so that a narrow density there is not stepped over; a
-mixture of several families against another mixture is the sum over its
-components. A density whose quartiles round to one float is refused rather
-than integrated over.
+form, at a point by ``math`` and, for the parametric families, over arrays
+by their ``_*_block`` kernels, which agree with it bit for bit (see
+``_math_map``). ``Distribution`` derives the rest once, by parts: the
+integrated CDF ``q F - M1``, its first-moment weighting
+``int_0^q t F = (q^2 F - M2) / 2`` and the upper partial expectation
+``mean - M1``. Adaptive quadrature (the package's own Gauss-Kronrod rule,
+``_quad``) is used only for ``survival_integral`` and
+``weighted_survival_integral``, the independent forms the newsvendor profit
+and variance are cross-checked against, and for the expected maximum of the
+pairs that have no closed form: ``expected_max`` sets out its routes, and
+``_order_maxima`` takes a search's candidates through them over arrays.
 
-A mixture whose components share one parametric family is evaluated and
-sampled as one stacked family (``_Stack``), one array call per kernel, with
-the same results bit for bit as the sum over its components; a mixture of
-different families, or of truncated normals with means on both sides of
-zero, keeps that sum. A quadrature integrand that reads a stacked mixture
-takes its weighted sum by numpy at each node: the two survival integrals
-at one q are one such quadrature of two spans split at every kink, each
-round's distinct nodes one block against the components
-(``integrate_many``), unless its components' kinks make one quadrature
-each cheaper (``scalar_pays``), and h_Y of a stacked Y is one weighted sum
-per node. At a point, a stack's weighted sum is rounded
-correctly, as ``math.fsum`` rounds the sum over its components, by an
-error-free split certified row by row (``_exact_sum``), which takes fsum
-itself for a row it cannot certify and for one short row. A mixture's
-quantile is a bisection whose steps a stack decides on a numpy sum whose
-rounding is bounded, falling back to that correctly rounded sum only where
-the bound leaves the step open; regula falsi, steered by the same sums,
-first narrows the span, and the bisection then takes every step it
-would have taken, reading the CDF only between the points found. A stack is built from parameter arrays, so a compound built from
-its grid of parameters creates component objects only for the paths that
-walk them.
+A mixture is a sum of parts (``Mixture._parts``): one stack (``_Stack``)
+per parametric family and truncated-normal tail form, held as parameter
+arrays and evaluated by one array call per kernel, and one part of every
+other component. A kernel at a point is the weighted sum over all parts,
+rounded correctly as ``math.fsum`` rounds it over the components
+(``_exact_sum``); quadrature over a stack takes its weighted sum by numpy at
+each node, and a mixture's quantile is a bisection decided on numpy sums
+whose rounding is bounded. A compound built from its grid of parameters
+makes its stacks from the arrays, and component objects only for the paths
+that walk them.
 
 Every draw goes through one uniform map per distribution, in place,
-``_inverse_cdf(v, p)``: ``from_uniform`` applies it block by block to a copy
-of its uniforms, a Monte-Carlo column's ``_draw_block`` to its stream's
-uniforms (a lognormal's takes standard normals instead), and a column's
-per-batch ``_column_sampler`` calls ``_draw_block``, a mixture's by the
-batch's component counts (see ``simulate``). A mixture's map finds each
-draw's component by one binary search over its cumulative weights; a stacked
-mixture's family map then reads the parameter rows of its draws through one
-view of the stack (``_Rows``), gathered one row per draw or, for the counts,
-each component's row repeated along its run.
-
-Kernels come in two layers: each family's methods at one point, by
-``math``, and each parametric family's ``_*_block`` kernels, the only array
-definition of each formula, which stacks, gathered rows and the lockstep
-quadrature share; the two agree bit for bit.
-
-``_order_maxima`` evaluates the expected maxima of a search's candidates,
-members of one family given as its parameter columns, against one demand,
-with the same values bit for bit as ``expected_max`` of each pair:
-closed-form uniforms over arrays, against a stacked mixture as blocks of
-the candidates against its components summed row by row, and density pairs
-of two parametric families in one lockstep quadrature (``integrate_many``),
-whose integrands are the families' array kernels over a block of points.
-``expected_maxima`` takes a list of orders to it.
+``_inverse_cdf(v, p)``, which ``from_uniform`` and a Monte-Carlo column's
+``_draw_block`` apply; a mixture's finds each draw's component by one
+binary search over its cumulative weights, and each stack maps its draws by
+one family call over their parameter rows (``_Rows``). A mixture column's
+per-batch ``_column_sampler`` draws by the batch's component counts (see
+``simulate``).
 
 Instances are immutable after construction and safe to share across
 threads. Sampling derives a counter-based generator from an explicit seed
@@ -212,10 +174,10 @@ class Distribution:
         """Overwrite the uniform draws ``v`` with draws of the distribution
         ``p`` and return them: its inverse CDF, or a mixture's stratified
         composition. ``p`` is an instance or, for a parametric family, holds
-        its parameters as arrays aligned with ``v`` (a stacked mixture's
-        ``_Rows``). It is the one uniform map of each distribution:
-        ``from_uniform`` and ``_draw_block`` apply it, and a Monte-Carlo
-        column's ``_column_sampler`` calls ``_draw_block``."""
+        its parameters as arrays aligned with ``v`` (a stack's ``_Rows``). It
+        is the one uniform map of each distribution: ``from_uniform`` and
+        ``_draw_block`` apply it, and a Monte-Carlo column's
+        ``_column_sampler`` calls ``_draw_block``."""
         raise NotImplementedError
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -867,17 +829,26 @@ class Empirical(Distribution):
         return {"family": "empirical", "values": [float(v) for v in self.values]}
 
 
+def _summed(kernel: str):
+    """A ``Mixture`` kernel: the exact sum of its ``_products``."""
+    return lambda self, *args: _exact_sum(self._products(kernel, *args))
+
+
+def _each(method: str):
+    """A ``_Members`` kernel: each member's own ``method``, as an array."""
+    return lambda self, *args: np.array([getattr(d, method)(*args) for d in self.dists], float)
+
+
 class Mixture(Distribution):
     """Finite mixture; weights must be positive and sum to 1 within 1e-12.
 
-    When every component comes from the same parametric family, the mixture
-    evaluates and samples as one stacked family (``_Stack``): each kernel is
-    one array call over the components. Mixed families, and truncated normals
-    with means on both sides of zero, keep the sum over their components.
-
-    A compound is built from its parameter grid (``_of_grid``) and holds no
-    component objects: ``components`` creates them on first use, for the
-    paths that walk them.
+    Its components are split into parts (``_parts_of``): one ``_Stack`` per
+    parametric family and truncated-normal tail form, and one ``_Members``
+    of every other component (an empirical one, an upper truncation, a
+    nested mixture). Each kernel is the correctly rounded sum of the
+    weighted values of all parts (``_exact_sum``), as ``math.fsum`` over the
+    components. A compound is built from its parameter grid (``_of_grid``),
+    and ``components`` creates its component objects on first use.
     """
 
     def __init__(self, components):
@@ -908,19 +879,11 @@ class Mixture(Distribution):
         self._components = components
         # (family, parameter arrays) of a mixture built from its grid
         self._grid = grid
-        # built on first use, so that constructing a compound stays cheap
-        self._closed_form = None
-        self._mean = None
         # (u, quantile(u)) of the last call: a command asks for q* repeatedly
         self._last_quantile = None
-        # (q, (survival integral, weighted one)) of a stack's last pass at q:
-        # the two cross-checks at q* read the same nodes
+        # (q, {part: (survival integral, weighted one)}) of the stacks' last
+        # passes: the two cross-checks at q* read the same nodes
         self._last_survival = None
-        self._has_density = None
-        self._support = None
-        self._breakpoints = None
-        self._atoms = None
-        self._stack = None
 
     @property
     def components(self) -> tuple:
@@ -935,79 +898,77 @@ class Mixture(Distribution):
             )
         return self._components
 
-    @property
-    def _closed_form_max(self):
-        if self._closed_form is None:
-            stack = self._stacked()
-            if stack is not None:
-                self._closed_form = stack.closed_form_max()
-            else:
-                self._closed_form = all(d._closed_form_max for _, d in self.components)
-        return self._closed_form
+    @functools.cached_property
+    def _parts(self) -> tuple:
+        if self._grid is None:
+            return _parts_of(self._weights, [d for _, d in self._components])
+        family, params = self._grid
+        return tuple(_stacks(family, params, self._weights, np.arange(self._weights.size)))
 
-    @property
+    @functools.cached_property
+    def _part_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each component's part, and its row in that part."""
+        part_of = np.empty(self._weights.size, dtype=np.intp)
+        row_of = np.empty_like(part_of)
+        for k, part in enumerate(self._parts):
+            part_of[part.index] = k
+            row_of[part.index] = np.arange(part.size)
+        return part_of, row_of
+
+    def _products(self, kernel: str, *args) -> np.ndarray:
+        """Each component's weight times its value of the kernel, by part."""
+        return np.concatenate([part.weights * getattr(part, kernel)(*args) for part in self._parts])
+
+    @functools.cached_property
+    def _pieces(self) -> list:
+        """The stacks, and every other component alone: the walks a stack
+        shares with a distribution fold over them."""
+        groups = (part.dists if isinstance(part, _Members) else [part] for part in self._parts)
+        return [piece for group in groups for piece in group]
+
+    @functools.cached_property
+    def _closed_form_max(self):
+        return all(piece._closed_form_max for piece in self._pieces)
+
+    @functools.cached_property
     def has_density(self):
-        if self._has_density is None:
-            self._has_density = self._stacked() is not None or all(
-                d.has_density for _, d in self.components
-            )
-        return self._has_density
+        return all(piece.has_density for piece in self._pieces)
+
+    @functools.cached_property
+    def _support(self):
+        ends = [piece.support() for piece in self._pieces]
+        return (min(lo for lo, _ in ends), max(hi for _, hi in ends))
 
     def support(self):
-        if self._support is None:
-            stack = self._stacked()
-            if stack is not None:
-                self._support = stack.support()
-            else:
-                lo = min(d.support()[0] for _, d in self.components)
-                hi = max(d.support()[1] for _, d in self.components)
-                self._support = (lo, hi)
         return self._support
 
-    def _family(self):
-        """The one class of every component, else None."""
-        if self._grid is not None:
-            return self._grid[0]
-        family = type(self._components[0][1])
-        return family if all(type(d) is family for _, d in self._components) else None
+    cdf, pdf = _summed("cdf"), _summed("pdf")
+    _partial_expectation = _summed("_partial_expectation")
+    _second_partial_moment = _summed("_second_partial_moment")
 
-    def _stacked(self):
-        """The components as one ``_Stack`` when they share a parametric
-        family, else None."""
-        if self._stack is None:
-            self._stack = False
-            family = self._family()
-            stack = _STACKS.get(family)
-            if stack is not None:
-                if self._grid is not None:
-                    params = self._grid[1]
-                else:
-                    # a hand-built mixture: its components' records, once
-                    params = _member_params(family, [d for _, d in self._components])
-                if stack.accepts(params):
-                    self._stack = stack(params, self._weights)
-        return self._stack or None
-
-    def cdf(self, x):
-        stack = self._stacked()
-        if stack is not None:
-            return stack.combine(stack.cdf(x))
-        return math.fsum(w * d.cdf(x) for w, d in self.components)
-
-    def pdf(self, x):
-        stack = self._stacked()
-        if stack is not None:
-            return stack.combine(stack.pdf(x))
-        return math.fsum(w * d.pdf(x) for w, d in self.components)
+    @functools.cached_property
+    def _mean(self):
+        return _exact_sum(self._products("means"))
 
     def mean(self):
-        if self._mean is None:
-            stack = self._stacked()
-            if stack is not None:
-                self._mean = stack.combine(stack.means())
-            else:
-                self._mean = math.fsum(w * d.mean() for w, d in self.components)
         return self._mean
+
+    def cdf_reaches(self, x: float, u: float) -> tuple[bool, float]:
+        """Whether ``cdf(x) >= u``, bit for bit, and numpy's sum s of the n
+        weighted component CDF values, which steers the quantile's regula
+        falsi (``_narrowed``). In any order, s is within n * eps * s of the
+        exact sum of these products, none negative. So the exact sum exceeds
+        u when s less that bound does, and rounds below u when s plus it is
+        below u's float predecessor; only the points in between, next to the
+        quantile, take ``_exact_sum``."""
+        products = self._products("cdf", x)
+        total = float(products.sum())
+        bound = products.size * _EPS * total
+        if total - bound > u:
+            return True, total
+        if total + bound < math.nextafter(u, -math.inf):
+            return False, total
+        return _exact_sum(products) >= u, total
 
     def _quantile(self, u):
         last = self._last_quantile
@@ -1019,36 +980,26 @@ class Mixture(Distribution):
 
     def _bisect_quantile(self, u):
         """The generalized inverse of the CDF at u, by bisection of the span
-        of the component quantiles; it handles flat segments and jumps. Each
-        step is decided by whether the CDF reaches u: a stack's
-        ``cdf_reaches``, else the fsum CDF. Illinois regula falsi first
-        narrows the span, steered by the CDF's values (``_narrowed``); the
-        bisection then runs its steps unchanged, deciding a midpoint at or
-        below the largest point found short of u, or at or above the smallest
-        found to reach it, by those points alone. Where the decisions are
-        monotone in x, it returns the bisection's bits in a few CDF passes."""
-        stack = self._stacked()
-        if stack is not None:
-            lo, hi = stack.quantile_range(u)
-            probe = stack.cdf_reaches
-        else:
-            lo = min(d._quantile(u) for _, d in self.components)
-            hi = max(d._quantile(u) for _, d in self.components)
-
-            def probe(x, u):
-                value = self.cdf(x)
-                return value >= u, value
-
+        of the component quantiles (each part's ``quantile_range``); it
+        handles flat segments and jumps. Each step is decided by whether the
+        CDF reaches u (``cdf_reaches``). Illinois regula falsi first narrows
+        the span, steered by the CDF's values (``_narrowed``); the bisection
+        then runs its steps unchanged, deciding a midpoint at or below the
+        largest point found short of u, or at or above the smallest found to
+        reach it, by those points alone. Where the decisions are monotone in
+        x, it returns the bisection's bits in a few CDF passes."""
+        ranges = [part.quantile_range(u) for part in self._parts]
+        lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
         if hi <= lo:
             return lo
-        short, reached = _narrowed(probe, u, lo, hi)
+        short, reached = _narrowed(self.cdf_reaches, u, lo, hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid <= short:
                 lo = mid
             elif mid >= reached:
                 hi = mid
-            elif probe(mid, u)[0]:
+            elif self.cdf_reaches(mid, u)[0]:
                 hi = reached = mid
             else:
                 lo = short = mid
@@ -1066,13 +1017,14 @@ class Mixture(Distribution):
         v -= edges[idx]
         v /= weights[idx]
         np.clip(v, 0.0, np.nextafter(1.0, 0.0), out=v)
-        stack = p._stacked()
-        if stack is not None:
-            return stack.family._inverse_cdf(v, _Rows(stack, operator.itemgetter(idx)))
-        for j, (_, d) in enumerate(p.components):
-            where = np.flatnonzero(idx == j)
+        if len(p._parts) == 1:
+            return p._parts[0].inverse_cdf(v, idx)
+        part_of, row_of = p._part_rows
+        which = part_of[idx]
+        for k, part in enumerate(p._parts):
+            where = np.flatnonzero(which == k)
             if where.size:
-                v[where] = d._inverse_cdf(v[where], d)
+                v[where] = part.inverse_cdf(v[where], row_of[idx[where]])
         return v
 
     @functools.cached_property
@@ -1088,85 +1040,53 @@ class Mixture(Distribution):
         # the components' runs in component order. Every statistic of the
         # pass is a symmetric sum over the observations, and the other
         # columns are drawn i.i.d. in order (simulate._sampled_blocks), so a
-        # column grouped by component gives it exactly the law of i.i.d. draws
+        # column grouped by component gives it exactly the law of i.i.d. draws.
+        # The parts' samplers are made next, a nested mixture's drawing its
+        # own counts
         counts = rng.multinomial(m, self._weights)
-        stack = self._stacked()
-        if stack is not None:
+        samplers = [part.run_sampler(rng, counts[part.index]) for part in self._parts]
+        return _Runs(counts, samplers, *self._part_rows)
 
-            def fill(first, runs, out, flipped):
-                # one family call over the parameters repeated by the runs
-                rows = _Rows(stack, lambda a: np.repeat(a[first : first + runs.size], runs))
-                stack.family._draw_block(rng, rows, out, flipped)
-
-        else:
-            # each component's own sampler of its run, in its run's order
-            samplers = [
-                d._column_sampler(rng, n) if n else None
-                for (_, d), n in zip(self.components, counts.tolist())
-            ]
-
-            def fill(first, runs, out, flipped):
-                start = 0
-                for sampler, n in zip(samplers[first:], runs.tolist()):
-                    if n:
-                        part = slice(start, start + n)
-                        sampler(out[part], None if flipped is None else flipped[part])
-                        start += n
-
-        return _Runs(counts, fill)
+    @functools.cached_property
+    def _atoms(self):
+        # read-only, since every caller shares the arrays; only a mixture of
+        # one part can be atomic, as no stack is
+        (part, *others) = self._parts
+        atoms = None if others or isinstance(part, _Stack) else part.atoms()
+        for array in atoms or ():
+            array.setflags(write=False)
+        return atoms
 
     def atoms(self):
-        # cached read-only, since every caller shares the arrays; False when
-        # a component is not atomic, as no member of a stack's family is
-        if self._atoms is None:
-            self._atoms = False
-            parts = [None] if self._stacked() else [d.atoms() for _, d in self.components]
-            if all(p is not None for p in parts):
-                values = np.concatenate([vals for vals, _ in parts])
-                weights = np.concatenate(
-                    [w * wts for (_, wts), (w, _) in zip(parts, self.components)]
-                )
-                values.setflags(write=False)
-                weights.setflags(write=False)
-                self._atoms = (values, weights)
-        return self._atoms or None
+        return self._atoms
+
+    @functools.cached_property
+    def _breakpoints(self):
+        return tuple(sorted(set().union(*(piece.breakpoints() for piece in self._pieces))))
 
     def breakpoints(self):
-        if self._breakpoints is None:
-            stack = self._stacked()
-            if stack is not None:
-                self._breakpoints = stack.breakpoints()
-            else:
-                pts = set()
-                for _, d in self.components:
-                    pts.update(d.breakpoints())
-                self._breakpoints = tuple(sorted(pts))
         return self._breakpoints
 
-    def _partial_expectation(self, q):
-        stack = self._stacked()
-        if stack is not None:
-            return stack.combine(stack._partial_expectation(q))
-        return math.fsum(w * d._partial_expectation(q) for w, d in self.components)
-
-    def _second_partial_moment(self, q):
-        stack = self._stacked()
-        if stack is not None:
-            return stack.combine(stack._second_partial_moment(q))
-        return math.fsum(w * d._second_partial_moment(q) for w, d in self.components)
-
     def _survival_integral(self, q, weighted=False):
-        # quadrature of F on either path, so it checks the stacked M1 and M2
-        # independently: a stack takes one quadrature of its own survival
-        # function for both integrals at q, split at every kink, unless its
-        # components' kinks make quadratures of each cheaper (scalar_pays)
-        stack, pts = self._stacked(), self.breakpoints()
-        if stack is None or not scalar_pays(stack.size, 0.0, q, pts):
-            return math.fsum(w * d._survival_integral(q, weighted) for w, d in self.components)
-        last = self._last_survival
-        if last is None or last[0] != q:
-            last = self._last_survival = (q, _survival_pair(stack, q, pts))
-        return last[1][weighted]
+        # quadrature of F, so that it checks M1 and M2 independently: a stack
+        # takes one quadrature of its own survival function for both
+        # integrals at q, split at its every kink, unless its components'
+        # kinks make quadratures of each cheaper (scalar_pays); every other
+        # component takes its own
+        if self._last_survival is None or self._last_survival[0] != q:
+            self._last_survival = (q, {})
+        pairs, terms, parts = self._last_survival[1], [], self._parts
+        for k, part in enumerate(parts):
+            pts = part.breakpoints() if isinstance(part, _Stack) else None
+            if pts is not None and scalar_pays(part.size, 0.0, q, pts):
+                if k not in pairs:
+                    mass = 1.0 if len(parts) == 1 else math.fsum(part.weights.tolist())
+                    pairs[k] = _survival_pair(part, q, pts, mass)
+                terms.append(pairs[k][weighted])
+            else:
+                members = map(self.components.__getitem__, part.index.tolist())
+                terms += [w * d._survival_integral(q, weighted) for w, d in members]
+        return math.fsum(terms)
 
     def to_dict(self):
         return {
@@ -1175,11 +1095,90 @@ class Mixture(Distribution):
         }
 
 
-def _survival_pair(stack, q, pts):
-    """int_0^q P(X > t) dt and int_0^q t P(X > t) dt over a stack, split at
-    every point of ``pts``: one ``integrate_many`` of two spans, each on its
-    own ``_dqagse`` path, so that each has the bits of its quadrature alone.
-    Each round reads every distinct node of its panels against the
+def _parts_of(weights: np.ndarray, dists: list) -> tuple:
+    """Distributions weighted by ``weights`` as parts: the members of each
+    parametric family as its stacks (``_stacks``), and every other one in
+    one ``_Members``. Each part holds the positions of its rows (``index``)."""
+    groups: dict[type | None, list[int]] = {}
+    for k, d in enumerate(dists):
+        groups.setdefault(type(d) if type(d) in _STACKS else None, []).append(k)
+    parts = []
+    for family, index in groups.items():
+        members, index = [dists[k] for k in index], np.array(index)
+        if family is None:
+            parts.append(_Members(members, weights[index], index))
+        else:
+            parts += _stacks(family, _member_params(family, members), weights[index], index)
+    return tuple(parts)
+
+
+def _stacks(family: type, params: dict[str, np.ndarray], weights, index) -> list:
+    """Members of a parametric family, by their parameter columns keyed as
+    in its record, as one stack per tail form: a truncated normal's, which a
+    stack reads once for all its rows."""
+    forms = [slice(None)]
+    if family is TruncatedNormal:
+        # TruncatedNormal._upper_tail
+        upper = -params["mean"] / params["sd"] > 0.0
+        forms = [rows for rows in (upper, ~upper) if rows.any()]
+    return [
+        _STACKS[family]({name: a[rows] for name, a in params.items()}, weights[rows], index[rows])
+        for rows in forms
+    ]
+
+
+class _Members:
+    """The components of a mixture that no stack takes, as one part, with a
+    stack's interface: each kernel is each member's own value, and each
+    draw its own map or sampler."""
+
+    cdf, pdf, means = _each("cdf"), _each("pdf"), _each("mean")
+    _partial_expectation = _each("_partial_expectation")
+    _second_partial_moment = _each("_second_partial_moment")
+
+    def __init__(self, dists: list, weights: np.ndarray, index: np.ndarray):
+        self.dists, self.weights, self.index, self.size = dists, weights, index, len(dists)
+
+    def quantile_range(self, u):
+        quantiles = [d._quantile(u) for d in self.dists]
+        return min(quantiles), max(quantiles)
+
+    def atoms(self):
+        atoms = [d.atoms() for d in self.dists]
+        if any(a is None for a in atoms):
+            return None
+        weighted = [w * p for w, (_, p) in zip(self.weights.tolist(), atoms)]
+        return np.concatenate([values for values, _ in atoms]), np.concatenate(weighted)
+
+    def inverse_cdf(self, v, rows):
+        for j, d in enumerate(self.dists):
+            where = np.flatnonzero(rows == j)
+            if where.size:
+                v[where] = d._inverse_cdf(v[where], d)
+        return v
+
+    def run_sampler(self, rng, counts):
+        # each member's own sampler, made now, in order
+        counts = counts.tolist()
+        samplers = [d._column_sampler(rng, n) if n else None for d, n in zip(self.dists, counts)]
+
+        def draw(row, runs, out, flipped):
+            start = 0
+            for sampler, n in zip(samplers[row:], runs.tolist()):
+                if n:
+                    part = slice(start, start + n)
+                    sampler(out[part], None if flipped is None else flipped[part])
+                    start += n
+
+        return draw
+
+
+def _survival_pair(stack, q, pts, mass=1.0):
+    """int_0^q P(X > t) dt and int_0^q t P(X > t) dt over a stack, with
+    P(X > t) its ``mass`` (1, or a part's own) less its weighted CDFs, split
+    at every point of ``pts``: one ``integrate_many`` of two spans, each on
+    its own ``_dqagse`` path, so that each has the bits of its quadrature
+    alone. Each round reads every distinct node of its panels against the
     components once, in chunks of at most _SAMPLE_BLOCK products, and the
     weighted span's values are t times the plain ones."""
     weights, cdf = stack.weights, stack.cdf
@@ -1191,7 +1190,7 @@ def _survival_pair(stack, q, pts):
         for start in range(0, nodes.size, rows):
             part = slice(start, start + rows)
             tails[part] = (weights * cdf(nodes[part, None], fast=True)).sum(axis=1)
-        values = (1.0 - tails)[at.reshape(t.shape)]
+        values = (mass - tails)[at.reshape(t.shape)]
         weighted = owner == 1
         values[weighted] *= t[weighted]
         return values
@@ -1267,16 +1266,17 @@ class _Runs:
     """The sampler of one batch of a mixture's Monte-Carlo column, whose
     draws are ``counts[i]`` draws of component i, the components' runs in
     order. Each call ``draw(out, flipped=None)`` takes the batch's next
-    ``out.size`` draws as ``fill(first, runs, out, flipped)``: ``runs[i]``
-    draws of component ``first + i`` (some of them none), in order."""
+    ``out.size`` draws, each stretch of consecutive components of one part
+    by one call of its sampler (``run_sampler``), as their rows in it are
+    consecutive too."""
 
-    __slots__ = ("_edges", "_start", "_fill")
+    __slots__ = ("_edges", "_start", "_samplers", "_part_of", "_row_of")
 
-    def __init__(self, counts: np.ndarray, fill):
+    def __init__(self, counts: np.ndarray, samplers, part_of, row_of):
         # component i's run is draws edges[i] to edges[i + 1]
         self._edges = np.concatenate(([0], np.cumsum(counts)))
         self._start = 0
-        self._fill = fill
+        self._samplers, self._part_of, self._row_of = samplers, part_of, row_of
 
     def __call__(self, out, flipped=None):
         start, stop = self._start, self._start + out.size
@@ -1286,8 +1286,19 @@ class _Runs:
         # whose run holds the last
         first = int(np.searchsorted(edges, start, side="right")) - 1
         last = int(np.searchsorted(edges, stop, side="left"))
-        runs = np.diff(np.clip(edges[first : last + 1], start, stop))
-        self._fill(first, runs, out, flipped)
+        # where each component's run ends in ``out``
+        ends = np.clip(edges[first : last + 1], start, stop) - start
+        runs = np.diff(ends)
+        if len(self._samplers) == 1:
+            # one part, whose rows are the components
+            return self._samplers[0](first, runs, out, flipped)
+        which = self._part_of[first : first + runs.size]
+        cuts = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), runs.size]
+        bounds = ends[cuts].tolist()
+        for a, b, i, j in zip(cuts, cuts[1:], bounds, bounds[1:]):
+            if j > i:
+                pair = None if flipped is None else flipped[i:j]
+                self._samplers[which[a]](int(self._row_of[first + a]), runs[a:b], out[i:j], pair)
 
 
 # -- stacked single-family mixtures --------------------------------------------
@@ -1347,7 +1358,9 @@ def _exact_sum(products):
 
 
 class _Stack:
-    """A mixture of one parametric family as arrays over its components.
+    """Members of one parametric family, of one tail form for truncated
+    normals, as arrays: a part of a mixture (``_parts_of``), or a search's
+    candidates.
 
     It is built from the family's parameters, one array each, keyed as in the
     family's record and in the order of its constructor (``params``); every
@@ -1369,20 +1382,19 @@ class _Stack:
     params: tuple[str, ...]
     fields: tuple[str, ...]
 
-    def __init__(self, params: dict[str, np.ndarray], weights: np.ndarray):
+    has_density = True
+
+    def __init__(self, params: dict[str, np.ndarray], weights: np.ndarray, index=None):
         self.weights = weights
         self.size = weights.size
+        # the positions of the rows in a mixture's components
+        self.index = index
         self._derive(**params)
 
     @staticmethod
     def valid(**params) -> np.ndarray:
         """Per entry, whether the family's constructor accepts the parameters."""
         raise NotImplementedError
-
-    @staticmethod
-    def accepts(params) -> bool:
-        """Whether these members of the family can share one stack."""
-        return True
 
     def _derive(self, **params) -> None:
         raise NotImplementedError
@@ -1402,7 +1414,8 @@ class _Stack:
     def _second_partial_moment(self, q):
         return self.family._m2_block(q, self)
 
-    def closed_form_max(self) -> bool:
+    @property
+    def _closed_form_max(self) -> bool:
         """``Mixture._closed_form_max`` of the components."""
         return self.family._closed_form_max
 
@@ -1410,32 +1423,6 @@ class _Stack:
         """``Mixture.support`` of the components: the three families other
         than the uniform are supported on [0, inf)."""
         return (0.0, math.inf)
-
-    def combine(self, values):
-        """sum_i w_i values_i, correctly rounded (``_exact_sum``), as the
-        per-component sum by ``math.fsum``: the products are the same IEEE
-        operations. ``values`` at one point gives a float; a 2-D block, one
-        row of the components per point, gives one sum per row."""
-        return _exact_sum(self.weights * values)
-
-    def cdf_reaches(self, x: float, u: float) -> tuple[bool, float]:
-        """Whether ``combine(cdf(x)) >= u``, bit for bit, mostly without the
-        exact sum, and numpy's sum s of the weighted CDF values, which steers
-        the quantile's regula falsi (``_narrowed``). In whatever order numpy
-        adds the products, s is within size * eps * sum|products| of their
-        exact sum, and the products of positive weights and CDF values are
-        not negative, so that bound is size * eps * s. The exact sum
-        therefore exceeds u when s - bound > u, and rounds below u when
-        s + bound is below u's float predecessor; only the points in between,
-        next to the quantile, take ``combine``."""
-        values = self.cdf(x)
-        total = float((self.weights * values).sum())
-        bound = self.size * _EPS * total
-        if total - bound > u:
-            return True, total
-        if total + bound < math.nextafter(u, -math.inf):
-            return False, total
-        return self.combine(values) >= u, total
 
     def breakpoints(self) -> tuple[float, ...]:
         """``Mixture.breakpoints`` of the components: the three families
@@ -1448,6 +1435,20 @@ class _Stack:
         truncated normal; families whose quantile calls ``math`` override."""
         q = self.family._inverse_cdf(np.full(self.size, float(u)), self)
         return float(q.min()), float(q.max())
+
+    def inverse_cdf(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The family's uniform map of ``v``, each draw by its row's parameters."""
+        return self.family._inverse_cdf(v, _Rows(self, operator.itemgetter(rows)))
+
+    def run_sampler(self, rng, counts):
+        """``draw(row, runs, out, flipped)``: ``runs[i]`` draws of row ``row + i``
+        in order, by one ``_draw_block`` on ``rng`` (see ``_Runs``)."""
+
+        def draw(row, runs, out, flipped):
+            rows = _Rows(self, lambda a: np.repeat(a[row : row + runs.size], runs))
+            self.family._draw_block(rng, rows, out, flipped)
+
+        return draw
 
 
 class _Rows:
@@ -1483,7 +1484,8 @@ class _UniformStack(_Stack):
     def means(self):
         return 0.5 * (self.lo + self.hi)
 
-    def closed_form_max(self):
+    @property
+    def _closed_form_max(self):
         return bool(np.all(self._width >= _MIN_UNIFORM_WIDTH * self.hi))
 
     def support(self):
@@ -1557,19 +1559,12 @@ class _TruncatedNormalStack(_Stack):
         alpha = -mean / sd
         return np.isfinite(mean) & np.isfinite(sd) & (sd > 0.0) & (ndtr(-alpha) > 0.0)
 
-    @staticmethod
-    def accepts(params):
-        # one tail form for all: a compound's uncertain means are quantiles
-        # of a distribution on [0, inf), so a grid of both signs is only
-        # ever written by hand
-        upper = -params["mean"] / params["sd"] > 0.0
-        return bool(upper.all() or not upper.any())
-
     def _derive(self, mean, sd):
         self.norm_mean, self.norm_sd = mean, sd
         alpha = -mean / sd
         self._f0 = ndtr(alpha)
         self._z = ndtr(-alpha)
+        # one tail form for every row, as ``_stacks`` splits them
         self._upper_tail = bool(alpha[0] > 0.0)
         self._pdf_alpha = _norm_pdf(alpha)
 
@@ -1692,12 +1687,12 @@ class UpperTruncated(Distribution):
 def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     """E[max(X, Y)] for independent X ~ dist_a, Y ~ dist_b.
 
-    When one side is a uniform, or a mixture of uniforms, it is evaluated in
-    closed form from the other side's F, M1 and M2, unless either side is or
-    mixes in a uniform narrower than ``_MIN_UNIFORM_WIDTH`` of its upper end
-    or a truncated normal, whose partial moments are too coarse for it.
-    Otherwise it goes through exact atom conditioning, or, when both sides
-    have a density:
+    When one side is a uniform, or a mixture whose one part is a stack of
+    uniforms, it is evaluated in closed form from the other side's F, M1 and
+    M2, unless either side is or mixes in a uniform narrower than
+    ``_MIN_UNIFORM_WIDTH`` of its upper end or a truncated normal, whose
+    partial moments are too coarse for it. Otherwise it goes through exact
+    atom conditioning, or, when both sides have a density:
 
     - between two parametric families, through the decomposition
       ``int x g(x) F(x) dx + int y f(y) G(y) dy``;
@@ -1705,8 +1700,9 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
       E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)], one quadrature over X
       (``_expected_max_over``), the side ``_integration_rank`` ranks lower:
       one that is not a mixture, the narrower of two such, else the mixture
-      with fewer kinks; a mixture of several families against another
-      mixture is the weighted sum over its components.
+      with fewer kinks; a mixture of one stack is one weighted array sum at
+      each node. A mixture of several parts against another mixture is the
+      weighted sum over its components.
 
     A mixture with both atoms and a density is the weighted sum over its
     components, and an upper truncation of one the weighted sum over its
@@ -1837,7 +1833,7 @@ def _uniform_rank(d: Distribution) -> tuple:
     uniforms: the side the closed-form expected maximum integrates over."""
     if isinstance(d, Uniform):
         return (0, d.lo, d.hi)
-    if isinstance(d, Mixture) and d._family() is Uniform:
+    if getattr(_stack_of(d), "family", None) is Uniform:
         return (1,)
     return (2,)
 
@@ -1914,12 +1910,12 @@ def _uniform_maxima(stack: _Stack, demand: Distribution) -> np.ndarray:
 def _uniform_maxima_over(orders: _Stack, mean: float, mixture: _Stack) -> np.ndarray:
     """``_uniform_maxima`` against a stacked mixture of the given mean. Each
     kernel takes a column of the orders' lo or hi against the components and
-    sums each row by ``combine``, the products and their rounding being
+    sums each row by ``_exact_sum``, the products and their rounding being
     those of the mixture's kernels at one point; the orders go in chunks of
     at most ``_SAMPLE_BLOCK`` products a block."""
 
     def summed(kernel):
-        return lambda x: mixture.combine(kernel(x[:, np.newaxis]))
+        return lambda x: _exact_sum(mixture.weights * kernel(x[:, np.newaxis]))
 
     kernels = [summed(kernel) for kernel in _blocks(mixture, "cdf", "m1", "m2")]
     rows = max(1, _SAMPLE_BLOCK // mixture.size)
@@ -2059,14 +2055,9 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
             if k:
                 _density_maxima(orders[:k], demand)
             raise
-    groups: dict[tuple, list[int]] = {}
-    for k, g in enumerate(orders):
-        groups.setdefault((type(g), getattr(g, "_upper_tail", None)), []).append(k)
-    stacks, member = [], [None] * len(orders)
-    for (family, _), members in groups.items():
-        for row, k in enumerate(members):
-            member[k] = (len(stacks), row)
-        stacks.append(_equal_stack(family, _member_params(family, [orders[k] for k in members])))
+    # the weights are not read
+    stacks = _parts_of(np.ones(len(orders)), orders)
+    member = {k: (i, row) for i, s in enumerate(stacks) for row, k in enumerate(s.index.tolist())}
 
     spans, tails, owners = [], [], []
     for k, g in enumerate(orders):
@@ -2135,8 +2126,10 @@ def _ladder(d: Distribution, lo: float, hi: float) -> set[float]:
 
 
 def _stack_of(d: Distribution):
-    """The stack of a single-family mixture, else None."""
-    return d._stacked() if isinstance(d, Mixture) else None
+    """The stack of a mixture whose one part is a stack, else None."""
+    if isinstance(d, Mixture) and len(d._parts) == 1 and isinstance(d._parts[0], _Stack):
+        return d._parts[0]
+    return None
 
 
 def _member_params(family: type, dists) -> dict[str, np.ndarray]:

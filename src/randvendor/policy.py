@@ -439,9 +439,7 @@ class SearchResult:
             best = {
                 "kind": "stochastic",
                 "family": self.family,
-                "params": {
-                    name: float(v) for name, v in zip(self.param_names, self.best_params)
-                },
+                "params": dict(zip(self.param_names, self.best_params)),
             }
         return {
             "best_policy": best,
@@ -512,10 +510,7 @@ def search_policy(
     best_profit = float(profits[best])
     if feasibles[best] and best_profit > -math.inf:
         best_policy, improvement = Stochastic(_member(cls, columns, best)), best_profit - base
-        # a random search's parameters stay numpy scalars, as drawn
-        best_params = tuple(axis[index[best]] for axis, index in axes)
-        if cfg.method == "grid":
-            best_params = tuple(map(float, best_params))
+        best_params = tuple(float(axis[index[best]]) for axis, index in axes)
         feasible_count = int(feasibles.sum())
     else:
         # the naive order is retained, with zero improvement

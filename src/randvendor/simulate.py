@@ -19,9 +19,9 @@ through a sampler made once per batch (``_column_sampler``), which fills
 the batch's next k draws for each block and is ``_draw_block`` except for
 a mixture in column 0, drawn by composition instead: its stream first
 gives the batch's multinomial counts per component, and the column is the
-components' runs in component order, a stack's as one ``_draw_block`` over
-its parameter rows repeated by the counts and any other mixture's through
-each component's own sampler. Every statistic of the pass is a symmetric
+components' runs in component order, each stretch of one stack's members
+as one ``_draw_block`` over their parameter rows repeated by the counts,
+and every other component's run through its own sampler. Every statistic of the pass is a symmetric
 sum over observations, and every other column is drawn i.i.d. in order by
 the base ``Distribution._column_sampler``, so the grouped column gives
 every row the law of i.i.d. draws, standard errors included.

@@ -1,5 +1,7 @@
-"""Shared generators for randomized sweeps, and the benchmark's modules."""
+"""Shared generators for randomized sweeps, the per-component reference of a
+mixture, and the benchmark's modules."""
 
+import math
 import types
 from pathlib import Path
 
@@ -44,6 +46,100 @@ def random_market(rng: np.random.Generator) -> MarketParams:
 
 def random_empirical(rng: np.random.Generator, n: int = 12) -> Empirical:
     return Empirical(rng.uniform(0.0, 3.0, size=n))
+
+
+class PerComponent:
+    """A mixture evaluated one component at a time, the reference its parts
+    must equal bit for bit: each kernel is ``math.fsum`` of the weight times
+    the component's own value, the quantile ``exact_bisection`` over the
+    component quantiles, the draws ``masked_loop_draws``, and the walks
+    min, max, a sorted set and ``all`` over the components."""
+
+    def __init__(self, mix: Mixture):
+        self.mix = mix
+        self.components = mix.components
+
+    def _fsum(self, kernel, *args):
+        return math.fsum(w * getattr(d, kernel)(*args) for w, d in self.components)
+
+    def cdf(self, x):
+        return self._fsum("cdf", x)
+
+    def pdf(self, x):
+        return self._fsum("pdf", x)
+
+    def _partial_expectation(self, q):
+        return self._fsum("_partial_expectation", q)
+
+    def _second_partial_moment(self, q):
+        return self._fsum("_second_partial_moment", q)
+
+    def mean(self):
+        return self._fsum("mean")
+
+    def survival_integral(self, q):
+        return self._fsum("_survival_integral", q)
+
+    def weighted_survival_integral(self, q):
+        return self._fsum("_survival_integral", q, True)
+
+    def _quantile(self, u):
+        return exact_bisection(self, u)
+
+    quantile = _quantile
+
+    def from_uniform(self, u):
+        return masked_loop_draws(self.mix, u)
+
+    def support(self):
+        ends = [d.support() for _, d in self.components]
+        return (min(lo for lo, _ in ends), max(hi for _, hi in ends))
+
+    def breakpoints(self):
+        return tuple(sorted({p for _, d in self.components for p in d.breakpoints()}))
+
+    @property
+    def _closed_form_max(self):
+        return all(d._closed_form_max for _, d in self.components)
+
+
+def exact_bisection(mix, u):
+    """The bisection of ``Mixture._bisect_quantile`` alone, over the span of
+    the component quantiles, with every step decided by the accurately
+    rounded sum, ``mix.cdf``."""
+    lo = min(d._quantile(u) for _, d in mix.components)
+    hi = max(d._quantile(u) for _, d in mix.components)
+    if hi <= lo:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mix.cdf(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    return hi
+
+
+def component_edges(mix):
+    edges = np.concatenate(([0.0], np.cumsum([w for w, _ in mix.components])))
+    edges[-1] = 1.0
+    return edges
+
+
+def masked_loop_draws(mix, u):
+    """The per-component sampler: searchsorted over the edges, then one
+    masked call per component."""
+    edges = component_edges(mix)
+    idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(mix.components) - 1)
+    out = np.empty_like(u)
+    top = np.nextafter(1.0, 0.0)
+    for j, (w, d) in enumerate(mix.components):
+        mask = idx == j
+        if mask.any():
+            out[mask] = d.from_uniform(np.clip((u[mask] - edges[j]) / w, 0.0, top))
+    return out
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -255,6 +255,18 @@ class TestSearchCommand:
         assert lines[0] == "candidate_id,param_1,param_2,expected_profit,margin,feasible"
         assert len(lines) == 401
 
+    def test_random_search_prints_its_winner_as_plain_floats(self, tmp_path, capsys):
+        # as a grid search prints it: the shortest repr of each float, not a
+        # numpy scalar's repr
+        record = mismatch_record(search={"method": "random", "budget": 50, "seed": 7})
+        out = tmp_path / "report.json"
+        assert main(["search", write_scenario(tmp_path, record), "--json", str(out)]) == 0
+        params = json.loads(out.read_text())["best_policy"]["params"]
+        pairs = ", ".join(f"{name}={params[name]!r}" for name in ("lo", "hi"))
+        printed = capsys.readouterr().out
+        assert f"best policy: uniform({pairs})\n" in printed
+        assert "np." not in printed
+
     def test_no_error_scenario_retains_deterministic_optimum(self, tmp_path, capsys):
         record = base_record(
             order_family={"family": "uniform", "bounds": {"lo": [0.0, 1.0], "hi": [0.0, 1.0]}},

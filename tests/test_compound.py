@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import PerComponent
 from randvendor import (
     Empirical,
     Exponential,
@@ -21,7 +22,7 @@ from randvendor import (
     expected_max,
 )
 from randvendor.cli import main
-from randvendor.distributions import _generator
+from randvendor.distributions import _generator, _stack_of
 from randvendor.policy import build_order_dist
 
 
@@ -252,7 +253,7 @@ class TestArrayBuild:
     mixture of one object per node bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(ARRAY_BUILD_CASES))
-    def test_matches_per_object_mixture(self, name, monkeypatch):
+    def test_matches_per_object_mixture(self, name):
         estimated, uncertainties, nodes = ARRAY_BUILD_CASES[name]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -271,11 +272,10 @@ class TestArrayBuild:
         values = _evaluate(got)
         # the stacked kernels ran on the arrays alone
         assert got._components is None
-        assert got._stacked() is not None
-        with monkeypatch.context() as patch:
-            # the reference takes the sum over its component objects
-            patch.setattr(Mixture, "_stacked", lambda self: None)
-            assert _evaluate(reference) == values
+        assert _stack_of(got) is not None
+        # the mixture of the component objects, and their sum one at a time
+        assert _evaluate(reference) == values
+        assert _evaluate(PerComponent(reference)) == values
         assert got.to_dict() == reference.to_dict()
         assert json.dumps(got.to_dict()) == json.dumps(reference.to_dict())
         assert [type(d) for _, d in got.components] == [type(d) for _, d in reference.components]
@@ -300,7 +300,7 @@ class TestArrayBuild:
         # log_sd, must round as each object's scalar expression does; a
         # last-bit difference shows in about one component in a thousand
         compound = compound_of(estimated, uncertainties, nodes)
-        stack = compound._stacked()
+        stack = _stack_of(compound)
         dists = [d for _, d in compound.components]
         assert stack.size == len(dists) == 10_000
         assert np.array_equal(stack.means(), [d.mean() for d in dists])
@@ -352,15 +352,15 @@ class TestArrayBuild:
         assert type(got) is type(estimated) is type(reference)
         assert got.to_dict() == reference.to_dict()
 
-    def test_truncated_normal_grid_of_both_signs_keeps_component_sums(self, monkeypatch):
+    def test_truncated_normal_grid_of_both_signs_keeps_component_sums(self):
         means = np.array([-1.5, -0.2, 0.0, 2.0])
         grid = Mixture._of_grid(TruncatedNormal, {"mean": means, "sd": np.full(4, 0.8)})
         reference = Mixture([(0.25, TruncatedNormal(m, 0.8)) for m in means.tolist()])
-        assert grid._stacked() is None
+        # one stack per tail form
+        assert len(grid._parts) == 2
         values = _evaluate(grid)
-        with monkeypatch.context() as patch:
-            patch.setattr(Mixture, "_stacked", lambda self: None)
-            assert _evaluate(reference) == values
+        assert _evaluate(reference) == values
+        assert _evaluate(PerComponent(reference)) == values
         assert grid.to_dict() == reference.to_dict()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
+from helpers import PerComponent, component_edges, exact_bisection, masked_loop_draws
 from randvendor import (
     Empirical,
     Exponential,
@@ -22,7 +23,7 @@ from randvendor import (
     expected_max,
     expected_min,
 )
-from randvendor.distributions import _expected_max_densities, valid_parameters
+from randvendor.distributions import _expected_max_densities, _stack_of, valid_parameters
 
 CONTINUOUS = [
     Uniform(0.0, 1.0),
@@ -200,28 +201,8 @@ def _stacked_cases():
 STACKED = _stacked_cases()
 
 
-def _edges(mix):
-    edges = np.concatenate(([0.0], np.cumsum([w for w, _ in mix.components])))
-    edges[-1] = 1.0
-    return edges
-
-
-def _masked_loop_draws(mix, u):
-    """The per-component sampler: searchsorted over the edges, then one
-    masked call per component."""
-    edges = _edges(mix)
-    idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(mix.components) - 1)
-    out = np.empty_like(u)
-    top = np.nextafter(1.0, 0.0)
-    for j, (w, d) in enumerate(mix.components):
-        mask = idx == j
-        if mask.any():
-            out[mask] = d.from_uniform(np.clip((u[mask] - edges[j]) / w, 0.0, top))
-    return out
-
-
 def _boundary_draws(mix, n=20_000):
-    edges = _edges(mix)
+    edges = component_edges(mix)
     u = np.random.default_rng(11).random(n)
     # on, just below and just above every edge, and the ends of [0, 1]
     near = [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)]
@@ -252,13 +233,13 @@ class TestStackedMixture:
     def test_draws_match_per_component_sampler(self, name):
         mix = SAMPLED_MIXTURES[name]
         u = _boundary_draws(mix)
-        assert np.array_equal(mix.from_uniform(u), _masked_loop_draws(mix, u))
+        assert np.array_equal(mix.from_uniform(u), masked_loop_draws(mix, u))
         # a strided column, as the Monte-Carlo harness passes it
         rows = np.random.default_rng(5).random((4096, 2))
-        assert np.array_equal(mix.from_uniform(rows[:, 1]), _masked_loop_draws(mix, rows[:, 1]))
+        assert np.array_equal(mix.from_uniform(rows[:, 1]), masked_loop_draws(mix, rows[:, 1]))
 
     @pytest.mark.parametrize("name", sorted(STACKED))
-    def test_kernels_match_per_component_path(self, name, monkeypatch):
+    def test_kernels_match_per_component_path(self, name):
         mix = STACKED[name]
         us = (1e-9, 1e-4, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-12)
         points = [0.0, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.5, 2.5, 6.0]
@@ -270,19 +251,17 @@ class TestStackedMixture:
             values = [getattr(m, k)(x) for k in kernels for x in points]
             return values + [m._quantile(u) for u in us]
 
-        stack, dists = mix._stacked(), [d for _, d in mix.components]
+        stack, dists = _stack_of(mix), [d for _, d in mix.components]
         for k in kernels:
             for x in points:
                 # per component, not only in the sum, where fsum can hide a last bit
                 expected = [getattr(d, k)(x) for d in dists]
                 assert np.array_equal(np.broadcast_to(getattr(stack, k)(x), len(dists)), expected)
-        stacked = evaluate(mix)
-        monkeypatch.setattr(Mixture, "_stacked", lambda self: None)
-        per_component = evaluate(Mixture(mix.components))
-        assert stacked == per_component
+        assert evaluate(mix) == evaluate(PerComponent(mix))
 
     @pytest.mark.parametrize("kind", ["families", "truncated_normal_signs"])
     def test_heterogeneous_mixture_keeps_per_component_path(self, kind):
+        # a part per family and tail form, and one for the other components
         if kind == "families":
             mix = Mixture(
                 [
@@ -295,9 +274,9 @@ class TestStackedMixture:
         else:
             # both tail forms in one mixture
             mix = Mixture([(0.25, TruncatedNormal(m, 1.0)) for m in (-1.5, -0.2, 0.0, 2.0)])
-        assert mix._stacked() is None
+        assert len(mix._parts) == {"families": 3, "truncated_normal_signs": 2}[kind]
         u = _boundary_draws(mix)
-        assert np.array_equal(mix.from_uniform(u), _masked_loop_draws(mix, u))
+        assert np.array_equal(mix.from_uniform(u), masked_loop_draws(mix, u))
 
     def test_quantile_is_generalized_inverse_on_10k_components(self):
         log_mean = ParameterUncertainty("log_mean", TruncatedNormal(0.05, 0.1))
@@ -307,6 +286,73 @@ class TestStackedMixture:
         for u in (1e-6, 0.01, 0.3, 0.6, 0.95, 1.0 - 1e-9):
             q = mix.quantile(u)
             assert mix.cdf(q) >= u > mix.cdf(q - 1e-12 * q)
+
+
+@st.composite
+def several_part_mixtures(draw):
+    """A mixture of truncated normals of both tail forms, an upper
+    truncation, a nested mixture and, drawn in or out, an empirical
+    component, set among the 625 members of a lognormal grid: over 512
+    products, so that ``_exact_sum`` takes its split across the parts."""
+    unit = st.floats(0.2, 2.0)
+    others = [
+        TruncatedNormal(draw(st.floats(0.1, 3.0)), draw(unit)),
+        TruncatedNormal(draw(st.floats(-3.0, -0.1)), draw(unit)),
+        UpperTruncated(
+            LogNormal(draw(st.floats(-0.5, 0.5)), draw(unit)), draw(st.floats(0.5, 4.0))
+        ),
+        Mixture([(0.5, Uniform(0.2, 0.2 + draw(unit))), (0.5, Exponential(draw(unit)))]),
+    ]
+    if draw(st.booleans()):
+        others.append(Empirical(draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6))))
+    grid = compound_of(
+        LogNormal(0.5, 0.5),
+        [
+            ParameterUncertainty("log_mean", Uniform(0.0, draw(unit))),
+            ParameterUncertainty("log_sd", Uniform(0.3, 0.3 + draw(unit))),
+        ],
+        nodes=25,
+    )
+    share = draw(st.floats(0.2, 0.8))
+    raw = np.array(draw(st.lists(unit, min_size=len(others), max_size=len(others))))
+    spots = draw(st.lists(st.integers(0, 625), min_size=len(others), max_size=len(others)))
+    weighted = [(share / 625, d) for _, d in grid.components]
+    for d, w, at in zip(others, (1.0 - share) * raw / raw.sum(), spots):
+        weighted.insert(at, (float(w), d))
+    return Mixture(weighted)
+
+
+def _outcome(f, *args):
+    """f's value in hex, or the error it raises."""
+    try:
+        return float(f(*args)).hex()
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestSeveralParts:
+    """A mixture of several parts sums them; every kernel, its quantile and
+    its draws equal those of its components one at a time, bit for bit."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        mix=several_part_mixtures(),
+        # no subnormal point: test_lognormal_density_at_a_subnormal_point
+        points=st.lists(st.floats(0.0, 8.0, allow_subnormal=False), min_size=1, max_size=5),
+        us=st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=3),
+    )
+    def test_kernels_quantiles_and_draws_are_the_component_sums(self, mix, points, us):
+        reference = PerComponent(mix)
+        # the lognormal stack, a stack per tail form and the other components
+        assert len(mix._parts) == 4 and len(mix.components) > 512
+        for kernel in ("cdf", "pdf", "_partial_expectation", "_second_partial_moment"):
+            for x in points + [mix.quantile(u) for u in us]:
+                assert _outcome(getattr(mix, kernel), x) == _outcome(getattr(reference, kernel), x)
+        assert mix.mean().hex() == reference.mean().hex()
+        for u in us:
+            assert mix.quantile(u).hex() == exact_bisection(reference, u).hex()
+        u = _boundary_draws(mix, 4_000)
+        assert np.array_equal(mix.from_uniform(u), masked_loop_draws(mix, u))
 
 
 class TestPartialMoments:
@@ -594,7 +640,7 @@ class TestExpectedMax:
         # an error estimate of ~4e-3.
         uniforms = self._sixty_uniforms(0)
         mix = Mixture([(1.0 / 61, d) for d in uniforms + [Exponential(1.0)]])
-        assert mix._stacked() is None
+        assert len(mix._parts) == 2
         peak = LogNormal(0.0, 0.01)
         # the uniforms in closed form; E[max(X, Y)] = E[Y] + E[exp(-Y)] for
         # X ~ Exponential(1), by 300-node Gauss-Hermite over log Y
@@ -611,7 +657,7 @@ class TestExpectedMax:
         first = Mixture([(1.0 / 60, u) for u in self._sixty_uniforms(1)])
         parts = self._sixty_uniforms(0) + [Uniform(2.0, 2.0 + 1e-9)]
         second = Mixture([(1.0 / 61, u) for u in parts])
-        assert first._stacked() is not None and second._stacked() is not None
+        assert _stack_of(first) is not None and _stack_of(second) is not None
         with pytest.raises(NumericalIntegrityError, match="error estimate"):
             expected_max(first, second)
 

@@ -35,6 +35,7 @@ from randvendor.distributions import (
     _equal_stack,
     _member,
     _member_params,
+    _stack_of,
     _uniform_maxima,
     expected_maxima,
 )
@@ -219,7 +220,7 @@ STACKED_DEMANDS = _stacked_demands()
 @pytest.mark.parametrize("name", sorted(STACKED_DEMANDS))
 def test_uniform_orders_against_a_stack_in_one_pass(monkeypatch, name):
     demand = STACKED_DEMANDS[name]
-    assert demand._stacked() is not None
+    assert _stack_of(demand) is not None
     edges = [0.0, 0.4, 1.0, 2.5, 6.0]
     orders = [Uniform(lo, hi) for lo, hi in itertools.combinations(edges, 2)]
     if name == "lognormal_10k":
@@ -243,7 +244,7 @@ def test_uniform_orders_against_a_stack_in_one_pass(monkeypatch, name):
     monkeypatch.setattr(distributions, "_exact_sum", recorded)
     assert _bits(expected_maxima(orders, demand)) == _bits(expected)
     if name == "uniform_narrow":
-        assert not demand._stacked().closed_form_max()
+        assert not _stack_of(demand)._closed_form_max
         assert taken_alone == orders
         return
     assert taken_alone == orders[10:]
@@ -372,7 +373,7 @@ def test_pinned_lognormal_search_makes_no_scalar_quadrature(monkeypatch):
 def test_search_against_a_stacked_compound_stays_per_candidate(monkeypatch):
     uncertainties = [ParameterUncertainty("log_sd", Uniform(0.4, 0.6))]
     triple = build_scenario(LogNormal(0.0, 0.5), uncertainties, nodes=3)
-    assert triple.compound_demand._stacked() is not None
+    assert _stack_of(triple.compound_demand) is not None
 
     def refuse(*args, **kwargs):
         raise AssertionError("lockstep quadrature")

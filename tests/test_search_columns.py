@@ -27,7 +27,7 @@ from randvendor import (
     search_policy,
 )
 from randvendor.cli import _write_trace
-from randvendor.distributions import _expected_max_at
+from randvendor.distributions import _expected_max_at, _stack_of
 from randvendor.policy import order_family_param_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,7 +170,7 @@ def _stacked_triple():
 def test_a_pinned_search_reads_the_compound_once_at_the_naive_order(monkeypatch, mode):
     triple = _stacked_triple()
     compound = triple.compound_demand
-    assert isinstance(compound, Mixture) and compound._stacked() is not None
+    assert isinstance(compound, Mixture) and _stack_of(compound) is not None
     naive_q = naive_order_quantity(MP, triple.estimated_demand)
     base = baseline_profit(MP, triple, mode)
     rhs = _expected_max_at(naive_q, compound)

@@ -34,7 +34,7 @@ from randvendor import (
     simulate_profit_squared_deviation,
 )
 from randvendor import distributions
-from randvendor.distributions import _SAMPLE_BLOCK, _generator, _Rows
+from randvendor.distributions import _SAMPLE_BLOCK, _generator, _Rows, _stack_of
 from randvendor.simulate import (
     _Accumulator,
     _batch_plan,
@@ -465,7 +465,7 @@ def _batch_draws(stream, m: int, dist):
     as one family call over its parameters repeated by the counts."""
     if isinstance(dist, Mixture):
         counts = stream.multinomial(m, dist._weights)
-        stack = dist._stacked()
+        stack = _stack_of(dist)
         if stack is None:
             runs = [
                 _batch_draws(stream, n, d)
@@ -604,7 +604,26 @@ MIXTURE_COLUMNS = {
     "lognormal_truncated_normal": Mixture(
         [(0.6, LogNormal(0.0, 0.5)), (0.4, TruncatedNormal(1.0, 0.4))]
     ),
+    # four parts, the lognormal stack's members apart in component order
+    "interleaved": Mixture(
+        [
+            (0.2, LogNormal(0.0, 0.5)),
+            (0.15, TruncatedNormal(1.0, 0.4)),
+            (0.2, LogNormal(0.5, 0.3)),
+            (0.15, Exponential(1.3)),
+            (0.1, Empirical([0.5, 1.0, 2.0])),
+            (0.2, LogNormal(-0.3, 0.6)),
+        ]
+    ),
 }
+
+
+def _column_cdf(d, x, side):
+    """A component's CDF over sorted points by numpy's transcendentals, at
+    each point (side "right") or just below it ("left"): apart at an atom."""
+    if isinstance(d, Empirical):
+        return np.searchsorted(d.values, x, side=side) / d.values.size
+    return type(d)._cdf_block(x, d, fast=True)
 
 
 def _read_column(mix, m: int, sizes, antithetic: bool, seed: int = 31):
@@ -630,15 +649,18 @@ class TestMixtureColumn:
     @pytest.mark.parametrize("name", sorted(MIXTURE_COLUMNS))
     def test_draws_follow_the_mixture_cdf(self, name, antithetic):
         mix = MIXTURE_COLUMNS[name]
-        assert (mix._stacked() is not None) == name.endswith("_stack")
+        assert (_stack_of(mix) is not None) == name.endswith("_stack")
         n = 200_000
         blocks = [_SAMPLE_BLOCK] * (n // _SAMPLE_BLOCK) + [n % _SAMPLE_BLOCK]
-        ranks = np.arange(n + 1) / n
         for draws in _read_column(mix, n, blocks, antithetic):
             x = np.sort(draws)
-            # numpy's transcendentals: the last bit does not matter here
-            cdf = sum(w * type(d)._cdf_block(x, d, fast=True) for w, d in mix.components)
-            ks = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
+            # the sample's and the mixture's CDF at each draw and just below
+            # it, which differ at the ties of an atom; numpy's
+            # transcendentals: the last bit does not matter here
+            ks = 0.0
+            for side in ("right", "left"):
+                cdf = sum(w * _column_cdf(d, x, side) for w, d in mix.components)
+                ks = max(ks, np.max(np.abs(np.searchsorted(x, x, side) / n - cdf)))
             # the KS statistic against its 1 % critical value
             assert ks <= 1.63 / math.sqrt(n)
 
@@ -656,13 +678,34 @@ class TestMixtureColumn:
         for a, b in zip(whole, pieces):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("sizes", [[3_007], [1, 2, 500, 1, 2_503], [1_000] * 3 + [7]])
+    def test_interleaved_parts_draw_as_each_component(self, sizes, antithetic):
+        # the stretches of one part are one family call each; the stream is
+        # the one each component's own sampler reads, run after run
+        mix, m = MIXTURE_COLUMNS["interleaved"], 3_007
+        assert len(mix._parts) == 4
+        rng = _column_generator(31, 2, 0)
+        counts = rng.multinomial(m, mix._weights).tolist()
+        samplers = [
+            d._column_sampler(rng, n) if n else None for (_, d), n in zip(mix.components, counts)
+        ]
+        expected = [np.empty(m) for _ in range(2 if antithetic else 1)]
+        start = 0
+        for sampler, n in zip(samplers, counts):
+            if n:
+                sampler(*(h[start : start + n] for h in expected))
+                start += n
+        for a, b in zip(_read_column(mix, m, sizes, antithetic), expected):
+            assert np.array_equal(a, b)
+
     def test_counts_are_drawn_once_per_batch(self, monkeypatch):
         made = []
 
         class Recording(distributions._Runs):
-            def __init__(self, counts, fill):
+            def __init__(self, counts, *args):
                 made.append(counts.copy())
-                super().__init__(counts, fill)
+                super().__init__(counts, *args)
 
         monkeypatch.setattr(distributions, "_Runs", Recording)
         demand = VALIDATION_DEMANDS["stacked_compound"]

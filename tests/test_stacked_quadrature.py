@@ -23,6 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from helpers import PerComponent, exact_bisection  # noqa: E402
 from randvendor import (  # noqa: E402
     Exponential,
     LogNormal,
@@ -42,6 +43,7 @@ from randvendor import (  # noqa: E402
     simulate_expected_max,
 )
 from randvendor import _quad, cli, distributions  # noqa: E402
+from randvendor.distributions import _stack_of  # noqa: E402
 from randvendor.policy import build_order_dist  # noqa: E402
 
 
@@ -87,14 +89,9 @@ def _fresh(name):
     return Mixture(STACKED[name].components)
 
 
-def _per_component(mix, monkeypatch):
-    monkeypatch.setattr(Mixture, "_stacked", lambda self: None)
-    return Mixture(mix.components)
-
-
 @pytest.mark.parametrize("name", FAMILIES)
 def test_stacks_are_built(name):
-    assert STACKED[name]._stacked() is not None
+    assert _stack_of(STACKED[name]) is not None
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -110,11 +107,11 @@ def test_survival_integrals_complement_closed_forms(name, frac):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_matches_per_component_quadrature(name, monkeypatch):
+def test_matches_per_component_quadrature(name):
     mix = STACKED[name]
     qs = [mix.quantile(u) for u in (0.05, 0.5, 0.95)]
     stacked = [(mix.survival_integral(q), mix.weighted_survival_integral(q)) for q in qs]
-    loop = _per_component(mix, monkeypatch)
+    loop = PerComponent(mix)
     for q, (si, wsi) in zip(qs, stacked):
         assert si == pytest.approx(loop.survival_integral(q), rel=1e-12)
         assert wsi == pytest.approx(loop.weighted_survival_integral(q), rel=1e-12)
@@ -138,7 +135,7 @@ def test_no_quadrature_per_component(name, monkeypatch):
 def test_survival_check_catches_a_corrupted_first_moment(name, monkeypatch):
     # the survival integral is quadrature of F, not algebra on the stacked M1
     mix = _fresh(name)
-    stack_type = type(mix._stacked())
+    stack_type = type(_stack_of(mix))
     exact = stack_type._partial_expectation
     monkeypatch.setattr(
         stack_type, "_partial_expectation", lambda self, q: exact(self, q) * (1.0 + 1e-5)
@@ -198,7 +195,7 @@ def test_more_kinks_than_the_subinterval_limit():
     highs = (1.5 + np.arange(160) / 160).tolist()
     pairs = [(lo, highs[(i + k) % 160]) for i, lo in enumerate(lows) for k in range(44)]
     mix = Mixture([(1.0 / len(pairs), Uniform(lo, hi)) for lo, hi in pairs])
-    assert mix._stacked() is not None
+    assert _stack_of(mix) is not None
     pts = mix.breakpoints()
     assert sum(1 for p in pts if 0.0 < p < 2.6) == 320 > _quad._LIMIT
     q_half = mix.quantile(0.5)
@@ -207,7 +204,7 @@ def test_more_kinks_than_the_subinterval_limit():
     for q in (q_half, 2.6):
         tol = 1e-10 * max(1.0, q * q)
         routed = (mix.survival_integral(q), mix.weighted_survival_integral(q))
-        for plain, weighted in (routed, distributions._survival_pair(mix._stacked(), q, pts)):
+        for plain, weighted in (routed, distributions._survival_pair(_stack_of(mix), q, pts)):
             assert abs(plain + mix.integrated_cdf(q) - q) <= tol
             assert abs(weighted + mix.weighted_integrated_cdf(q) - 0.5 * q * q) <= tol
 
@@ -227,7 +224,7 @@ UNIFORM_1024 = compound_of(
 def test_survival_integrals_route_by_their_own_crossover(monkeypatch):
     mix = Mixture(UNIFORM_1024.components)
     q, pts = mix.quantile(0.95), mix.breakpoints()
-    assert _quad.scalar_pays(mix._stacked().size, 0.0, q, pts)
+    assert _quad.scalar_pays(_stack_of(mix).size, 0.0, q, pts)
     calls = _counted_quadratures(monkeypatch)
     assert mix.survival_integral(q) == pytest.approx(q - mix.integrated_cdf(q), rel=1e-10)
     assert mix.weighted_survival_integral(q) > 0.0
@@ -238,7 +235,7 @@ def _one_span(mix, q, weighted):
     """A stack's survival integral at q alone: one quadrature of one span,
     each round reading every node of its panels against the components, in
     chunks of at most 32,768 products."""
-    stack = mix._stacked()
+    stack = _stack_of(mix)
     rows = max(1, 32_768 // stack.size)
 
     def survival(_, t):
@@ -262,7 +259,7 @@ def test_shared_survival_pass_equals_one_quadrature_each(name):
     mix = Mixture((UNIFORM_1024 if name == "uniform_1024" else STACKED[name]).components)
     for u in (0.3, 0.7, 0.999):
         q = mix.quantile(u)
-        assert _quad.scalar_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
+        assert _quad.scalar_pays(_stack_of(mix).size, 0.0, q, mix.breakpoints())
         assert mix.survival_integral(q).hex() == _one_span(mix, q, False).hex()
         assert mix.weighted_survival_integral(q).hex() == _one_span(mix, q, True).hex()
 
@@ -357,7 +354,7 @@ def test_profit_forms_agree_on_random_compounds(name, data, p, share):
     mix = data.draw(random_compounds(name))
     market = MarketParams(p=p, w=share * p)
     q = optimal_quantity(market, mix)
-    assert _quad.scalar_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
+    assert _quad.scalar_pays(_stack_of(mix).size, 0.0, q, mix.breakpoints())
     # each cross-checks a closed form against the scalar survival quadrature
     optimal_profit(market, mix)
     optimal_profit_variance(market, mix)
@@ -365,29 +362,6 @@ def test_profit_forms_agree_on_random_compounds(name, data, p, share):
 
 
 # -- the quantile of a stack by bounded-sum bisection -----------------------------------
-
-
-def _exact_bisection(mix, u):
-    """The bisection of ``Mixture._bisect_quantile`` alone, over the span of
-    the component quantiles, with every step decided by the accurately
-    rounded sum, ``mix.cdf``."""
-    stack = mix._stacked()
-    if stack is not None:
-        lo, hi = stack.quantile_range(u)
-    else:
-        lo = min(d._quantile(u) for _, d in mix.components)
-        hi = max(d._quantile(u) for _, d in mix.components)
-    if hi <= lo:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mix.cdf(mid) >= u:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return hi
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -400,13 +374,13 @@ def _exact_bisection(mix, u):
 def test_bounded_sum_bisection_is_exact(name, u):
     mix = STACKED[name]
     q = mix._bisect_quantile(u)
-    assert q.hex() == _exact_bisection(mix, u).hex()
+    assert q.hex() == exact_bisection(mix, u).hex()
     # every decision next to the quantile, where the numpy sum alone could err
-    stack, x = mix._stacked(), q
+    x = q
     for _ in range(16):
         x = math.nextafter(x, -math.inf)
     for _ in range(32):
-        assert stack.cdf_reaches(x, u)[0] == (mix.cdf(x) >= u)
+        assert mix.cdf_reaches(x, u)[0] == (mix.cdf(x) >= u)
         x = math.nextafter(x, math.inf)
 
 
@@ -420,24 +394,22 @@ def _compound_10k():
 
 def test_quantile_of_10k_compound_takes_the_exact_sum_on_few_steps(monkeypatch):
     u = MarketParams(p=3.0, w=1.2).critical_fractile
-    exact = _exact_bisection(_compound_10k(), u)
+    exact = exact_bisection(_compound_10k(), u)
     mix = _compound_10k()
-    stack = mix._stacked()
-    assert stack.size == 10_000
+    assert _stack_of(mix).size == 10_000
     steps, exact_sums = [], []
-    decide = type(stack).cdf_reaches
-    combine = distributions._Stack.combine
+    decide, exact_sum = Mixture.cdf_reaches, distributions._exact_sum
 
     def counted_step(self, x, u):
         steps.append(x)
         return decide(self, x, u)
 
-    def counted_sum(self, values):
+    def counted_sum(products):
         exact_sums.append(1)
-        return combine(self, values)
+        return exact_sum(products)
 
-    monkeypatch.setattr(type(stack), "cdf_reaches", counted_step)
-    monkeypatch.setattr(distributions._Stack, "combine", counted_sum)
+    monkeypatch.setattr(Mixture, "cdf_reaches", counted_step)
+    monkeypatch.setattr(distributions, "_exact_sum", counted_sum)
     assert mix.quantile(u).hex() == exact.hex()
     # 9 CDF passes where the bisection alone takes 49, and only the last
     # few, next to the quantile, take the exact sum
@@ -457,12 +429,12 @@ def test_narrowed_bisection_is_the_bisection(name, u):
     # truncation of a stack bisects its base at u F(upper)
     if name == "several_families":
         mix = Mixture(SEVERAL_FAMILIES.components)
-        assert mix._stacked() is None
-        assert mix.quantile(u).hex() == _exact_bisection(SEVERAL_FAMILIES, u).hex()
+        assert len(mix._parts) == 3
+        assert mix.quantile(u).hex() == exact_bisection(SEVERAL_FAMILIES, u).hex()
         return
     base = _fresh(name)
     cut = UpperTruncated(base, STACKED[name].quantile(0.8))
-    expected = min(_exact_bisection(STACKED[name], u * cut._z), cut.upper)
+    expected = min(exact_bisection(STACKED[name], u * cut._z), cut.upper)
     assert cut.quantile(u).hex() == expected.hex()
 
 
@@ -477,7 +449,7 @@ def test_solve_reads_each_cdf_once_on_a_10k_compound(tmp_path, monkeypatch):
     scenario = tmp_path / "compound_10k.json"
     scenario.write_text(json.dumps(record))
     passes, rows = [], []
-    reaches, cdf = distributions._Stack.cdf_reaches, distributions._Stack.cdf
+    reaches, cdf = Mixture.cdf_reaches, distributions._Stack.cdf
 
     def counted_pass(self, x, u):
         passes.append(x)
@@ -488,7 +460,7 @@ def test_solve_reads_each_cdf_once_on_a_10k_compound(tmp_path, monkeypatch):
             rows.append(len(x))
         return cdf(self, x, fast)
 
-    monkeypatch.setattr(distributions._Stack, "cdf_reaches", counted_pass)
+    monkeypatch.setattr(Mixture, "cdf_reaches", counted_pass)
     monkeypatch.setattr(distributions._Stack, "cdf", counted_cdf)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["solve", str(scenario)]) == 0
@@ -520,7 +492,7 @@ def test_a_kink_per_component_keeps_one_quadrature_each(monkeypatch):
         Uniform(0.5, 2.0), [ParameterUncertainty("hi", Uniform(1.5, 2.5))], nodes=500
     )
     q = mix.quantile(0.95)
-    assert not _quad.scalar_pays(mix._stacked().size, 0.0, q, mix.breakpoints())
+    assert not _quad.scalar_pays(_stack_of(mix).size, 0.0, q, mix.breakpoints())
     expected = Mixture(mix.components).survival_integral(q)
     calls = []
 
@@ -539,7 +511,7 @@ def test_a_kink_per_component_keeps_one_quadrature_each(monkeypatch):
 
 def test_compound_uniform_is_stacked():
     assert len(COMPOUND_UNIFORM.components) == 4096
-    assert COMPOUND_UNIFORM._stacked() is not None
+    assert _stack_of(COMPOUND_UNIFORM) is not None
     assert len(COMPOUND_UNIFORM.breakpoints()) == 128
 
 
@@ -600,7 +572,7 @@ def _narrow_reference(log_sd, mix):
     z, h = np.polynomial.hermite_e.hermegauss(300)
     x = np.exp(log_sd * z)[:, None]
     h = (h / h.sum())[:, None]
-    stack = mix._stacked()
+    stack = _stack_of(mix)
     if hasattr(stack, "rate"):
         tails = (h * np.exp(-x * stack.rate)).sum(axis=0) / stack.rate
         return math.exp(0.5 * log_sd**2) + math.fsum((stack.weights * tails).tolist())
@@ -633,7 +605,7 @@ def test_mixture_of_several_families_against_a_compound():
     # E[max(X, Y)] = E[Y] + E[exp(-rate Y)] / rate for X ~ Exponential(rate),
     # by 300-node Gauss-Hermite over each component's log Y
     z, h = np.polynomial.hermite_e.hermegauss(300)
-    stack = mix._stacked()
+    stack = _stack_of(mix)
     y = np.exp(stack.log_mean + stack.log_sd * z[:, None])
     laplace = ((h / h.sum())[:, None] * np.exp(-rate * y)).sum(axis=0)
     exponential = mix.mean() + math.fsum((stack.weights * laplace).tolist()) / rate
