@@ -40,6 +40,7 @@ and never touches global state.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import itertools
@@ -906,14 +907,19 @@ class Mixture(Distribution):
         return tuple(_stacks(family, params, self._weights, np.arange(self._weights.size)))
 
     @functools.cached_property
-    def _part_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each component's part, and its row in that part."""
-        part_of = np.empty(self._weights.size, dtype=np.intp)
-        row_of = np.empty_like(part_of)
+    def _stretches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stretches of consecutive components of one part, in component
+        order: the component each begins at (and, last, the number of
+        components), its part, and the shift from a component of it to its
+        row in that part. A mixture of one part is one stretch."""
+        firsts = []
         for k, part in enumerate(self._parts):
-            part_of[part.index] = k
-            row_of[part.index] = np.arange(part.size)
-        return part_of, row_of
+            # a part's index increases: a stretch begins where it skips
+            index = part.index
+            rows = [0, *(np.flatnonzero(index[1:] - index[:-1] != 1) + 1).tolist()]
+            firsts += [(int(index[row]), k, row - int(index[row])) for row in rows]
+        begins, parts, shifts = np.array(sorted(firsts)).T
+        return np.append(begins, self._weights.size), parts, shifts
 
     def _products(self, kernel: str, *args) -> np.ndarray:
         """Each component's weight times its value of the kernel, by part."""
@@ -1017,14 +1023,13 @@ class Mixture(Distribution):
         v -= edges[idx]
         v /= weights[idx]
         np.clip(v, 0.0, np.nextafter(1.0, 0.0), out=v)
-        if len(p._parts) == 1:
-            return p._parts[0].inverse_cdf(v, idx)
-        part_of, row_of = p._part_rows
-        which = part_of[idx]
+        begins, parts, shifts = p._stretches
+        stretch = np.searchsorted(begins, idx, side="right") - 1
+        which, row = parts[stretch], idx + shifts[stretch]
         for k, part in enumerate(p._parts):
             where = np.flatnonzero(which == k)
             if where.size:
-                v[where] = part.inverse_cdf(v[where], row_of[idx[where]])
+                v[where] = part.inverse_cdf(v[where], row[where])
         return v
 
     @functools.cached_property
@@ -1044,8 +1049,8 @@ class Mixture(Distribution):
         # The parts' samplers are made next, a nested mixture's drawing its
         # own counts
         counts = rng.multinomial(m, self._weights)
-        samplers = [part.run_sampler(rng, counts[part.index]) for part in self._parts]
-        return _Runs(counts, samplers, *self._part_rows)
+        samplers = [part.run_sampler(rng, counts) for part in self._parts]
+        return _Runs(counts, samplers, self._stretches)
 
     @functools.cached_property
     def _atoms(self):
@@ -1073,9 +1078,10 @@ class Mixture(Distribution):
         # integrals at q, split at its every kink, unless its components'
         # kinks make quadratures of each cheaper (scalar_pays); every other
         # component takes its own
-        if self._last_survival is None or self._last_survival[0] != q:
-            self._last_survival = (q, {})
-        pairs, terms, parts = self._last_survival[1], [], self._parts
+        last = self._last_survival
+        if last is None or last[0] != q:
+            last = self._last_survival = (q, {})
+        pairs, terms, parts = last[1], [], self._parts
         for k, part in enumerate(parts):
             pts = part.breakpoints() if isinstance(part, _Stack) else None
             if pts is not None and scalar_pays(part.size, 0.0, q, pts):
@@ -1158,8 +1164,9 @@ class _Members:
         return v
 
     def run_sampler(self, rng, counts):
-        # each member's own sampler, made now, in order
-        counts = counts.tolist()
+        # each member's own sampler, made now, in order, by its count among
+        # the batch's counts of every component
+        counts = counts[self.index].tolist()
         samplers = [d._column_sampler(rng, n) if n else None for d, n in zip(self.dists, counts)]
 
         def draw(row, runs, out, flipped):
@@ -1270,13 +1277,14 @@ class _Runs:
     by one call of its sampler (``run_sampler``), as their rows in it are
     consecutive too."""
 
-    __slots__ = ("_edges", "_start", "_samplers", "_part_of", "_row_of")
+    __slots__ = ("_edges", "_start", "_samplers", "_stretches")
 
-    def __init__(self, counts: np.ndarray, samplers, part_of, row_of):
+    def __init__(self, counts: np.ndarray, samplers, stretches):
         # component i's run is draws edges[i] to edges[i + 1]
         self._edges = np.concatenate(([0], np.cumsum(counts)))
         self._start = 0
-        self._samplers, self._part_of, self._row_of = samplers, part_of, row_of
+        # Mixture._stretches, as lists
+        self._samplers, self._stretches = samplers, [a.tolist() for a in stretches]
 
     def __call__(self, out, flipped=None):
         start, stop = self._start, self._start + out.size
@@ -1289,16 +1297,15 @@ class _Runs:
         # where each component's run ends in ``out``
         ends = np.clip(edges[first : last + 1], start, stop) - start
         runs = np.diff(ends)
-        if len(self._samplers) == 1:
-            # one part, whose rows are the components
-            return self._samplers[0](first, runs, out, flipped)
-        which = self._part_of[first : first + runs.size]
-        cuts = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), runs.size]
-        bounds = ends[cuts].tolist()
-        for a, b, i, j in zip(cuts, cuts[1:], bounds, bounds[1:]):
+        begins, parts, shifts = self._stretches
+        # the stretches that hold components first to last - 1
+        for k in range(bisect.bisect_right(begins, first) - 1, bisect.bisect_left(begins, last)):
+            # their positions in ``runs``
+            a, b = max(begins[k], first) - first, min(begins[k + 1], last) - first
+            i, j = int(ends[a]), int(ends[b])
             if j > i:
                 pair = None if flipped is None else flipped[i:j]
-                self._samplers[which[a]](int(self._row_of[first + a]), runs[a:b], out[i:j], pair)
+                self._samplers[parts[k]](first + a + shifts[k], runs[a:b], out[i:j], pair)
 
 
 # -- stacked single-family mixtures --------------------------------------------
@@ -1442,7 +1449,8 @@ class _Stack:
 
     def run_sampler(self, rng, counts):
         """``draw(row, runs, out, flipped)``: ``runs[i]`` draws of row ``row + i``
-        in order, by one ``_draw_block`` on ``rng`` (see ``_Runs``)."""
+        in order, by one ``_draw_block`` on ``rng`` (see ``_Runs``). The
+        batch's ``counts`` of every component are not read."""
 
         def draw(row, runs, out, flipped):
             rows = _Rows(self, lambda a: np.repeat(a[row : row + runs.size], runs))

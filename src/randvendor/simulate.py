@@ -21,10 +21,11 @@ a mixture in column 0, drawn by composition instead: its stream first
 gives the batch's multinomial counts per component, and the column is the
 components' runs in component order, each stretch of one stack's members
 as one ``_draw_block`` over their parameter rows repeated by the counts,
-and every other component's run through its own sampler. Every statistic of the pass is a symmetric
-sum over observations, and every other column is drawn i.i.d. in order by
-the base ``Distribution._column_sampler``, so the grouped column gives
-every row the law of i.i.d. draws, standard errors included.
+and every other component's run through its own sampler. Every statistic
+of the pass is a symmetric sum over observations, and every other column
+is drawn i.i.d. in order by the base ``Distribution._column_sampler``, so
+the grouped column gives every row the law of i.i.d. draws, standard
+errors included.
 ``simulate_values`` is the same pass over columns of ``Uniform(0, 1)``.
 
 ``validate`` reads each column once for all five of its rows

@@ -24,6 +24,7 @@ from randvendor import (
     expected_min,
 )
 from randvendor.distributions import _expected_max_densities, _stack_of, valid_parameters
+from randvendor._quad import scalar_pays
 
 CONTINUOUS = [
     Uniform(0.0, 1.0),
@@ -353,6 +354,21 @@ class TestSeveralParts:
             assert mix.quantile(u).hex() == exact_bisection(reference, u).hex()
         u = _boundary_draws(mix, 4_000)
         assert np.array_equal(mix.from_uniform(u), masked_loop_draws(mix, u))
+
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @given(mix=several_part_mixtures())
+    def test_survival_integrals_are_the_component_sums(self, mix):
+        # the lognormal stack takes one pass of its survival function from
+        # its own mass, kept for the next call at the same q; every other
+        # component takes its own quadrature
+        reference = PerComponent(mix)
+        (grid,) = [part for part in mix._parts if part.size == 625]
+        low, high = mix.quantile(0.3), mix.quantile(0.8)
+        for q in (low, high, low):
+            assert scalar_pays(grid.size, 0.0, q, grid.breakpoints())
+            for kernel in ("survival_integral", "weighted_survival_integral"):
+                value = getattr(reference, kernel)(q)
+                assert getattr(mix, kernel)(q) == pytest.approx(value, rel=1e-12)
 
 
 class TestPartialMoments:
