@@ -55,7 +55,7 @@ def _run(name: str, cmd: str) -> str:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python3 scripts/snapshot_outputs.py OUT_DIR", file=sys.stderr)
         return 2
     out_dir = Path(argv[0]).resolve()
     (out_dir / "scenarios").mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,9 @@ of two spans over the weighted sum across its components, each round
 evaluating each distinct node against the components once and each span
 keeping its own path; or two quadratures per component where
 ``scalar_pays`` says so. The expected maximum against a mixture is one
-scalar quadrature, over the other side.
+scalar quadrature, over the other side; that of a pair of parametric
+families is two halves, two spans of one ``integrate_many``, for one pair or
+for a search's candidates together.
 """
 
 import bisect

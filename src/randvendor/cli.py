@@ -127,13 +127,16 @@ def _cmd_solve(args) -> int:
             "optimal_profit_variance": float(newsvendor.optimal_profit_variance(market, dist)),
         }
 
+    estimated = block(triple.estimated_demand)
+    # with no parameter uncertainty the compound is the estimate itself
+    if triple.compound_demand is triple.estimated_demand:
+        compound = estimated
+    else:
+        compound = block(triple.compound_demand)
     report = {
         "naive_order": float(naive_q),
         "baseline_profit": {"exact": float(base_exact), "theorem": float(base_theorem)},
-        "demand": {
-            "estimated": block(triple.estimated_demand),
-            "compound": block(triple.compound_demand),
-        },
+        "demand": {"estimated": estimated, "compound": compound},
     }
     if scenario.true_demand is None:
         report["demand"]["true"] = {"same_as_estimated": True}

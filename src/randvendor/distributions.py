@@ -80,9 +80,8 @@ _MIN_UNIFORM_WIDTH = 1e-3
 # kernel's bit for bit. ``fast``, which only quadrature integrands pass, takes
 # numpy's transcendentals over arrays, which may differ in the last bit (M1,
 # where it cancels, in the last bit of its component's mean). The scalar
-# kernels stay plain ``math``, as quadrature calls them at every node:
-# on a float, the lognormal F and f here took about 0.9 and 1.0 us, against
-# 0.4-0.6 and 0.35 us (2-core VM).
+# kernels stay plain ``math``: on a float, the lognormal F and f here took
+# about 0.9 and 1.0 us, against 0.4-0.6 and 0.35 us (2-core VM).
 
 
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
@@ -97,8 +96,9 @@ def _elementwise(fn, ufunc):
 
     def apply(x, fast=False):
         if isinstance(x, np.ndarray):
-            # fast: one math call per component would cost most of a
-            # quadrature integrand's time, and its last bit does not matter
+            # fast: one math call per element would cost most of a quadrature
+            # integrand's time over a block of nodes, and the last bit of a
+            # node's value does not matter
             return ufunc(x) if fast else _math_map(fn, x)
         return fn(x)
 
@@ -511,11 +511,14 @@ class LogNormal(Distribution):
         return float(ndtr((math.log(x) - self.log_mean) / self.log_sd))
 
     def pdf(self, x):
-        if x <= 0.0:
+        # x * log_sd is not positive below the support, and underflows to 0
+        # at a subnormal x, where the density is taken as 0 (``_pdf_block``)
+        scale = x * self.log_sd
+        if scale <= 0.0:
             return 0.0
         z = (math.log(x) - self.log_mean) / self.log_sd
         # _norm_pdf(z), inlined: quadrature calls this per node
-        return math.exp(-0.5 * z * z) / _ROOT_2PI / (x * self.log_sd)
+        return math.exp(-0.5 * z * z) / _ROOT_2PI / scale
 
     def mean(self):
         return self._mean
@@ -586,10 +589,13 @@ class LogNormal(Distribution):
 
     @staticmethod
     def _pdf_block(x, p, fast=False):
-        inside = x > 0.0
-        x = _where(inside, x, 1.0)
+        # below the support the point is taken to inf, where the density is
+        # 0; where x * log_sd underflows to 0, at a subnormal x, it is taken
+        # as 0 too, as the scalar kernel takes it, by a division by inf
+        x = _where(x > 0.0, x, math.inf)
         z = (_log(x, fast) - p.log_mean) / p.log_sd
-        return _where(inside, _norm_pdf(z, fast) / (x * p.log_sd), 0.0)
+        scale = x * p.log_sd
+        return _norm_pdf(z, fast) / _where(scale > 0.0, scale, math.inf)
 
     @staticmethod
     def _m1_block(q, p, fast=False):
@@ -1703,7 +1709,8 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
     atom conditioning, or, when both sides have a density:
 
     - between two parametric families, through the decomposition
-      ``int x g(x) F(x) dx + int y f(y) G(y) dy``;
+      ``int x g(x) F(x) dx + int y f(y) G(y) dy``, the halves that a
+      search's candidates share (``_density_maxima``);
     - otherwise (a mixture, or an upper truncation, on either side), through
       E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)], one quadrature over X
       (``_expected_max_over``), the side ``_integration_rank`` ranks lower:
@@ -1947,20 +1954,20 @@ def _expected_max_over_atoms(atoms, other: Distribution) -> float:
 
 def _parametric_pair(a: Distribution, b: Distribution) -> bool:
     """Whether both sides are members of parametric families, the pairs whose
-    expected maximum takes the halves (``_half_max``, ``_density_maxima``)."""
+    expected maximum takes the halves (``_density_maxima``)."""
     return type(a) in _STACKS and type(b) in _STACKS
 
 
 def _expected_max_densities(x: Distribution, y: Distribution) -> float:
-    cut = max(x.upper_cut(), y.upper_cut())
+    """E[max(X, Y)] of two sides with densities: the halves of a parametric
+    pair, x as the one order (``_density_maxima``); else one quadrature over
+    the side that ``_integration_rank`` ranks lower (``_expected_max_over``)."""
     if _parametric_pair(x, y):
-        _check_resolved(x, y)
-        pts = set(x.breakpoints()) | set(y.breakpoints())
-        return _half_max(x, y, cut, pts) + _half_max(y, x, cut, pts)
+        return _density_maxima([x], y)[0]
     if _integration_rank(y) < _integration_rank(x):
         x, y = y, x
     _check_resolved(x)
-    return _expected_max_over(x, y, cut)
+    return _expected_max_over(x, y, max(x.upper_cut(), y.upper_cut()))
 
 
 def _check_resolved(*sides: Distribution) -> None:
@@ -2034,69 +2041,80 @@ def _expected_max_over(x: Distribution, y: Distribution, cut: float) -> float:
     return value + (x.upper_partial_expectation(hi) if hi < top else 0.0)
 
 
-def _half_range(x: Distribution, y: Distribution, cut: float) -> tuple[float, float]:
-    """Where ``_half_max`` integrates: both supports, below the cut."""
-    return max(x.support()[0], y.support()[0]), min(x.support()[1], cut)
-
-
-def _half_max(x: Distribution, y: Distribution, cut: float, pts) -> float:
-    # int t f_x(t) F_y(t) dt; beyond the cut F_y is within TAIL_PROB of 1, so
-    # the remainder is the exact tail moment of x
-    lo, hi = _half_range(x, y, cut)
-    pdf, cdf = x.pdf, y.cdf
-    value = integrate(lambda t: t * pdf(t) * cdf(t), lo, hi, pts)
-    return value + x.upper_partial_expectation(max(hi, lo))
-
-
 def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[float]:
-    """``_expected_max_densities`` of each order of a parametric family
-    against a parametric demand, bit for bit, with every half's quadrature
-    in one ``integrate_many``, listed in the order ``expected_max`` takes
-    them, so that a failure raises the error ``expected_max`` would raise
-    first. The orders' kernels over a block come from one stack per family
-    and tail form, gathered per row."""
+    """E[max(Q, D)] of each order Q of a parametric family against a
+    parametric demand D, as two halves: int t f_X(t) F_Y(t) dt over both
+    supports below the cut, for (X, Y) = (Q, D) and (D, Q), each plus X's
+    exact tail moment beyond it, where F_Y is within TAIL_PROB of 1.
+
+    Every half is one span of one ``integrate_many``, the half of the side
+    whose record sorts first (``_sorts_before``) first, so that a failure
+    raises the error of the first order, and of its first half, that fails.
+    The integrand is the families' block kernels on numpy's transcendentals
+    (``fast``), as every mixture integrand is. ``expected_max`` of one pair
+    is this with one order, which is its own parameter rows; the orders of a
+    batch come from one stack per family and tail form, gathered per row."""
+    leads = [not _sorts_before(demand, g) for g in orders]
     for k, g in enumerate(orders):
         try:
-            _check_resolved(*((demand, g) if _sorts_before(demand, g) else (g, demand)))
+            _check_resolved(*((g, demand) if leads[k] else (demand, g)))
         except NumericalIntegrityError:
             # the candidates before it come first, and may fail first
             if k:
                 _density_maxima(orders[:k], demand)
             raise
-    # the weights are not read
-    stacks = _parts_of(np.ones(len(orders)), orders)
-    member = {k: (i, row) for i, s in enumerate(stacks) for row, k in enumerate(s.index.tolist())}
-
-    spans, tails, owners = [], [], []
-    for k, g in enumerate(orders):
+    spans, tails, sides = [], [], []
+    for g, order_first in zip(orders, leads):
         cut = max(g.upper_cut(), demand.upper_cut())
         pts = set(g.breakpoints()) | set(demand.breakpoints())
-        order_first = not _sorts_before(demand, g)
         for order_x in (order_first, not order_first):
             x, y = (g, demand) if order_x else (demand, g)
-            lo, hi = _half_range(x, y, cut)
+            lo, hi = max(x.support()[0], y.support()[0]), min(x.support()[1], cut)
             spans.append((lo, hi, pts))
             tails.append(x.upper_partial_expectation(max(hi, lo)))
-            owners.append((*member[k], order_x))
-    span_stack, span_row, span_side = (np.array(column) for column in zip(*owners))
+            sides.append(order_x)
     demand_pdf, demand_cdf = _blocks(demand, "pdf", "cdf")
 
+    if len(orders) == 1:
+        # the order is its own parameter rows; integrate_many lists a round's
+        # panels by span, so its rows are the first half's, then the second's
+        kernels = _blocks(orders[0], "pdf", "cdf")
+
+        def groups(owner):
+            split = int(owner.searchsorted(1))
+            if split:
+                yield slice(split), sides[0], kernels
+            if split < owner.size:
+                yield slice(split, None), sides[1], kernels
+
+    else:
+        # the weights are not read
+        parts = _parts_of(np.ones(len(orders)), orders)
+        part_of, row_of = np.empty(len(orders), int), np.empty(len(orders), int)
+        for i, stack in enumerate(parts):
+            part_of[stack.index] = i
+            row_of[stack.index] = np.arange(stack.size)
+        span_part, span_row, span_side = np.repeat(part_of, 2), np.repeat(row_of, 2), np.array(sides)
+
+        def groups(owner):
+            # one stack and side at a time, its rows gathered
+            part, side_of = span_part[owner], span_side[owner]
+            for i, stack in enumerate(parts):
+                for side in (True, False):
+                    rows = np.flatnonzero((part == i) & (side_of == side))
+                    if rows.size:
+                        take = operator.itemgetter(span_row[owner[rows], None])
+                        yield rows, side, _blocks(_Rows(stack, take), "pdf", "cdf")
+
     def integrand(owner, t):
-        # t f_x(t) F_y(t), one group of rows at a time: a stack, and whether
-        # the order is x
+        # t f_x(t) F_y(t), with the order as x on the rows of its side
         out = np.empty(t.shape)
-        stack_of, side_of = span_stack[owner], span_side[owner]
-        for i, stack in enumerate(stacks):
-            for side in (True, False):
-                rows = np.flatnonzero((stack_of == i) & (side_of == side))
-                if rows.size:
-                    block = t[rows]
-                    take = operator.itemgetter(span_row[owner[rows], None])
-                    pdf, cdf = _blocks(_Rows(stack, take), "pdf", "cdf")
-                    if side:
-                        out[rows] = block * pdf(block) * demand_cdf(block)
-                    else:
-                        out[rows] = block * demand_pdf(block) * cdf(block)
+        for rows, side, (pdf, cdf) in groups(owner):
+            block = t[rows]
+            if side:
+                out[rows] = block * pdf(block, fast=True) * demand_cdf(block, fast=True)
+            else:
+                out[rows] = block * demand_pdf(block, fast=True) * cdf(block, fast=True)
         return out
 
     halves = [value + tail for value, tail in zip(integrate_many(integrand, spans), tails)]

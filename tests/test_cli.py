@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 
 from helpers import perfbench_module
-from randvendor import RhsMode, ScenarioError, load_scenario, normalized_dict, parse_scenario
+from randvendor import (
+    RhsMode,
+    ScenarioError,
+    load_scenario,
+    newsvendor,
+    normalized_dict,
+    parse_scenario,
+)
 from randvendor.cli import main
 
 
@@ -138,6 +145,23 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert report["demand"]["true"]["same_as_estimated"] is False
         assert report["demand"]["true"]["optimal_quantity"] == pytest.approx(1.0)
+
+    def test_one_demand_is_solved_once(self, tmp_path, monkeypatch):
+        # with no parameter uncertainty the compound is the estimate itself,
+        # and the report repeats the estimate's block for it
+        solved = []
+        variance = newsvendor.optimal_profit_variance
+
+        def recorded(market, dist):
+            solved.append(dist)
+            return variance(market, dist)
+
+        monkeypatch.setattr(newsvendor, "optimal_profit_variance", recorded)
+        out = tmp_path / "report.json"
+        assert main(["solve", write_scenario(tmp_path, base_record()), "--json", str(out)]) == 0
+        assert len(solved) == 1
+        report = json.loads(out.read_text())
+        assert report["demand"]["compound"] == report["demand"]["estimated"]
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["solve", "/nonexistent/scenario.json"]) == 2

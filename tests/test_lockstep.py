@@ -317,8 +317,8 @@ _PARAMETRIC_TYPES = (Uniform, Exponential, LogNormal, TruncatedNormal)
 
 
 def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
-    # the scalar halves and the lockstep see no other pair; every other pair
-    # with densities is one quadrature over one side
+    # the halves, for one pair or a batch, see no other pair; every other
+    # pair with densities is one quadrature over one side
     mixture = Mixture([(0.5, LogNormal(0.0, 0.5)), (0.5, LogNormal(0.5, 0.4))])
     others = [
         UpperTruncated(LogNormal(1.0, 0.8), 7.5),
@@ -326,7 +326,7 @@ def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
         UpperTruncated(mixture, 6.0),
         mixture,
     ]
-    seen = {"_half_max": [], "_density_maxima": [], "_expected_max_over": []}
+    seen = {"_density_maxima": [], "_expected_max_over": []}
     for name, calls in seen.items():
 
         def recorded(x, y, *args, _calls=calls, _original=getattr(distributions, name)):
@@ -343,13 +343,53 @@ def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
     for demand in others:
         expected_max(demand, demand)
     assert all(seen.values())
-    for x, y in seen["_half_max"]:
-        assert isinstance(x, _PARAMETRIC_TYPES) and isinstance(y, _PARAMETRIC_TYPES)
+    # expected_max of one pair takes the halves as a batch of one
+    assert any(len(batch) == 1 for batch, _ in seen["_density_maxima"])
     for batch, demand in seen["_density_maxima"]:
         assert all(isinstance(g, _PARAMETRIC_TYPES) for g in batch)
         assert isinstance(demand, _PARAMETRIC_TYPES)
     for x, y in seen["_expected_max_over"]:
         assert not (isinstance(x, _PARAMETRIC_TYPES) and isinstance(y, _PARAMETRIC_TYPES))
+
+
+# members of every parametric family whose pairs take the halves: uniforms too
+# narrow for the closed form, and truncated normals of both tail forms
+HALVES_MEMBERS = {
+    Uniform: [Uniform(2.0, 2.001), Uniform(0.5, 0.5004)],
+    Exponential: [Exponential(0.25), Exponential(1.7)],
+    LogNormal: [LogNormal(1.2, 0.6), LogNormal(-0.3, 0.05)],
+    TruncatedNormal: [TruncatedNormal(4.0, 2.5), TruncatedNormal(-1.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("demand_family", _PARAMETRIC_TYPES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("order_family", _PARAMETRIC_TYPES, ids=lambda f: f.__name__)
+def test_no_math_map_inside_the_halves(monkeypatch, order_family, demand_family):
+    # the halves integrate on numpy's transcendentals: no element-wise math
+    # map runs inside their integrate_many, for one pair or a candidate list
+    demand, orders = HALVES_MEMBERS[demand_family][0], HALVES_MEMBERS[order_family]
+    spans_seen, inside, maps = [], [False], []
+
+    def halves(fn, spans, *args, _original=distributions.integrate_many):
+        spans_seen.append(len(spans))
+        inside[0] = True
+        try:
+            return _original(fn, spans, *args)
+        finally:
+            inside[0] = False
+
+    def math_map(fn, x, _original=distributions._math_map):
+        if inside[0]:
+            maps.append(fn)
+        return _original(fn, x)
+
+    monkeypatch.setattr(distributions, "integrate_many", halves)
+    monkeypatch.setattr(distributions, "_math_map", math_map)
+    alone = expected_max(orders[0], demand)
+    together = expected_maxima(orders, demand)
+    assert spans_seen == [2, 2 * len(orders)]
+    assert maps == []
+    assert _bits(together[:1]) == _bits([alone])
 
 
 # -- which searches take the batch --------------------------------------------------

@@ -23,8 +23,7 @@ from randvendor import (
     UpperTruncated,
     expected_max,
 )
-from randvendor import _quad
-from randvendor.distributions import _half_max
+from randvendor import _quad, distributions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,7 +107,7 @@ def test_narrow_peak_between_the_first_nodes():
     _agrees(peak, 0.0, 100.0)
 
 
-def test_narrow_truncated_normal_against_exponential():
+def test_narrow_truncated_normal_against_exponential(monkeypatch):
     # all 21 nodes of [0, 627.67] miss the peak of this truncated normal; the
     # first panel reads 9.4e-17 for the expected maximum's half. Without the
     # guard, search picked a wrong best policy on two benchmark scenarios
@@ -120,13 +119,24 @@ def test_narrow_truncated_normal_against_exponential():
 
     assert _quad._gk21(fn, 0.0, cut)[0] < 1e-15
     ref, _ = _quadpack(fn, 0.0, cut)
-    # with the truncated normal's tail beyond the cut, which rounds to 0
-    half = _half_max(x, y, cut, set())
+    # the halves expected_max integrates, as one integrate_many
+    runs = []
+
+    def recorded(integrand, spans, _original=distributions.integrate_many):
+        runs.append((spans, _original(integrand, spans)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(distributions, "integrate_many", recorded)
+    total = expected_max(x, y)
+    pts = set(x.breakpoints()) | set(y.breakpoints())
+    ((spans, (first, half)),) = runs
+    assert spans == [(0.0, cut, pts)] * 2
+    # the exponential's record sorts first, and so does its half; the truncated
+    # normal's tail beyond the cut rounds to 0
+    assert x.upper_partial_expectation(cut) == 0.0
     assert half == pytest.approx(ref, rel=1e-14)
     assert half == pytest.approx(6.150034885392636, rel=1e-12)
-    pts = set(x.breakpoints()) | set(y.breakpoints())
-    total = _half_max(x, y, cut, pts) + _half_max(y, x, cut, pts)
-    assert expected_max(x, y) == total
+    assert total == (first + y.upper_partial_expectation(cut)) + half
     _agrees(lambda t: t * y.pdf(t) * x.cdf(t), 0.0, cut, pts)
 
 
