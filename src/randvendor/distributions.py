@@ -11,8 +11,8 @@ integrated CDF ``q F - M1``, its first-moment weighting
 ``_quad``) is used only for ``survival_integral`` and
 ``weighted_survival_integral``, the independent forms the newsvendor profit
 and variance are cross-checked against, and for the expected maximum of the
-pairs that have no closed form: ``expected_max`` sets out its routes, and
-``_order_maxima`` takes a search's candidates through them over arrays.
+pairs that have no closed form. ``_route`` is the one table of the expected
+maximum's routes, for one pair and for a search's candidates over arrays.
 
 A mixture is a sum of parts (``Mixture._parts``): one stack (``_Stack``)
 per parametric family and truncated-normal tail form, held as parameter
@@ -326,7 +326,7 @@ class Uniform(Distribution):
         self.lo = lo
         self.hi = hi
         self._width = hi - lo
-        self._closed_form_max = self._width >= _MIN_UNIFORM_WIDTH * hi
+        self._closed_form_max = _UniformStack.closed_form(lo, hi)
 
     def support(self):
         return (self.lo, self.hi)
@@ -1402,12 +1402,18 @@ class _Stack:
         self.size = weights.size
         # the positions of the rows in a mixture's components
         self.index = index
+        self._params = params
         self._derive(**params)
 
     @staticmethod
     def valid(**params) -> np.ndarray:
         """Per entry, whether the family's constructor accepts the parameters."""
         raise NotImplementedError
+
+    @classmethod
+    def closed_form(cls, **params):
+        """Per entry, the member's ``_closed_form_max``: the family's own."""
+        return cls.family._closed_form_max
 
     def _derive(self, **params) -> None:
         raise NotImplementedError
@@ -1430,7 +1436,7 @@ class _Stack:
     @property
     def _closed_form_max(self) -> bool:
         """``Mixture._closed_form_max`` of the components."""
-        return self.family._closed_form_max
+        return bool(np.all(self.closed_form(**self._params)))
 
     def support(self) -> tuple[float, float]:
         """``Mixture.support`` of the components: the three families other
@@ -1498,9 +1504,10 @@ class _UniformStack(_Stack):
     def means(self):
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def _closed_form_max(self):
-        return bool(np.all(self._width >= _MIN_UNIFORM_WIDTH * self.hi))
+    @staticmethod
+    def closed_form(lo, hi):
+        # the one statement of the width rule, for a uniform and per row
+        return hi - lo >= _MIN_UNIFORM_WIDTH * hi
 
     def support(self):
         # by Python's min and max, which order 0.0 and -0.0 as the
@@ -1699,92 +1706,113 @@ class UpperTruncated(Distribution):
 
 
 def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
-    """E[max(X, Y)] for independent X ~ dist_a, Y ~ dist_b.
+    """E[max(X, Y)] for independent X ~ dist_a, Y ~ dist_b, by the route that
+    ``_route`` gives the pair (see its table), bit-identical under swaps."""
+    return _expected_max(dist_a, dist_b, ordered=False)
 
-    When one side is a uniform, or a mixture whose one part is a stack of
-    uniforms, it is evaluated in closed form from the other side's F, M1 and
-    M2, unless either side is or mixes in a uniform narrower than
-    ``_MIN_UNIFORM_WIDTH`` of its upper end or a truncated normal, whose
-    partial moments are too coarse for it. Otherwise it goes through exact
-    atom conditioning, or, when both sides have a density:
 
-    - between two parametric families, through the decomposition
-      ``int x g(x) F(x) dx + int y f(y) G(y) dy``, the halves that a
-      search's candidates share (``_density_maxima``);
-    - otherwise (a mixture, or an upper truncation, on either side), through
-      E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)], one quadrature over X
-      (``_expected_max_over``), the side ``_integration_rank`` ranks lower:
-      one that is not a mixture, the narrower of two such, else the mixture
-      with fewer kinks; a mixture of one stack is one weighted array sum at
-      each node. A mixture of several parts against another mixture is the
-      weighted sum over its components.
+def _expected_max(x: Distribution, y: Distribution, ordered: bool = True) -> float:
+    """Route, then evaluate; by default the pair as given, past the closed
+    forms: the route a component of a conditioned mixture re-enters."""
+    tag, operands = _route(x, y, ordered)
+    return _EVALUATORS[tag](*operands)
 
-    A mixture with both atoms and a density is the weighted sum over its
-    components, and an upper truncation of one the weighted sum over its
-    components' truncations, w_i F_i(u) / F(u) each.
 
-    A side whose density a quadrature integrates and whose quartiles round
-    to one float is refused with NumericalIntegrityError: no node would see
-    its mass.
+def _route(x: Distribution, y: Distribution, ordered: bool = False) -> tuple[str, tuple]:
+    """The one table of routes of E[max(X, Y)]: (tag, operands) of the first
+    row the pair meets, which ``_EVALUATORS[tag](*operands)`` evaluates for
+    one pair (``expected_max``), and, as one array pass per tag of
+    ``_ORDER_BATCHES``, for a search's candidates (``_order_maxima``).
 
-    Arguments are put in a canonical order first so the result is
-    bit-identical under swaps.
+    The closed forms, in either order, when the F, M1 and M2 of both sides
+    keep their relative precision (``_closed_form_max``: no truncated
+    normal, and no uniform narrower than ``_MIN_UNIFORM_WIDTH`` of its upper
+    end, ``_UniformStack.closed_form``, is or is in either side), the side
+    ``_uniform_rank`` ranks lower being the uniform U:
+
+    - ``uniform``, U a uniform: E[D] + (H(b) - H(a)) / (b - a) from the
+      other side's mean, F, M1 and M2 (``_expected_max_uniform``);
+    - ``uniform_mixture``, U a mixture of one stack of uniforms and the
+      other side neither: the weighted sum over U's components.
+
+    Then the pair in canonical order (``_sorts_before``), or as given when
+    ``ordered``:
+
+    - ``atoms``, either side (x first) with atoms only: exact conditioning
+      on them, E[max(a, Y)] = a F_Y(a) + UPE_Y(a) at each atom a;
+    - ``mixtures``, a mixture of several parts against another mixture: the
+      weighted sum of ``expected_max`` over its components, so that each
+      is integrated over on a ladder of its own;
+    - ``halves``, two members of parametric families:
+      int t f_X F_Y dt + int t f_Y F_X dt (``_density_maxima``);
+    - ``over``, any other pair with densities: E_X[h_Y(X)], one quadrature
+      over the side X that ``_integration_rank`` ranks lower
+      (``_expected_max_over``);
+    - ``components``, a mixture with both atoms and a density: the weighted
+      sum of ``_expected_max`` over its components, each in its place;
+    - ``split``, an upper truncation of one: ``_expected_max`` of its
+      components' truncations, weighted w_i F_i(u) / F(u) (``_split``).
+
+    A pair that meets no row raises ValueError. A side whose density a
+    quadrature integrates and whose quartiles round to one float is refused
+    with NumericalIntegrityError (``_check_resolved``).
     """
-    pair = _closed_form_pair(dist_a, dist_b)
-    if pair is not None:
-        u, other = pair
-        if isinstance(u, Uniform):
-            return _expected_max_uniform(u, other)
-        # a mixture of uniforms against anything but another one
-        return math.fsum(w * _expected_max_uniform(c, other) for w, c in u.components)
-    if _sorts_before(dist_b, dist_a):
-        dist_a, dist_b = dist_b, dist_a
-    return _expected_max(dist_a, dist_b)
-
-
-def expected_maxima(orders, demand: Distribution) -> list[float]:
-    """``[expected_max(g, demand) for g in orders]``, bit for bit: the members
-    of each parametric family as its parameter columns (``_order_maxima``),
-    one family after another, then every other order by ``expected_max``."""
-    values = np.empty(len(orders))
-    for family in _STACKS:
-        rows = [k for k, g in enumerate(orders) if type(g) is family]
-        if rows:
-            params = _member_params(family, [orders[k] for k in rows])
-            values[rows] = _order_maxima(family, params, demand)
-    for k, g in enumerate(orders):
-        if type(g) not in _STACKS:
-            values[k] = expected_max(g, demand)
-    return values.tolist()
+    if not ordered and x._closed_form_max and y._closed_form_max:
+        u, other = sorted((x, y), key=_uniform_rank)
+        if _uniform_rank(u)[0] == 0:
+            return "uniform", (u, other)
+        if _uniform_rank(u) < _uniform_rank(other):
+            return "uniform_mixture", (u, other)
+    if not ordered and _sorts_before(y, x):
+        x, y = y, x
+    for atomic, other in ((x, y), (y, x)):
+        atoms = atomic.atoms()
+        if atoms is not None:
+            return "atoms", (atoms, other)
+    for mix, other in ((x, y), (y, x)):
+        if isinstance(mix, Mixture) and isinstance(other, Mixture) and _stack_of(mix) is None:
+            return "mixtures", (mix, other)
+    if x.has_density and y.has_density:
+        if type(x) in _STACKS and type(y) in _STACKS:
+            return "halves", (x, y)
+        if _integration_rank(y) < _integration_rank(x):
+            x, y = y, x
+        return "over", (x, y)
+    if isinstance(x, Mixture):
+        return "components", (x, y, True)
+    if isinstance(y, Mixture):
+        return "components", (y, x, False)
+    if isinstance(x, UpperTruncated) and x._split() is not None:
+        return "split", (x._split(), y)
+    if isinstance(y, UpperTruncated) and y._split() is not None:
+        return "split", (x, y._split())
+    raise ValueError("expected_max cannot decompose these distributions")
 
 
 def _order_maxima(family: type, params: dict[str, np.ndarray], demand: Distribution) -> np.ndarray:
     """E[max(Q, D)] of each member Q of a parametric family, given as its
     parameter columns keyed as in its record, against the demand, bit for
-    bit as ``expected_max`` and routed by its predicates: a closed-form
-    uniform against a parametric demand or a stacked mixture over arrays
-    (``_uniform_maxima``), a member with no closed form against a
-    parametric demand in one lockstep (``_density_maxima``), and the rest,
-    first, by ``expected_max``. Members are made for the last two only."""
-    if family is Uniform:
-        # Uniform._closed_form_max
-        closed = params["hi"] - params["lo"] >= _MIN_UNIFORM_WIDTH * params["hi"]
-    else:
-        closed = np.full(next(iter(params.values())).size, family._closed_form_max)
-    # _closed_form_pair: the member or the demand is the uniform side
-    closed &= bool(demand._closed_form_max) and (family is Uniform or _uniform_rank(demand)[0] < 2)
-    parametric = type(demand) in _STACKS
-    batched = closed & (family is Uniform and (parametric or _stack_of(demand) is not None))
-    dense = ~closed & parametric
-    values = np.empty(closed.size)
-    for k in np.flatnonzero(~batched & ~dense).tolist():
+    bit as ``expected_max``. A member's route depends only on its family and
+    its ``closed_form``, so ``_route`` routes the rows of each flag by its
+    ``_PROTOTYPES`` member. The rows of a tag in ``_ORDER_BATCHES`` run as
+    one batch each; every other row first, in order, by ``expected_max``.
+    Members are made for those rows and the lockstep's only."""
+    size = next(iter(params.values())).size
+    closed = np.broadcast_to(_STACKS[family].closed_form(**params), size)
+    rows_of = {}
+    for flag in np.unique(closed).tolist():
+        tag = _route(_PROTOTYPES[family, flag], demand)[0]
+        # the rows of a tag with no batch, under None
+        tag = tag if tag in _ORDER_BATCHES else None
+        rows_of[tag] = rows_of.get(tag, False) | (closed == flag)
+    values = np.empty(size)
+    for k in np.flatnonzero(rows_of.get(None, False)).tolist():
         values[k] = expected_max(_member(family, params, k), demand)
-    if batched.any():
-        rows = {name: params[name][batched] for name in _UniformStack.params}
-        values[batched] = _uniform_maxima(_equal_stack(Uniform, rows), demand)
-    if dense.any():
-        members = [_member(family, params, k) for k in np.flatnonzero(dense).tolist()]
-        values[dense] = _density_maxima(members, demand)
+    for tag, batch in _ORDER_BATCHES.items():
+        if tag in rows_of:
+            rows = rows_of[tag]
+            taken = {name: column[rows] for name, column in params.items()}
+            values[rows] = batch(family, taken, demand)
     return values
 
 
@@ -1816,33 +1844,6 @@ def expected_min(dist_a: Distribution, dist_b: Distribution) -> float:
     return dist_a.mean() + dist_b.mean() - expected_max(dist_a, dist_b)
 
 
-def _expected_max(x: Distribution, y: Distribution) -> float:
-    ax = x.atoms()
-    if ax is not None:
-        return _expected_max_over_atoms(ax, y)
-    ay = y.atoms()
-    if ay is not None:
-        return _expected_max_over_atoms(ay, x)
-    # a mixture of several families against another mixture is linear in its
-    # components, so that each is integrated over on a ladder of its own
-    for mix, other in ((x, y), (y, x)):
-        if isinstance(mix, Mixture) and isinstance(other, Mixture) and _stack_of(mix) is None:
-            return math.fsum(w * expected_max(d, other) for w, d in mix.components)
-    if x.has_density and y.has_density:
-        return _expected_max_densities(x, y)
-    # a mixture with both atomic and continuous parts: condition on the component
-    if isinstance(x, Mixture):
-        return math.fsum(w * _expected_max(d, y) for w, d in x.components)
-    if isinstance(y, Mixture):
-        return math.fsum(w * _expected_max(x, d) for w, d in y.components)
-    # an upper truncation of such a mixture: condition on its components
-    if isinstance(x, UpperTruncated) and x._split() is not None:
-        return _expected_max(x._split(), y)
-    if isinstance(y, UpperTruncated) and y._split() is not None:
-        return _expected_max(x, y._split())
-    raise ValueError("expected_max cannot decompose these distributions")
-
-
 def _uniform_rank(d: Distribution) -> tuple:
     """Lowest for a uniform (ordered by its interval), then a mixture of
     uniforms: the side the closed-form expected maximum integrates over."""
@@ -1853,30 +1854,9 @@ def _uniform_rank(d: Distribution) -> tuple:
     return (2,)
 
 
-def _closed_form_pair(a: Distribution, b: Distribution):
-    """(the uniform side, the other) when ``expected_max`` of a and b takes
-    the closed form, the side ``_uniform_rank`` ranks lower integrating;
-    else None."""
-    if not (a._closed_form_max and b._closed_form_max):
-        return None
-    rank_a, rank_b = _uniform_rank(a), _uniform_rank(b)
-    if rank_b < rank_a:
-        a, b, rank_a, rank_b = b, a, rank_b, rank_a
-    if rank_a[0] == 0 or rank_a < rank_b:
-        return a, b
-    return None
-
-
 def _expected_max_uniform(u: Uniform, other: Distribution) -> float:
-    return _uniform_closed_form(
-        other.mean(),
-        u.lo,
-        u.hi,
-        u._width,
-        other.cdf,
-        other._partial_expectation,
-        other._second_partial_moment,
-    )
+    kernels = (other.cdf, other._partial_expectation, other._second_partial_moment)
+    return _uniform_closed_form(other.mean(), u.lo, u.hi, u._width, *kernels)
 
 
 def _uniform_closed_form(mean, lo, hi, width, cdf, m1, m2):
@@ -1894,31 +1874,34 @@ def _uniform_closed_form(mean, lo, hi, width, cdf, m1, m2):
 
 def _blocks(d, *kernels):
     """d's kernels over blocks, named without the ``_block`` suffix, as
-    functions of the points."""
+    functions of the points: its family's, or else its scalar F, M1 and M2
+    element by element (``_math_map``)."""
     family = type(d) if isinstance(d, Distribution) else d.family
-    return [functools.partial(getattr(family, f"_{name}_block"), p=d) for name in kernels]
+    if family in _STACKS:
+        return [functools.partial(getattr(family, f"_{name}_block"), p=d) for name in kernels]
+    scalar = {"cdf": d.cdf, "m1": d._partial_expectation, "m2": d._second_partial_moment}
+    return [functools.partial(_math_map, scalar[name]) for name in kernels]
 
 
 def _uniform_maxima(stack: _Stack, demand: Distribution) -> np.ndarray:
-    """``_expected_max_uniform`` of closed-form uniforms, a stack's rows,
-    against a demand of a parametric family or a stacked mixture of one, over
-    arrays: a uniform demand integrates instead of the order where its
-    (lo, hi) sorts first (``_uniform_rank``), while a uniform order ranks
-    below any mixture."""
+    """The ``uniform`` route of each row of a stack against the demand, over
+    arrays. A uniform demand is the uniform side of another family's rows
+    and of a uniform row whose (lo, hi) sorts after its own; else the row
+    is, by ``_uniform_maxima_over`` against a stacked mixture."""
     mixture = _stack_of(demand)
     if mixture is not None:
         return _uniform_maxima_over(stack, demand.mean(), mixture)
+    if type(demand) is Uniform:
+        kernels = _blocks(stack, "cdf", "m1", "m2")
+        swapped = _uniform_closed_form(stack.means(), demand.lo, demand.hi, demand._width, *kernels)
+        if stack.family is not Uniform:
+            return swapped
     lo, hi = stack.lo, stack.hi
     kernels = _blocks(demand, "cdf", "m1", "m2")
     values = _uniform_closed_form(demand.mean(), lo, hi, stack._width, *kernels)
     if type(demand) is Uniform:
         swap = (demand.lo < lo) | ((demand.lo == lo) & (demand.hi < hi))
-        if swap.any():
-            kernels = _blocks(stack, "cdf", "m1", "m2")
-            swapped = _uniform_closed_form(
-                stack.means(), demand.lo, demand.hi, demand._width, *kernels
-            )
-            values = np.where(swap, swapped, values)
+        values = np.where(swap, swapped, values)
     return values
 
 
@@ -1947,29 +1930,6 @@ def _expected_max_at(t: float, y: Distribution) -> float:
     return t * y.cdf(t) + y.upper_partial_expectation(t)
 
 
-def _expected_max_over_atoms(atoms, other: Distribution) -> float:
-    values, weights = atoms
-    return math.fsum(w * _expected_max_at(v, other) for v, w in zip(values, weights))
-
-
-def _parametric_pair(a: Distribution, b: Distribution) -> bool:
-    """Whether both sides are members of parametric families, the pairs whose
-    expected maximum takes the halves (``_density_maxima``)."""
-    return type(a) in _STACKS and type(b) in _STACKS
-
-
-def _expected_max_densities(x: Distribution, y: Distribution) -> float:
-    """E[max(X, Y)] of two sides with densities: the halves of a parametric
-    pair, x as the one order (``_density_maxima``); else one quadrature over
-    the side that ``_integration_rank`` ranks lower (``_expected_max_over``)."""
-    if _parametric_pair(x, y):
-        return _density_maxima([x], y)[0]
-    if _integration_rank(y) < _integration_rank(x):
-        x, y = y, x
-    _check_resolved(x)
-    return _expected_max_over(x, y, max(x.upper_cut(), y.upper_cut()))
-
-
 def _check_resolved(*sides: Distribution) -> None:
     """Raise NumericalIntegrityError for the first side whose quartiles round
     to one float: the nodes of a quadrature over its density round onto a
@@ -1995,10 +1955,11 @@ def _integration_rank(d: Distribution) -> tuple:
     return (False, d._quantile(0.75) - d._quantile(0.25))
 
 
-def _expected_max_over(x: Distribution, y: Distribution, cut: float) -> float:
+def _expected_max_over(x: Distribution, y: Distribution) -> float:
     """E[max(X, Y)] = E_X[h_Y(X)] with h_Y(t) = E[max(t, Y)]: one quadrature
-    of h_Y f_X over X's support below the cut, plus X's tail moment beyond
-    the cut, where h_Y(t) is t within TAIL_PROB.
+    of h_Y f_X over X's support below the larger upper cut of the two, plus
+    X's tail moment beyond it, where h_Y(t) is t within TAIL_PROB. An unresolved X is
+    refused (``_check_resolved``).
 
     The quadrature splits at X's own kinks and at the ladder around X's bulk
     (``_ladder``), so that a narrow X is not stepped over. Y's kinks cannot
@@ -2012,8 +1973,9 @@ def _expected_max_over(x: Distribution, y: Distribution, cut: float) -> float:
     A stacked side is one numpy weighted sum at each node, by the ``fast``
     kernels: h_Y(t) = E[Y] + sum_i w_i (t F_i(t) - M1_i(t)), and
     f_X(t) = sum_i w_i f_i(t)."""
+    _check_resolved(x)
     lo, top = x.support()
-    hi = min(top, cut)
+    hi = min(top, max(x.upper_cut(), y.upper_cut()))
     y_stack, x_stack = _stack_of(y), _stack_of(x)
     if y_stack is None:
         h = functools.partial(_expected_max_at, y=y)
@@ -2119,6 +2081,42 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
 
     halves = [value + tail for value, tail in zip(integrate_many(integrand, spans), tails)]
     return [first + second for first, second in zip(halves[::2], halves[1::2])]
+
+
+# each tag of ``_route`` and the evaluator of its operands
+_EVALUATORS = {
+    "uniform": _expected_max_uniform,
+    "uniform_mixture": lambda u, other: math.fsum(
+        w * _expected_max_uniform(c, other) for w, c in u.components
+    ),
+    "atoms": lambda atoms, y: math.fsum(w * _expected_max_at(v, y) for v, w in zip(*atoms)),
+    "mixtures": lambda mix, other: math.fsum(w * expected_max(d, other) for w, d in mix.components),
+    "halves": lambda x, y: _density_maxima([x], y)[0],
+    "over": _expected_max_over,
+    "components": lambda mix, y, first: math.fsum(
+        w * (_expected_max(d, y) if first else _expected_max(y, d)) for w, d in mix.components
+    ),
+    "split": _expected_max,
+}
+
+# a member of each parametric family for each ``closed_form`` it takes, which
+# routes every member of that flag (``_order_maxima``)
+_PROTOTYPES = {
+    (Uniform, True): Uniform(0.0, 1.0),
+    (Uniform, False): Uniform(1.0, 1.0 + 1e-9),
+    (Exponential, True): Exponential(1.0),
+    (LogNormal, True): LogNormal(0.0, 1.0),
+    (TruncatedNormal, False): TruncatedNormal(0.0, 1.0),
+}
+
+# the tags whose rows ``_order_maxima`` evaluates as one batch, from the
+# family, the rows' parameter columns and the demand
+_ORDER_BATCHES = {
+    "uniform": lambda family, params, demand: _uniform_maxima(_equal_stack(family, params), demand),
+    "halves": lambda family, params, demand: _density_maxima(
+        [_member(family, params, k) for k in range(next(iter(params.values())).size)], demand
+    ),
+}
 
 
 # Rungs of ``_ladder`` on each side of the median: with the median, 33

@@ -9,7 +9,7 @@ readings, the equivalent moment-constrained form for candidates whose mean
 is pinned to the point order, and runs a derivative-free search for the
 best feasible order distribution. The search keeps its candidates as
 columns from the parameter grid to the trace: parameter arrays with one
-validity mask, their expected maxima routed by mask (``_order_maxima``),
+validity mask, their expected maxima routed by ``_route`` (``_order_maxima``),
 and the feasibility arithmetic over arrays, with the margins and profits of
 the public checks bit for bit.
 """

@@ -1,5 +1,6 @@
 """Shared generators for randomized sweeps, the per-component reference of a
-mixture, and the benchmark's modules."""
+mixture, a search's expected maxima of a list of orders, and the benchmark's
+modules."""
 
 import math
 import types
@@ -16,6 +17,7 @@ from randvendor import (
     TruncatedNormal,
     Uniform,
 )
+from randvendor.distributions import _member_params, _order_maxima
 
 
 def random_continuous(rng: np.random.Generator, allow_mixture: bool = True):
@@ -140,6 +142,18 @@ def masked_loop_draws(mix, u):
         if mask.any():
             out[mask] = d.from_uniform(np.clip((u[mask] - edges[j]) / w, 0.0, top))
     return out
+
+
+def order_maxima(orders, demand) -> list[float]:
+    """E[max(Q, D)] of each order as a search takes its candidates: the
+    members of one family in one ``_order_maxima`` call, family after family
+    in the order each first appears."""
+    values = np.empty(len(orders))
+    for family in dict.fromkeys(type(g) for g in orders):
+        rows = [k for k, g in enumerate(orders) if type(g) is family]
+        params = _member_params(family, [orders[k] for k in rows])
+        values[rows] = _order_maxima(family, params, demand)
+    return values.tolist()
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -23,7 +23,7 @@ from randvendor import (
     expected_max,
     expected_min,
 )
-from randvendor.distributions import _expected_max_densities, _stack_of, valid_parameters
+from randvendor.distributions import _stack_of, valid_parameters
 from randvendor._quad import scalar_pays
 
 CONTINUOUS = [

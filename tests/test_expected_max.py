@@ -31,13 +31,14 @@ from randvendor import (  # noqa: E402
     simulate_expected_max,
 )
 from randvendor.distributions import (  # noqa: E402
-    expected_maxima,
-    _expected_max_densities,
+    _EVALUATORS,
     _MIN_UNIFORM_WIDTH,
-    _expected_max_over_atoms,
+    _route,
     _sorts_before,
 )
 from randvendor.policy import build_order_dist  # noqa: E402
+
+from helpers import order_maxima  # noqa: E402
 
 mp.mp.dps = 40
 EPS = np.finfo(float).eps
@@ -45,6 +46,15 @@ EPS = np.finfo(float).eps
 
 def _bits(values):
     return [float(v).hex() for v in values]
+
+
+def _quadrature(x, y):
+    """E[max(X, Y)] by the quadrature of a pair with densities, whatever
+    closed form it has: the route ``_route`` gives the pair as given, past
+    the closed forms."""
+    tag, operands = _route(x, y, ordered=True)
+    assert tag in ("halves", "over")
+    return _EVALUATORS[tag](*operands)
 
 
 def _mp_cdf(d):
@@ -149,7 +159,8 @@ def test_truncated_normal_keeps_quadrature():
     # the closed form would amplify by b / (b - a); it stays on quadrature
     for demand in (TruncatedNormal(-8.0, 1.0), TruncatedNormal(0.5, 1.0)):
         for order in _orders(demand):
-            assert expected_max(order, demand) == _expected_max_densities(order, demand)
+            assert _route(order, demand)[0] == "halves"
+            assert expected_max(order, demand) == _quadrature(order, demand)
 
 
 def _narrow_uniforms(demand):
@@ -163,7 +174,8 @@ def test_narrow_uniform_keeps_old_paths(demand):
     # the value is the quadrature's, bit for bit
     for order in _narrow_uniforms(demand):
         assert not order._closed_form_max
-        assert expected_max(order, demand) == _expected_max_densities(order, demand)
+        assert _route(order, demand)[0] == "halves"
+        assert expected_max(order, demand) == _quadrature(order, demand)
         assert expected_max(demand, order) == expected_max(order, demand)
 
 
@@ -173,14 +185,15 @@ def test_narrow_uniform_against_a_mixture():
     demand = Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))])
     for order in _narrow_uniforms(demand):
         value = expected_max(order, demand)
-        assert value == _expected_max_densities(order, demand) == expected_max(demand, order)
+        assert _route(order, demand) == ("over", (order, demand))
+        assert value == _quadrature(order, demand) == expected_max(demand, order)
         assert value == pytest.approx(_mp_expected_max(order, demand), rel=1e-14)
 
 
 def test_narrow_uniform_against_atoms_keeps_atom_path():
     atoms = Empirical([0.5, 1.5, 2.5])
     point = build_order_dist("point", (), 1.2, True)
-    assert expected_max(point, atoms) == _expected_max_over_atoms(atoms.atoms(), point)
+    assert expected_max(point, atoms) == _EVALUATORS["atoms"](atoms.atoms(), point)
 
 
 def _sixty_uniforms_of(seed):
@@ -209,7 +222,7 @@ def test_kinked_uniform_mixture_quadrature_matches_closed_form():
     # 120 kinks against a narrow peak: the quadrature over the stack splits
     # at every one of them, and at the ladder around the peak
     mix, order = _sixty_uniforms(), LogNormal(0.0, 0.01)
-    assert _expected_max_densities(mix, order) == pytest.approx(
+    assert _quadrature(mix, order) == pytest.approx(
         expected_max(mix, order), rel=1e-10
     )
 
@@ -249,7 +262,7 @@ def test_uniform_mixture_with_a_narrow_component_keeps_quadrature():
     mix = Mixture([(0.5, Uniform(1.0, 3.0)), (0.5, narrow)])
     order = LogNormal(0.5, 0.3)
     value = expected_max(mix, order)
-    assert value == _expected_max_densities(order, mix) == _expected_max_densities(mix, order)
+    assert value == _quadrature(order, mix) == _quadrature(mix, order)
     exact = 0.5 * _mp_expected_max(Uniform(1.0, 3.0), order) + 0.5 * _mp_expected_max(narrow, order)
     assert value == pytest.approx(exact, rel=1e-10)
 
@@ -350,9 +363,9 @@ def test_closed_form_matches_quadrature_and_atoms(u, other):
     hypothesis.assume(other._closed_form_max)
     try:
         if other.has_density:
-            oracle = _expected_max_densities(u, other)
+            oracle = _quadrature(u, other)
         else:
-            oracle = _expected_max_over_atoms(other.atoms(), u)
+            oracle = _EVALUATORS["atoms"](other.atoms(), u)
     except NumericalIntegrityError:
         hypothesis.assume(False)
     assert expected_max(u, other) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
@@ -433,7 +446,7 @@ def test_narrow_orders_against_an_upper_truncation(demand):
     for order, reference in references:
         value = expected_max(order, demand)
         assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
-        assert _bits([expected_max(demand, order), *expected_maxima([order], demand)]) == _bits(
+        assert _bits([expected_max(demand, order), *order_maxima([order], demand)]) == _bits(
             [value, value]
         )
 
@@ -453,7 +466,7 @@ def test_an_order_narrower_than_the_floats_is_refused(order, demand):
         with pytest.raises(NumericalIntegrityError, match="narrower than the floats"):
             expected_max(a, b)
     with pytest.raises(NumericalIntegrityError, match="narrower than the floats"):
-        expected_maxima([LogNormal(1.0, 0.3), order], demand)
+        order_maxima([LogNormal(1.0, 0.3), order], demand)
 
 
 @st.composite

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from helpers import order_maxima
 
 from randvendor import (
+    Empirical,
     Exponential,
     LogNormal,
     MarketParams,
@@ -28,16 +30,16 @@ from randvendor import (
 )
 from randvendor import _quad, policy
 from randvendor.distributions import (
+    _EVALUATORS,
     _SAMPLE_BLOCK,
-    _closed_form_pair,
     _density_maxima,
-    _expected_max_densities,
     _equal_stack,
     _member,
     _member_params,
+    _order_maxima,
+    _route,
     _stack_of,
     _uniform_maxima,
-    expected_maxima,
 )
 from randvendor.policy import (
     _candidate_columns,
@@ -161,26 +163,34 @@ def _orders():
 
 
 PARAMETRIC = [Exponential(0.25), LogNormal(1.2, 0.6), TruncatedNormal(4.0, 2.5), Uniform(1.0, 9.0)]
-# an upper truncation takes expected_max one order at a time
-DEMANDS = PARAMETRIC + [UpperTruncated(LogNormal(1.0, 0.8), 7.5)]
+# against an upper truncation, a mixture of two families and a sample, the
+# closed-form uniforms read the demand's scalar kernels element by element,
+# and every other order takes expected_max alone
+DEMANDS = PARAMETRIC + [
+    UpperTruncated(LogNormal(1.0, 0.8), 7.5),
+    Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))]),
+    Empirical([0.5, 1.5, 2.5, 7.0]),
+]
 
 
 @pytest.mark.parametrize("demand", DEMANDS, ids=repr)
-def test_expected_maxima_match_expected_max(demand):
+def test_order_maxima_match_expected_max(demand):
     orders = _orders()
     assert [o._upper_tail for o in orders if isinstance(o, TruncatedNormal)].count(True) == 6
     expected = [expected_max(g, demand) for g in orders]
-    assert _bits(expected_maxima(orders, demand)) == _bits(expected)
+    assert _bits(order_maxima(orders, demand)) == _bits(expected)
 
 
 @pytest.mark.parametrize("demand", PARAMETRIC, ids=repr)
 def test_every_density_pair_through_the_lockstep_quadrature(demand):
-    # each kind of order alone in a batch, against the scalar density-pair
-    # quadrature, which expected_max takes for the wide uniforms only against
-    # a truncated normal
+    # each kind of order alone in a batch, against the halves of the pair as
+    # given, past the closed forms, which expected_max takes for the wide
+    # uniforms only against a truncated normal
     for kind in range(5):
         orders = _orders()[kind::5]
-        expected = [_expected_max_densities(g, demand) for g in orders]
+        routes = [_route(g, demand, ordered=True) for g in orders]
+        assert {tag for tag, _ in routes} == {"halves"}
+        expected = [_EVALUATORS[tag](*operands) for tag, operands in routes]
         assert _bits(_density_maxima(orders, demand)) == _bits(expected)
 
 
@@ -232,7 +242,7 @@ def test_uniform_orders_against_a_stack_in_one_pass(monkeypatch, name):
     taken_alone, blocks = [], []
 
     def alone(g, d, _original=expected_max):
-        assert not (type(g) is Uniform and _closed_form_pair(g, d)), "a batched order"
+        assert _route(g, d)[0] != "uniform", "a batched order"
         taken_alone.append(g)
         return _original(g, d)
 
@@ -242,7 +252,7 @@ def test_uniform_orders_against_a_stack_in_one_pass(monkeypatch, name):
 
     monkeypatch.setattr(distributions, "expected_max", alone)
     monkeypatch.setattr(distributions, "_exact_sum", recorded)
-    assert _bits(expected_maxima(orders, demand)) == _bits(expected)
+    assert _bits(order_maxima(orders, demand)) == _bits(expected)
     if name == "uniform_narrow":
         assert not _stack_of(demand)._closed_form_max
         assert taken_alone == orders
@@ -253,6 +263,33 @@ def test_uniform_orders_against_a_stack_in_one_pass(monkeypatch, name):
         # the chunks of 3, 3 and 1 rows, six kernels each
         rows = [shape[0] for shape in blocks]
         assert rows == [3] * 6 + [3] * 6 + [1] * 6
+
+
+@pytest.mark.parametrize("family", [Exponential, LogNormal], ids=lambda f: f.__name__)
+def test_closed_form_orders_against_a_uniform_demand_in_one_pass(monkeypatch, family):
+    # the uniform demand is the uniform side of every row: one array pass
+    # over the orders' F, M1 and M2, and no row takes expected_max
+    demand = Uniform(1.0, 9.0)
+    if family is LogNormal:
+        orders = [LogNormal(0.2 + 0.3 * i, 0.05 + 0.2 * i) for i in range(8)]
+    else:
+        orders = [Exponential(0.05 + 0.4 * i) for i in range(8)]
+    assert all(_route(g, demand) == ("uniform", (demand, g)) for g in orders)
+    expected = [expected_max(g, demand) for g in orders]
+
+    def alone(g, d):
+        raise AssertionError("a row alone")
+
+    monkeypatch.setattr(distributions, "expected_max", alone)
+    params = _member_params(family, orders)
+    assert _bits(_order_maxima(family, params, demand)) == _bits(expected)
+    # a pinned lognormal search against a uniform compound, as the benchmark's
+    triple = build_scenario(Uniform(0.0, 1.0), true_demand=Uniform(0.0, 1.2))
+    cfg = SearchConfig(method="grid", budget=25, seed=0, constrain_mean_to_qhat=True)
+    result = search_policy(MARKET, triple, "lognormal", {"log_sd": (0.05, 1.0)}, cfg)
+    monkeypatch.setattr(distributions, "expected_max", expected_max)
+    unspied = search_policy(MARKET, triple, "lognormal", {"log_sd": (0.05, 1.0)}, cfg)
+    assert result.search_trace == unspied.search_trace
 
 
 def test_a_candidate_alone_and_in_a_batch_of_25():
@@ -308,7 +345,7 @@ def test_an_unresolved_order_in_a_batch_raises_as_the_loop(monkeypatch, refused)
     with pytest.raises(NumericalIntegrityError) as expected:
         _loop(orders, demand)
     with pytest.raises(NumericalIntegrityError) as batched:
-        expected_maxima(orders, demand)
+        order_maxima(orders, demand)
     assert str(batched.value) == str(expected.value)
     assert ("narrower than the floats" in str(expected.value)) == (refused is None)
 
@@ -327,16 +364,23 @@ def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
         mixture,
     ]
     seen = {"_density_maxima": [], "_expected_max_over": []}
-    for name, calls in seen.items():
 
-        def recorded(x, y, *args, _calls=calls, _original=getattr(distributions, name)):
-            _calls.append((x, y))
-            return _original(x, y, *args)
+    def recorder(calls, original):
+        def recorded(x, y, *args):
+            calls.append((x, y))
+            return original(x, y, *args)
 
-        monkeypatch.setattr(distributions, name, recorded)
+        return recorded
+
+    # the halves of a pair and of a batch; the quadrature over one side as
+    # the route table evaluates it
+    halves = recorder(seen["_density_maxima"], distributions._density_maxima)
+    monkeypatch.setattr(distributions, "_density_maxima", halves)
+    over = recorder(seen["_expected_max_over"], distributions._EVALUATORS["over"])
+    monkeypatch.setitem(distributions._EVALUATORS, "over", over)
     orders = _orders()
     for demand in PARAMETRIC + others:
-        expected_maxima(orders, demand)
+        order_maxima(orders, demand)
         _loop(orders, demand)
         for g in orders:
             expected_max(demand, g)
@@ -386,10 +430,62 @@ def test_no_math_map_inside_the_halves(monkeypatch, order_family, demand_family)
     monkeypatch.setattr(distributions, "integrate_many", halves)
     monkeypatch.setattr(distributions, "_math_map", math_map)
     alone = expected_max(orders[0], demand)
-    together = expected_maxima(orders, demand)
+    together = order_maxima(orders, demand)
     assert spans_seen == [2, 2 * len(orders)]
     assert maps == []
     assert _bits(together[:1]) == _bits([alone])
+
+
+# -- the route table ----------------------------------------------------------------
+
+_CONDITIONED = Mixture([(0.5, Empirical([1.0, 2.0])), (0.5, TruncatedNormal(2.0, 1.0))])
+# one pair per tag of _route, the first side being the one a search would
+# order where either side is a member of a parametric family
+ROUTE_PAIRS = {
+    "uniform": (Uniform(0.5, 2.5), LogNormal(0.2, 0.5)),
+    "uniform_mixture": (
+        LogNormal(0.2, 0.5),
+        Mixture([(0.5, Uniform(0.0, 2.0)), (0.5, Uniform(1.0, 4.0))]),
+    ),
+    "atoms": (LogNormal(0.2, 0.5), Empirical([0.5, 1.5, 2.5])),
+    "mixtures": (
+        Mixture([(0.5, LogNormal(0.0, 0.5)), (0.5, LogNormal(0.5, 0.4))]),
+        Mixture([(0.5, Uniform(1.0, 4.0)), (0.5, Exponential(0.5))]),
+    ),
+    "halves": (TruncatedNormal(4.0, 2.5), LogNormal(1.2, 0.6)),
+    "over": (TruncatedNormal(3.0, 0.5), UpperTruncated(LogNormal(1.0, 0.8), 7.5)),
+    "components": (LogNormal(0.5, 0.4), _CONDITIONED),
+    "split": (LogNormal(0.5, 0.4), UpperTruncated(_CONDITIONED, 3.0)),
+}
+
+_MORE_MEMBERS = {
+    Uniform: [Uniform(0.0, 3.0), Uniform(0.5, 0.5004)],
+    Exponential: [Exponential(0.3), Exponential(2.0)],
+    LogNormal: [LogNormal(1.0, 0.3), LogNormal(-0.5, 1.0)],
+    TruncatedNormal: [TruncatedNormal(1.0, 0.7), TruncatedNormal(-1.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ROUTE_PAIRS))
+def test_each_route_of_the_table(tag):
+    a, b = ROUTE_PAIRS[tag]
+    assert _route(a, b)[0] == _route(b, a)[0] == tag
+    value = expected_max(a, b)
+    assert _bits([expected_max(b, a)]) == _bits([value])
+    assert value >= max(a.mean(), b.mean())
+    # a parametric order's row beside two more of its family, a narrow
+    # uniform among them, as a search's candidates
+    for order, demand in ((a, b), (b, a)):
+        if type(order) in _MORE_MEMBERS:
+            family = type(order)
+            rows = [order, *_MORE_MEMBERS[family]]
+            values = _order_maxima(family, _member_params(family, rows), demand)
+            assert _bits(values) == _bits([expected_max(g, demand) for g in rows])
+
+
+def test_every_route_is_reached():
+    # a tag no pair reaches is a dead row of the table
+    assert {_route(a, b)[0] for a, b in ROUTE_PAIRS.values()} == set(_EVALUATORS)
 
 
 # -- which searches take the batch --------------------------------------------------
