@@ -17,7 +17,13 @@ command and tag of ``distributions._route``:
 - ``batches`` and ``rows``: the candidates' batches (``_ORDER_BATCHES``) and
   the rows they evaluate.
 
-It prints one Markdown table. The scenarios are read from ``perfbench/`` as
+It also counts the lockstep quadrature (``_quad.integrate_many``, as
+``distributions`` calls it) per workload and command: its calls, their
+spans, the rounds of the calls (one block of panels each) and their panels,
+and among them apart the rounds of fewer than ``_quad._ROW_RULE_PANELS``
+panels, which take the scalar rule's sums, and their panels.
+
+It prints two Markdown tables. The scenarios are read from ``perfbench/`` as
 they are, and nothing is written there.
 """
 
@@ -38,15 +44,17 @@ sys.dont_write_bytecode = True
 
 import workloads  # noqa: E402
 
-from randvendor import cli, distributions  # noqa: E402
+from randvendor import _quad, cli, distributions  # noqa: E402
 
 COMMANDS = ("solve", "search", "validate")
 COLUMNS = ("pairs", "routed", "batches", "rows")
+LOCKSTEP = ("calls", "spans", "rounds", "panels", "scalar rounds", "scalar panels")
 
 
 def _counting(counts: Counter):
     """Wrap ``_route`` and the batches so that each adds to ``counts``,
-    keyed by (tag, column); returns the function that undoes it."""
+    keyed by (tag, column), and the lockstep so that it adds under its
+    column names; returns the function that undoes it."""
     route, batches = distributions._route, dict(distributions._ORDER_BATCHES)
 
     def counted_route(x, y, *args, **kwargs):
@@ -63,12 +71,30 @@ def _counting(counts: Counter):
 
         return batch
 
+    lockstep = distributions.integrate_many
+
+    def counted_lockstep(fn, spans, *args, **kwargs):
+        counts["calls"] += 1
+        counts["spans"] += len(spans)
+
+        def counted_round(owner, t):
+            counts["rounds"] += 1
+            counts["panels"] += owner.size
+            if owner.size < _quad._ROW_RULE_PANELS:
+                counts["scalar rounds"] += 1
+                counts["scalar panels"] += owner.size
+            return fn(owner, t)
+
+        return lockstep(counted_round, spans, *args, **kwargs)
+
     distributions._route = counted_route
     distributions._ORDER_BATCHES.update((tag, counted_batch(tag)) for tag in batches)
+    distributions.integrate_many = counted_lockstep
 
     def undo():
         distributions._route = route
         distributions._ORDER_BATCHES.update(batches)
+        distributions.integrate_many = lockstep
 
     return undo
 
@@ -107,13 +133,21 @@ def census() -> dict[tuple[str, str], Counter]:
 
 
 def main() -> int:
+    counted = census()
     print("| workload | command | tag | " + " | ".join(COLUMNS) + " |")
     print("|---|---|---|" + "---:|" * len(COLUMNS))
-    for (workload, cmd), counts in census().items():
+    for (workload, cmd), counts in counted.items():
         for tag in distributions._EVALUATORS:
             row = [counts[tag, column] for column in COLUMNS]
             if any(row):
                 print(f"| {workload} | {cmd} | {tag} | " + " | ".join(map(str, row)) + " |")
+    print()
+    print("| workload | command | " + " | ".join(LOCKSTEP) + " |")
+    print("|---|---|" + "---:|" * len(LOCKSTEP))
+    for (workload, cmd), counts in counted.items():
+        row = [counts[column] for column in LOCKSTEP]
+        if any(row):
+            print(f"| {workload} | {cmd} | " + " | ".join(map(str, row)) + " |")
     return 0
 
 

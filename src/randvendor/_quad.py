@@ -6,21 +6,28 @@ interior points (Piessens et al., 1983): the 21-point Gauss-Kronrod rule
 the largest error estimate first until the estimates sum to no more than
 the tolerance. The epsilon-algorithm extrapolation of those routines is left
 out; it speeds up integrands with end-point singularities, and the kernels
-integrate none. The adaptive loop (``_dqagse``) is a generator that asks
-for panels and receives their rule results: ``integrate`` drives one with
-the scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
-each round evaluating every panel they ask for as one (panels, 21) block
-and summing each row in the scalar rule's order (``_gk21_rows``), or, for a
-round of a few panels, by the scalar rule on each row, so that each keeps
-its own path and value bit for bit. The two survival integrals of a
-mixture's stack at q, plain and weighted by t, are one ``integrate_many``
-of two spans over the weighted sum across its components, each round
-evaluating each distinct node against the components once and each span
-keeping its own path; or two quadratures per component where
-``scalar_pays`` says so. The expected maximum against a mixture is one
+integrate none. The adaptive loop (``_dqagse``) is a generator that asks for
+panels and receives their rule results: ``integrate`` drives one with the
+scalar rule, and ``integrate_many`` drives many quadratures in lockstep,
+each round evaluating every panel they ask for as one (panels, 21) block and
+summing each row in the scalar rule's order (``_gk21_rows``), or, for a
+round of a few panels, by the scalar rule's own sums on each row
+(``_gk21_sums``), so that each keeps its own path and value bit for bit. The
+two survival integrals of a mixture's stack at q, plain and weighted by t,
+are one ``integrate_many`` of two spans over the weighted sum across its
+components, each round evaluating each distinct node against the components
+once and each span keeping its own path; or two quadratures per component
+where ``scalar_pays`` says so. The expected maximum against a mixture is one
 scalar quadrature, over the other side; that of a pair of parametric
 families is two halves, two spans of one ``integrate_many``, for one pair or
 for a search's candidates together.
+
+A round of a search's halves by the block rule costs about 150 us and
+1.7 us a panel (a linear fit over the rounds of 16 or more panels of the
+seed-1 ``parametric`` searches, replayed in one process on a 2-core VM):
+the integrand 52 us and 0.75 us a panel, the block rule 50 us and 0.2 us,
+the panel nodes 10 us, and the arrays of ``integrate_many`` and each span's
+``_dqagse`` step 40 us and 0.7 us.
 """
 
 import bisect
@@ -86,40 +93,49 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 # below this integral of |f| the rounding floor of dqk21's error is not applied
 _TINY_RESABS = _UFLOW / (50.0 * _EPMACH)
+# dqagse stops at a panel [a1, b2] with max(|a1|, |b2|) at most _NARROWEST
+# times |midpoint| + _TINY_ABSCISSA: too narrow to bisect
+_NARROWEST = 1.0 + 100.0 * _EPMACH
+_TINY_ABSCISSA = 1000.0 * _UFLOW
 
 
 def _gk21(f, a, b):
     """QUADPACK's dqk21 over [a, b]: the Kronrod value, its error estimate,
-    the integral of |f| and that of |f - mean|. The 21 nodes and every sum
-    are unrolled, in dqk21's order, so a panel costs little beyond its 21
-    calls of ``f``."""
+    the integral of |f| and that of |f - mean| (``_gk21_sums``). The 21
+    nodes are unrolled, so a panel costs little beyond its 21 calls of
+    ``f``."""
     x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK
-    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = _WGK
-    g1, g2, g3, g4, g5 = _WG
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = f(centr)
-    # the Gauss nodes first, then Kronrod's, as dqk21 calls them
-    d = hlgth * x2
-    l2, r2 = f(centr - d), f(centr + d)
-    d = hlgth * x4
-    l4, r4 = f(centr - d), f(centr + d)
-    d = hlgth * x6
-    l6, r6 = f(centr - d), f(centr + d)
-    d = hlgth * x8
-    l8, r8 = f(centr - d), f(centr + d)
-    d = hlgth * x10
-    l10, r10 = f(centr - d), f(centr + d)
-    d = hlgth * x1
-    l1, r1 = f(centr - d), f(centr + d)
-    d = hlgth * x3
-    l3, r3 = f(centr - d), f(centr + d)
-    d = hlgth * x5
-    l5, r5 = f(centr - d), f(centr + d)
-    d = hlgth * x7
-    l7, r7 = f(centr - d), f(centr + d)
-    d = hlgth * x9
-    l9, r9 = f(centr - d), f(centr + d)
+    d1 = hlgth * x1
+    d2 = hlgth * x2
+    d3 = hlgth * x3
+    d4 = hlgth * x4
+    d5 = hlgth * x5
+    d6 = hlgth * x6
+    d7 = hlgth * x7
+    d8 = hlgth * x8
+    d9 = hlgth * x9
+    d10 = hlgth * x10
+    return _gk21_sums(
+        hlgth,
+        f(centr),
+        f(centr - d2), f(centr - d4), f(centr - d6), f(centr - d8), f(centr - d10),
+        f(centr - d1), f(centr - d3), f(centr - d5), f(centr - d7), f(centr - d9),
+        f(centr + d2), f(centr + d4), f(centr + d6), f(centr + d8), f(centr + d10),
+        f(centr + d1), f(centr + d3), f(centr + d5), f(centr + d7), f(centr + d9),
+    )
+
+
+def _gk21_sums(
+    hlgth, fc, l2, l4, l6, l8, l10, l1, l3, l5, l7, l9, r2, r4, r6, r8, r10, r1, r3, r5, r7, r9
+):
+    """dqk21's sums over a panel of half-length ``hlgth`` from the integrand
+    at its centre, then at the centre minus and plus each abscissa, the
+    Gauss ones first (a row of ``_panel_nodes``), every sum in dqk21's
+    order."""
+    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = _WGK
+    g1, g2, g3, g4, g5 = _WG
     s1, s2, s3, s4, s5 = l1 + r1, l2 + r2, l3 + r3, l4 + r4, l5 + r5
     s6, s7, s8, s9, s10 = l6 + r6, l7 + r7, l8 + r8, l9 + r9, l10 + r10
     resg = g1 * s2 + g2 * s4 + g3 * s6 + g4 * s8 + g5 * s10
@@ -172,12 +188,13 @@ def _gk21(f, a, b):
 def _dqagse(lo: float, hi: float, points, limit: int):
     """``dqagse`` over [lo, hi] when ``points`` is empty, else ``dqagpe``
     over the panels between the sorted interior ``points``, both without
-    extrapolation, as a generator that never sees the integrand: it yields
-    the list of panels (a, b) it needs next, receives their ``dqk21``
-    results (value, error estimate, integral of |f|, of |f - mean|) in that
-    order, and returns (value, error estimate) after at most ``limit``
-    panels, which must exceed the number of points. ``_adaptive`` drives one
-    with ``_gk21``; ``integrate_many`` drives many in lockstep."""
+    extrapolation, as a generator that never sees the integrand. It yields
+    the panels it needs next as one flat list of their ends (a, b, a, b,
+    ...), receives their ``dqk21`` results (value, error estimate, integral
+    of |f|, of |f - mean|) as one flat list, four entries a panel in the
+    order of the panels, and returns (value, error estimate) after at most
+    ``limit`` panels, which must exceed the number of points. ``_adaptive``
+    drives one with ``_gk21``; ``integrate_many`` drives many in lockstep."""
     alist = [lo, *points]
     blist = [*points, hi]
     rlist, elist = [], []
@@ -185,7 +202,7 @@ def _dqagse(lo: float, hi: float, points, limit: int):
         # dqagse accepts its first panel only if the error estimate is not
         # dqk21's cap, |f - mean|: a rule whose 21 nodes all miss a narrow
         # peak sees a nearly flat integrand and a small, wrong, estimate
-        ((result, abserr, resabs, resasc),) = yield [(lo, hi)]
+        result, abserr, resabs, resasc = yield [lo, hi]
         rlist.append(result)
         elist.append(abserr)
         errbnd = max(_EPSABS, _EPSREL * abs(result))
@@ -199,7 +216,8 @@ def _dqagse(lo: float, hi: float, points, limit: int):
         # estimate, so that it is bisected first
         result = abserr = resabs = 0.0
         capped = []
-        for area, error, defabs, resasc in (yield list(zip(alist, blist))):
+        rules = yield [edge for panel in zip(alist, blist) for edge in panel]
+        for area, error, defabs, resasc in zip(*[iter(rules)] * 4):
             abserr += error
             result += area
             resabs += defabs
@@ -223,39 +241,45 @@ def _dqagse(lo: float, hi: float, points, limit: int):
     keys = [-elist[i] for i in order]
     area = result
     iroff1 = iroff3 = 0
+    bisect_left = bisect.bisect_left
     for last in range(len(rlist) + 1, limit + 1):
         maxerr = order.pop(0)
         del keys[0]
         errmax = elist[maxerr]
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (a1 + b2)
-        (area1, error1, _, resasc1), (area2, error2, _, resasc2) = yield [(a1, b1), (a2, b2)]
+        area1, error1, _, resasc1, area2, error2, _, resasc2 = yield [a1, b1, a2, b2]
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
+        split = rlist[maxerr]
+        area = area + area12 - split
         if resasc1 != error1 and resasc2 != error2:
-            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+            if abs(split - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
                 iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        errbnd = max(_EPSABS, _EPSREL * abs(area))
+        # max(_EPSABS, _EPSREL * abs(area)), with a comparison for max()
+        errbnd = _EPSREL * abs(area)
+        if not errbnd > _EPSABS:
+            errbnd = _EPSABS
+        # the panel with the larger estimate keeps the bisected one's place
         if error2 > error1:
             alist[maxerr] = a2
             alist.append(a1)
             blist.append(b1)
             rlist[maxerr] = area2
             rlist.append(area1)
-            elist[maxerr] = error2
-            elist.append(error1)
+            kept, added = error2, error1
         else:
             blist[maxerr] = b1
             alist.append(a2)
             blist.append(b2)
             rlist[maxerr] = area1
             rlist.append(area2)
-            elist[maxerr] = error1
-            elist.append(error2)
+            kept, added = error1, error2
+        elist[maxerr] = kept
+        elist.append(added)
         if errsum <= errbnd:
             break
         # roundoff, the subinterval limit, or a panel too narrow to bisect
@@ -263,15 +287,15 @@ def _dqagse(lo: float, hi: float, points, limit: int):
             iroff1 >= 10
             or iroff3 >= 20
             or last == limit
-            or max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)
+            or max(abs(a1), abs(b2)) <= _NARROWEST * (abs(a2) + _TINY_ABSCISSA)
         ):
             break
-        at = bisect.bisect_left(keys, -elist[maxerr])
+        at = bisect_left(keys, -kept)
         order.insert(at, maxerr)
-        keys.insert(at, -elist[maxerr])
-        at = bisect.bisect_left(keys, -elist[-1], at + 1)
-        order.insert(at, len(elist) - 1)
-        keys.insert(at, -elist[-1])
+        keys.insert(at, -kept)
+        at = bisect_left(keys, -added, at + 1)
+        order.insert(at, last - 1)
+        keys.insert(at, -added)
     result = 0.0
     for part in rlist:
         result += part
@@ -284,7 +308,12 @@ def _adaptive(fn, lo: float, hi: float, points, limit: int):
     panels = next(steps)
     try:
         while True:
-            panels = steps.send([_gk21(fn, a, b) for a, b in panels])
+            rules = []
+            # the ends of each panel in turn: a, then b
+            ends = iter(panels)
+            for a in ends:
+                rules += _gk21(fn, a, next(ends))
+            panels = steps.send(rules)
     except StopIteration as done:
         return done.value
 
@@ -324,28 +353,31 @@ def integrate(fn, lo: float, hi: float, points=(), every_point: bool = False) ->
     return _checked(value, err, lo, hi)
 
 
-# the abscissae of dqk21 as a row, outermost first: a panel's nodes are its
-# centre minus and plus each, then the centre (``_panel_nodes``)
-_XGK_ROW = np.array(_XGK)
-# the terms of dqk21's sums in the order _gk21 adds them, after the centre's:
-# abscissa k (1-based, as in _gk21) is row k - 1 of the pair sums l_k + r_k;
-# with their weights, the centre's first
-_GAUSS_ROWS = [1, 3, 5, 7, 9]
+# a panel's 21 nodes as a row of ``_panel_nodes``: the centre, then the centre
+# minus and plus each abscissa of dqk21 in the order of its Kronrod sum, the
+# Gauss abscissae (the even ones, in _gk21's 1-based count) first; so that
+# the centre's value and the pair sums l_k + r_k are the terms of the Kronrod
+# sum in its order, and the first five pair sums those of the Gauss sum
+_KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_XGK_ROW = np.array([_XGK[k] for k in _KRONROD_ORDER])
+_KRONROD_WEIGHTS = np.array([_WGK[10], *(_WGK[k] for k in _KRONROD_ORDER)])[:, None]
 _GAUSS_WEIGHTS = np.array(_WG)[:, None]
-_KRONROD_ROWS = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-_KRONROD_WEIGHTS = np.array([_WGK[10], *(_WGK[k] for k in _KRONROD_ROWS)])[:, None]
+# |f - mean|'s sum takes the centre, then the pairs by abscissa, outermost
+# first: the rows of the Kronrod layout in that order, with their weights
+_SPREAD_ROWS = [0, *(1 + _KRONROD_ORDER.index(k) for k in range(10))]
 _SPREAD_WEIGHTS = np.array([_WGK[10], *_WGK[:10]])[:, None]
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray):
     """The 21 nodes of each panel [a, b] as a (panels, 21) block, by the same
-    operations as ``_gk21``: columns 0-9 the centre minus hlgth times each
-    abscissa, 10-19 plus it, 20 the centre; and each panel's half-length."""
+    operations as ``_gk21``: column 0 the centre, 1-10 the centre minus
+    hlgth times each abscissa of ``_XGK_ROW``, 11-20 plus it; and each
+    panel's half-length."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     d = hlgth[:, None] * _XGK_ROW
     c = centr[:, None]
-    return np.concatenate((c - d, c + d, c), axis=1), hlgth
+    return np.concatenate((c, c - d, c + d), axis=1), hlgth
 
 
 def _in_order(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -354,45 +386,57 @@ def _in_order(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(weights * terms, axis=0)[-1]
 
 
-def _gk21_rows(values: np.ndarray, hlgth: np.ndarray):
+def _paired(cols: np.ndarray) -> np.ndarray:
+    """The centre's row of the (21, panels) ``cols``, then the pair sums
+    l_k + r_k in the order of ``_panel_nodes``."""
+    pairs = cols[:11].copy()
+    pairs[1:] += cols[11:]
+    return pairs
+
+
+def _gk21_rows(values: np.ndarray, hlgth: np.ndarray) -> np.ndarray:
     """``_gk21`` of every panel of a block at once, bit for bit: ``values``
     are the integrand at ``_panel_nodes``, one row per panel, and every sum
-    takes its terms in _gk21's order. Returns its four results as arrays."""
+    takes its terms in _gk21's order. Returns its four results as the rows
+    of a (4, panels) view of a (panels, 4) array."""
+    out = np.empty((hlgth.size, 4))
+    result, abserr, resabs, resasc = out.T
     cols = values.T
-    left, right, fc = cols[:10], cols[10:20], cols[20]
-    sums = left + right
-    resg = _in_order(_GAUSS_WEIGHTS, sums[_GAUSS_ROWS])
-    resk = _in_order(_KRONROD_WEIGHTS, np.vstack((fc, sums[_KRONROD_ROWS])))
-    # _gk21 takes the Kronrod value for the integral of |f| when no value is
-    # negative; the two differ at most in the sign of a zero
-    magnitudes = np.vstack((np.abs(fc), (np.abs(left) + np.abs(right))[_KRONROD_ROWS]))
-    resabs = np.where((values >= 0.0).all(axis=1), resk, _in_order(_KRONROD_WEIGHTS, magnitudes))
-    h = resk * 0.5
-    spreads = np.abs(cols - h)
-    resasc = _in_order(_SPREAD_WEIGHTS, np.vstack((spreads[20], spreads[:10] + spreads[10:20])))
+    terms = _paired(cols)
+    resg = _in_order(_GAUSS_WEIGHTS, terms[1:6])
+    resk = _in_order(_KRONROD_WEIGHTS, terms)
+    np.multiply(resk, hlgth, out=result)
     dhlgth = np.abs(hlgth)
-    resabs *= dhlgth
-    resasc *= dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
+    # _gk21 takes the Kronrod value for the integral of |f| when no value is
+    # negative (every halves and survival integrand); the two differ at most
+    # in the sign of a zero, and a nan fails the test as it fails _gk21's
+    if values.min() >= 0.0:
+        np.multiply(resk, dhlgth, out=resabs)
+    else:
+        magnitudes = _in_order(_KRONROD_WEIGHTS, _paired(np.abs(cols)))
+        np.multiply(np.where((values >= 0.0).all(axis=1), resk, magnitudes), dhlgth, out=resabs)
+    spreads = np.abs(cols - resk * 0.5)
+    spreads[1:11] += spreads[11:]
+    np.multiply(_in_order(_SPREAD_WEIGHTS, spreads[_SPREAD_ROWS]), dhlgth, out=resasc)
+    np.abs((resk - resg) * hlgth, out=abserr)
     scaled = (resasc != 0.0) & (abserr != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = 200.0 * abserr / resasc
-    capped = scaled & (ratio >= 1.0)
-    scaled &= ~capped
-    abserr = np.where(capped, resasc, abserr)
+    ratio = np.divide(200.0 * abserr, resasc, out=np.zeros(hlgth.size), where=scaled)
+    capped = ratio >= 1.0
+    np.copyto(abserr, resasc, where=capped)
     # ratio ** 1.5 by C's pow, as Python's ** takes it
-    rows = np.flatnonzero(scaled)
+    rows = np.flatnonzero(scaled & ~capped)
     powers = map(math.pow, ratio[rows].tolist(), itertools.repeat(1.5))
     abserr[rows] = resasc[rows] * np.fromiter(powers, float, rows.size)
     floor = _EPMACH * 50.0 * resabs
-    abserr = np.where((resabs > _TINY_RESABS) & (abserr < floor), floor, abserr)
-    return resk * hlgth, abserr, resabs, resasc
+    np.copyto(abserr, floor, where=(resabs > _TINY_RESABS) & (abserr < floor))
+    return out.T
 
 
-# a round of fewer panels takes the scalar rule panel by panel: the block
-# rule's fixed cost of numpy calls (about 75 us on a 2-core VM) exceeds the
-# scalar rule's Python arithmetic (about 8 us a panel) below this
-_ROW_RULE_PANELS = 8
+# a round of fewer panels takes the scalar sums panel by panel: the block
+# rule's fixed cost of numpy calls (33 us, and 0.55 us a panel with its
+# list of results, on a 2-core VM) exceeds the scalar sums' Python
+# arithmetic (2.5 us a panel) below this; at 15 panels the two tie
+_ROW_RULE_PANELS = 16
 
 
 def integrate_many(fn, spans, every_point: bool = False) -> list[float]:
@@ -415,20 +459,27 @@ def integrate_many(fn, spans, every_point: bool = False) -> list[float]:
             pending.append((i, steps, next(steps)))
     done = {}
     while pending:
-        owner = np.array([i for i, _, panels in pending for _ in panels])
-        edges = np.array([edge for _, _, panels in pending for edge in panels])
-        t, hlgth = _panel_nodes(edges[:, 0], edges[:, 1])
+        edges = []
+        for _, _, panels in pending:
+            edges += panels
+        owner = np.array([i for i, _, panels in pending for _ in range(len(panels) // 2)])
+        a, b = np.array(edges).reshape(-1, 2).T
+        t, hlgth = _panel_nodes(a, b)
         at = fn(owner, t)
-        if len(edges) < _ROW_RULE_PANELS:
-            # the scalar rule on each panel, reading its nodes' values
-            rows = zip(t.tolist(), at.tolist(), edges.tolist())
-            rules = iter([_gk21(dict(zip(x, v)).__getitem__, a, b) for x, v, (a, b) in rows])
+        if owner.size < _ROW_RULE_PANELS:
+            # the scalar rule's sums on each panel's values
+            rules = []
+            for h, v in zip(hlgth.tolist(), at.tolist()):
+                rules += _gk21_sums(h, *v)
         else:
-            rules = zip(*(part.tolist() for part in _gk21_rows(at, hlgth)))
+            # four entries a panel, panel after panel
+            rules = _gk21_rows(at, hlgth).T.ravel().tolist()
         running = []
+        end = 0
         for i, steps, panels in pending:
+            start, end = end, end + 2 * len(panels)
             try:
-                running.append((i, steps, steps.send(list(itertools.islice(rules, len(panels))))))
+                running.append((i, steps, steps.send(rules[start:end])))
             except StopIteration as stop:
                 done[i] = stop.value
         pending = running

@@ -1713,7 +1713,7 @@ def expected_max(dist_a: Distribution, dist_b: Distribution) -> float:
 
 def _expected_max(x: Distribution, y: Distribution, ordered: bool = True) -> float:
     """Route, then evaluate; by default the pair as given, past the closed
-    forms: the route a component of a conditioned mixture re-enters."""
+    forms: the route an upper truncation's components re-enter (``split``)."""
     tag, operands = _route(x, y, ordered)
     return _EVALUATORS[tag](*operands)
 
@@ -1749,7 +1749,8 @@ def _route(x: Distribution, y: Distribution, ordered: bool = False) -> tuple[str
       over the side X that ``_integration_rank`` ranks lower
       (``_expected_max_over``);
     - ``components``, a mixture with both atoms and a density: the weighted
-      sum of ``_expected_max`` over its components, each in its place;
+      sum over its components, each by its closed form where
+      ``expected_max`` takes one, else in its place (``_components_max``);
     - ``split``, an upper truncation of one: ``_expected_max`` of its
       components' truncations, weighted w_i F_i(u) / F(u) (``_split``).
 
@@ -1757,12 +1758,9 @@ def _route(x: Distribution, y: Distribution, ordered: bool = False) -> tuple[str
     quadrature integrates and whose quartiles round to one float is refused
     with NumericalIntegrityError (``_check_resolved``).
     """
-    if not ordered and x._closed_form_max and y._closed_form_max:
-        u, other = sorted((x, y), key=_uniform_rank)
-        if _uniform_rank(u)[0] == 0:
-            return "uniform", (u, other)
-        if _uniform_rank(u) < _uniform_rank(other):
-            return "uniform_mixture", (u, other)
+    closed = None if ordered else _closed_form(x, y)
+    if closed is not None:
+        return closed
     if not ordered and _sorts_before(y, x):
         x, y = y, x
     for atomic, other in ((x, y), (y, x)):
@@ -1787,6 +1785,30 @@ def _route(x: Distribution, y: Distribution, ordered: bool = False) -> tuple[str
     if isinstance(y, UpperTruncated) and y._split() is not None:
         return "split", (x, y._split())
     raise ValueError("expected_max cannot decompose these distributions")
+
+
+def _closed_form(x: Distribution, y: Distribution):
+    """(tag, operands) of the closed-form row of ``_route`` that the pair
+    meets, in either order, or None."""
+    if x._closed_form_max and y._closed_form_max:
+        u, other = sorted((x, y), key=_uniform_rank)
+        if _uniform_rank(u)[0] == 0:
+            return "uniform", (u, other)
+        if _uniform_rank(u) < _uniform_rank(other):
+            return "uniform_mixture", (u, other)
+    return None
+
+
+def _components_max(mix: Mixture, y: Distribution, first: bool) -> float:
+    """The ``components`` route: the weighted sum of E[max] of each of the
+    mixture's components against y, by its closed form where
+    ``expected_max`` takes one (``_closed_form``), else by the row of the
+    pair in its place, the mixture's side first where ``first``."""
+    terms = []
+    for w, d in mix.components:
+        tag, operands = _closed_form(d, y) or _route(*((d, y) if first else (y, d)), ordered=True)
+        terms.append(w * _EVALUATORS[tag](*operands))
+    return math.fsum(terms)
 
 
 def _order_maxima(family: type, params: dict[str, np.ndarray], demand: Distribution) -> np.ndarray:
@@ -1825,10 +1847,14 @@ def _sorts_before(a: Distribution, b: Distribution) -> bool:
     """Whether a's record sorts before b's as canonical JSON (``_order_key``).
     A mixture's record begins '{"components"' and every other one
     '{"family"', an upper truncation keeping its base's first key; so only
-    two mixtures need their full records, which create every component."""
+    two mixtures need their full records, which create every component. The
+    records of two different parametric families differ first in the family
+    name, which no JSON is made for."""
     mixture_a, mixture_b = _mixture_record(a), _mixture_record(b)
     if mixture_a != mixture_b:
         return mixture_a
+    if type(a) is not type(b) and type(a) in _STACKS and type(b) in _STACKS:
+        return a.to_dict()["family"] < b.to_dict()["family"]
     return a._order_key() < b._order_key()
 
 
@@ -2015,72 +2041,107 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
     The integrand is the families' block kernels on numpy's transcendentals
     (``fast``), as every mixture integrand is. ``expected_max`` of one pair
     is this with one order, which is its own parameter rows; the orders of a
-    batch come from one stack per family and tail form, gathered per row."""
+    batch come from one stack per family and tail form (``_HalvesRows``).
+    The demand's quartiles, cut, kinks and support are read once a batch,
+    and its tail moment once for each distinct cut."""
     leads = [not _sorts_before(demand, g) for g in orders]
     for k, g in enumerate(orders):
+        # the demand is checked with the first order, in its place
+        sides = (g, demand) if leads[k] else (demand, g)
         try:
-            _check_resolved(*((g, demand) if leads[k] else (demand, g)))
+            _check_resolved(*(sides if k == 0 else (g,)))
         except NumericalIntegrityError:
             # the candidates before it come first, and may fail first
             if k:
                 _density_maxima(orders[:k], demand)
             raise
+    demand_support, demand_cut = demand.support(), demand.upper_cut()
+    demand_points = set(demand.breakpoints())
+    demand_tail = functools.cache(demand.upper_partial_expectation)
     spans, tails, sides = [], [], []
     for g, order_first in zip(orders, leads):
-        cut = max(g.upper_cut(), demand.upper_cut())
-        pts = set(g.breakpoints()) | set(demand.breakpoints())
+        cut = max(g.upper_cut(), demand_cut)
+        pts = demand_points.union(g.breakpoints())
+        support = g.support()
+        lo = max(support[0], demand_support[0])
         for order_x in (order_first, not order_first):
-            x, y = (g, demand) if order_x else (demand, g)
-            lo, hi = max(x.support()[0], y.support()[0]), min(x.support()[1], cut)
+            hi = min((support if order_x else demand_support)[1], cut)
+            tail = g.upper_partial_expectation if order_x else demand_tail
             spans.append((lo, hi, pts))
-            tails.append(x.upper_partial_expectation(max(hi, lo)))
+            tails.append(tail(max(hi, lo)))
             sides.append(order_x)
     demand_pdf, demand_cdf = _blocks(demand, "pdf", "cdf")
-
-    if len(orders) == 1:
-        # the order is its own parameter rows; integrate_many lists a round's
-        # panels by span, so its rows are the first half's, then the second's
-        kernels = _blocks(orders[0], "pdf", "cdf")
-
-        def groups(owner):
-            split = int(owner.searchsorted(1))
-            if split:
-                yield slice(split), sides[0], kernels
-            if split < owner.size:
-                yield slice(split, None), sides[1], kernels
-
-    else:
-        # the weights are not read
-        parts = _parts_of(np.ones(len(orders)), orders)
-        part_of, row_of = np.empty(len(orders), int), np.empty(len(orders), int)
-        for i, stack in enumerate(parts):
-            part_of[stack.index] = i
-            row_of[stack.index] = np.arange(stack.size)
-        span_part, span_row, span_side = np.repeat(part_of, 2), np.repeat(row_of, 2), np.array(sides)
-
-        def groups(owner):
-            # one stack and side at a time, its rows gathered
-            part, side_of = span_part[owner], span_side[owner]
-            for i, stack in enumerate(parts):
-                for side in (True, False):
-                    rows = np.flatnonzero((part == i) & (side_of == side))
-                    if rows.size:
-                        take = operator.itemgetter(span_row[owner[rows], None])
-                        yield rows, side, _blocks(_Rows(stack, take), "pdf", "cdf")
+    sort = _HalvesRows(orders, sides).sort
 
     def integrand(owner, t):
         # t f_x(t) F_y(t), with the order as x on the rows of its side
-        out = np.empty(t.shape)
-        for rows, side, (pdf, cdf) in groups(owner):
-            block = t[rows]
+        by_group, groups = sort(owner)
+        nodes = t[by_group]
+        values = np.empty(t.shape)
+        for rows, side, family, p in groups:
+            block = nodes[rows]
             if side:
-                out[rows] = block * pdf(block, fast=True) * demand_cdf(block, fast=True)
+                values[rows] = block * family._pdf_block(block, p, True) * demand_cdf(block, fast=True)
             else:
-                out[rows] = block * demand_pdf(block, fast=True) * cdf(block, fast=True)
+                values[rows] = block * demand_pdf(block, fast=True) * family._cdf_block(block, p, True)
+        if isinstance(by_group, slice):
+            return values
+        out = np.empty(t.shape)
+        out[by_group] = values
         return out
 
     halves = [value + tail for value, tail in zip(integrate_many(integrand, spans), tails)]
     return [first + second for first, second in zip(halves[::2], halves[1::2])]
+
+
+class _HalvesRows:
+    """The rows of each round of ``_density_maxima``'s lockstep by group: a
+    stack of the orders and a side, the order's density on the spans where
+    it is x and its CDF on the others. Each span's group and row in its
+    stack are laid out once a batch; a round sorts its rows by group, stably,
+    so that each group is a slice. One order is its own parameter rows, and
+    ``integrate_many`` lists a round's panels by span, so its rows are the
+    first half's, then the second's, in place."""
+
+    def __init__(self, orders: list[Distribution], sides: list[bool]):
+        self.sides = sides
+        self.order = orders[0] if len(orders) == 1 else None
+        if self.order is not None:
+            return
+        # the weights are not read
+        self.stacks = _parts_of(np.ones(len(orders)), orders)
+        part, row = np.empty(len(orders), int), np.empty(len(orders), int)
+        for i, stack in enumerate(self.stacks):
+            part[stack.index] = i
+            row[stack.index] = np.arange(stack.size)
+        # two groups a stack, the spans where its order is x first
+        self.span_group = 2 * np.repeat(part, 2) + np.logical_not(sides)
+        self.span_row = np.repeat(row, 2)
+
+    def sort(self, owner: np.ndarray):
+        """The round's rows in group order, as an index or a slice, and
+        (rows, side, family, p) of each group with rows: its slice of them,
+        and its family and parameters for the family's kernels."""
+        if self.order is not None:
+            split = int(owner.searchsorted(1))
+            family, groups = type(self.order), []
+            # a span with no panels has no support below the cut
+            if split:
+                groups.append((slice(split), self.sides[0], family, self.order))
+            if split < owner.size:
+                groups.append((slice(split, None), self.sides[1], family, self.order))
+            return slice(None), groups
+        group = self.span_group[owner]
+        by_group = np.argsort(group, kind="stable")
+        index = self.span_row[owner[by_group]]
+        groups, start = [], 0
+        for g, end in enumerate(np.bincount(group).cumsum().tolist()):
+            if end > start:
+                stack = self.stacks[g // 2]
+                taken = _Rows(stack, operator.itemgetter((index[start:end], None)))
+                groups.append((slice(start, end), g % 2 == 0, stack.family, taken))
+            start = end
+        return by_group, groups
 
 
 # each tag of ``_route`` and the evaluator of its operands
@@ -2093,9 +2154,7 @@ _EVALUATORS = {
     "mixtures": lambda mix, other: math.fsum(w * expected_max(d, other) for w, d in mix.components),
     "halves": lambda x, y: _density_maxima([x], y)[0],
     "over": _expected_max_over,
-    "components": lambda mix, y, first: math.fsum(
-        w * (_expected_max(d, y) if first else _expected_max(y, d)) for w, d in mix.components
-    ),
+    "components": _components_max,
     "split": _expected_max,
 }
 

@@ -32,6 +32,7 @@ from .distributions import (
     LogNormal,
     TruncatedNormal,
     Uniform,
+    _EPS,
     _exp,
     _expected_max_at,
     _generator,
@@ -280,15 +281,23 @@ def _solve_truncnorm_location(target_mean: float, sd: float) -> float:
 
     The truncated mean is strictly increasing in the location and always
     exceeds it, so [target - 2^k sd, target] brackets the root; bisect.
+    Illinois regula falsi first narrows the bracket (``_narrowed_location``);
+    the bisection then runs its steps unchanged, deciding a midpoint at or
+    below the largest location found clearly short of the target, or at or
+    above the smallest found clearly past it, by those points alone. So it
+    returns the bits of the bisection that evaluates every midpoint, in
+    about a fifth of its evaluations where sd is 0.05 to 1 times the target
+    (7.7 against 40.4 over 3,000 random targets from 1e-3 to 1e4).
+
     Raises ValueError when no bracket closes, or when the truncated mean
     overflows on the way: far below zero in units of sd, its exponent
     cancels.
     """
     refusal = f"cannot pin the order mean to {target_mean} with sd {sd}"
 
-    def below(location):
+    def mean_at(location):
         try:
-            return _truncnorm_mean(location, sd) < target_mean
+            return _truncnorm_mean(location, sd)
         except OverflowError:
             raise ValueError(refusal) from None
 
@@ -296,21 +305,124 @@ def _solve_truncnorm_location(target_mean: float, sd: float) -> float:
     gap = sd
     lo = target_mean - gap
     for _ in range(200):
-        if below(lo):
+        value = mean_at(lo)
+        if value < target_mean:
             break
         gap *= 2.0
         lo = target_mean - gap
     else:
         raise ValueError(refusal)
+    tol = 1e-13 * max(1.0, abs(target_mean))
+    short, reached = _narrowed_location(target_mean, sd, (lo, value), hi, tol)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if below(mid):
+        if mid <= short:
+            lo = mid
+        elif mid >= reached:
+            hi = mid
+        elif mean_at(mid) < target_mean:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(target_mean)):
+        if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+# A truncated mean decides the side of the locations beyond it only where it
+# lies farther from the target than this many units of its rounding bound
+# (``_clear_of``): against 40-digit mpmath, ``_truncnorm_mean`` stayed within
+# 1.4 units at 4,000 random locations, z from -1,000 to 8, and the decisions
+# of the bisection kept their bits from 4 units on in 20,000 random solves
+_TRUSTED_UNITS = 64.0
+
+
+def _clear_of(target: float, location: float, sd: float, mean: float) -> bool:
+    """Whether ``mean``, the truncated mean at ``location``, is farther from
+    the target than its rounding can move it: ``_TRUSTED_UNITS`` units of
+    eps times the location, the mean and the inverse Mills term
+    sd exp(a), times 1 + z^2 + |a|, the size of its exponent's terms."""
+    scale = abs(location) + abs(mean)
+    tail = mean - location
+    if tail / sd > 0.0:
+        z = location / sd
+        scale += tail * (1.0 + z * z + abs(math.log(tail / sd)))
+    return abs(mean - target) > _TRUSTED_UNITS * _EPS * scale
+
+
+def _narrowed_location(target: float, sd: float, start, hi: float, tol: float):
+    """The largest location of [lo, hi] found to have a truncated mean clearly
+    short of the target (``_clear_of``) and the smallest found clearly past
+    it, by Illinois regula falsi from ``start``, the pair (lo, its mean), and
+    hi; each end stays where no point clears it. A point within rounding of
+    the target, hi among them, is near the root: the first points found
+    clear of it to either side end the search, half the tolerance away,
+    then 8 times farther each step, for at most ``_SETTLE_STEPS`` steps. At
+    most ``_NARROW_STEPS`` steps of the secant; a point whose mean overflows
+    clears nothing."""
+
+    def probe(x, mean=None):
+        # the mean less the target where it is clear of it, else None
+        if mean is None:
+            try:
+                mean = _truncnorm_mean(x, sd)
+            except OverflowError:
+                return None
+        return mean - target if _clear_of(target, x, sd, mean) else None
+
+    def settle(x, a, b):
+        # the bracket (a, b) closed around x, a point near the root
+        for side in (-1.0, 1.0):
+            step = 0.5 * tol
+            for _ in range(_SETTLE_STEPS):
+                y = x + side * step
+                if not a < y < b:
+                    break
+                fy = probe(y)
+                if fy is not None:
+                    if side * fy > 0.0:
+                        a, b = (y, b) if side < 0.0 else (a, y)
+                    break
+                step *= 8.0
+        return a, b
+
+    a, b = start[0], hi
+    fa, fb = probe(*start), probe(hi)
+    if fa is None or not fa < 0.0:
+        return a, b
+    if fb is None:
+        return settle(hi, a, b)
+    if not fb > 0.0:
+        return a, b
+    kept = None
+    for _ in range(_NARROW_STEPS):
+        if b - a <= tol:
+            break
+        x = min(max(a + (b - a) * (fa / (fa - fb)), a + 0.5 * tol), b - 0.5 * tol)
+        fx = probe(x)
+        if fx is None:
+            return settle(x, a, b)
+        if fx < 0.0:
+            a, fa = x, fx
+            if kept == "short":
+                fb *= 0.5
+            kept = "short"
+        else:
+            b, fb = x, fx
+            if kept == "reached":
+                fa *= 0.5
+            kept = "reached"
+    return a, b
+
+
+# a bound on the steps of a location's narrowing: over 3,000 random targets
+# from 1e-3 to 1e4, the secant reached the rounding of the target within 7
+# steps for sd from 0.05 to 1 times the target, and within 10 for sd from
+# 1e-3 to 10 times it
+_NARROW_STEPS = 16
+# and on the steps out from a point near the root: past 256 times half the
+# tolerance, the bisection's own steps across the gap cost fewer evaluations
+_SETTLE_STEPS = 4
 
 
 def _candidate_columns(

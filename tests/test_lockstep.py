@@ -54,19 +54,43 @@ def _bits(values):
 # -- the rule over a block of panels -----------------------------------------------
 
 
-def test_rows_match_gk21():
+def _block(kind, rng, n):
+    """Integrand values of n panels: random of every sign and scale, with
+    zero rows and constant rows (``mixed``), made non-negative
+    (``non-negative``), or holding 0.0 and -0.0, without negative values or
+    beside negative rows (``zeros``, ``zeros and negatives``)."""
+    scale = rng.choice([1e-300, 1e-5, 1.0, 1e10], size=(n, 1))
+    values = rng.normal(size=(n, 21)) * scale
+    if kind == "mixed":
+        values[::5] = np.abs(values[::5])  # no negative value: the shortcut for |f|
+        values[::7, ::3] = 0.0
+        values[3] = 0.0
+        values[4] = -0.0
+        values[6] = 2.5  # a constant: no error at all
+        return values
+    if kind != "zeros and negatives":
+        values = np.abs(values)
+    if kind.startswith("zeros"):
+        values[::3] = 0.0
+        values[1::3, ::2] = -0.0
+        values[2::6] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("kind", ["mixed", "non-negative", "zeros", "zeros and negatives"])
+def test_rows_match_gk21(kind):
+    # the block rule takes the Kronrod sum for |f|'s where the whole block
+    # has no negative value, else row by row: each kind pins one side
     rng = np.random.default_rng(12)
     n = 300
     a = rng.uniform(-5.0, 5.0, n)
     b = a + rng.uniform(1e-6, 10.0, n)
     nodes, hlgth = _quad._panel_nodes(a, b)
-    scale = rng.choice([1e-300, 1e-5, 1.0, 1e10], size=(n, 1))
-    values = rng.normal(size=(n, 21)) * scale
-    values[::5] = np.abs(values[::5])  # no negative value: the shortcut for |f|
-    values[::7, ::3] = 0.0
-    values[3] = 0.0
-    values[4] = -0.0
-    values[6] = 2.5  # a constant: no error at all
+    values = _block(kind, rng, n)
+    assert (values < 0.0).any() == (kind in ("mixed", "zeros and negatives"))
+    assert (values.min() >= 0.0) == (kind in ("non-negative", "zeros"))
+    if kind.startswith("zeros"):
+        assert (np.signbit(values) & (values == 0.0)).any() and (values == 0.0).all(axis=1).any()
     rows = _quad._gk21_rows(values, hlgth)
     capped = 0
     for i in range(n):
@@ -75,8 +99,10 @@ def test_rows_match_gk21():
         ref = _quad._gk21(at.__getitem__, float(a[i]), float(b[i]))
         assert _bits(ref) == _bits(part[i] for part in rows)
         capped += ref[1] == ref[3] != 0.0
-    # random values oscillate: most panels' estimates hit dqk21's cap
-    assert capped > n // 2
+    # random values oscillate: most panels' estimates hit dqk21's cap, but
+    # not those of the zero rows
+    live = np.count_nonzero(values.any(axis=1)) if kind.startswith("zeros") else n
+    assert capped > live // 2
 
 
 def _table(fns):
@@ -486,6 +512,35 @@ def test_each_route_of_the_table(tag):
 def test_every_route_is_reached():
     # a tag no pair reaches is a dead row of the table
     assert {_route(a, b)[0] for a, b in ROUTE_PAIRS.values()} == set(_EVALUATORS)
+
+
+def test_components_take_the_closed_forms_that_expected_max_takes(monkeypatch):
+    # a wide uniform component of a conditioned mixture against a lognormal
+    # takes its closed form, not the halves of the pair in its place
+    mixture = Mixture(
+        [(0.3, Empirical([1.0, 2.0])), (0.4, Uniform(0.5, 3.0)), (0.3, TruncatedNormal(2.0, 1.0))]
+    )
+    y = LogNormal(0.5, 0.4)
+    assert _route(mixture, y)[0] == _route(y, mixture)[0] == "components"
+    expected = [expected_max(d, y) for _, d in mixture.components]
+    assert [_route(d, y)[0] for _, d in mixture.components] == ["atoms", "uniform", "halves"]
+    assert expected[1].hex() == "0x1.17258efd59901p+1"
+    total = expected_max(mixture, y)
+    assert _bits([expected_max(y, mixture)]) == _bits([total])
+    terms = []
+
+    def recorded(evaluate):
+        def term(*operands):
+            terms.append(evaluate(*operands))
+            return terms[-1]
+
+        return term
+
+    for tag, evaluate in list(_EVALUATORS.items()):
+        if tag != "components":
+            monkeypatch.setitem(_EVALUATORS, tag, recorded(evaluate))
+    assert _bits([expected_max(mixture, y)]) == _bits([total])
+    assert _bits(terms) == _bits(expected)
 
 
 # -- which searches take the batch --------------------------------------------------

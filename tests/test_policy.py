@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_continuous, random_market
 from randvendor import (
@@ -197,6 +199,39 @@ class TestMomentConstrainedCheck:
         assert abs(constrained.margin - unconstrained.margin) < 1e-8
 
 
+def _bisected_location(target_mean, sd):
+    """The pinned location by bisection of every midpoint: the oracle of
+    ``policy._solve_truncnorm_location``, which decides some by the points
+    its narrowing found."""
+    refusal = f"cannot pin the order mean to {target_mean} with sd {sd}"
+
+    def below(location):
+        try:
+            return _truncnorm_mean(location, sd) < target_mean
+        except OverflowError:
+            raise ValueError(refusal) from None
+
+    hi = target_mean
+    gap = sd
+    lo = target_mean - gap
+    for _ in range(200):
+        if below(lo):
+            break
+        gap *= 2.0
+        lo = target_mean - gap
+    else:
+        raise ValueError(refusal)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(target_mean)):
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestOrderFamilies:
     def test_param_names(self):
         assert order_family_param_names("uniform", False) == ("lo", "hi")
@@ -219,6 +254,33 @@ class TestOrderFamilies:
 
     def test_truncnorm_mean_helper_is_stable_far_left(self):
         assert _truncnorm_mean(-40.0, 1.0) > 0.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data(), log_target=st.floats(-3.0, 4.0))
+    def test_pinned_location_keeps_the_bisections_bits(self, data, log_target):
+        # targets from 1e-3 to 1e4, sd from 1e-3 to 10 times the target: down
+        # to z near -10, where the truncated mean rounds noisily near the root
+        target = 10.0**log_target
+        sd = 10.0 ** data.draw(st.floats(-3.0, math.log10(10.0 * target)))
+        assert policy._solve_truncnorm_location(target, sd).hex() == _bisected_location(target, sd).hex()
+
+    @pytest.mark.parametrize(
+        "target, sd",
+        [
+            # the truncated mean overflows while the bracket widens
+            (4923.114122197423, 1.4808626303566038e17),
+            (115.10245021433084, 1.021598386084068e16),
+            # and at a midpoint of the bisection
+            (9.463977810082259, 2658069.985874491),
+            (2054.796945713538, 20812895.14535796),
+        ],
+    )
+    def test_pinned_location_refuses_as_the_bisection(self, target, sd):
+        with pytest.raises(ValueError) as expected:
+            _bisected_location(target, sd)
+        with pytest.raises(ValueError) as refused:
+            policy._solve_truncnorm_location(target, sd)
+        assert str(refused.value) == str(expected.value)
 
     def test_truncated_normal_far_wider_than_its_mean_is_invalid(self):
         # the bracket reaches locations where the truncated mean's exponent

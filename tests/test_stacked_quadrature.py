@@ -297,7 +297,7 @@ def test_integrate_many_splits_at_every_point_only_when_asked(monkeypatch):
 
     def dqagse(lo, hi, points, limit):
         seen.append((len(points), limit))
-        yield [(lo, hi)]
+        yield [lo, hi]
         return 1.0, 0.0
 
     monkeypatch.setattr(_quad, "_dqagse", dqagse)
