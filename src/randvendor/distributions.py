@@ -130,6 +130,12 @@ def _norm_pdf(z, fast=False):
 _SAMPLE_BLOCK = 32_768
 
 
+def _described(family: type, record: dict) -> str:
+    """The repr of the member of ``family`` with this record."""
+    fields = ", ".join(f"{k}={v!r}" for k, v in record.items() if k != "family")
+    return f"{family.__name__}({fields})"
+
+
 def _finite(name: str, value) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -308,8 +314,7 @@ class Distribution:
     # -- plumbing ------------------------------------------------------------
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items() if k != "family")
-        return f"{type(self).__name__}({fields})"
+        return _described(type(self), self.to_dict())
 
     def __eq__(self, other):
         return isinstance(other, Distribution) and self.to_dict() == other.to_dict()
@@ -495,7 +500,26 @@ class Exponential(Distribution):
         return {"family": "exponential", "rate": self.rate}
 
 
-class LogNormal(Distribution):
+class _LogNormalConstants:
+    """A lognormal member's constants, and a stack's as arrays, taken on
+    first use: a member whose moments overflow is still built and read."""
+
+    @functools.cached_property
+    def log_var(self):
+        # by pow, which rounds differently from log_sd * log_sd about once in
+        # a thousand
+        return _squares(self.log_sd)
+
+    @functools.cached_property
+    def _mean(self):
+        return _exp(self.log_mean + 0.5 * self.log_var)
+
+    @functools.cached_property
+    def m2_scale(self):
+        return _exp(2.0 * (self.log_mean + self.log_var))
+
+
+class LogNormal(_LogNormalConstants, Distribution):
     def __init__(self, log_mean: float, log_sd: float):
         self.log_mean = _finite("lognormal log_mean", log_mean)
         self.log_sd = _finite("lognormal log_sd", log_sd)
@@ -522,23 +546,6 @@ class LogNormal(Distribution):
 
     def mean(self):
         return self._mean
-
-    # constants shared with a stack, under its names; taken on first use, so
-    # that a member whose moments overflow is still built
-
-    @functools.cached_property
-    def log_var(self):
-        # by pow, which rounds differently from log_sd * log_sd about once in
-        # a thousand
-        return self.log_sd**2
-
-    @functools.cached_property
-    def _mean(self):
-        return math.exp(self.log_mean + 0.5 * self.log_var)
-
-    @functools.cached_property
-    def m2_scale(self):
-        return math.exp(2.0 * (self.log_mean + self.log_var))
 
     def _quantile(self, u):
         return math.exp(self.log_mean + self.log_sd * float(ndtri(u)))
@@ -1448,12 +1455,26 @@ class _Stack:
         other than the uniform are supported on [0, inf)."""
         return (0.0,)
 
+    def supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``support``, as a column of lower and one of upper ends."""
+        return np.zeros(self.size), np.full(self.size, math.inf)
+
+    def quantiles(self, u: float) -> np.ndarray:
+        """Each row's ``_quantile(u)``, bit for bit. The sampling formula
+        matches the scalar quantile of the uniform and the truncated normal;
+        families whose quantile calls ``math`` override."""
+        return self.family._inverse_cdf(np.full(self.size, float(u)), self)
+
     def quantile_range(self, u: float) -> tuple[float, float]:
-        """Smallest and largest component quantile at u, bit for bit. The
-        sampling formula matches the scalar quantile of the uniform and the
-        truncated normal; families whose quantile calls ``math`` override."""
-        q = self.family._inverse_cdf(np.full(self.size, float(u)), self)
+        """Smallest and largest component quantile at u."""
+        q = self.quantiles(u)
         return float(q.min()), float(q.max())
+
+    def upper_partial_expectations(self, q: np.ndarray) -> np.ndarray:
+        """Each row's ``upper_partial_expectation`` at its entry of q:
+        max(0, mean - M1(q)), as Python's max takes it."""
+        tail = self.means() - self._partial_expectation(q)
+        return np.where(tail > 0.0, tail, 0.0)
 
     def inverse_cdf(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The family's uniform map of ``v``, each draw by its row's parameters."""
@@ -1514,6 +1535,9 @@ class _UniformStack(_Stack):
         # per-component walk does
         return (min(self.lo.tolist()), max(self.hi.tolist()))
 
+    def supports(self):
+        return self.lo, self.hi
+
     def breakpoints(self):
         return tuple(np.unique(np.concatenate((self.lo, self.hi))).tolist())
 
@@ -1532,13 +1556,12 @@ class _ExponentialStack(_Stack):
     def means(self):
         return 1.0 / self.rate
 
-    def quantile_range(self, u):
+    def quantiles(self, u):
         # log1p of the one argument through math, as in the scalar quantile
-        q = -math.log1p(-u) / self.rate
-        return float(q.min()), float(q.max())
+        return -math.log1p(-u) / self.rate
 
 
-class _LogNormalStack(_Stack):
+class _LogNormalStack(_LogNormalConstants, _Stack):
     family = LogNormal
     params = ("log_mean", "log_sd")
     fields = ("log_mean", "log_sd", "log_var", "_mean", "m2_scale")
@@ -1549,24 +1572,28 @@ class _LogNormalStack(_Stack):
 
     def _derive(self, log_mean, log_sd):
         self.log_mean, self.log_sd = log_mean, log_sd
-        self.log_var = _squares(log_sd)
-        self._mean = _exp(log_mean + 0.5 * self.log_var)
-        self.m2_scale = _exp(2.0 * (log_mean + self.log_var))
 
     def means(self):
         return self._mean
 
+    def quantiles(self, u):
+        # through math.exp, as the scalar quantile
+        return _exp(self.log_mean + self.log_sd * float(ndtri(u)))
+
     def quantile_range(self, u):
-        # exp is monotone, so the extremes are taken before it, by math.exp
-        # as in the scalar quantile
+        # math.exp is monotone, so the extremes of the quantiles are those of
+        # the exponents: math.exp of every row of a 10,000-component compound
+        # costs 0.6 ms a call
         x = self.log_mean + self.log_sd * float(ndtri(u))
         return math.exp(x.min()), math.exp(x.max())
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x**2 per entry by Python's pow, as ``LogNormal.log_var`` squares, and
-    raising as it raises: numpy's square rounds differently."""
-    return np.fromiter(map(operator.pow, x.tolist(), itertools.repeat(2)), float, x.size)
+def _squares(x):
+    """x**2 by Python's pow, raising as it raises, on a float and per entry
+    over an array: numpy's square rounds differently."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(operator.pow, x.tolist(), itertools.repeat(2)), float, x.size)
+    return x**2
 
 
 class _TruncatedNormalStack(_Stack):
@@ -1817,8 +1844,8 @@ def _order_maxima(family: type, params: dict[str, np.ndarray], demand: Distribut
     bit as ``expected_max``. A member's route depends only on its family and
     its ``closed_form``, so ``_route`` routes the rows of each flag by its
     ``_PROTOTYPES`` member. The rows of a tag in ``_ORDER_BATCHES`` run as
-    one batch each; every other row first, in order, by ``expected_max``.
-    Members are made for those rows and the lockstep's only."""
+    one batch each, from the columns, making no object per row; every other
+    row first, in order, by ``expected_max``, for which a member is made."""
     size = next(iter(params.values())).size
     closed = np.broadcast_to(_STACKS[family].closed_form(**params), size)
     rows_of = {}
@@ -1956,17 +1983,16 @@ def _expected_max_at(t: float, y: Distribution) -> float:
     return t * y.cdf(t) + y.upper_partial_expectation(t)
 
 
-def _check_resolved(*sides: Distribution) -> None:
-    """Raise NumericalIntegrityError for the first side whose quartiles round
-    to one float: the nodes of a quadrature over its density round onto a
-    few floats, and no panel beside them sees its mass."""
-    for d in sides:
-        below = d._quantile(0.25)
-        if below == d._quantile(0.75):
-            raise NumericalIntegrityError(
-                f"{d!r} is narrower than the floats at its median {below!r}: "
-                "no quadrature over its density resolves it"
-            )
+def _check_resolved(below: float, above: float, name) -> None:
+    """Raise NumericalIntegrityError where a side's quartiles round to one
+    float, ``below == above``, naming it by ``name()``: the nodes of a
+    quadrature over its density round onto a few floats, and no panel beside
+    them sees its mass."""
+    if below == above:
+        raise NumericalIntegrityError(
+            f"{name()} is narrower than the floats at its median {below!r}: "
+            "no quadrature over its density resolves it"
+        )
 
 
 def _integration_rank(d: Distribution) -> tuple:
@@ -1999,7 +2025,7 @@ def _expected_max_over(x: Distribution, y: Distribution) -> float:
     A stacked side is one numpy weighted sum at each node, by the ``fast``
     kernels: h_Y(t) = E[Y] + sum_i w_i (t F_i(t) - M1_i(t)), and
     f_X(t) = sum_i w_i f_i(t)."""
-    _check_resolved(x)
+    _check_resolved(x._quantile(0.25), x._quantile(0.75), x.__repr__)
     lo, top = x.support()
     hi = min(top, max(x.upper_cut(), y.upper_cut()))
     y_stack, x_stack = _stack_of(y), _stack_of(x)
@@ -2029,49 +2055,61 @@ def _expected_max_over(x: Distribution, y: Distribution) -> float:
     return value + (x.upper_partial_expectation(hi) if hi < top else 0.0)
 
 
-def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[float]:
-    """E[max(Q, D)] of each order Q of a parametric family against a
-    parametric demand D, as two halves: int t f_X(t) F_Y(t) dt over both
-    supports below the cut, for (X, Y) = (Q, D) and (D, Q), each plus X's
-    exact tail moment beyond it, where F_Y is within TAIL_PROB of 1.
+def _density_maxima(
+    family: type, params: dict[str, np.ndarray], demand: Distribution
+) -> list[float]:
+    """E[max(Q, D)] of each member Q of a parametric family, given as its
+    parameter columns keyed as in its record, against a parametric demand D,
+    as two halves: int t f_X(t) F_Y(t) dt over both supports below the cut,
+    for (X, Y) = (Q, D) and (D, Q), each plus X's exact tail moment beyond
+    it, where F_Y is within TAIL_PROB of 1.
 
     Every half is one span of one ``integrate_many``, the half of the side
-    whose record sorts first (``_sorts_before``) first, so that a failure
-    raises the error of the first order, and of its first half, that fails.
-    The integrand is the families' block kernels on numpy's transcendentals
-    (``fast``), as every mixture integrand is. ``expected_max`` of one pair
-    is this with one order, which is its own parameter rows; the orders of a
-    batch come from one stack per family and tail form (``_HalvesRows``).
-    The demand's quartiles, cut, kinks and support are read once a batch,
-    and its tail moment once for each distinct cut."""
-    leads = [not _sorts_before(demand, g) for g in orders]
-    for k, g in enumerate(orders):
-        # the demand is checked with the first order, in its place
-        sides = (g, demand) if leads[k] else (demand, g)
-        try:
-            _check_resolved(*(sides if k == 0 else (g,)))
-        except NumericalIntegrityError:
+    whose record sorts first (``_leads``) first, so that a failure raises
+    the error of the first order, and of its first half, that fails. The
+    integrand is the families' block kernels on numpy's transcendentals
+    (``fast``), as every mixture integrand is. Each read of the orders, their
+    quartiles, supports, cuts and tail moments, is one block over the rows
+    of their stacks (``_candidates``) by the scalar kernels' operations: no
+    order is made, for one pair (``expected_max``, as one row) or for a
+    search's candidates. The demand's quartiles, cut, kinks and support are
+    read once a batch, and its tail moment once for each distinct cut."""
+    stacks = _candidates(family, params)
+    leads = _leads(family, params, demand)
+    below, above = _per_row(stacks, lambda stack: (stack.quantiles(0.25), stack.quantiles(0.75)))
+    unresolved = np.flatnonzero(below == above).tolist()
+    # the demand is checked with the first order, after it where it leads
+    if unresolved[:1] != [0] or not leads[0]:
+        _check_resolved(demand._quantile(0.25), demand._quantile(0.75), demand.__repr__)
+    if unresolved:
+        k = unresolved[0]
+        if k:
             # the candidates before it come first, and may fail first
-            if k:
-                _density_maxima(orders[:k], demand)
-            raise
-    demand_support, demand_cut = demand.support(), demand.upper_cut()
+            _density_maxima(family, {name: a[:k] for name, a in params.items()}, demand)
+        row = {name: params[name][k].item() for name in _STACKS[family].params}
+        _check_resolved(below[k].item(), above[k].item(), lambda: _described(family, row))
+    (demand_lo, demand_hi), demand_cut = demand.support(), demand.upper_cut()
     demand_points = set(demand.breakpoints())
     demand_tail = functools.cache(demand.upper_partial_expectation)
-    spans, tails, sides = [], [], []
-    for g, order_first in zip(orders, leads):
-        cut = max(g.upper_cut(), demand_cut)
-        pts = demand_points.union(g.breakpoints())
-        support = g.support()
-        lo = max(support[0], demand_support[0])
+    ends = _per_row(stacks, lambda stack: (*stack.supports(), stack.quantiles(1.0 - TAIL_PROB)))
+    spans, sides = [], []
+    for own_lo, own_hi, far, order_first in zip(*ends.tolist(), leads):
+        # the order's upper_cut: its finite upper end, else its far quantile
+        cut = max(own_hi if math.isfinite(own_hi) else far, demand_cut)
+        pts = demand_points.union(p for p in (own_lo, own_hi) if math.isfinite(p))
+        lo = max(own_lo, demand_lo)
         for order_x in (order_first, not order_first):
-            hi = min((support if order_x else demand_support)[1], cut)
-            tail = g.upper_partial_expectation if order_x else demand_tail
-            spans.append((lo, hi, pts))
-            tails.append(tail(max(hi, lo)))
+            spans.append((lo, min(own_hi if order_x else demand_hi, cut), pts))
             sides.append(order_x)
+    tops = [max(hi, lo) for lo, hi, _ in spans]
+    # the order's tail moment beyond the top of its span: one span of each
+    # row, in row order
+    at = np.array([top for top, order_x in zip(tops, sides) if order_x])
+    order_tails = _per_row(stacks, lambda stack: stack.upper_partial_expectations(at[stack.index]))
+    order_tails = iter(order_tails.tolist())
+    tails = [next(order_tails) if x else demand_tail(top) for top, x in zip(tops, sides)]
     demand_pdf, demand_cdf = _blocks(demand, "pdf", "cdf")
-    sort = _HalvesRows(orders, sides).sort
+    sort = _HalvesRows(stacks, sides).sort
 
     def integrand(owner, t):
         # t f_x(t) F_y(t), with the order as x on the rows of its side
@@ -2094,51 +2132,75 @@ def _density_maxima(orders: list[Distribution], demand: Distribution) -> list[fl
     return [first + second for first, second in zip(halves[::2], halves[1::2])]
 
 
+def _leads(family: type, params: dict[str, np.ndarray], demand: Distribution) -> list[bool]:
+    """Per row of a parametric family's columns, whether the demand's record
+    does not sort first (``_sorts_before``): the family names decide, by a
+    member of the family, or each row's canonical JSON, its record being the
+    demand's with the row's parameters."""
+    size = next(iter(params.values())).size
+    if type(demand) is not family:
+        member = next(g for (f, _), g in _PROTOTYPES.items() if f is family)
+        return [not _sorts_before(demand, member)] * size
+    record, key, names = demand.to_dict(), demand._order_key(), _STACKS[family].params
+    rows = zip(*(params[name].tolist() for name in names))
+    return [key >= json.dumps({**record, **dict(zip(names, row))}, sort_keys=True) for row in rows]
+
+
+def _candidates(family: type, params: dict[str, np.ndarray]) -> list:
+    """A search's candidates, by their parameter columns, as ``_stacks``
+    whose weights no batch reads."""
+    size = next(iter(params.values())).size
+    return _stacks(family, params, np.ones(size), np.arange(size))
+
+
+def _per_row(stacks: list, read) -> np.ndarray:
+    """``read(stack)`` of each stack, one or more columns over its rows, as
+    the columns over every row, each stack's at its ``index``: one stack's
+    own, whose index is every row in order (``_candidates``)."""
+    values = [np.asarray(read(stack)) for stack in stacks]
+    if len(values) == 1:
+        return values[0]
+    out = np.empty(values[0].shape[:-1] + (sum(stack.size for stack in stacks),))
+    for stack, value in zip(stacks, values):
+        out[..., stack.index] = value
+    return out
+
+
 class _HalvesRows:
     """The rows of each round of ``_density_maxima``'s lockstep by group: a
     stack of the orders and a side, the order's density on the spans where
     it is x and its CDF on the others. Each span's group and row in its
-    stack are laid out once a batch; a round sorts its rows by group, stably,
-    so that each group is a slice. One order is its own parameter rows, and
-    ``integrate_many`` lists a round's panels by span, so its rows are the
-    first half's, then the second's, in place."""
+    stack are laid out once a batch; a round sorts its rows by group,
+    stably, so that each group is a slice, unless the spans are in group
+    order, as one order's are where it leads: ``integrate_many`` lists a
+    round's panels by span."""
 
-    def __init__(self, orders: list[Distribution], sides: list[bool]):
-        self.sides = sides
-        self.order = orders[0] if len(orders) == 1 else None
-        if self.order is not None:
-            return
-        # the weights are not read
-        self.stacks = _parts_of(np.ones(len(orders)), orders)
-        part, row = np.empty(len(orders), int), np.empty(len(orders), int)
-        for i, stack in enumerate(self.stacks):
+    def __init__(self, stacks: list, sides: list[bool]):
+        self.stacks = stacks
+        part, row = np.empty(len(sides) // 2, int), np.empty(len(sides) // 2, int)
+        for i, stack in enumerate(stacks):
             part[stack.index] = i
             row[stack.index] = np.arange(stack.size)
         # two groups a stack, the spans where its order is x first
-        self.span_group = 2 * np.repeat(part, 2) + np.logical_not(sides)
-        self.span_row = np.repeat(row, 2)
+        group = 2 * part.repeat(2) + np.logical_not(sides)
+        self.span_group, self.span_row = group, row.repeat(2)
+        self.in_order = bool((group[1:] >= group[:-1]).all())
 
     def sort(self, owner: np.ndarray):
         """The round's rows in group order, as an index or a slice, and
         (rows, side, family, p) of each group with rows: its slice of them,
-        and its family and parameters for the family's kernels."""
-        if self.order is not None:
-            split = int(owner.searchsorted(1))
-            family, groups = type(self.order), []
-            # a span with no panels has no support below the cut
-            if split:
-                groups.append((slice(split), self.sides[0], family, self.order))
-            if split < owner.size:
-                groups.append((slice(split, None), self.sides[1], family, self.order))
-            return slice(None), groups
+        and its family and parameters for the family's kernels; a stack of
+        one row is its own parameters."""
         group = self.span_group[owner]
-        by_group = np.argsort(group, kind="stable")
+        by_group = slice(None) if self.in_order else np.argsort(group, kind="stable")
         index = self.span_row[owner[by_group]]
         groups, start = [], 0
         for g, end in enumerate(np.bincount(group).cumsum().tolist()):
             if end > start:
                 stack = self.stacks[g // 2]
-                taken = _Rows(stack, operator.itemgetter((index[start:end], None)))
+                taken = stack
+                if stack.size > 1:
+                    taken = _Rows(stack, operator.itemgetter((index[start:end], None)))
                 groups.append((slice(start, end), g % 2 == 0, stack.family, taken))
             start = end
         return by_group, groups
@@ -2152,7 +2214,7 @@ _EVALUATORS = {
     ),
     "atoms": lambda atoms, y: math.fsum(w * _expected_max_at(v, y) for v, w in zip(*atoms)),
     "mixtures": lambda mix, other: math.fsum(w * expected_max(d, other) for w, d in mix.components),
-    "halves": lambda x, y: _density_maxima([x], y)[0],
+    "halves": lambda x, y: _density_maxima(type(x), _member_params(type(x), [x]), y)[0],
     "over": _expected_max_over,
     "components": _components_max,
     "split": _expected_max,
@@ -2171,10 +2233,10 @@ _PROTOTYPES = {
 # the tags whose rows ``_order_maxima`` evaluates as one batch, from the
 # family, the rows' parameter columns and the demand
 _ORDER_BATCHES = {
-    "uniform": lambda family, params, demand: _uniform_maxima(_equal_stack(family, params), demand),
-    "halves": lambda family, params, demand: _density_maxima(
-        [_member(family, params, k) for k in range(next(iter(params.values())).size)], demand
+    "uniform": lambda family, params, demand: _per_row(
+        _candidates(family, params), lambda stack: _uniform_maxima(stack, demand)
     ),
+    "halves": _density_maxima,
 }
 
 
@@ -2220,13 +2282,6 @@ def _member_params(family: type, dists) -> dict[str, np.ndarray]:
     its record, as its stack takes them."""
     records = [d.to_dict() for d in dists]
     return {name: np.array([r[name] for r in records]) for name in _STACKS[family].params}
-
-
-def _equal_stack(family: type, params: dict[str, np.ndarray]) -> _Stack:
-    """Members of one parametric family, by their parameter columns and with
-    one tail form for truncated normals, as an equal-weight stack."""
-    size = next(iter(params.values())).size
-    return _STACKS[family](params, np.full(size, 1.0 / size))
 
 
 # -- serialization ------------------------------------------------------------

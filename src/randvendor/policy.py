@@ -586,8 +586,9 @@ def search_policy(
     family's parameters with one validity mask, their expected maxima by
     ``distributions._order_maxima``, and the feasibility arithmetic over
     arrays, with the same margins and profits bit for bit as the public
-    checks of each alone. Distributions are created only for the rows of
-    the per-row and lockstep routes, and for the winner.
+    checks of each alone. The batched routes make no distribution per
+    candidate: distributions are created only for the rows of the per-row
+    routes, and for the winner.
     """
     pinned = cfg.constrain_mean_to_qhat
     names = order_family_param_names(family, pinned)

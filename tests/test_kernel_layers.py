@@ -1,7 +1,8 @@
 """The two kernel layers: each family's array kernels (``_cdf_block``,
 ``_pdf_block``, ``_m1_block``, ``_m2_block``) against its scalar kernels,
 element by element and bit for bit, and a stack's kernels, which are the
-array kernels over the stack's parameter arrays; and the correctly rounded
+array kernels over the stack's parameter arrays; a stack's per-row reads
+(quantiles, tail moments) against each member's; and the correctly rounded
 sum that weighs a stack's kernels (``_exact_sum``) against ``math.fsum``."""
 
 import math
@@ -13,9 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randvendor import Exponential, LogNormal, Mixture, TruncatedNormal, Uniform
+from randvendor._quad import TAIL_PROB
 from randvendor.distributions import (
     _SPLIT_MIN_TERMS,
+    _candidates,
     _exact_sum,
+    _member,
+    _per_row,
     _Rows,
     _stack_of,
     _truncnorm_mean,
@@ -169,6 +174,48 @@ def test_instance_and_stack_share_their_constants(name):
     for field in stack.fields:
         assert _bits(getattr(stack, field)) == _bits([getattr(d, field) for d in dists]), field
     assert _bits(stack.means()) == _bits([d.mean() for d in dists])
+
+
+def _row_grids():
+    rng = np.random.default_rng(31)
+    n = 500
+    lo = rng.uniform(0.0, 5.0, n)
+    # rows of either tail form, interleaved
+    means = np.concatenate([rng.uniform(0.0, 5.0, n // 2), rng.uniform(-4.0, -0.01, n // 2)])
+    sds = np.concatenate([rng.uniform(0.05, 3.0, n // 2), rng.uniform(0.5, 3.0, n // 2)])
+    order = rng.permutation(n)
+    return {
+        # point-width rows beside wide ones
+        "uniform": (Uniform, {"lo": lo, "hi": lo + 10.0 ** rng.uniform(-9.0, 1.0, n)}),
+        "exponential": (Exponential, {"rate": 10.0 ** rng.uniform(-2.0, 2.0, n)}),
+        "lognormal": (
+            LogNormal,
+            {"log_mean": rng.uniform(-3.0, 3.0, n), "log_sd": np.geomspace(1e-3, 3.0, n)},
+        ),
+        "truncated_normal": (TruncatedNormal, {"mean": means[order], "sd": sds[order]}),
+    }
+
+
+ROW_GRIDS = _row_grids()
+
+
+@pytest.mark.parametrize("name", sorted(ROW_GRIDS))
+def test_block_reads_of_rows_equal_each_member(name):
+    # the quantiles and tail moments a lockstep batch reads over its rows,
+    # against each member's scalar read, bit for bit
+    family, params = ROW_GRIDS[name]
+    stacks = _candidates(family, params)
+    assert len(stacks) == (2 if family is TruncatedNormal else 1)
+    members = [_member(family, params, k) for k in range(params[next(iter(params))].size)]
+    for u in (0.25, 0.5, 0.75, 1.0 - TAIL_PROB):
+        block = _per_row(stacks, lambda stack, u=u: stack.quantiles(u))
+        assert _bits(block) == _bits([g._quantile(u) for g in members]), u
+        for stack in stacks:
+            ends = stack.quantiles(u)
+            assert _bits(stack.quantile_range(u)) == _bits([ends.min(), ends.max()]), u
+    cuts = np.array([g.upper_cut() for g in members])
+    tails = _per_row(stacks, lambda stack: stack.upper_partial_expectations(cuts[stack.index]))
+    assert _bits(tails) == _bits([g.upper_partial_expectation(q) for g, q in zip(members, cuts)])
 
 
 def test_truncated_normal_mean_over_arrays_equals_each_float():

@@ -32,8 +32,8 @@ from randvendor import _quad, policy
 from randvendor.distributions import (
     _EVALUATORS,
     _SAMPLE_BLOCK,
+    _candidates,
     _density_maxima,
-    _equal_stack,
     _member,
     _member_params,
     _order_maxima,
@@ -217,7 +217,9 @@ def test_every_density_pair_through_the_lockstep_quadrature(demand):
         routes = [_route(g, demand, ordered=True) for g in orders]
         assert {tag for tag, _ in routes} == {"halves"}
         expected = [_EVALUATORS[tag](*operands) for tag, operands in routes]
-        assert _bits(_density_maxima(orders, demand)) == _bits(expected)
+        family = type(orders[0])
+        values = _density_maxima(family, _member_params(family, orders), demand)
+        assert _bits(values) == _bits(expected)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +232,7 @@ def test_uniform_closed_form_over_arrays(demand):
     orders = [Uniform(lo, hi) for lo, hi in itertools.combinations(edges, 2)]
     assert all(g._closed_form_max for g in orders)
     expected = [expected_max(g, demand) for g in orders]
-    stack = _equal_stack(Uniform, _member_params(Uniform, orders))
+    (stack,) = _candidates(Uniform, _member_params(Uniform, orders))
     assert _bits(_uniform_maxima(stack, demand)) == _bits(expected)
 
 
@@ -322,10 +324,24 @@ def test_a_candidate_alone_and_in_a_batch_of_25():
     demand = LogNormal(1.5, 0.4)
     sds = np.linspace(0.05, 1.0, 25).tolist()
     batch = [LogNormal(math.log(4.0) - 0.5 * s * s, s) for s in sds]
-    together = _density_maxima(batch, demand)
+    params = _member_params(LogNormal, batch)
+    together = _density_maxima(LogNormal, params, demand)
     for i in (0, 11, 24):
-        alone = _density_maxima([batch[i]], demand)
+        row = {name: column[i : i + 1] for name, column in params.items()}
+        alone = _density_maxima(LogNormal, row, demand)
         assert _bits(alone) == _bits([together[i]]) == _bits([expected_max(batch[i], demand)])
+
+
+def test_rows_whose_second_moment_overflows_take_the_halves():
+    # exp(2 (log_mean + log_sd^2)) overflows for both, but the halves read no
+    # M2: the batch's rows, as the members, take it only on first use
+    demand = Exponential(0.3)
+    orders = [LogNormal(300.0, 8.0), LogNormal(300.0, 7.5)]
+    for g in orders:
+        with pytest.raises(OverflowError):
+            g.m2_scale
+    expected = [expected_max(g, demand) for g in orders]
+    assert _bits(order_maxima(orders, demand)) == _bits(expected)
 
 
 def _refuse_the_halves_of(monkeypatch, orders, demand, k):
@@ -355,7 +371,7 @@ def test_a_failing_batch_raises_as_the_loop(monkeypatch):
     with pytest.raises(NumericalIntegrityError) as expected:
         _loop(orders, demand)
     with pytest.raises(NumericalIntegrityError) as batched:
-        _density_maxima(orders, demand)
+        _density_maxima(LogNormal, _member_params(LogNormal, orders), demand)
     assert str(batched.value) == str(expected.value)
 
 
@@ -376,6 +392,19 @@ def test_an_unresolved_order_in_a_batch_raises_as_the_loop(monkeypatch, refused)
     assert ("narrower than the floats" in str(expected.value)) == (refused is None)
 
 
+def test_an_unresolved_pair_names_the_side_that_sorts_first():
+    # both sides' quartiles round to one float: the lognormal's record sorts
+    # first, so the batch names it whether it is the order or the demand
+    lognormal, truncated = LogNormal(1.0, 1e-17), TruncatedNormal(4.0, 1e-17)
+    for order, demand in ((lognormal, truncated), (truncated, lognormal)):
+        with pytest.raises(NumericalIntegrityError) as alone:
+            expected_max(order, demand)
+        with pytest.raises(NumericalIntegrityError) as batched:
+            order_maxima([order], demand)
+        assert str(batched.value) == str(alone.value)
+        assert str(alone.value).startswith("LogNormal(log_mean=1.0, log_sd=1e-17) is narrower")
+
+
 _PARAMETRIC_TYPES = (Uniform, Exponential, LogNormal, TruncatedNormal)
 
 
@@ -392,9 +421,9 @@ def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
     seen = {"_density_maxima": [], "_expected_max_over": []}
 
     def recorder(calls, original):
-        def recorded(x, y, *args):
-            calls.append((x, y))
-            return original(x, y, *args)
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
 
         return recorded
 
@@ -402,6 +431,7 @@ def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
     # the route table evaluates it
     halves = recorder(seen["_density_maxima"], distributions._density_maxima)
     monkeypatch.setattr(distributions, "_density_maxima", halves)
+    monkeypatch.setitem(distributions._ORDER_BATCHES, "halves", halves)
     over = recorder(seen["_expected_max_over"], distributions._EVALUATORS["over"])
     monkeypatch.setitem(distributions._EVALUATORS, "over", over)
     orders = _orders()
@@ -413,10 +443,11 @@ def test_halves_serve_only_pairs_of_parametric_families(monkeypatch):
     for demand in others:
         expected_max(demand, demand)
     assert all(seen.values())
-    # expected_max of one pair takes the halves as a batch of one
-    assert any(len(batch) == 1 for batch, _ in seen["_density_maxima"])
-    for batch, demand in seen["_density_maxima"]:
-        assert all(isinstance(g, _PARAMETRIC_TYPES) for g in batch)
+    # expected_max of one pair takes the halves as a batch of one row
+    sizes = [next(iter(params.values())).size for _, params, _ in seen["_density_maxima"]]
+    assert 1 in sizes and max(sizes) > 1
+    for family, _, demand in seen["_density_maxima"]:
+        assert family in _PARAMETRIC_TYPES
         assert isinstance(demand, _PARAMETRIC_TYPES)
     for x, y in seen["_expected_max_over"]:
         assert not (isinstance(x, _PARAMETRIC_TYPES) and isinstance(y, _PARAMETRIC_TYPES))

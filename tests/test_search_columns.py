@@ -8,6 +8,7 @@ import pytest
 
 from randvendor import (
     Empirical,
+    Exponential,
     LogNormal,
     MarketParams,
     Mixture,
@@ -16,6 +17,7 @@ from randvendor import (
     ScenarioTriple,
     SearchConfig,
     Stochastic,
+    TruncatedNormal,
     Uniform,
     baseline_profit,
     build_order_dist,
@@ -159,6 +161,54 @@ def test_a_grid_search_creates_no_object_per_candidate(monkeypatch, tmp_path, na
     assert "TraceEntry" not in counts
     assert len(result.search_trace) == 2500
     assert counts["TraceEntry"] == 2500
+
+
+TRIPLE_TRUNCATED_NORMAL = ScenarioTriple(
+    true_demand=TruncatedNormal(1.4, 0.5),
+    estimated_demand=TruncatedNormal(1.2, 0.4),
+    compound_demand=TruncatedNormal(1.4, 0.5),
+)
+_PINNED = SearchConfig(method="grid", budget=25, seed=0, constrain_mean_to_qhat=True)
+# searches whose rows take the halves lockstep against a parametric demand
+HALVES_SEARCHES = {
+    "pinned_lognormal": (TRIPLE_LOGNORMAL, "lognormal", {"log_sd": (0.05, 1.0)}, _PINNED),
+    "pinned_truncated_normal": (TRIPLE_LOGNORMAL, "truncated_normal", {"sd": (0.1, 1.5)}, _PINNED),
+    "free_point": (
+        TRIPLE_LOGNORMAL,
+        "point",
+        {"q": (0.5, 2.0)},
+        SearchConfig(method="grid", budget=9, seed=0),
+    ),
+    # the diagonal's rows are narrower than the closed form takes
+    "uniform_grid": (
+        TRIPLE_TRUNCATED_NORMAL,
+        "uniform",
+        {"lo": (1.0, 2.0), "hi": (1.0005, 2.0005)},
+        SearchConfig(method="grid", budget=25, seed=0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALVES_SEARCHES))
+def test_a_halves_search_creates_no_object_per_candidate(monkeypatch, name):
+    # the lockstep reads its rows from the parameter columns: of the four
+    # families, only the winner is made (the scenario triple was made before)
+    triple, family, bounds, cfg = HALVES_SEARCHES[name]
+    rows = []
+    batch = distributions._ORDER_BATCHES["halves"]
+
+    def recorded(cls, params, demand):
+        rows.append(next(iter(params.values())).size)
+        return batch(cls, params, demand)
+
+    monkeypatch.setitem(distributions._ORDER_BATCHES, "halves", recorded)
+    counts = {}
+    for cls in (Uniform, Exponential, LogNormal, TruncatedNormal):
+        _counted(monkeypatch, cls, counts)
+    result = search_policy(MP, triple, family, bounds, cfg)
+    assert len(rows) == 1 and rows[0] > 1
+    won = isinstance(result.best_policy, Stochastic)
+    assert counts == ({type(result.best_policy.order_dist).__name__: 1} if won else {})
 
 
 def _stacked_triple():
